@@ -63,12 +63,21 @@ def _objective(zeros: np.ndarray, lam: complex, pts: np.ndarray, f_kind: int,
 def pointwise_batch(zeros, lam, pts, f_kind, barrier_radius):
     zeros = np.ascontiguousarray(zeros, dtype=np.complex128)
     pts = np.asarray(pts, dtype=np.complex128)
-    return _objective(zeros, complex(lam), pts.ravel(), int(f_kind),
-                      float(barrier_radius)).reshape(pts.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _objective(zeros, complex(lam), pts.ravel(), int(f_kind),
+                          float(barrier_radius)).reshape(pts.shape)
 
 
 def refine_starts(zeros, lam, starts, scales, f_kind, max_iter, ftol, barrier_radius):
     """One Nelder-Mead maximization pass per start; all simplices in lockstep."""
+    # points sitting on a zero divide by zero in the log-derivative sum; the
+    # product rule replaces those values, so the warnings carry no news
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _refine_starts(zeros, lam, starts, scales, f_kind, max_iter, ftol,
+                              barrier_radius)
+
+
+def _refine_starts(zeros, lam, starts, scales, f_kind, max_iter, ftol, barrier_radius):
     zeros = np.ascontiguousarray(zeros, dtype=np.complex128)
     starts = np.asarray(starts, dtype=np.complex128).ravel()
     scales = np.asarray(scales, dtype=np.float64).ravel()

@@ -11,7 +11,8 @@ permutation is a transposition and the sheet graph they span is a tree on n
 vertices.
 
 Root finding uses Ehrlich-Aberth simultaneous iteration; fiber tracking uses an
-Euler predictor with a Newton corrector and adaptive step control.
+Euler predictor with a Newton corrector and adaptive step control, with the
+fibers of all loops advanced together in one lockstep batch.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .errors import (
     RootCountError,
     StructureError,
 )
-from .products import BlaschkeProduct
+from .products import ZERO_SWITCH, BlaschkeProduct, _derivative_product_rule
 
 SLIT_DISK = "SLIT_DISK"
 SURFACE_CASE = "SURFACE_CASE"
@@ -161,36 +162,41 @@ def critical_points(B: BlaschkeProduct) -> tuple[complex, ...]:
 
 
 # ----------------------------------------------------------------------------
-# raw evaluation (no domain checks; tracking may poke just outside the disk)
+# fused evaluation (no domain checks; tracking may poke just outside the disk)
 # ----------------------------------------------------------------------------
 
-def _eval_raw(zeros: np.ndarray, lam: complex, z: np.ndarray) -> np.ndarray:
-    out = np.full(z.shape, lam, dtype=np.complex128)
-    for zj in zeros:
-        out = out * ((z - zj) / (1.0 - zj.conjugate() * z))
-    return out
+#: broadcast temporaries of the evaluator hold at most this many entries
+_EVAL_BLOCK = 1 << 18
 
 
-def _der_raw(zeros: np.ndarray, lam: complex, z: np.ndarray) -> np.ndarray:
-    diff = z[:, None] - zeros[None, :]
-    dist2 = diff.real**2 + diff.imag**2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lsum = ((1.0 - np.abs(zeros) ** 2)[None, :]
-                / (diff * (1.0 - np.conjugate(zeros)[None, :] * z[:, None]))).sum(axis=1)
-        out = _eval_raw(zeros, lam, z) * lsum
-    near = dist2.min(axis=1) <= 1e-16
-    for i in np.nonzero(near)[0]:
-        zi = z[i]
-        total = 0.0 + 0.0j
-        for j, zj in enumerate(zeros):
-            den = 1.0 - zj.conjugate() * zi
-            term = (1.0 - abs(zj) ** 2) / (den * den)
-            for k, zk in enumerate(zeros):
-                if k != j:
-                    term *= (zi - zk) / (1.0 - zk.conjugate() * zi)
-            total += term
-        out[i] = lam * total
-    return out
+def _evaluator(B: BlaschkeProduct):
+    """``f(z) -> (B(z), B'(z))`` for an m x n array z of fibers.
+
+    One broadcast pass over the Moebius factors (z - z_j) / (1 - conj(z_j) z),
+    stacked along a leading axis of zeros, gives B and the log-derivative sum
+    together; entries within ZERO_SWITCH of a zero, where that sum collapses,
+    take the product rule instead.  Callers silence the floating-point
+    warnings of points sitting on a zero.
+    """
+    zeros = B.zeros_array[:, None, None]
+    conj = np.conjugate(zeros)
+    weight = 1.0 - np.abs(zeros) ** 2
+    lam = complex(B.rotation)
+
+    def evaluate(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if z.size * zeros.size > _EVAL_BLOCK and z.shape[0] > 1:
+            halves = [evaluate(rows) for rows in np.array_split(z, 2)]
+            return tuple(np.concatenate(part) for part in zip(*halves))
+        num = z - zeros
+        den = 1.0 - conj * z
+        value = lam * np.multiply.reduce(num / den)
+        der = value * np.add.reduce(weight / (num * den))
+        near = np.minimum.reduce(num.real**2 + num.imag**2) <= ZERO_SWITCH**2
+        for i in zip(*np.nonzero(near)):
+            der[i] = _derivative_product_rule(B, complex(z[i]))
+        return value, der
+
+    return evaluate
 
 
 # ----------------------------------------------------------------------------
@@ -214,68 +220,144 @@ def fiber_solve(B: BlaschkeProduct, w: complex) -> np.ndarray:
     return _lex_sort(roots)
 
 
-def _newton_correct(zeros, lam, z, w, tol=1e-12, cap=8):
-    """Vectorized Newton on B(z) - w for the whole fiber; returns (z, iters, ok)."""
-    for it in range(1, cap + 1):
-        r = _eval_raw(zeros, lam, z) - w
-        if np.max(np.abs(r)) <= tol:
-            return z, it - 1, True
-        dp = _der_raw(zeros, lam, z)
-        if np.any(np.abs(dp) < 1e-300) or np.any(~np.isfinite(dp)):
-            return z, it, False
-        z = z - r / dp
-        if np.any(np.abs(z) > 1.2) or np.any(~np.isfinite(z)):
-            return z, it, False
-    r = _eval_raw(zeros, lam, z) - w
-    return z, cap, bool(np.max(np.abs(r)) <= tol)
+# ----------------------------------------------------------------------------
+# lockstep fiber tracking
+# ----------------------------------------------------------------------------
+
+_H_START = 1.0 / 16.0   # step in t at the start of every piece of a route
+_H_MAX = 0.125
+_H_MIN = 1e-8           # a step below this aborts the continuation
+_NEWTON_MAX = 4         # a corrector needing more iterations rejects the step
+_NEWTON_EASY = 2        # a corrector needing at most this many doubles the step
+_NEWTON_TOL = 1e-12     # residual floor of the corrector
+_NEWTON_ULPS = 8.0 * np.finfo(np.float64).eps
+_MAX_MOVE = 0.4         # per step, as a fraction of the fiber's minimal separation
 
 
-def _track_piece(B: BlaschkeProduct, fiber: np.ndarray, w_of_t) -> np.ndarray:
-    """Continue the fiber along w(t), t in [0,1], adaptively.
+def _min_separation(z: np.ndarray) -> np.ndarray:
+    """Smallest distance between two points in each row of z."""
+    d = np.abs(z[:, :, None] - z[:, None, :])
+    k = np.arange(z.shape[1])
+    d[:, k, k] = np.inf
+    return d.min(axis=(1, 2))
 
-    Euler predictor dz = dw / B'(z), Newton corrector; the step halves whenever
-    the corrector needs more than 4 iterations and grows again after easy steps.
+
+def _newton(evaluate, z: np.ndarray, w: np.ndarray):
+    """Newton on B(z) = w[i] for each row i of z, a fiber; returns (z, B'(z), iters, ok).
+
+    A row stops at its first iterate where every point has |B(z) - w| <=
+    max(1e-12, 8 eps |z| |B'(z)|), i.e. within one ulp of z pushed through
+    B': near a zero close to the circle |B'| is large and an absolute 1e-12
+    lies below rounding.  A row that needs more than _NEWTON_MAX updates, or
+    whose derivative or iterate breaks down, is not ok.  Stopped rows are
+    evaluated again at the same point, which keeps their B'.
     """
-    zeros = B.zeros_array
-    lam = complex(B.rotation)
-    z = fiber.astype(np.complex128).copy()
-    t = 0.0
-    h = 1.0 / 16.0
-    w_prev = w_of_t(0.0)
-    while t < 1.0 - 1e-15:
-        h = min(h, 1.0 - t)
-        t_new = t + h
-        w_new = w_of_t(t_new)
-        dp = _der_raw(zeros, lam, z)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            pred = z + (w_new - w_prev) / dp
-        pred = np.where(np.isfinite(pred), pred, z)
-        z_new, iters, ok = _newton_correct(zeros, lam, pred, w_new)
-        if not ok or iters > 4:
-            h *= 0.5
-            if h < 1e-8:
-                raise ContinuationError("fiber tracking step size underflow")
-            continue
-        if z.size > 1:
+    iters = np.zeros(z.shape[0], dtype=np.int64)
+    live = np.ones(z.shape[0], dtype=bool)
+    ok = np.zeros(z.shape[0], dtype=bool)
+    for it in range(_NEWTON_MAX + 1):
+        value, der = evaluate(z)
+        r = value - w[:, None]
+        size = np.abs(der)
+        done = (np.abs(r) <= np.fmax(_NEWTON_TOL, _NEWTON_ULPS * np.abs(z) * size)).all(axis=1)
+        ok |= live & done
+        live &= ~done
+        if it == _NEWTON_MAX or not live.any():
+            break
+        step = z - r / der
+        live &= (np.isfinite(der) & (size >= 1e-300)
+                 & np.isfinite(step) & (np.abs(step) <= 1.2)).all(axis=1)
+        z = np.where(live[:, None], step, z)
+        iters += live
+    return z, der, iters, ok
+
+
+def _track_routes(B: BlaschkeProduct, base: np.ndarray, routes: list[list[tuple]]):
+    """Continue the base fiber along every route at once, in lockstep.
+
+    A route is a list of pieces w(t), t in [0, 1], made by _segment and
+    _circle.  Row l of the L x n state is the fiber over route l, with its own
+    piece, t, step h and last accepted w; an active mask drops the rows that
+    are done.  Per row: Euler predictor
+    dz = dw / B'(z), Newton corrector; the step halves when the corrector
+    fails or needs more than 4 iterations, or a sheet moves more than 0.4 of
+    the fiber's minimal separation, and doubles (up to 0.125) after at most
+    2 iterations; every piece starts at h = 1/16.  The B' of the accepted
+    corrector iterate serves the next predictor.
+
+    Returns the end fibers and, per route, the error that stopped it or
+    None.  A failure drops the later routes as well: a caller going through
+    the routes in order raises before it reaches them.
+    """
+    evaluate = _evaluator(B)
+    counts = [len(route) for route in routes]
+    start, delta, radius, angle, circle = map(
+        np.array, zip(*[piece for route in routes for piece in route]))
+    end = np.cumsum(counts)
+    piece = end - counts
+
+    def w_at(g, t):
+        theta = angle[g] + 2.0 * math.pi * t
+        return np.where(circle[g], start[g] + radius[g] * (np.cos(theta) + 1j * np.sin(theta)),
+                        start[g] + t * delta[g])
+
+    L = len(routes)
+    errors: list[Exception | None] = [None] * L
+    stop = L  # the first failed route; it and all later ones are dropped
+    with np.errstate(all="ignore"):
+        z = np.tile(base, (L, 1))
+        der = np.tile(evaluate(base[None, :])[1], (L, 1))
+        sep = np.full(L, _min_separation(base[None, :])[0])
+        t = np.zeros(L)
+        h = np.full(L, _H_START)
+        w_prev = w_at(piece, t)
+        active = np.ones(L, dtype=bool)
+        while active.any():
+            rows = np.nonzero(active)[0]
+            h[rows] = np.minimum(h[rows], 1.0 - t[rows])
+            t_new = t[rows] + h[rows]
+            w_new = w_at(piece[rows], t_new)
+            z0 = z[rows]
+            pred = z0 + (w_new - w_prev[rows])[:, None] / der[rows]
+            pred = np.where(np.isfinite(pred), pred, z0)
+            z1, d1, iters, ok = _newton(evaluate, pred, w_new)
             # a sheet may only move a fraction of the fiber's minimal
             # separation per step, otherwise Newton can silently converge to a
             # neighbouring sheet near a critical fiber and scramble the
             # permutation without tripping the collision check
-            sep = np.abs(z[:, None] - z[None, :])
-            np.fill_diagonal(sep, np.inf)
-            if np.max(np.abs(z_new - z)) > 0.4 * sep.min():
-                h *= 0.5
-                if h < 1e-8:
-                    raise ContinuationError("fiber tracking step size underflow")
-                continue
-        diff = np.abs(z_new[:, None] - z_new[None, :])
-        np.fill_diagonal(diff, np.inf)
-        if diff.min() < COLLISION_TOL:
-            raise CollisionError("two fiber paths collided during tracking")
-        z, w_prev, t = z_new, w_new, t_new
-        if iters <= 2:
-            h = min(2.0 * h, 0.125)
-    return z
+            ok &= ~(np.abs(z1 - z0).max(axis=1) > _MAX_MOVE * sep[rows])
+
+            rejected = rows[~ok]
+            h[rejected] *= 0.5
+            for row in rejected[h[rejected] < _H_MIN]:
+                errors[row] = ContinuationError("fiber tracking step size underflow")
+                stop = min(stop, row)
+
+            good = np.flatnonzero(ok)
+            new_sep = _min_separation(z1[good])
+            collided = new_sep < COLLISION_TOL
+            for row in rows[good[collided]]:
+                errors[row] = CollisionError("two fiber paths collided during tracking")
+                stop = min(stop, row)
+            keep = good[~collided]
+            acc = rows[keep]
+            z[acc] = z1[keep]
+            der[acc] = d1[keep]
+            sep[acc] = new_sep[~collided]
+            w_prev[acc] = w_new[keep]
+            t[acc] = t_new[keep]
+            easy = acc[iters[keep] <= _NEWTON_EASY]
+            h[easy] = np.minimum(2.0 * h[easy], _H_MAX)
+
+            finished = acc[~(t[acc] < 1.0 - 1e-15)]
+            piece[finished] += 1
+            active[finished[piece[finished] == end[finished]]] = False
+            nxt = finished[piece[finished] < end[finished]]
+            t[nxt] = 0.0
+            h[nxt] = _H_START
+            w_prev[nxt] = w_at(piece[nxt], t[nxt])
+            active[stop:] = False
+    return z, errors
 
 
 def _segment_waypoints(w0: complex, w1: complex,
@@ -338,14 +420,19 @@ def monodromy(B: BlaschkeProduct, base_point: complex | None = None,
     lands on after the loop.  Deterministic: clusters are visited in
     lexicographic order and the base fiber is lexicographically indexed.
     """
+    return _monodromy(B, base_point, loop_radius_factor)
+
+
+def _monodromy(B: BlaschkeProduct, base_point: complex | None, loop_radius_factor: float,
+               values=None):
+    """``monodromy``, taking the critical values from a caller that already has them."""
     if not (0.0 < loop_radius_factor <= 0.5):
         raise DomainError("loop_radius_factor must lie in (0, 0.5]")
-    pts = critical_points(B)
-    values = _values_of(B, pts)
-    clusters = _cluster_values(values)
+    if values is None:
+        values = _values_of(B, critical_points(B))
+    clusters = _cluster_values(np.asarray(values, dtype=np.complex128))
     centers = np.array([g.mean() for g in clusters])
     order = np.lexsort((centers.imag, centers.real))
-    clusters = [clusters[i] for i in order]
     centers = centers[order]
 
     w_star = _default_base_point(centers) if base_point is None else complex(base_point)
@@ -365,22 +452,24 @@ def monodromy(B: BlaschkeProduct, base_point: complex | None = None,
         gap = others.min() if others.size else np.inf
         radii[i] = loop_radius_factor * min(gap, 1.0 - abs(v))
 
-    out = []
+    routes = []
     for i, v in enumerate(centers):
         rho = radii[i]
         direction = (w_star - v) / abs(w_star - v)
         q = v + rho * direction
         obstacles = [(complex(centers[j]), 0.5 * radii[j])
                      for j in range(centers.size) if j != i]
-        fiber = base.copy()
-        for w0, w1 in _pairs(_segment_waypoints(w_star, q, obstacles)):
-            fiber = _track_piece(B, fiber, _seg_path(w0, w1))
         theta0 = math.atan2(direction.imag, direction.real)
-        fiber = _track_piece(B, fiber, _circle_path(v, rho, theta0))
-        for w0, w1 in _pairs(_segment_waypoints(q, w_star, obstacles)):
-            fiber = _track_piece(B, fiber, _seg_path(w0, w1))
-        perm = _match_permutation(base, fiber, match_tol)
-        out.append((complex(v), perm))
+        routes.append(
+            [_segment(w0, w1) for w0, w1 in _pairs(_segment_waypoints(w_star, q, obstacles))]
+            + [_circle(v, rho, theta0)]
+            + [_segment(w0, w1) for w0, w1 in _pairs(_segment_waypoints(q, w_star, obstacles))])
+    ends, errors = _track_routes(B, base, routes)
+    out = []
+    for v, fiber, error in zip(centers, ends, errors):
+        if error is not None:
+            raise error
+        out.append((complex(v), _match_permutation(base, fiber, match_tol)))
     return out
 
 
@@ -419,13 +508,14 @@ def _pairs(seq):
     return list(zip(seq[:-1], seq[1:]))
 
 
-def _seg_path(w0: complex, w1: complex):
-    return lambda t: w0 + t * (w1 - w0)
+def _segment(w0: complex, w1: complex) -> tuple:
+    """The route piece w0 + t (w1 - w0): (start, delta, radius, angle, is circle)."""
+    return (w0, w1 - w0, 0.0, 0.0, False)
 
 
-def _circle_path(center: complex, rho: float, theta0: float):
-    return lambda t: center + rho * complex(math.cos(theta0 + 2.0 * math.pi * t),
-                                            math.sin(theta0 + 2.0 * math.pi * t))
+def _circle(center: complex, rho: float, theta0: float) -> tuple:
+    """The route piece center + rho exp(i (theta0 + 2 pi t)), laid out as _segment's."""
+    return (center, 0j, rho, theta0, True)
 
 
 def _match_permutation(base: np.ndarray, final: np.ndarray, tol: float) -> tuple[int, ...]:
@@ -624,7 +714,7 @@ def analyze(B: BlaschkeProduct, a: float | None = None,
     report = classify(B, a)
     if report.case_label == DEGENERATE or B.degree < 2:
         return report
-    loops = tuple(monodromy(B, base_point, loop_radius_factor))
+    loops = tuple(_monodromy(B, base_point, loop_radius_factor, report.critical_values))
     if not _transitive([p for _v, p in loops], B.degree):
         raise StructureError("monodromy group does not act transitively")
     edges: tuple = ()

@@ -2,9 +2,18 @@
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import pytest
 
 from blochkit.products import BlaschkeProduct, random_product
+
+# the CLI and backend-switch tests start fresh interpreters; they import the
+# package from this tree, as the test process does (pyproject's pythonpath)
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 
 def power_product(n: int) -> BlaschkeProduct:

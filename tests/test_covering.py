@@ -22,7 +22,8 @@ from blochkit.covering import (
     monodromy,
     sheet_tree,
 )
-from blochkit.errors import DomainError, StructureError
+from blochkit import covering
+from blochkit.errors import CollisionError, ContinuationError, DomainError, StructureError
 from blochkit.products import BlaschkeProduct, derivative, evaluate, random_product
 from blochkit.slitdisk import default_threshold
 
@@ -205,3 +206,170 @@ def test_monodromy_rejects_bad_base_point():
     B = random_product(3, seed=151)
     with pytest.raises(DomainError):
         monodromy(B, base_point=1.5 + 0j)
+
+
+# cycle strings of analyze() recorded with the loop-by-loop tracker; product k
+# is random_product(2 + k % 7, seed=50_000 + k) with the laws alternating, the
+# first 30 products of acceptance criterion 08
+PINNED_CYCLES = (
+    ("(1 2)",),
+    ("(1 2)", "(1 3)"),
+    ("(3 4)", "(2 3)", "(1 3)"),
+    ("(4 5)", "(2 4)", "(1 2)", "(3 4)"),
+    ("(4 5)", "(4 6)", "(3 4)", "(2 4)", "(1 2)"),
+    ("(6 7)", "(4 6)", "(5 6)", "(3 6)", "(2 6)", "(1 6)"),
+    ("(7 8)", "(6 7)", "(3 6)", "(2 6)", "(3 4)", "(3 5)", "(1 6)"),
+    ("(1 2)",),
+    ("(1 2)", "(2 3)"),
+    ("(2 3)", "(3 4)", "(1 3)"),
+    ("(3 4)", "(4 5)", "(2 3)", "(1 2)"),
+    ("(2 5)", "(4 5)", "(3 4)", "(1 4)", "(5 6)"),
+    ("(2 4)", "(1 4)", "(3 4)", "(4 7)", "(5 7)", "(6 7)"),
+    ("(2 3)", "(5 6)", "(4 5)", "(5 8)", "(3 4)", "(6 7)", "(1 4)"),
+    ("(1 2)",),
+    ("(1 3)", "(2 3)"),
+    ("(1 3)", "(2 3)", "(1 4)"),
+    ("(1 2)", "(2 4)", "(2 5)", "(1 3)"),
+    ("(1 3)", "(4 6)", "(3 5)", "(2 4)", "(2 3)"),
+    ("(2 5)", "(1 3)", "(4 5)", "(3 4)", "(5 7)", "(6 7)"),
+    ("(1 3)", "(5 6)", "(2 3)", "(4 5)", "(7 8)", "(3 7)", "(4 7)"),
+    ("(1 2)",),
+    ("(1 2)", "(1 3)"),
+    ("(2 3)", "(2 4)", "(1 2)"),
+    ("(1 2)", "(2 5)", "(3 4)", "(2 3)"),
+    ("(2 5)", "(2 6)", "(2 4)", "(2 3)", "(1 2)"),
+    ("(5 7)", "(2 4)", "(1 5)", "(2 5)", "(1 3)", "(5 6)"),
+    ("(2 3)", "(4 5)", "(3 5)", "(5 6)", "(1 3)", "(5 8)", "(5 7)"),
+    ("(1 2)",),
+    ("(1 2)", "(1 3)"),
+)
+
+
+def test_pinned_monodromy_permutations():
+    for k, expected in enumerate(PINNED_CYCLES):
+        law = "uniform_disk" if k % 2 == 0 else "boundary_concentrated"
+        rep = analyze(random_product(2 + k % 7, seed=50_000 + k, law=law))
+        assert tuple(cycle_string(p) for _v, p in rep.monodromy) == expected, k
+    rep = analyze(power_product(4))
+    assert tuple(cycle_string(p) for _v, p in rep.monodromy) == ("(1 2 4 3)",)
+
+
+def test_boundary_zero_tracks_to_a_sheet_tree():
+    # a zero at |z| = 0.99990: |B'| ~ 2e4 on the nearby fiber points puts an
+    # absolute residual of 1e-12 below rounding, which stalled the corrector
+    # until the step size underflowed
+    B = BlaschkeProduct((
+        0.6385316214155944 + 0.4940605785011878j,
+        -0.9315963358597775 - 0.2490955409606802j,
+        -0.9506051120937279 + 0.3088840253112892j,
+        -0.8347639468235567 + 0.5450992383976428j,
+        0.6645589681924827 - 0.7471002099192727j,
+        -0.004698520152866266 + 0.11771565721740035j,
+        0.4115606947966828 + 0.9111923659412771j,
+        0.1778082461188081 + 0.9837227945023751j,
+        0.05448376856333964 + 0.7046503175405964j,
+        -0.8602465728445697 + 0.36390195314941304j,
+    ))
+    rep = analyze(B)
+    assert rep.case_label != DEGENERATE
+    assert all(_is_transposition(p) for _v, p in rep.monodromy)
+    assert len(rep.sheet_edges) == 9
+    assert rep.distinguished_sheet is not None
+
+
+def _track_piece_reference(evaluate, z, piece):
+    """One fiber along one route piece, step by step: the per-route rules of
+    the lockstep tracker written as a plain loop, sharing its evaluator."""
+    start, delta, rho, theta0, circle = piece
+
+    def w_of_t(t):
+        if circle:
+            return start + rho * complex(math.cos(theta0 + 2.0 * math.pi * t),
+                                         math.sin(theta0 + 2.0 * math.pi * t))
+        return start + t * delta
+
+    def fiber_eval(x):
+        value, der = evaluate(x[None, :])
+        return value[0], der[0]
+
+    t, h, w_prev = 0.0, 1.0 / 16.0, w_of_t(0.0)
+    dp = fiber_eval(z)[1]
+    while t < 1.0 - 1e-15:
+        h = min(h, 1.0 - t)
+        w_new = w_of_t(t + h)
+        pred = z + (w_new - w_prev) / dp
+        x = np.where(np.isfinite(pred), pred, z)
+        for iters in range(9):
+            value, dx = fiber_eval(x)
+            tol = np.fmax(1e-12, 8.0 * np.finfo(float).eps * np.abs(x) * np.abs(dx))
+            if np.all(np.abs(value - w_new) <= tol):
+                break
+            if np.any(np.abs(dx) < 1e-300) or not np.all(np.isfinite(dx)):
+                iters = 9
+                break
+            x = x - (value - w_new) / dx
+            if np.any(np.abs(x) > 1.2) or not np.all(np.isfinite(x)):
+                iters = 9
+                break
+        else:
+            iters = 9
+        sep = np.abs(z[:, None] - z[None, :])
+        np.fill_diagonal(sep, np.inf)
+        if iters > 4 or np.max(np.abs(x - z)) > 0.4 * sep.min():
+            h *= 0.5
+            assert h >= 1e-8
+            continue
+        z, dp, w_prev, t = x, dx, w_new, t + h
+        if iters <= 2:
+            h = min(2.0 * h, 0.125)
+    return z
+
+
+def test_lockstep_tracking_matches_route_by_route_reference(monkeypatch):
+    seen = []
+
+    def record(B, base, routes):
+        ends, errors = track(B, base, routes)
+        seen.append((B, base, routes, ends, errors))
+        return ends, errors
+
+    track = covering._track_routes
+    monkeypatch.setattr(covering, "_track_routes", record)
+    for k in range(12):
+        law = "uniform_disk" if k % 2 == 0 else "boundary_concentrated"
+        monodromy(random_product(3 + k % 6, seed=60_000 + k, law=law))
+    for B, base, routes, ends, errors in seen:
+        assert errors == [None] * len(routes)
+        evaluate = covering._evaluator(B)
+        with np.errstate(all="ignore"):
+            for route, end in zip(routes, ends):
+                z = base.copy()
+                for piece in route:
+                    z = _track_piece_reference(evaluate, z, piece)
+                np.testing.assert_array_equal(z, end)
+
+
+def test_fused_evaluation_matches_products(monkeypatch):
+    B = random_product(7, seed=171, law="boundary_concentrated")
+    rng = np.random.default_rng(18)
+    z = 0.9 * np.sqrt(rng.random((3, 7))) * np.exp(2j * math.pi * rng.random((3, 7)))
+    z[1] = B.zeros_array  # on the zeros the product rule takes over
+    with np.errstate(all="ignore"):
+        value, der = covering._evaluator(B)(z)
+        monkeypatch.setattr(covering, "_EVAL_BLOCK", 20)  # one row per block
+        blocked = covering._evaluator(B)(z)
+    assert np.allclose(value, evaluate(B, z), rtol=1e-13, atol=1e-15)
+    assert np.allclose(der, derivative(B, z), rtol=1e-12, atol=0.0)
+    np.testing.assert_array_equal(blocked[0], value)
+    np.testing.assert_array_equal(blocked[1], der)
+
+
+def test_tracking_failures_keep_their_errors(monkeypatch):
+    B = random_product(5, seed=181)
+    monkeypatch.setattr(covering, "COLLISION_TOL", 2.0)
+    with pytest.raises(CollisionError, match="two fiber paths collided during tracking"):
+        monodromy(B)
+    monkeypatch.undo()
+    monkeypatch.setattr(covering, "_MAX_MOVE", 0.0)
+    with pytest.raises(ContinuationError, match="fiber tracking step size underflow"):
+        monodromy(B)
