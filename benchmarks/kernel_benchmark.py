@@ -1,9 +1,10 @@
 """Timing harness for the hot-loop kernels.
 
-Runs the compiled core and the pure-numpy fallback on identical workloads and
-reports wall time plus speedup.  Workloads mirror the optimizer's real call
-pattern: dense pointwise objective sweeps and multistart simplex refinement
-with the production barrier radius.
+Runs the compiled C kernel and the pure-numpy fallback on identical workloads
+and reports wall time plus speedup.  Workloads mirror the optimizer's real
+call pattern: dense pointwise objective sweeps and multistart simplex
+refinement with the production barrier radius.  Build the C kernel first with
+``python3 setup.py build_ext --inplace``.
 
 Usage:
     python3 benchmarks/kernel_benchmark.py [--reps 5] [--points 20000]
@@ -18,13 +19,11 @@ import time
 
 import numpy as np
 
+from blochkit import _kernels
 from blochkit._kernels import _fallback
 from blochkit.products import random_product
 
-try:
-    from blochkit._kernels import _core
-except ImportError:
-    _core = None
+compiled = _kernels if _kernels.BACKEND == "c" else None
 
 BARRIER_RADIUS = 1.0 - 1e-9
 
@@ -59,8 +58,8 @@ def main() -> int:
                         help="simplex starts per refine_starts call")
     args = parser.parse_args()
 
-    if _core is None:
-        print("compiled core unavailable; timing the fallback only")
+    if compiled is None:
+        print("compiled kernel unavailable; timing the fallback only")
 
     workloads = []
     for degree in (4, 8, 20):
@@ -72,7 +71,7 @@ def main() -> int:
     scales = np.minimum(0.1, 0.5 * (1.0 - np.abs(starts)))
 
     header = (f"{'kernel':<16}{'workload':<22}{'python':>12}"
-              f"{'cython':>12}{'speedup':>9}")
+              f"{'c':>12}{'speedup':>9}")
     print(header)
     print("-" * len(header))
 
@@ -86,18 +85,18 @@ def main() -> int:
 
             ref = run_pointwise(_fallback)
             t_py = _time(lambda: run_pointwise(_fallback), args.reps)
-            if _core is not None:
-                got = run_pointwise(_core)
+            if compiled is not None:
+                got = run_pointwise(compiled)
                 err = float(np.max(np.abs(got - ref)))
                 if err > 1e-9:
                     raise AssertionError(
                         f"backend disagreement {err:.3e} on pointwise {label}")
-                t_cy = _time(lambda: run_pointwise(_core), args.reps)
-                ratio = f"{t_py / t_cy:8.2f}x"
+                t_c = _time(lambda: run_pointwise(compiled), args.reps)
+                ratio = f"{t_py / t_c:8.2f}x"
             else:
-                t_cy, ratio = math.nan, "     n/a"
+                t_c, ratio = math.nan, "     n/a"
             print(f"{'pointwise_batch':<16}{label:<22}{_fmt(t_py):>12}"
-                  f"{_fmt(t_cy) if _core else '        n/a':>12}{ratio:>9}")
+                  f"{_fmt(t_c) if compiled else '        n/a':>12}{ratio:>9}")
 
             def run_refine(impl):
                 return impl.refine_starts(zeros, lam, starts, scales, f_kind,
@@ -105,8 +104,8 @@ def main() -> int:
 
             vref = run_refine(_fallback)[0]
             t_py = _time(lambda: run_refine(_fallback), args.reps)
-            if _core is not None:
-                vgot = run_refine(_core)[0]
+            if compiled is not None:
+                vgot = run_refine(compiled)[0]
                 # the fractional-map objective climbs a 1/(1-|z|) blow-up
                 # basin against the barrier, so terminal values from random
                 # starts are path-dependent; agreement is only a well-posed
@@ -116,12 +115,12 @@ def main() -> int:
                     if err > 1e-8:
                         raise AssertionError(
                             f"backend disagreement {err:.3e} on refine {label}")
-                t_cy = _time(lambda: run_refine(_core), args.reps)
-                ratio = f"{t_py / t_cy:8.2f}x"
+                t_c = _time(lambda: run_refine(compiled), args.reps)
+                ratio = f"{t_py / t_c:8.2f}x"
             else:
-                t_cy, ratio = math.nan, "     n/a"
+                t_c, ratio = math.nan, "     n/a"
             print(f"{'refine_starts':<16}{label:<22}{_fmt(t_py):>12}"
-                  f"{_fmt(t_cy) if _core else '        n/a':>12}{ratio:>9}")
+                  f"{_fmt(t_c) if compiled else '        n/a':>12}{ratio:>9}")
 
     return 0
 

@@ -1,33 +1,20 @@
 """Build script for the compiled evaluation kernel.
 
 The package works without the extension (a vectorized numpy fallback is
-selected at import time), so a missing compiler or Cython only costs speed.
+selected at import time), so a missing compiler only costs speed: the
+extension is optional and a failed compile leaves the pure install.
 """
 
 from setuptools import Extension, setup
 
-try:
-    import numpy
-    from Cython.Build import cythonize
-
-    extensions = cythonize(
-        [
-            Extension(
-                name="blochkit._kernels._core",
-                sources=["src/blochkit/_kernels/_core.pyx"],
-                include_dirs=[numpy.get_include()],
-                extra_compile_args=["-O3"],
-            )
-        ],
-        compiler_directives={
-            "language_level": 3,
-            "boundscheck": False,
-            "wraparound": False,
-            "cdivision": True,
-            "nonecheck": False,
-        },
-    )
-except ImportError:
-    extensions = []
-
-setup(ext_modules=extensions)
+setup(
+    ext_modules=[
+        Extension(
+            name="blochkit._kernels._ckernel",
+            sources=["src/blochkit/_kernels/_ckernel.c"],
+            # no fused multiply-add, so each product rounds as numpy's does
+            extra_compile_args=["-O3", "-ffp-contract=off"],
+            optional=True,
+        )
+    ]
+)

@@ -2,8 +2,9 @@
 
 Runs every simplex in the multistart *simultaneously*: the Nelder-Mead control
 flow is expressed through boolean masks so each of the k simplices follows
-exactly the branch logic of the scalar compiled kernel, while every objective
-evaluation is a single vectorized sweep over all active simplices.
+exactly the branch logic of the scalar compiled kernel (``_ckernel.c``), while
+every objective evaluation is a single vectorized sweep over all active
+simplices.
 """
 
 from __future__ import annotations
@@ -52,15 +53,19 @@ def _objective(zeros: np.ndarray, lam: complex, pts: np.ndarray, f_kind: int,
     elif f_kind == 1:
         u2 = np.abs(1.0 - lam * prod) ** 2
         fp = 1.0 / np.maximum(u2, 1e-250)
-    elif f_kind == 2:
-        fp = np.abs(1.0 + lam * prod)
     else:
-        raise ValueError(f"unknown catalog kind {f_kind}")
+        fp = np.abs(1.0 + lam * prod)
     out[ok] = fp * np.abs(bp) * (1.0 - r2[ok])
     return out
 
 
+def _check_kind(f_kind) -> None:
+    if int(f_kind) not in (0, 1, 2):
+        raise ValueError(f"unknown catalog kind {f_kind}")
+
+
 def pointwise_batch(zeros, lam, pts, f_kind, barrier_radius):
+    _check_kind(f_kind)
     zeros = np.ascontiguousarray(zeros, dtype=np.complex128)
     pts = np.asarray(pts, dtype=np.complex128)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -70,6 +75,7 @@ def pointwise_batch(zeros, lam, pts, f_kind, barrier_radius):
 
 def refine_starts(zeros, lam, starts, scales, f_kind, max_iter, ftol, barrier_radius):
     """One Nelder-Mead maximization pass per start; all simplices in lockstep."""
+    _check_kind(f_kind)
     # points sitting on a zero divide by zero in the log-derivative sum; the
     # product rule replaces those values, so the warnings carry no news
     with np.errstate(divide="ignore", invalid="ignore"):

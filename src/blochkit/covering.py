@@ -438,7 +438,7 @@ def _monodromy(B: BlaschkeProduct, base_point: complex | None, loop_radius_facto
     w_star = _default_base_point(centers) if base_point is None else complex(base_point)
     if abs(w_star) >= 1.0:
         raise DomainError("base point must lie in the open disk")
-    if np.min(np.abs(centers - w_star)) < 1e-6:
+    if np.min(np.abs(centers - w_star)) < _BASE_CLEARANCE:
         raise DomainError("base point coincides with a critical value")
 
     base = fiber_solve(B, w_star)
@@ -482,14 +482,21 @@ def _values_of(B, pts):
     return vals
 
 
+_BASE_CLEARANCE = 1e-6  # least distance from the base point to a critical value
+
+
 def _default_base_point(centers: np.ndarray) -> complex:
-    if np.all(np.abs(centers) > 1e-12):
+    """0 when it is clear of every critical value, else the first candidate on
+    a small ring that is clear of them and of their outward radii."""
+    if np.all(np.abs(centers) >= _BASE_CLEARANCE):
         return 0.0 + 0.0j
     from .slitdisk import default_threshold
 
     base_mod = 0.5 * default_threshold()
     for extra in (0.0, 0.37, 0.74, 1.11, 1.48, 1.85):
         cand = base_mod * complex(math.cos(extra), math.sin(extra))
+        if np.min(np.abs(centers - cand)) < _BASE_CLEARANCE:
+            continue
         on_slit = False
         for v in centers:
             if abs(v) <= 1e-12:

@@ -277,6 +277,18 @@ def test_boundary_zero_tracks_to_a_sheet_tree():
     assert rep.distinguished_sheet is not None
 
 
+def test_critical_value_near_the_origin_moves_the_default_base_point():
+    # a critical value at |v| = 7.07e-7 lies within the 1e-6 clearance that
+    # monodromy demands of the base point, so the default must leave w = 0
+    B = random_product(16, seed=804)
+    assert np.min(np.abs(covering._values_of(B, critical_points(B)))) < 1e-6
+    rep = analyze(B)
+    assert rep.case_label != DEGENERATE
+    assert all(_is_transposition(p) for _v, p in rep.monodromy)
+    assert len(rep.sheet_edges) == 15
+    assert rep.distinguished_sheet is not None
+
+
 def _track_piece_reference(evaluate, z, piece):
     """One fiber along one route piece, step by step: the per-route rules of
     the lockstep tracker written as a plain loop, sharing its evaluator."""
