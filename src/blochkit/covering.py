@@ -2,17 +2,23 @@
 
 A degree-n product covers the disk n-to-1 with exactly n-1 critical points
 inside the open disk (counted with multiplicity); their images are the branch
-points.  This module finds the critical points (roots of the numerator of B'),
-classifies the configuration against a radius threshold ``a`` (is some branch
-point outside the small disk |w| < a, or do all of them crowd inside it?), and
+points.  This module finds the critical points (the zeros of B'), classifies
+the configuration against a radius threshold ``a`` (is some branch point
+outside the small disk |w| < a, or do all of them crowd inside it?), and
 computes the monodromy permutations by tracking the full fiber over a base
 point around each distinct critical value.   For a generic configuration every
 permutation is a transposition and the sheet graph they span is a tree on n
 vertices.
 
-Root finding uses Ehrlich-Aberth simultaneous iteration; fiber tracking uses an
-Euler predictor with a Newton corrector and adaptive step control, with the
-fibers of all loops advanced together in one lockstep batch.
+Root finding uses Ehrlich-Aberth simultaneous iteration with the Newton
+ratio p'/p taken from the partial-fraction form of B'/B (critical points) or
+of B - w (fibers), so no polynomial is ever multiplied out in the monomial
+basis (Bini, Numer. Algorithms 13, 1996; Bini & Robol, MPSolve, J. Comput.
+Appl. Math. 272, 2014).  Each root freezes once its relative residual
+reaches rounding level, and must pass a relative residual gate of 1e-10.
+Fiber tracking uses an Euler predictor with a Newton corrector and adaptive
+step control, with the fibers of all loops advanced together in one
+lockstep batch.
 """
 
 from __future__ import annotations
@@ -47,89 +53,119 @@ _VALUE_CLUSTER_TOL = 1e-9
 
 
 # ----------------------------------------------------------------------------
-# polynomial machinery (descending coefficients, np.polyval convention)
+# root finding: Ehrlich-Aberth on partial-fraction Newton ratios
 # ----------------------------------------------------------------------------
 
-def _numerator_denominator(B: BlaschkeProduct) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients of N, D with B = rotation * N / D."""
-    num = np.array([1.0 + 0.0j])
-    den = np.array([1.0 + 0.0j])
-    for zj in B.zeros:
-        num = np.convolve(num, np.array([1.0, -zj]))
-        den = np.convolve(den, np.array([-zj.conjugate(), 1.0]))
-    return num, den
+#: broadcast temporaries of the root finder and the evaluator are split into
+#: row blocks of at most this many entries (a single row may exceed it)
+_EVAL_BLOCK = 1 << 18
+#: a root freezes once its relative residual is at most this times the number
+#: of terms summed
+_FREEZE_ULPS = 4.0 * np.finfo(np.float64).eps
 
 
-def _poly_derivative(c: np.ndarray) -> np.ndarray:
-    m = c.size - 1
-    if m == 0:
-        return np.zeros(1, dtype=np.complex128)
-    return c[:-1] * np.arange(m, 0, -1)
+def _row_blocks(rows: int, width: int) -> list[slice]:
+    """Slices covering range(rows) with at most _EVAL_BLOCK entries of width
+    ``width`` each (and at least one row)."""
+    step = max(1, _EVAL_BLOCK // max(width, 1))
+    return [slice(i, min(i + step, rows)) for i in range(0, rows, step)]
 
 
-def derivative_numerator(B: BlaschkeProduct) -> np.ndarray:
-    """Coefficients of N'D - ND' (the zeros of B' in the plane), leading zeros
-    stripped; roots lost to the stripping live at infinity (reflections)."""
-    num, den = _numerator_denominator(B)
-    p = np.convolve(_poly_derivative(num), den) - np.convolve(num, _poly_derivative(den))
-    scale = np.abs(p).max()
-    if scale == 0.0:
-        raise RootCountError("derivative numerator vanished identically")
-    keep = np.nonzero(np.abs(p) > 1e-12 * scale)[0]
-    return p[keep[0]:]
+def _ring(count: int) -> np.ndarray:
+    """Aberth start points: ``count`` points evenly spaced on the circle of
+    radius 0.9, with a phase offset drawn from a generator seeded with 0."""
+    phase = 2.0 * math.pi * np.random.default_rng(0).random()
+    return 0.9 * np.exp(1j * (2.0 * math.pi * np.arange(count) / count + phase))
 
 
-def aberth_roots(coeffs, seed: int = 0, max_iter: int = 200,
-                 step_tol: float = 1e-13) -> np.ndarray:
-    """All roots of a complex polynomial by Ehrlich-Aberth iteration.
-
-    Deterministic: the initial guesses sit on a ring of radius 1.2 with a
-    seed-derived phase offset.  Multiple roots converge linearly but the
-    200-iteration budget is ample for the degrees this package meets.
-    """
-    c = np.asarray(coeffs, dtype=np.complex128)
-    if c.size < 2:
-        return np.empty(0, dtype=np.complex128)
-    c = c / np.abs(c).max()
-    # exact zero trailing coefficients are exact roots at the origin; deflating
-    # them keeps the backward-error denominator bounded below for the rest
-    at_origin = 0
-    while c.size > 1 and c[-1] == 0.0:
-        c = c[:-1]
-        at_origin += 1
-    if c.size < 2:
-        return np.zeros(at_origin, dtype=np.complex128)
-    m = c.size - 1
-    dc = _poly_derivative(c)
-    rng = np.random.default_rng(seed)
-    phase = 2.0 * math.pi * rng.random()
-    z = 1.2 * np.exp(1j * (2.0 * math.pi * np.arange(m) / m + phase))
-    for _ in range(max_iter):
-        p = np.polyval(c, z)
-        dp = np.polyval(dc, z)
-        dp = np.where(np.abs(dp) < 1e-300, 1e-300, dp)
-        w = p / dp
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
+def _repulsion(z: np.ndarray, idx: np.ndarray, mirrored: bool) -> np.ndarray:
+    """sum over j != i of 1/(z_i - z_j) for each i in idx; with ``mirrored``
+    also over the mirror images 1/conj(z_j) of every z_j, the i-th included."""
+    out = np.empty(idx.size, dtype=np.complex128)
+    zc = np.conjugate(z)
+    for rows in _row_blocks(idx.size, z.size):
+        zi = z[idx[rows], None]
+        diff = zi - z
+        diff[np.arange(diff.shape[0]), idx[rows]] = np.inf
         s = (1.0 / diff).sum(axis=1)
-        step = w / (1.0 - w * s)
-        z = z - step
-        if np.max(np.abs(step) / (1.0 + np.abs(z))) < step_tol:
-            break
-    if at_origin:
-        z = np.concatenate([z, np.zeros(at_origin, dtype=np.complex128)])
-    return z
+        if mirrored:
+            s += (zc / (zi * zc - 1.0)).sum(axis=1)
+        out[rows] = s
+    return out
 
 
-def _backward_error(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    """|P(r)| relative to the coefficient scale sum |c_k| |r|^k at each root."""
-    c = np.asarray(coeffs, dtype=np.complex128)
-    vals = np.abs(np.polyval(c, roots))
-    mags = np.abs(c)
-    scale = np.zeros(roots.shape)
-    for ck in mags:
-        scale = scale * np.abs(roots) + ck
-    return vals / np.maximum(scale, 1e-300)
+def aberth_roots(ratio, start, freeze_tol: float, mirrored: bool = False,
+                 max_iter: int = 200, step_tol: float = 1e-13):
+    """Roots of p by Ehrlich-Aberth iteration from the points ``start``.
+
+    ``ratio(z)`` returns p'/p at the points z together with the relative
+    residual of p there.  A root freezes, keeping its place in the
+    repulsion sums of the others, once its residual is at most
+    ``freeze_tol``; the iteration stops when every root is frozen, when the
+    live roots all step less than step_tol (1 + |z|), or after max_iter
+    sweeps.  With ``mirrored`` the roots of p are the iterates together with
+    their mirror images 1/conj(z) in the unit circle, which enter the
+    repulsion sums but are not iterated; an iterate that steps out of the
+    disk is replaced by its image, so the iterates stay in the closed disk.
+
+    Returns the roots and their relative residuals.
+    """
+    z = np.array(start, dtype=np.complex128)
+    res = np.full(z.shape, np.inf)
+    live = np.ones(z.size, dtype=bool)
+    with np.errstate(all="ignore"):
+        for _ in range(max_iter):
+            idx = np.flatnonzero(live)
+            if idx.size == 0:
+                break
+            newton, res[idx] = ratio(z[idx])
+            moving = ~(res[idx] <= freeze_tol)
+            live[idx[~moving]] = False
+            idx, newton = idx[moving], newton[moving]
+            if idx.size == 0:
+                break
+            step = 1.0 / (newton - _repulsion(z, idx, mirrored))
+            step = np.where(np.isfinite(step), step, 0.0)
+            z[idx] -= step
+            if mirrored:
+                out = idx[np.abs(z[idx]) > 1.0]
+                z[out] = 1.0 / np.conjugate(z[out])
+            if np.max(np.abs(step) / (1.0 + np.abs(z[idx]))) < step_tol:
+                break
+        idx = np.flatnonzero(live)
+        if idx.size:
+            res[idx] = ratio(z[idx])[1]
+    return z, res
+
+
+def _critical_ratio(zeros: np.ndarray, mult: np.ndarray):
+    """p'/p and the relative residual of g = B'/B at points z, for p the
+    numerator of g written over the distinct zeros with their multiplicities:
+
+        g = sum_k t_k,   t_k = m_k (1 - |a_k|^2) / ((z - a_k)(1 - conj(a_k) z)),
+        p'/p = g'/g + sum_k [1/(z - a_k) - conj(a_k)/(1 - conj(a_k) z)],
+
+    with g' = -sum_k t_k [1/(z - a_k) - conj(a_k)/(1 - conj(a_k) z)].  The
+    residual is |g| over the sum of the |t_k|.
+    """
+    conj = np.conjugate(zeros)
+    weight = mult * (1.0 - np.abs(zeros) ** 2)
+
+    def ratio(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        newton = np.empty(z.size, dtype=np.complex128)
+        res = np.empty(z.size)
+        for rows in _row_blocks(z.size, zeros.size):
+            x = z[rows, None]
+            e = 1.0 / (x - zeros)
+            f = 1.0 / (1.0 - conj * x)
+            t = weight * e * f
+            u = e - conj * f
+            g = t.sum(axis=1)
+            newton[rows] = u.sum(axis=1) - (t * u).sum(axis=1) / g
+            res[rows] = np.abs(g) / np.abs(t).sum(axis=1)
+        return newton, res
+
+    return ratio
 
 
 def _lex_sort(points: np.ndarray) -> np.ndarray:
@@ -140,20 +176,29 @@ def _lex_sort(points: np.ndarray) -> np.ndarray:
 def critical_points(B: BlaschkeProduct) -> tuple[complex, ...]:
     """The n-1 zeros of B' in the open disk, lexicographically sorted.
 
-    Raises RootCountError when the in-disk count is off or a residual check
-    fails; both signal a numerically hostile configuration, not a math fact.
+    A zero of multiplicity m contributes m - 1 critical points at itself; the
+    others are the zeros of g = B'/B.  Over d distinct zeros the numerator of
+    g has 2d - 2 roots, d - 1 in the disk and their mirror images outside, so
+    Aberth iterates d - 1 of them with the images standing in for the rest.
+
+    Raises RootCountError when the in-disk count is off or a root fails the
+    relative residual check; both signal a numerically hostile configuration,
+    not a math fact.
     """
     if B.degree < 2:
         raise DomainError("critical points need degree >= 2")
-    p = derivative_numerator(B)
-    roots = aberth_roots(p)
-    bad = _backward_error(p, roots) > _RESIDUAL_TOL
-    if bad.any():
-        raise RootCountError(
-            f"{int(bad.sum())} root(s) of the derivative numerator failed the "
-            f"residual check"
-        )
-    inside = roots[np.abs(roots) < 1.0]
+    zeros, mult = np.unique(B.zeros_array, return_counts=True)
+    roots = np.empty(0, dtype=np.complex128)
+    if zeros.size > 1:
+        roots, res = aberth_roots(_critical_ratio(zeros, mult), _ring(zeros.size - 1),
+                                  _FREEZE_ULPS * zeros.size, mirrored=True)
+        bad = ~(res <= _RESIDUAL_TOL)
+        if bad.any():
+            raise RootCountError(
+                f"{int(bad.sum())} root(s) of the derivative numerator failed the "
+                f"residual check"
+            )
+    inside = np.concatenate([roots[np.abs(roots) < 1.0], np.repeat(zeros, mult - 1)])
     if inside.size != B.degree - 1:
         raise RootCountError(
             f"expected {B.degree - 1} critical points in the disk, found {inside.size}"
@@ -165,17 +210,14 @@ def critical_points(B: BlaschkeProduct) -> tuple[complex, ...]:
 # fused evaluation (no domain checks; tracking may poke just outside the disk)
 # ----------------------------------------------------------------------------
 
-#: broadcast temporaries of the evaluator hold at most this many entries
-_EVAL_BLOCK = 1 << 18
-
-
 def _evaluator(B: BlaschkeProduct):
     """``f(z) -> (B(z), B'(z))`` for an m x n array z of fibers.
 
     One broadcast pass over the Moebius factors (z - z_j) / (1 - conj(z_j) z),
     stacked along a leading axis of zeros, gives B and the log-derivative sum
     together; entries within ZERO_SWITCH of a zero, where that sum collapses,
-    take the product rule instead.  Callers silence the floating-point
+    take the product rule instead.  Rows go through in blocks of under
+    _EVAL_BLOCK broadcast entries.  Callers silence the floating-point
     warnings of points sitting on a zero.
     """
     zeros = B.zeros_array[:, None, None]
@@ -184,16 +226,17 @@ def _evaluator(B: BlaschkeProduct):
     lam = complex(B.rotation)
 
     def evaluate(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if z.size * zeros.size > _EVAL_BLOCK and z.shape[0] > 1:
-            halves = [evaluate(rows) for rows in np.array_split(z, 2)]
-            return tuple(np.concatenate(part) for part in zip(*halves))
-        num = z - zeros
-        den = 1.0 - conj * z
-        value = lam * np.multiply.reduce(num / den)
-        der = value * np.add.reduce(weight / (num * den))
-        near = np.minimum.reduce(num.real**2 + num.imag**2) <= ZERO_SWITCH**2
-        for i in zip(*np.nonzero(near)):
-            der[i] = _derivative_product_rule(B, complex(z[i]))
+        value = np.empty(z.shape, dtype=np.complex128)
+        der = np.empty(z.shape, dtype=np.complex128)
+        for rows in _row_blocks(z.shape[0], z.shape[1] * zeros.size):
+            x = z[rows]
+            num = x - zeros
+            den = 1.0 - conj * x
+            value[rows] = lam * np.multiply.reduce(num / den)
+            der[rows] = value[rows] * np.add.reduce(weight / (num * den))
+            near = np.minimum.reduce(num.real**2 + num.imag**2) <= ZERO_SWITCH**2
+            if near.any():
+                der[rows][near] = _derivative_product_rule(B, x[near])
         return value, der
 
     return evaluate
@@ -203,17 +246,36 @@ def _evaluator(B: BlaschkeProduct):
 # fibers
 # ----------------------------------------------------------------------------
 
+def _fiber_ratio(B: BlaschkeProduct, w: complex):
+    """p'/p and the relative residual at points z for p = lam N - w D, with
+    B = lam N / D:  p'/p = -sum_j conj(a_j)/(1 - conj(a_j) z) + B'/(B - w).
+
+    The residual is |B - w| over |w| + |B| + |B'|, the last term being the
+    rounding of a point of the closed disk pushed through B'.
+    """
+    evaluate = _evaluator(B)
+    conj = np.conjugate(B.zeros_array)
+
+    def ratio(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        value, der = (part[:, 0] for part in evaluate(z[:, None]))
+        pole = np.empty(z.size, dtype=np.complex128)
+        for rows in _row_blocks(z.size, conj.size):
+            pole[rows] = (conj / (1.0 - conj * z[rows, None])).sum(axis=1)
+        r = value - w
+        return der / r - pole, np.abs(r) / (abs(w) + np.abs(value) + np.abs(der))
+
+    return ratio
+
+
 def fiber_solve(B: BlaschkeProduct, w: complex) -> np.ndarray:
     """All n solutions of B(z) = w for |w| < 1; they all lie in the open disk."""
     if abs(w) >= 1.0:
         raise DomainError("fiber points exist in the disk only for |w| < 1")
-    num, den = _numerator_denominator(B)
-    poly = B.rotation * num - w * den
-    roots = aberth_roots(poly)
-    bad = _backward_error(poly, roots) > _RESIDUAL_TOL
-    if bad.any():
+    roots, res = aberth_roots(_fiber_ratio(B, w), _ring(B.degree),
+                              _FREEZE_ULPS * B.degree)
+    if not np.all(res <= _RESIDUAL_TOL):
         raise RootCountError("fiber polynomial solve failed the residual check")
-    if roots.size != B.degree or np.any(np.abs(roots) >= 1.0):
+    if np.any(np.abs(roots) >= 1.0):
         raise RootCountError(
             f"expected {B.degree} fiber points in the disk over w={w!r}"
         )

@@ -160,17 +160,18 @@ def evaluate(B: BlaschkeProduct, z):
     return complex(out[()]) if scalar else out
 
 
-def _derivative_product_rule(B: BlaschkeProduct, z: complex) -> complex:
-    """B'(z) = lam * sum_j f_j'(z) prod_{k!=j} f_k(z); stable at zeros of B."""
-    total = 0.0 + 0.0j
-    for j, zj in enumerate(B.zeros):
-        den = 1.0 - zj.conjugate() * z
-        term = (1.0 - abs(zj) ** 2) / (den * den)
-        for k, zk in enumerate(B.zeros):
-            if k != j:
-                term *= (z - zk) / (1.0 - zk.conjugate() * z)
-        total += term
-    return B.rotation * total
+def _derivative_product_rule(B: BlaschkeProduct, z: np.ndarray) -> np.ndarray:
+    """B'(z) = lam * sum_j f_j'(z) prod_{k!=j} f_k(z) at each point of the 1-d
+    array z; stable at zeros of B.  The products over k != j are a prefix
+    times a suffix cumulative product, so no factor is divided out."""
+    x = np.asarray(z, dtype=np.complex128)[:, None]
+    zs = B.zeros_array
+    den = 1.0 - np.conjugate(zs) * x
+    f = (x - zs) / den
+    ones = np.ones((x.shape[0], 1), dtype=np.complex128)
+    before = np.cumprod(np.concatenate([ones, f[:, :-1]], axis=1), axis=1)
+    after = np.cumprod(np.concatenate([ones, f[:, :0:-1]], axis=1), axis=1)[:, ::-1]
+    return B.rotation * ((1.0 - np.abs(zs) ** 2) / (den * den) * before * after).sum(axis=1)
 
 
 def derivative(B: BlaschkeProduct, z):
@@ -189,8 +190,8 @@ def derivative(B: BlaschkeProduct, z):
         for zj in B.zeros:
             prod = prod * ((flat - zj) / (1.0 - zj.conjugate() * flat))
         out = prod * logsum
-    for i in np.nonzero(near)[0]:
-        out[i] = _derivative_product_rule(B, complex(flat[i]))
+    if near.any():
+        out[near] = _derivative_product_rule(B, flat[near])
     out = out.reshape(arr.shape)
     return complex(out[()]) if scalar else out
 

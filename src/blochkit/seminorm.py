@@ -154,7 +154,7 @@ def _start_points(B: BlaschkeProduct, config: OptimizerConfig) -> list[complex]:
 
         try:
             starts.extend(covering.critical_points(B))
-        except (RootCountError, ArithmeticError):
+        except RootCountError:
             pass
     radii = _van_der_corput(config.grid_radii)
     for k in range(config.grid_angles):

@@ -16,13 +16,13 @@ from blochkit.covering import (
     classify,
     critical_points,
     cycle_string,
-    derivative_numerator,
     distinguished_sheet,
     fiber_solve,
     monodromy,
     sheet_tree,
 )
 from blochkit import covering
+from blochkit.cli import _sweep_product
 from blochkit.errors import CollisionError, ContinuationError, DomainError, StructureError
 from blochkit.products import BlaschkeProduct, derivative, evaluate, random_product
 from blochkit.slitdisk import default_threshold
@@ -47,25 +47,63 @@ def _is_transitive(perms, n) -> bool:
     return len(reach) == n
 
 
+def _known_ratio(roots):
+    """p'/p and the relative residual |p| / prod(|z| + |r_k|) of the monic p
+    with the given roots."""
+    roots = np.asarray(roots, dtype=np.complex128)
+
+    def ratio(z):
+        diff = z[:, None] - roots
+        scale = np.prod(np.abs(z)[:, None] + np.abs(roots), axis=1)
+        return (1.0 / diff).sum(axis=1), np.abs(np.prod(diff, axis=1)) / scale
+
+    return ratio
+
+
 def test_aberth_known_cubic():
-    roots = np.sort_complex(aberth_roots([1.0, -6.0, 11.0, -6.0]))
-    assert np.max(np.abs(roots - np.array([1.0, 2.0, 3.0]))) < 1e-10
+    roots, res = aberth_roots(_known_ratio([1.0, 2.0, 3.0]), covering._ring(3), 1e-15)
+    assert np.max(np.abs(np.sort_complex(roots) - np.array([1.0, 2.0, 3.0]))) < 1e-12
+    assert np.all(res <= 1e-15)
 
 
 def test_aberth_pure_power():
-    roots = aberth_roots([1.0, 0.0, 0.0, 0.0])
+    # a triple root: no residual reaches the freeze level, and the iteration
+    # stops on the step tolerance
+    roots, res = aberth_roots(_known_ratio([0.0, 0.0, 0.0]), covering._ring(3), 0.0)
     assert roots.shape == (3,)
     assert np.max(np.abs(roots)) < 1e-10
 
 
+def test_aberth_mirrored_pairs():
+    # roots c_k in the disk and 1/conj(c_k) outside: only the inner three are
+    # iterated, the images stand in for the outer ones
+    inner = np.array([0.5 + 0.1j, -0.3 - 0.6j, 0.05j])
+    ratio = _known_ratio(np.concatenate([inner, 1.0 / np.conjugate(inner)]))
+    roots, res = aberth_roots(ratio, covering._ring(3), 1e-15, mirrored=True)
+    assert np.all(np.abs(roots) < 1.0)
+    assert np.max(np.abs(covering._lex_sort(roots) - covering._lex_sort(inner))) < 1e-12
+
+
 def test_critical_points_of_power_product():
-    pts = critical_points(power_product(4))
-    assert len(pts) == 3
-    assert max(abs(p) for p in pts) < 1e-10
+    # the fourfold zero gives three critical points exactly at itself
+    assert critical_points(power_product(4)) == (0j, 0j, 0j)
+
+
+def _newton_step_ok(B, p, h=1e-6) -> bool:
+    # |B'| alone is scale-dependent near the boundary; the Newton step
+    # |B'/B''| measures the actual root accuracy
+    curvature = abs(derivative(B, p + h) - derivative(B, p - h)) / (2.0 * h)
+    return abs(derivative(B, p)) <= 1e-7 * max(1.0, curvature)
+
+
+def _relative_g_residual(B, p) -> float:
+    """|g(p)| over the sum of the moduli of its terms, g = B'/B."""
+    zeros = B.zeros_array
+    terms = (1.0 - np.abs(zeros) ** 2) / ((p - zeros) * (1.0 - np.conjugate(zeros) * p))
+    return float(abs(terms.sum()) / np.abs(terms).sum())
 
 
 def test_critical_point_count_and_residual(random_products):
-    h = 1e-6
     for B in random_products:
         if B.degree < 2:
             continue
@@ -73,21 +111,47 @@ def test_critical_point_count_and_residual(random_products):
         assert len(pts) == B.degree - 1
         for p in pts:
             assert abs(p) < 1.0
-            # |B'| alone is scale-dependent near the boundary; the Newton step
-            # |B'/B''| measures the actual root accuracy
-            curvature = abs(derivative(B, p + h) - derivative(B, p - h)) / (2.0 * h)
-            assert abs(derivative(B, p)) <= 1e-7 * max(1.0, curvature)
+            assert _newton_step_ok(B, p)
 
 
-def test_derivative_numerator_matches_derivative():
-    rng = np.random.default_rng(15)
-    B = random_product(5, seed=101)
-    coeffs = derivative_numerator(B)
-    for _ in range(20):
-        z = complex(0.8 * math.sqrt(rng.random()) * np.exp(2j * math.pi * rng.random()))
-        den = np.prod([1.0 - np.conjugate(zj) * z for zj in B.zeros])
-        alt = B.rotation * np.polyval(coeffs, z) / den**2
-        assert abs(alt - derivative(B, z)) < 1e-10 * max(1.0, abs(alt))
+@pytest.mark.parametrize("index", [3, 35])
+def test_critical_points_of_boundary_heavy_sweep_products(index):
+    # degree 15 and 10: the roots of the multiplied-out derivative numerator
+    # missed the Newton-step criterion on 5 and 2 of these points
+    _degree, _law, B = _sweep_product(12345, index, 16)
+    pts = critical_points(B)
+    assert len(pts) == B.degree - 1
+    assert all(_newton_step_ok(B, p) for p in pts)
+
+
+def test_critical_points_relative_g_residual_on_a_sweep():
+    for index in range(100):
+        _degree, _law, B = _sweep_product(7, index, 16)
+        if B.degree < 2:
+            continue
+        worst = max(_relative_g_residual(B, p) for p in critical_points(B))
+        assert worst <= 1e-12, index
+
+
+@pytest.mark.parametrize("law", ["uniform_disk", "boundary_concentrated"])
+@pytest.mark.parametrize("degree", [64, 256])
+def test_high_degree_critical_points_and_fibers(degree, law):
+    for seed in range(5):
+        B = random_product(degree, seed=seed, law=law)
+        assert len(critical_points(B)) == degree - 1
+        assert fiber_solve(B, 0.3 + 0.2j).shape == (degree,)
+
+
+def test_double_zero():
+    a = 0.3 + 0.1j
+    B = BlaschkeProduct((a, -0.5j, a, 0.7))
+    pts = critical_points(B)
+    assert len(pts) == 3
+    assert pts.count(a) == 1  # the double zero is a simple critical point
+    for p in pts:
+        assert _newton_step_ok(B, p)
+    fiber = fiber_solve(B, 0.2 - 0.1j)
+    assert max(abs(evaluate(B, z) - (0.2 - 0.1j)) for z in fiber) < 1e-12
 
 
 def test_fiber_counts_and_residuals():

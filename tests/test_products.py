@@ -10,6 +10,8 @@ import pytest
 from blochkit.errors import DomainError, RangeError
 from blochkit.products import (
     BOUNDARY_MARGIN,
+    ZERO_SWITCH,
+    _derivative_product_rule,
     BlaschkeProduct,
     MoebiusAutomorphism,
     boundary_derivative_modulus,
@@ -134,3 +136,36 @@ def test_mixed_products_helper_is_deterministic():
     a = mixed_products(4, 8, base_seed=123)
     b = mixed_products(4, 8, base_seed=123)
     assert [p.zeros for p in a] == [p.zeros for p in b]
+
+
+def _product_rule_loop(B, z):
+    """B'(z) = lam * sum_j f_j'(z) prod_{k != j} f_k(z), one point at a time,
+    and the sum of the moduli of its terms."""
+    total = 0.0 + 0.0j
+    scale = 0.0
+    for j, zj in enumerate(B.zeros):
+        den = 1.0 - zj.conjugate() * z
+        term = (1.0 - abs(zj) ** 2) / (den * den)
+        for k, zk in enumerate(B.zeros):
+            if k != j:
+                term *= (z - zk) / (1.0 - zk.conjugate() * z)
+        total += term
+        scale += abs(term)
+    return B.rotation * total, scale
+
+
+def test_vectorized_product_rule_matches_the_loop():
+    rng = np.random.default_rng(19)
+    eps = np.finfo(np.float64).eps
+    for B in mixed_products(12, 9, base_seed=9100):
+        pts = 0.95 * np.sqrt(rng.random(6)) * np.exp(2j * math.pi * rng.random(6))
+        pts = np.concatenate([pts, B.zeros_array, B.zeros_array + 0.5 * ZERO_SWITCH])
+        want, scale = np.array([_product_rule_loop(B, complex(z)) for z in pts]).T
+        # numpy and Python round the complex products apart by an ulp, which
+        # 1 - conj(z_k) z amplifies by up to 1/(1 - |z_k|^2) near a zero, and
+        # the factors are multiplied in another order
+        kappa = np.max(1.0 / (1.0 - np.abs(B.zeros_array) ** 2))
+        tol = 4.0 * B.degree * eps * kappa * scale.real
+        assert np.all(np.abs(_derivative_product_rule(B, pts) - want) <= tol)
+        # within ZERO_SWITCH of a zero, derivative() takes this branch
+        assert np.all(np.abs(derivative(B, pts[6:]) - want[6:]) <= tol[6:])

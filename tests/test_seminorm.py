@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from blochkit.errors import DomainError, RangeError
+from blochkit import covering
+from blochkit.errors import ConvergenceError, DomainError, RangeError, RootCountError
 from blochkit.products import BlaschkeProduct, MoebiusAutomorphism, precompose, random_product
 from blochkit.seminorm import (
     CATALOG,
@@ -168,3 +169,20 @@ def test_estimate_serialization():
     data = est.to_json()
     assert set(data) == {"value", "argmax", "starts_used", "refinement_iterations"}
     assert abs(data["value"] - est.value) < 1e-15
+
+
+def test_only_a_root_count_failure_drops_the_critical_starts(monkeypatch):
+    B = random_product(5, seed=21)
+    full = seminorm(B)
+
+    def fail(error):
+        def critical_points(_B):
+            raise error("critical points unavailable")
+        return critical_points
+
+    monkeypatch.setattr(covering, "critical_points", fail(RootCountError))
+    dropped = seminorm(B)
+    assert dropped.starts_used == full.starts_used - (B.degree - 1)
+    monkeypatch.setattr(covering, "critical_points", fail(ConvergenceError))
+    with pytest.raises(ConvergenceError, match="critical points unavailable"):
+        seminorm(B)
