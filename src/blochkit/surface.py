@@ -23,7 +23,8 @@ The conformal radius at z with Im z > 0 is
 
     r(z) = 4 Im z |e^(f(z))| sqrt|z-d| / sqrt(|z-c| |z^2-1|),
 
-maximized over the half-plane by deterministic multistart Nelder-Mead.
+maximized over the half-plane by a deterministic multistart Nelder-Mead
+whose starts all run in lockstep.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ from .errors import (
     PathError,
     SingularityError,
 )
-from .quadrature import integrate_adaptive, integrate_fixed
+from .quadrature import gauss_nodes, integrate_adaptive, integrate_fixed
+from .seminorm import _van_der_corput
 
 TARGET_HEIGHT = 1.5 * math.pi     # I1 condition (rectangle height 3*pi over 2)
 PATH_CLEARANCE = 1e-3
@@ -200,8 +202,13 @@ def _newton_from(start: tuple[float, float], a: float, nodes: int):
         while alpha > 1e-8:
             cn, dn = c + alpha * delta[0], d + alpha * delta[1]
             if 1.0 + 1e-9 < cn < dn - 1e-9:
-                rn = _residual(cn, dn, a, nodes)
-                if np.max(np.abs(rn)) < norm * (1.0 - 1e-4 * alpha) + 1e-15:
+                try:
+                    rn = _residual(cn, dn, a, nodes)
+                except ConvergenceError:
+                    # a trial point pushed toward c = 1 can defeat the
+                    # quadrature; that counts as a rejected step
+                    rn = None
+                if rn is not None and np.max(np.abs(rn)) < norm * (1.0 - 1e-4 * alpha) + 1e-15:
                     c, d, r = cn, dn, rn
                     break
             alpha *= 0.5
@@ -222,22 +229,21 @@ def _F(t, c: float, d: float):
     return np.sqrt(t - d) / (np.sqrt(t - c) * np.sqrt(t - 1.0) * np.sqrt(t + 1.0))
 
 
-def _seg_min_dist(p0: complex, p1: complex, points) -> float:
-    d = p1 - p0
-    L = abs(d)
-    best = math.inf
-    for q in points:
-        if L == 0.0:
-            best = min(best, abs(q - p0))
-            continue
-        s = ((q - p0) / d).real * L
-        s = min(max(s, 0.0), L)
-        best = min(best, abs(q - (p0 + (s / L) * d)))
-    return best
+def _segment_clearance(p0, p1, points) -> np.ndarray:
+    """Distance from each segment p0 -> p1 (broadcast together) to the nearest
+    of the real points; a degenerate segment measures from p0."""
+    p0 = np.asarray(p0, dtype=np.complex128)
+    d = np.asarray(p1, dtype=np.complex128) - p0
+    q = np.asarray(points, dtype=np.float64).reshape((-1,) + (1,) * d.ndim)
+    t = ((q - p0) / np.where(d == 0.0, 1.0, d)).real
+    return np.abs(q - (p0 + np.minimum(np.maximum(t, 0.0), 1.0) * d)).min(axis=0)
 
 
-def _map_f_engine(z: complex, c: float, d: float, contour: str,
-                  tol: float | None, n_fixed: int | None) -> complex:
+def map_f(z: complex, sol: SurfaceSolution, contour: str = "default",
+          tol: float = 1e-12) -> complex:
+    """f(z) along an admissible polyline contour from -1 (adaptive nodes)."""
+    z = complex(z)
+    c, d = sol.c, sol.d
     branch = (-1.0, 1.0, c, d)
     if abs(z - (-1.0)) <= BRANCH_TOL:
         return 0.0 + 0.0j
@@ -258,10 +264,8 @@ def _map_f_engine(z: complex, c: float, d: float, contour: str,
         raise DomainError(f"unknown contour {contour!r}")
 
     def leg(fun, lo, hi):
-        if tol is not None:
-            val, _ = integrate_adaptive(fun, lo, hi, tol=tol, n0=32)
-            return val
-        return integrate_fixed(fun, lo, hi, n_fixed)
+        val, _ = integrate_adaptive(fun, lo, hi, tol=tol, n0=32)
+        return val
 
     total = 0.0 + 0.0j
     # up from -1 with t = -1 + i u^2 (kills the inverse-sqrt endpoint)
@@ -269,30 +273,24 @@ def _map_f_engine(z: complex, c: float, d: float, contour: str,
                  0.0, math.sqrt(height))
     # across at the safe height
     xs = x + lateral
-    if _seg_min_dist(-1.0 + 1j * height, xs + 1j * height, branch) < PATH_CLEARANCE:
+    if _segment_clearance(-1.0 + 1j * height, xs + 1j * height, branch) < PATH_CLEARANCE:
         raise PathError("horizontal leg violates the branch-point clearance")
     if xs != -1.0:
         total += leg(lambda s: _F(-1.0 + s * (xs + 1.0) + 1j * height, c, d)
                      * (xs + 1.0), 0.0, 1.0)
     # down to the target height
     if height != y:
-        if _seg_min_dist(xs + 1j * height, xs + 1j * y, branch) < PATH_CLEARANCE:
+        if _segment_clearance(xs + 1j * height, xs + 1j * y, branch) < PATH_CLEARANCE:
             raise PathError("vertical leg violates the branch-point clearance")
         total += leg(lambda s: _F(xs + 1j * (height + s * (y - height)), c, d)
                      * 1j * (y - height), 0.0, 1.0)
     # lateral return (offset contour only)
     if lateral != 0.0:
-        if _seg_min_dist(xs + 1j * y, z, branch) < PATH_CLEARANCE:
+        if _segment_clearance(xs + 1j * y, z, branch) < PATH_CLEARANCE:
             raise PathError("return leg violates the branch-point clearance")
         total += leg(lambda s: _F(xs + s * (x - xs) + 1j * y, c, d) * (x - xs),
                      0.0, 1.0)
     return -2.0 * total
-
-
-def map_f(z: complex, sol: SurfaceSolution, contour: str = "default",
-          tol: float = 1e-12) -> complex:
-    """f(z) along an admissible polyline contour from -1 (adaptive nodes)."""
-    return _map_f_engine(complex(z), sol.c, sol.d, contour, tol, None)
 
 
 def conformal_radius_at(z: complex, sol: SurfaceSolution) -> float:
@@ -305,54 +303,64 @@ def conformal_radius_at(z: complex, sol: SurfaceSolution) -> float:
     return 4.0 * z.imag * abs(np.exp(fz)) * pref
 
 
-def _radius_fast(x: float, y: float, c: float, d: float, n_fixed: int) -> float:
-    if y <= 1e-6:
-        return -1.0
-    z = complex(x, y)
-    if min(abs(z + 1.0), abs(z - 1.0), abs(z - c), abs(z - d)) < 2e-3:
-        return -1.0
-    fz = _map_f_engine(z, c, d, "default", None, n_fixed)
-    pref = math.sqrt(abs(z - d)) / math.sqrt(abs(z - c) * abs(z * z - 1.0))
-    return 4.0 * y * abs(np.exp(fz)) * pref
+def _radius_evaluator(c: float, d: float, n: int):
+    """r(x, y) over arrays of points on the default contour, n Gauss nodes per leg.
 
+    This is the search's objective.  A point with y <= 1e-6 or within 2e-3 of
+    a branch point scores -1.  Every point with y <= 1 shares the first leg
+    (up from -1 to height 1), which is integrated once here; each leg is a
+    matrix-vector product of its integrand rows with the Gauss weights, taken
+    by einsum because BLAS may hand a product of this size to its threads."""
+    branch = np.array([-1.0, 1.0, c, d])
+    nodes, weights = gauss_nodes(n)
+    s = 0.5 + 0.5 * nodes   # the nodes on [0, 1]
 
-def _nm_max(fun, x0: float, y0: float, h: float, ftol: float, max_iter: int):
-    pts = [(x0, y0), (x0 + h, y0), (x0, y0 + h)]
-    vals = [fun(*p) for p in pts]
-    for _ in range(max_iter):
-        order = sorted(range(3), key=lambda i: -vals[i])
-        pts = [pts[i] for i in order]
-        vals = [vals[i] for i in order]
-        if vals[0] - vals[2] <= ftol:
-            break
-        cx = 0.5 * (pts[0][0] + pts[1][0])
-        cy = 0.5 * (pts[0][1] + pts[1][1])
-        rx, ry = 2.0 * cx - pts[2][0], 2.0 * cy - pts[2][1]
-        fr = fun(rx, ry)
-        if fr > vals[0]:
-            ex, ey = cx + 2.0 * (rx - cx), cy + 2.0 * (ry - cy)
-            fe = fun(ex, ey)
-            if fe > fr:
-                pts[2], vals[2] = (ex, ey), fe
-            else:
-                pts[2], vals[2] = (rx, ry), fr
-        elif fr > vals[1]:
-            pts[2], vals[2] = (rx, ry), fr
-        else:
-            if fr > vals[2]:
-                qx, qy = cx + 0.5 * (rx - cx), cy + 0.5 * (ry - cy)
-            else:
-                qx, qy = cx + 0.5 * (pts[2][0] - cx), cy + 0.5 * (pts[2][1] - cy)
-            fq = fun(qx, qy)
-            if fq > min(fr, vals[2]):
-                pts[2], vals[2] = (qx, qy), fq
-            else:
-                for k in (1, 2):
-                    pts[k] = (0.5 * (pts[k][0] + pts[0][0]),
-                              0.5 * (pts[k][1] + pts[0][1]))
-                    vals[k] = fun(*pts[k])
-    order = sorted(range(3), key=lambda i: -vals[i])
-    return vals[order[0]], pts[order[0]]
+    def gauss(rows):
+        return np.einsum("kn,n->k", rows, weights)
+
+    def up(half):
+        u = half[:, None] + half[:, None] * nodes
+        return half * gauss(_F(-1.0 + 1j * u * u, c, d) * 2j * u)
+
+    up_to_one = up(np.array([0.5]))[0]   # half the leg's length sqrt(1)
+
+    def radius(x, y) -> np.ndarray:
+        x = np.asarray(x, dtype=np.float64)
+        y = np.asarray(y, dtype=np.float64)
+        z = x + 1j * y
+        out = np.full(z.shape, -1.0)
+        near = np.abs(z[:, None] - branch).min(axis=1)
+        ok = (y > 1e-6) & (near >= 2e-3)
+        if not ok.any():
+            return out
+        x, y, z = x[ok], y[ok], z[ok]
+        height = np.maximum(1.0, y)
+        if (_segment_clearance(-1.0 + 1j * height, x + 1j * height, branch)
+                < PATH_CLEARANCE).any():
+            raise PathError("horizontal leg violates the branch-point clearance")
+        low = height != y
+        if (_segment_clearance(x[low] + 1j * height[low], z[low], branch)
+                < PATH_CLEARANCE).any():
+            raise PathError("vertical leg violates the branch-point clearance")
+
+        total = np.full(z.shape, up_to_one)
+        high = y > 1.0
+        if high.any():
+            total[high] = up(0.5 * np.sqrt(y[high]))
+        # across at the safe height (zero when x = -1)
+        h = height[:, None]
+        total += 0.5 * gauss(_F(-1.0 + s * (x[:, None] + 1.0) + 1j * h, c, d)
+                             * (x[:, None] + 1.0))
+        # down to the target height
+        if low.any():
+            xl, yl = x[low, None], y[low, None]
+            total[low] += 0.5 * gauss(_F(xl + 1j * (1.0 + s * (yl - 1.0)), c, d)
+                                      * 1j * (yl - 1.0))
+        pref = np.sqrt(np.abs(z - d)) / np.sqrt(np.abs(z - c) * np.abs(z * z - 1.0))
+        out[ok] = 4.0 * y * np.abs(np.exp(-2.0 * total)) * pref
+        return out
+
+    return radius
 
 
 def _default_starts(count: int) -> list[complex]:
@@ -360,38 +368,75 @@ def _default_starts(count: int) -> list[complex]:
     for xx in np.linspace(-1.2, 1.2, 7):
         for yy in (0.15, 0.36, 0.7, 1.2):
             starts.append(complex(xx, yy))
-    k = 1
-    while len(starts) < count:
-        # base-2 radical inverse fills extra starts deterministically
-        x, f, n = 0.0, 0.5, k
-        while n:
-            if n & 1:
-                x += f
-            f *= 0.5
-            n >>= 1
+    # the base-2 radical inverse fills extra starts deterministically
+    for x in _van_der_corput(max(count - len(starts), 0)):
         starts.append(complex(2.4 * (x - 0.5), 0.1 + 1.3 * x))
-        k += 1
     return starts[:max(count, 1)]
+
+
+def _lockstep_nelder_mead(fun, start: np.ndarray, h: float, ftol: float,
+                          max_iter: int) -> tuple[np.ndarray, np.ndarray]:
+    """Maximize fun from every row of start (K x 2) at once.
+
+    Each row runs its own Nelder-Mead on the simplex (x0, y0), (x0 + h, y0),
+    (x0, y0 + h): reflection 1, expansion 2, inside and outside contraction
+    1/2, shrink toward the best vertex.  A row stops once its values span at
+    most ftol; fun is called on the pending vertices of all running rows
+    together.  Returns each row's best value and vertex."""
+    k = start.shape[0]
+    pts = np.repeat(start[:, None, :], 3, axis=1)
+    pts[:, 1, 0] += h
+    pts[:, 2, 1] += h
+    vals = fun(pts[..., 0].ravel(), pts[..., 1].ravel()).reshape(k, 3)
+    rows = np.arange(k)
+    for _ in range(max_iter):
+        order = np.argsort(-vals[rows], axis=1, kind="stable")
+        pts[rows], vals[rows] = pts[rows[:, None], order], vals[rows[:, None], order]
+        rows = rows[vals[rows, 0] - vals[rows, 2] > ftol]
+        if rows.size == 0:
+            break
+        p, v = pts[rows], vals[rows]
+        cen = 0.5 * (p[:, 0] + p[:, 1])
+        ref = 2.0 * cen - p[:, 2]
+        fr = fun(ref[:, 0], ref[:, 1])
+        expand = fr > v[:, 0]
+        accept = ~expand & (fr > v[:, 1])
+        contract = ~expand & ~accept
+        # one call for the expansion and the contraction points
+        trial = np.where(expand[:, None], cen + 2.0 * (ref - cen),
+                         np.where((fr > v[:, 2])[:, None], cen + 0.5 * (ref - cen),
+                                  cen + 0.5 * (p[:, 2] - cen)))
+        probe = expand | contract
+        ft = np.full(rows.size, -np.inf)
+        ft[probe] = fun(trial[probe, 0], trial[probe, 1])
+        better = expand & (ft > fr)
+        take_ref = (expand & ~better) | accept
+        take_trial = better | (contract & (ft > np.minimum(fr, v[:, 2])))
+        shrink = contract & ~take_trial
+        p[take_ref, 2], v[take_ref, 2] = ref[take_ref], fr[take_ref]
+        p[take_trial, 2], v[take_trial, 2] = trial[take_trial], ft[take_trial]
+        if shrink.any():
+            q = 0.5 * (p[shrink, 1:] + p[shrink, :1])
+            p[shrink, 1:] = q
+            v[shrink, 1:] = fun(q[..., 0].ravel(), q[..., 1].ravel()).reshape(-1, 2)
+        pts[rows], vals[rows] = p, v
+    best = np.argmax(vals, axis=1)   # the first of equal values, as a stable sort
+    return vals[np.arange(k), best], pts[np.arange(k), best]
 
 
 def maximize_radius(sol: SurfaceSolution, starts: int = 29,
                     fast_nodes: int = 64) -> tuple[complex, float]:
     """Deterministic multistart maximization of the radius over the half-plane.
 
-    The search runs on fixed-node quadrature for speed; the final value is
-    recomputed adaptively at the argmax, so it is a certified lower bound.
-    Ties break toward the lexicographically smallest (Re, Im) argmax."""
-    best_val, best_pt = -math.inf, None
-    for s in _default_starts(starts):
-        val, (px, py) = _nm_max(
-            lambda xx, yy: _radius_fast(xx, yy, sol.c, sol.d, fast_nodes),
-            s.real, s.imag, 0.1, 1e-11, 300,
-        )
-        key = (-val, px, py)
-        if best_pt is None or key < best_key:
-            best_val, best_pt, best_key = val, complex(px, py), key
-    value = conformal_radius_at(best_pt, sol)
-    return best_pt, value
+    All starts run in lockstep on fixed-node quadrature for speed; the final
+    value is recomputed adaptively at the argmax, so it is a certified lower
+    bound.  Ties break toward the lexicographically smallest (Re, Im) argmax."""
+    seeds = np.array([(s.real, s.imag) for s in _default_starts(starts)])
+    vals, pts = _lockstep_nelder_mead(_radius_evaluator(sol.c, sol.d, fast_nodes),
+                                      seeds, 0.1, 1e-11, 300)
+    best = min(range(len(vals)), key=lambda i: (-vals[i], pts[i, 0], pts[i, 1]))
+    best_pt = complex(pts[best, 0], pts[best, 1])
+    return best_pt, conformal_radius_at(best_pt, sol)
 
 
 def edge_integrals(sol: SurfaceSolution, ray: float = 50.0) -> dict:

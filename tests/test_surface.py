@@ -8,11 +8,18 @@ import math
 import numpy as np
 import pytest
 
+from blochkit import surface
 from blochkit.errors import DomainError, PathError, SingularityError
+from blochkit.quadrature import integrate_fixed
 from blochkit.slitdisk import default_threshold
 from blochkit.surface import (
     RADIUS_PROBE,
     SurfaceSolution,
+    _default_starts,
+    _F,
+    _lockstep_nelder_mead,
+    _radius_evaluator,
+    _segment_clearance,
     conformal_radius_at,
     edge_integrals,
     map_f,
@@ -140,3 +147,226 @@ def test_solution_validation():
         SurfaceSolution(0.3, 2.0, 1.5, 1.0, 0.5j, 256)
     with pytest.raises(DomainError):
         SurfaceSolution(1.3, 1.1, 1.5, 1.0, 0.5j, 256)
+
+
+def test_solve_survives_a_failed_trial_quadrature():
+    # here a line-search trial point lies so close to c = 1 that the adaptive
+    # quadrature gives up; the solve must reject that step, not fail
+    a = 0.36258993349925034
+    c, d = solve_parameters(a)
+    first, second = parameter_integrals(c, d)
+    assert 1.0 < c < d
+    assert abs(first - 1.5 * math.pi) < 1e-9
+    assert abs(second + 0.5 * math.log(a)) < 1e-9
+
+
+def test_default_starts_are_pinned():
+    starts = _default_starts(40)
+    grid = [complex(x, y) for x in np.linspace(-1.2, 1.2, 7) for y in (0.15, 0.36, 0.7, 1.2)]
+    assert starts[:29] == [RADIUS_PROBE] + grid
+    assert starts[29:] == [
+        0.75j, -0.6 + 0.42500000000000004j, 0.6 + 1.0750000000000002j,
+        -0.8999999999999999 + 0.2625j, 0.3 + 0.9125j, -0.3 + 0.5875j,
+        0.8999999999999999 + 1.2375j, -1.05 + 0.18125000000000002j,
+        0.15 + 0.83125j, -0.44999999999999996 + 0.50625j,
+        0.75 + 1.1562500000000002j,
+    ]
+    assert _default_starts(8) == starts[:8]
+    assert _default_starts(0) == starts[:1]
+
+
+# ----------------------------------------------------------------------------
+# the lockstep radius search against the scalar search it replaced
+# ----------------------------------------------------------------------------
+
+def _seg_min_dist_reference(p0, p1, points):
+    d = p1 - p0
+    L = abs(d)
+    best = math.inf
+    for q in points:
+        if L == 0.0:
+            best = min(best, abs(q - p0))
+            continue
+        s = ((q - p0) / d).real * L
+        s = min(max(s, 0.0), L)
+        best = min(best, abs(q - (p0 + (s / L) * d)))
+    return best
+
+
+def _radius_reference(x, y, c, d, n):
+    """r(x + iy) one point at a time, three n-node legs on the default contour."""
+    if y <= 1e-6:
+        return -1.0
+    z = complex(x, y)
+    if min(abs(z + 1.0), abs(z - 1.0), abs(z - c), abs(z - d)) < 2e-3:
+        return -1.0
+    branch = (-1.0, 1.0, c, d)
+    height = max(1.0, y)
+    total = 0.0 + 0.0j
+    total += integrate_fixed(lambda u: _F(-1.0 + 1j * u * u, c, d) * 2j * u,
+                             0.0, math.sqrt(height), n)
+    if _seg_min_dist_reference(-1.0 + 1j * height, x + 1j * height,
+                               branch) < surface.PATH_CLEARANCE:
+        raise PathError("horizontal leg violates the branch-point clearance")
+    if x != -1.0:
+        total += integrate_fixed(lambda s: _F(-1.0 + s * (x + 1.0) + 1j * height, c, d)
+                                 * (x + 1.0), 0.0, 1.0, n)
+    if height != y:
+        if _seg_min_dist_reference(x + 1j * height, z, branch) < surface.PATH_CLEARANCE:
+            raise PathError("vertical leg violates the branch-point clearance")
+        total += integrate_fixed(lambda s: _F(x + 1j * (height + s * (y - height)), c, d)
+                                 * 1j * (y - height), 0.0, 1.0, n)
+    pref = math.sqrt(abs(z - d)) / math.sqrt(abs(z - c) * abs(z * z - 1.0))
+    return 4.0 * y * abs(np.exp(-2.0 * total)) * pref
+
+
+def _nm_max_reference(fun, x0, y0, h, ftol, max_iter):
+    """One start of the search as a plain loop: the per-row rules of the
+    lockstep Nelder-Mead."""
+    pts = [(x0, y0), (x0 + h, y0), (x0, y0 + h)]
+    vals = [fun(*p) for p in pts]
+    for _ in range(max_iter):
+        order = sorted(range(3), key=lambda i: -vals[i])
+        pts = [pts[i] for i in order]
+        vals = [vals[i] for i in order]
+        if vals[0] - vals[2] <= ftol:
+            break
+        cx = 0.5 * (pts[0][0] + pts[1][0])
+        cy = 0.5 * (pts[0][1] + pts[1][1])
+        rx, ry = 2.0 * cx - pts[2][0], 2.0 * cy - pts[2][1]
+        fr = fun(rx, ry)
+        if fr > vals[0]:
+            ex, ey = cx + 2.0 * (rx - cx), cy + 2.0 * (ry - cy)
+            fe = fun(ex, ey)
+            if fe > fr:
+                pts[2], vals[2] = (ex, ey), fe
+            else:
+                pts[2], vals[2] = (rx, ry), fr
+        elif fr > vals[1]:
+            pts[2], vals[2] = (rx, ry), fr
+        else:
+            if fr > vals[2]:
+                qx, qy = cx + 0.5 * (rx - cx), cy + 0.5 * (ry - cy)
+            else:
+                qx, qy = cx + 0.5 * (pts[2][0] - cx), cy + 0.5 * (pts[2][1] - cy)
+            fq = fun(qx, qy)
+            if fq > min(fr, vals[2]):
+                pts[2], vals[2] = (qx, qy), fq
+            else:
+                for k in (1, 2):
+                    pts[k] = (0.5 * (pts[k][0] + pts[0][0]),
+                              0.5 * (pts[k][1] + pts[0][1]))
+                    vals[k] = fun(*pts[k])
+    order = sorted(range(3), key=lambda i: -vals[i])
+    return vals[order[0]], pts[order[0]]
+
+
+def _seeds(count):
+    return np.array([(s.real, s.imag) for s in _default_starts(count)])
+
+
+@pytest.fixture(scope="module", params=(None, 0.005, 0.1, 0.4),
+                ids=("default", "0.005", "0.1", "0.4"))
+def scalar_search(request):
+    """(a, c, d, per-start results of the scalar search over 40 starts)."""
+    a = default_threshold() if request.param is None else request.param
+    c, d = solve_parameters(a)
+    results = [_nm_max_reference(lambda x, y: _radius_reference(x, y, c, d, 64),
+                                 s.real, s.imag, 0.1, 1e-11, 300)
+               for s in _default_starts(40)]
+    return a, c, d, results
+
+
+@pytest.mark.parametrize("count", (1, 2, 8, 29, 40))
+def test_lockstep_search_matches_the_scalar_search(scalar_search, count):
+    _a, c, d, results = scalar_search
+    vals, pts = _lockstep_nelder_mead(_radius_evaluator(c, d, 64), _seeds(count),
+                                      0.1, 1e-11, 300)
+    assert vals.shape == (count,) and pts.shape == (count, 2)
+    for (value, (x, y)), v, p in zip(results, vals, pts):
+        assert abs(v - value) <= 1e-13 * abs(value)
+        assert abs(complex(p[0], p[1]) - complex(x, y)) <= 1e-9
+
+
+def test_maximize_radius_picks_the_scalar_best(scalar_search):
+    a, c, d, results = scalar_search
+    value, (x, y) = min(results[:29], key=lambda r: (-r[0], r[1][0], r[1][1]))
+    argmax, r0 = maximize_radius(SurfaceSolution(a, c, d, 1.0, RADIUS_PROBE, 256))
+    assert abs(argmax - complex(x, y)) <= 1e-9
+    assert abs(r0 - value) < 1e-9
+
+
+def test_lockstep_rows_follow_the_one_start_rules_exactly(solution):
+    # on the same evaluator the lockstep rows must retrace each start's loop
+    radius = _radius_evaluator(solution.c, solution.d, 64)
+    vals, pts = _lockstep_nelder_mead(radius, _seeds(29), 0.1, 1e-11, 300)
+    for (x0, y0), v, p in zip(_seeds(29), vals, pts):
+        value, point = _nm_max_reference(
+            lambda x, y: radius(np.array([x]), np.array([y]))[0], x0, y0, 0.1, 1e-11, 300)
+        assert v == value
+        assert tuple(p) == point
+
+
+ROUGH_OBJECTIVES = {
+    # many failed contractions, so many shrink steps
+    "rough": lambda x, y: -(x * x + y * y) + 0.5 * np.sin(1e3 * x) * np.cos(1e3 * y),
+    # plateaus, so many ties between vertex values
+    "steps": lambda x, y: (-np.floor(4.0 * np.abs(x - 0.3)) - np.floor(4.0 * np.abs(y + 0.2))
+                           - 0.01 * (x * x + y * y)),
+}
+
+
+@pytest.mark.parametrize("max_iter", (8, 300))
+@pytest.mark.parametrize("name", sorted(ROUGH_OBJECTIVES))
+def test_lockstep_rules_on_rough_objectives(name, max_iter):
+    fun = ROUGH_OBJECTIVES[name]
+    starts = np.random.default_rng(3).uniform(-2.0, 2.0, (40, 2))
+    vals, pts = _lockstep_nelder_mead(fun, starts, 0.1, 1e-11, max_iter)
+    for (x0, y0), v, p in zip(starts, vals, pts):
+        value, point = _nm_max_reference(
+            lambda x, y: fun(np.array([x]), np.array([y]))[0], x0, y0, 0.1, 1e-11, max_iter)
+        assert v == value
+        assert tuple(p) == point
+
+
+def test_batched_radius_matches_the_scalar_radius(solution):
+    c, d = solution.c, solution.d
+    rng = np.random.default_rng(5)
+    x = rng.uniform(-3.0, 3.0, 200)
+    y = rng.uniform(0.0, 2.5, 200)
+    x[:3], y[3:6] = -1.0, 1.0   # no horizontal leg; no vertical leg
+    batched = _radius_evaluator(c, d, 64)(x, y)
+    for xx, yy, value in zip(x, y, batched):
+        reference = _radius_reference(xx, yy, c, d, 64)
+        assert abs(value - reference) <= 1e-14 * abs(reference)
+
+
+def test_batched_radius_rejects_what_the_scalar_radius_rejects(solution, monkeypatch):
+    c, d = solution.c, solution.d
+    radius = _radius_evaluator(c, d, 64)
+    # within 2e-3 of c, d, -1 and 1; then on or below the height 1e-6
+    x = np.array([c + 1e-3, d, -1.0 + 5e-4, 1.0, 0.3, 0.3])
+    y = np.array([1e-3, 1.5e-3, 1e-3, 1.9e-3, 1e-6, 0.0])
+    np.testing.assert_array_equal(radius(x, y), -1.0)
+    assert all(_radius_reference(xx, yy, c, d, 64) == -1.0 for xx, yy in zip(x, y))
+    # the 2e-3 gate keeps the legs clear of the branch points, so the
+    # clearance is widened here to make the checks fire
+    monkeypatch.setattr(surface, "PATH_CLEARANCE", 0.5)
+    for check in (radius, lambda x, y: _radius_reference(x[0], y[0], c, d, 64)):
+        with pytest.raises(PathError, match="vertical leg"):
+            check(np.array([1.1]), np.array([0.05]))
+    monkeypatch.setattr(surface, "PATH_CLEARANCE", 1.5)
+    for check in (radius, lambda x, y: _radius_reference(x[0], y[0], c, d, 64)):
+        with pytest.raises(PathError, match="horizontal leg"):
+            check(np.array([0.3]), np.array([0.5]))
+
+
+def test_segment_clearance_matches_the_scalar_distance():
+    rng = np.random.default_rng(11)
+    points = (-1.0, 1.0, 1.1, 1.8)
+    p0 = rng.uniform(-2.0, 2.0, 50) + 1j * rng.uniform(0.0, 1.5, 50)
+    p1 = rng.uniform(-2.0, 2.0, 50) + 1j * rng.uniform(0.0, 1.5, 50)
+    p1[:5] = p0[:5]   # degenerate segments
+    got = _segment_clearance(p0, p1, points)
+    for a, b, dist in zip(p0, p1, got):
+        assert abs(dist - _seg_min_dist_reference(a, b, points)) <= 1e-15
