@@ -2,8 +2,10 @@
 
 The compiled C kernel ``_ckernel`` (built by ``setup.py``) is preferred; the
 vectorized numpy fallback is the reference implementation of the same contract
-(same objective, same simplex-descent branch logic).  Set ``BLOCHKIT_PURE=1``
-to force the fallback, e.g. for benchmarking.
+(same objective, same simplex-descent branch logic).  The fallback takes B and
+B' from ``blochkit.products._value_and_derivative``, the evaluator the rest of
+the package uses; the C kernel is its compiled twin, one point at a time.  Set
+``BLOCHKIT_PURE=1`` to force the fallback, e.g. for benchmarking.
 
 Both backends expose:
 
@@ -20,9 +22,10 @@ work.
 Agreement bound.  Both backends write the same formulas, but numpy may round
 a complex product or modulus differently in the last bit, and a simplex that
 then meets a near-tie takes another branch.  ``pointwise_batch`` values agree
-to 1e-12 (measured: relative 1.4e-14).  ``seminorm`` values agree to 1e-10 on
-the 240 products of degrees 1-12 under both radial laws (measured: 2 differ,
-by at most 4.0e-13, their iteration totals by 1).  No bound holds for
+to 1e-12 (measured: relative 1.9e-15, on and near zeros included).
+``seminorm`` values agree to 1e-10 on the 240 products of degrees 1-12 under
+both radial laws (measured: 2 differ, by at most 5.9e-13, their iteration
+totals by 1).  No bound holds for
 ``refine_starts`` with f_kind 1: its simplices climb the 1/|1 - w|^2 blow-up
 against the barrier, where terminal values are path-dependent.
 ``tests/test_kernels.py`` checks these bounds against a freshly compiled

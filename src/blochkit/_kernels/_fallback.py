@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-_ZERO_SWITCH2 = 1e-16  # squared distance below which the product rule takes over
+from ..products import _value_and_derivative
+
 _ALPHA, _GAMMA, _RHO, _SIGMA = 1.0, 2.0, 0.5, 0.5
 
 
@@ -23,39 +24,15 @@ def _objective(zeros: np.ndarray, lam: complex, pts: np.ndarray, f_kind: int,
     ok = r2 < barrier_radius * barrier_radius
     if not ok.any():
         return out
-    z = pts[ok]
-    prod = np.ones(z.shape, dtype=np.complex128)
-    lsum = np.zeros(z.shape, dtype=np.complex128)
-    min_d2 = np.full(z.shape, np.inf)
-    for zj in zeros:
-        num = z - zj
-        den = 1.0 - zj.conjugate() * z
-        prod = prod * (num / den)
-        lsum = lsum + (1.0 - abs(zj) ** 2) / (num * den)
-        d2 = num.real**2 + num.imag**2
-        np.minimum(min_d2, d2, out=min_d2)
-    bp = prod * lsum
-    near = min_d2 <= _ZERO_SWITCH2
-    if near.any():
-        for i in np.nonzero(near)[0]:
-            zi = z[i]
-            total = 0.0 + 0.0j
-            for j, zj in enumerate(zeros):
-                den = 1.0 - zj.conjugate() * zi
-                term = (1.0 - abs(zj) ** 2) / (den * den)
-                for k, zk in enumerate(zeros):
-                    if k != j:
-                        term *= (zi - zk) / (1.0 - zk.conjugate() * zi)
-                total += term
-            bp[i] = total
+    value, der = _value_and_derivative(zeros, lam, pts[ok])
     if f_kind == 0:
         fp = 1.0
     elif f_kind == 1:
-        u2 = np.abs(1.0 - lam * prod) ** 2
+        u2 = np.abs(1.0 - value) ** 2
         fp = 1.0 / np.maximum(u2, 1e-250)
     else:
-        fp = np.abs(1.0 + lam * prod)
-    out[ok] = fp * np.abs(bp) * (1.0 - r2[ok])
+        fp = np.abs(1.0 + value)
+    out[ok] = fp * np.abs(der) * (1.0 - r2[ok])
     return out
 
 
@@ -67,10 +44,9 @@ def _check_kind(f_kind) -> None:
 def pointwise_batch(zeros, lam, pts, f_kind, barrier_radius):
     _check_kind(f_kind)
     zeros = np.ascontiguousarray(zeros, dtype=np.complex128)
-    pts = np.asarray(pts, dtype=np.complex128)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _objective(zeros, complex(lam), pts.ravel(), int(f_kind),
-                          float(barrier_radius)).reshape(pts.shape)
+        return _objective(zeros, complex(lam), np.asarray(pts, dtype=np.complex128),
+                          int(f_kind), float(barrier_radius))
 
 
 def refine_starts(zeros, lam, starts, scales, f_kind, max_iter, ftol, barrier_radius):

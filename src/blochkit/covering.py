@@ -36,7 +36,7 @@ from .errors import (
     RootCountError,
     StructureError,
 )
-from .products import ZERO_SWITCH, BlaschkeProduct, _derivative_product_rule
+from .products import BlaschkeProduct, _row_blocks, _value_and_derivative
 
 SLIT_DISK = "SLIT_DISK"
 SURFACE_CASE = "SURFACE_CASE"
@@ -56,19 +56,9 @@ _VALUE_CLUSTER_TOL = 1e-9
 # root finding: Ehrlich-Aberth on partial-fraction Newton ratios
 # ----------------------------------------------------------------------------
 
-#: broadcast temporaries of the root finder and the evaluator are split into
-#: row blocks of at most this many entries (a single row may exceed it)
-_EVAL_BLOCK = 1 << 18
 #: a root freezes once its relative residual is at most this times the number
 #: of terms summed
 _FREEZE_ULPS = 4.0 * np.finfo(np.float64).eps
-
-
-def _row_blocks(rows: int, width: int) -> list[slice]:
-    """Slices covering range(rows) with at most _EVAL_BLOCK entries of width
-    ``width`` each (and at least one row)."""
-    step = max(1, _EVAL_BLOCK // max(width, 1))
-    return [slice(i, min(i + step, rows)) for i in range(0, rows, step)]
 
 
 def _ring(count: int) -> np.ndarray:
@@ -207,42 +197,6 @@ def critical_points(B: BlaschkeProduct) -> tuple[complex, ...]:
 
 
 # ----------------------------------------------------------------------------
-# fused evaluation (no domain checks; tracking may poke just outside the disk)
-# ----------------------------------------------------------------------------
-
-def _evaluator(B: BlaschkeProduct):
-    """``f(z) -> (B(z), B'(z))`` for an m x n array z of fibers.
-
-    One broadcast pass over the Moebius factors (z - z_j) / (1 - conj(z_j) z),
-    stacked along a leading axis of zeros, gives B and the log-derivative sum
-    together; entries within ZERO_SWITCH of a zero, where that sum collapses,
-    take the product rule instead.  Rows go through in blocks of under
-    _EVAL_BLOCK broadcast entries.  Callers silence the floating-point
-    warnings of points sitting on a zero.
-    """
-    zeros = B.zeros_array[:, None, None]
-    conj = np.conjugate(zeros)
-    weight = 1.0 - np.abs(zeros) ** 2
-    lam = complex(B.rotation)
-
-    def evaluate(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        value = np.empty(z.shape, dtype=np.complex128)
-        der = np.empty(z.shape, dtype=np.complex128)
-        for rows in _row_blocks(z.shape[0], z.shape[1] * zeros.size):
-            x = z[rows]
-            num = x - zeros
-            den = 1.0 - conj * x
-            value[rows] = lam * np.multiply.reduce(num / den)
-            der[rows] = value[rows] * np.add.reduce(weight / (num * den))
-            near = np.minimum.reduce(num.real**2 + num.imag**2) <= ZERO_SWITCH**2
-            if near.any():
-                der[rows][near] = _derivative_product_rule(B, x[near])
-        return value, der
-
-    return evaluate
-
-
-# ----------------------------------------------------------------------------
 # fibers
 # ----------------------------------------------------------------------------
 
@@ -253,11 +207,11 @@ def _fiber_ratio(B: BlaschkeProduct, w: complex):
     The residual is |B - w| over |w| + |B| + |B'|, the last term being the
     rounding of a point of the closed disk pushed through B'.
     """
-    evaluate = _evaluator(B)
-    conj = np.conjugate(B.zeros_array)
+    zeros = B.zeros_array
+    conj = np.conjugate(zeros)
 
     def ratio(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        value, der = (part[:, 0] for part in evaluate(z[:, None]))
+        value, der = _value_and_derivative(zeros, B.rotation, z)
         pole = np.empty(z.size, dtype=np.complex128)
         for rows in _row_blocks(z.size, conj.size):
             pole[rows] = (conj / (1.0 - conj * z[rows, None])).sum(axis=1)
@@ -304,7 +258,7 @@ def _min_separation(z: np.ndarray) -> np.ndarray:
     return d.min(axis=(1, 2))
 
 
-def _newton(evaluate, z: np.ndarray, w: np.ndarray):
+def _newton(B: BlaschkeProduct, z: np.ndarray, w: np.ndarray):
     """Newton on B(z) = w[i] for each row i of z, a fiber; returns (z, B'(z), iters, ok).
 
     A row stops at its first iterate where every point has |B(z) - w| <=
@@ -318,7 +272,7 @@ def _newton(evaluate, z: np.ndarray, w: np.ndarray):
     live = np.ones(z.shape[0], dtype=bool)
     ok = np.zeros(z.shape[0], dtype=bool)
     for it in range(_NEWTON_MAX + 1):
-        value, der = evaluate(z)
+        value, der = _value_and_derivative(B.zeros_array, B.rotation, z)
         r = value - w[:, None]
         size = np.abs(der)
         done = (np.abs(r) <= np.fmax(_NEWTON_TOL, _NEWTON_ULPS * np.abs(z) * size)).all(axis=1)
@@ -351,7 +305,6 @@ def _track_routes(B: BlaschkeProduct, base: np.ndarray, routes: list[list[tuple]
     None.  A failure drops the later routes as well: a caller going through
     the routes in order raises before it reaches them.
     """
-    evaluate = _evaluator(B)
     counts = [len(route) for route in routes]
     start, delta, radius, angle, circle = map(
         np.array, zip(*[piece for route in routes for piece in route]))
@@ -368,7 +321,7 @@ def _track_routes(B: BlaschkeProduct, base: np.ndarray, routes: list[list[tuple]
     stop = L  # the first failed route; it and all later ones are dropped
     with np.errstate(all="ignore"):
         z = np.tile(base, (L, 1))
-        der = np.tile(evaluate(base[None, :])[1], (L, 1))
+        der = np.tile(_value_and_derivative(B.zeros_array, B.rotation, base)[1], (L, 1))
         sep = np.full(L, _min_separation(base[None, :])[0])
         t = np.zeros(L)
         h = np.full(L, _H_START)
@@ -382,7 +335,7 @@ def _track_routes(B: BlaschkeProduct, base: np.ndarray, routes: list[list[tuple]
             z0 = z[rows]
             pred = z0 + (w_new - w_prev[rows])[:, None] / der[rows]
             pred = np.where(np.isfinite(pred), pred, z0)
-            z1, d1, iters, ok = _newton(evaluate, pred, w_new)
+            z1, d1, iters, ok = _newton(B, pred, w_new)
             # a sheet may only move a fraction of the fiber's minimal
             # separation per step, otherwise Newton can silently converge to a
             # neighbouring sheet near a critical fiber and scramble the

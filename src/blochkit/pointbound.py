@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import DegenerateError, DomainError, StructureError
 from .products import BlaschkeProduct, boundary_derivative_modulus, evaluate
-from .seminorm import pointwise_bloch
+from .seminorm import _golden_section, pointwise_bloch
 
 DEFAULT_D = 1.0 / 7.0
 
@@ -85,21 +85,7 @@ def select_zeta(B: BlaschkeProduct, angular_samples: int = 4096) -> complex:
                                                       math.sin(theta)))
 
     step = 2.0 * math.pi / angular_samples
-    lo, hi = best_theta - step, best_theta + step
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = hi - invphi * (hi - lo)
-    e = lo + invphi * (hi - lo)
-    fc, fe = m(c), m(e)
-    while hi - lo > 1e-10:
-        if fc > fe:
-            hi, e, fe = e, c, fc
-            c = hi - invphi * (hi - lo)
-            fc = m(c)
-        else:
-            lo, c, fc = c, e, fe
-            e = lo + invphi * (hi - lo)
-            fe = m(e)
-    theta_ref = 0.5 * (lo + hi)
+    theta_ref = _golden_section(m, best_theta - step, best_theta + step, 1e-10)
     if m(theta_ref) > best_val + 1e-13 * max(1.0, best_val):
         best_theta = theta_ref
     return complex(math.cos(best_theta), math.sin(best_theta))
@@ -204,18 +190,5 @@ def optimize_d(B: BlaschkeProduct, zeta: complex, delta: float,
     k = int(np.argmax(vals))
     lo = float(ds[max(k - 1, 0)])
     hi = float(ds[min(k + 1, ds.size - 1)])
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = hi - invphi * (hi - lo)
-    e = lo + invphi * (hi - lo)
-    fc, fe = guaranteed_bound(c, delta), guaranteed_bound(e, delta)
-    while hi - lo > 1e-12:
-        if fc > fe:
-            hi, e, fe = e, c, fc
-            c = hi - invphi * (hi - lo)
-            fc = guaranteed_bound(c, delta)
-        else:
-            lo, c, fc = c, e, fe
-            e = lo + invphi * (hi - lo)
-            fe = guaranteed_bound(e, delta)
-    d_star = 0.5 * (lo + hi)
+    d_star = _golden_section(lambda x: guaranteed_bound(x, delta), lo, hi, 1e-12)
     return d_star, guaranteed_bound(d_star, delta)

@@ -13,7 +13,13 @@ identities carry most of the numerical weight here:
 
 The log-derivative form collapses at (and numerically near) a zero of B, where
 the product-rule form  B' = sum_j f_j' prod_{k!=j} f_k  stays stable; evaluation
-switches between the two based on the distance to the nearest zero.
+switches between the two within ZERO_SWITCH of the nearest zero.
+
+Every numpy evaluation of B' in the package (``derivative``, the covering
+layer's root finding and fiber tracking, and the numpy kernel backend) goes
+through the one block-wise evaluator ``_value_and_derivative``, which returns
+B and B' together.  ``evaluate`` stays a plain loop over the factors: it is
+the reference that tests hold the evaluator to.
 """
 
 from __future__ import annotations
@@ -160,39 +166,75 @@ def evaluate(B: BlaschkeProduct, z):
     return complex(out[()]) if scalar else out
 
 
-def _derivative_product_rule(B: BlaschkeProduct, z: np.ndarray) -> np.ndarray:
+#: broadcast temporaries of the evaluator (and of covering's root finder) are
+#: split into row blocks of at most this many entries, save for what _row_blocks says
+_EVAL_BLOCK = 1 << 18
+
+
+def _row_blocks(rows: int, width: int) -> list[slice]:
+    """Slices covering range(rows), each of at most _EVAL_BLOCK entries of
+    width ``width`` but of two rows at least, so a lone last row joins the
+    block before it.  numpy reduces a single row with other loops, and other
+    roundings, than a wider block: this way the split never changes the bits."""
+    step = max(2, _EVAL_BLOCK // max(width, 1))
+    starts = list(range(0, rows, step))
+    if len(starts) > 1 and rows - starts[-1] == 1:
+        starts.pop()
+    return [slice(i, j) for i, j in zip(starts, starts[1:] + [rows])]
+
+
+def _derivative_product_rule(zeros: np.ndarray, lam: complex, z: np.ndarray) -> np.ndarray:
     """B'(z) = lam * sum_j f_j'(z) prod_{k!=j} f_k(z) at each point of the 1-d
     array z; stable at zeros of B.  The products over k != j are a prefix
     times a suffix cumulative product, so no factor is divided out."""
     x = np.asarray(z, dtype=np.complex128)[:, None]
-    zs = B.zeros_array
-    den = 1.0 - np.conjugate(zs) * x
-    f = (x - zs) / den
+    den = 1.0 - np.conjugate(zeros) * x
+    f = (x - zeros) / den
     ones = np.ones((x.shape[0], 1), dtype=np.complex128)
     before = np.cumprod(np.concatenate([ones, f[:, :-1]], axis=1), axis=1)
     after = np.cumprod(np.concatenate([ones, f[:, :0:-1]], axis=1), axis=1)[:, ::-1]
-    return B.rotation * ((1.0 - np.abs(zs) ** 2) / (den * den) * before * after).sum(axis=1)
+    return lam * ((1.0 - np.abs(zeros) ** 2) / (den * den) * before * after).sum(axis=1)
+
+
+def _value_and_derivative(zeros: np.ndarray, lam: complex,
+                          z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(B(z), B'(z)) at every entry of z, for the product with these zeros and
+    rotation lam; no domain checks, so points just outside the disk are fine.
+
+    One broadcast pass over the Moebius factors (z - z_j) / (1 - conj(z_j) z),
+    stacked along a leading axis of zeros, gives B and the log-derivative sum
+    together; entries within ZERO_SWITCH of a zero, where that sum collapses,
+    take the product rule instead.  The entries go through in blocks of
+    _row_blocks, and the split does not change the bits; a lone point may
+    round apart from the same point inside a wider array, where numpy picks
+    other loops.  Callers silence the floating-point warnings of points
+    sitting on a zero, once around a whole batch of calls.
+    """
+    z = np.asarray(z, dtype=np.complex128)
+    flat = z.reshape(-1)
+    col = zeros[:, None]
+    conj = np.conjugate(col)
+    weight = 1.0 - np.abs(col) ** 2
+    value = np.empty(flat.shape, dtype=np.complex128)
+    der = np.empty(flat.shape, dtype=np.complex128)
+    for rows in _row_blocks(flat.size, zeros.size):
+        x = flat[rows]
+        num = x - col
+        den = 1.0 - conj * x
+        value[rows] = lam * np.multiply.reduce(num / den)
+        der[rows] = value[rows] * np.add.reduce(weight / (num * den))
+        near = np.minimum.reduce(num.real**2 + num.imag**2) <= ZERO_SWITCH**2
+        if near.any():
+            der[rows][near] = _derivative_product_rule(zeros, lam, x[near])
+    return value.reshape(z.shape), der.reshape(z.shape)
 
 
 def derivative(B: BlaschkeProduct, z):
     """B'(z), switching formulas within ZERO_SWITCH of the nearest zero."""
     arr, scalar = _as_points(z)
     _check_eval_domain(arr)
-    flat = np.atleast_1d(arr).ravel()
-    zs = B.zeros_array
-    diff = flat[:, None] - zs[None, :]
-    dist2 = diff.real**2 + diff.imag**2
-    near = dist2.min(axis=1) <= ZERO_SWITCH**2
-
     with np.errstate(divide="ignore", invalid="ignore"):
-        logsum = ((1.0 - np.abs(zs) ** 2)[None, :] / (diff * (1.0 - np.conjugate(zs)[None, :] * flat[:, None]))).sum(axis=1)
-        prod = np.full(flat.shape, complex(B.rotation), dtype=np.complex128)
-        for zj in B.zeros:
-            prod = prod * ((flat - zj) / (1.0 - zj.conjugate() * flat))
-        out = prod * logsum
-    if near.any():
-        out[near] = _derivative_product_rule(B, flat[near])
-    out = out.reshape(arr.shape)
+        out = _value_and_derivative(B.zeros_array, B.rotation, arr)[1]
     return complex(out[()]) if scalar else out
 
 

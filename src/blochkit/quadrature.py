@@ -1,11 +1,10 @@
-"""Gauss-Legendre quadrature with endpoint square-root substitutions.
+"""Gauss-Legendre quadrature: fixed node counts and node doubling.
 
-Integrals here fall into two families: smooth complex integrands along
-parameterized contour legs, and real integrands on [a, b] whose endpoint
-behavior is (t-a)^(-1/2) or (t-a)^(+1/2) (same at b).  The singular/stiff
-endpoints are regularized by the substitution t = a + u^2 (or t = b - u^2),
-after which plain node-doubling Gauss handles everything: results are accepted
-only when doubling the node count moves the value by less than the tolerance.
+``integrate_fixed`` applies one cached Gauss-Legendre rule; ``integrate_adaptive``
+doubles the node count until two successive rules agree to the tolerance.  Both
+assume an integrand that is smooth on the closed interval: callers with
+square-root endpoint behavior (the surface integrals) substitute t = a + u^2
+or t = b - u^2 themselves first.
 
 Integrands must accept numpy arrays.  Gauss nodes are strictly interior, so
 integrands are never evaluated at the endpoints themselves.
@@ -61,50 +60,3 @@ def integrate_adaptive(f, a: float, b: float, tol: float = 1e-12,
     raise ConvergenceError(
         f"quadrature did not converge by {n} nodes (last delta {delta:.3e})"
     )
-
-
-def _substitute(f, a: float, b: float, left: str, right: str):
-    """Rewrite the integral over [a, b] as smooth pieces; returns a list of
-    (integrand, lo, hi) in the substituted variable."""
-    for side in (left, right):
-        if side not in ("none", "inv", "pos"):
-            raise DomainError(f"unknown endpoint mode {side!r}")
-    if left != "none" and right != "none":
-        m = 0.5 * (a + b)
-        return (_substitute(f, a, m, left, "none")
-                + _substitute(f, m, b, "none", right))
-    if left != "none":
-        return [(lambda u: f(a + u * u) * 2.0 * u, 0.0, np.sqrt(b - a))]
-    if right != "none":
-        return [(lambda u: f(b - u * u) * 2.0 * u, 0.0, np.sqrt(b - a))]
-    return [(f, a, b)]
-
-
-def integrate_endpoint_sqrt(f, a: float, b: float, left: str = "none",
-                            right: str = "none", tol: float = 1e-12,
-                            n0: int = 16) -> tuple[complex, int]:
-    """Adaptive integral of f over [a, b] with square-root endpoint handling.
-
-    left/right: "inv" for an inverse-square-root factor at that endpoint,
-    "pos" for a (t-endpoint)^(1/2) factor (singular derivative), "none" for a
-    smooth endpoint.  Returns (value, total node count)."""
-    if not b > a:
-        raise DomainError("integration interval must satisfy b > a")
-    total = 0.0 + 0.0j
-    nodes = 0
-    for g, lo, hi in _substitute(f, a, b, left, right):
-        val, used = integrate_adaptive(g, lo, hi, tol=tol, n0=n0)
-        total += val
-        nodes += used
-    return total, nodes
-
-
-def integrate_endpoint_sqrt_fixed(f, a: float, b: float, left: str = "none",
-                                  right: str = "none", n: int = 64):
-    """Fixed-node variant of integrate_endpoint_sqrt (n nodes per piece)."""
-    if not b > a:
-        raise DomainError("integration interval must satisfy b > a")
-    total = 0.0 + 0.0j
-    for g, lo, hi in _substitute(f, a, b, left, right):
-        total += integrate_fixed(g, lo, hi, n)
-    return total

@@ -146,6 +146,25 @@ def _van_der_corput(count: int) -> np.ndarray:
     return out
 
 
+def _golden_section(f, lo, hi, tol: float):
+    """Midpoint of the final bracket of a golden-section search for a maximum
+    of the unimodal f on [lo, hi], stopped once the bracket is at most tol."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = hi - invphi * (hi - lo)
+    d = lo + invphi * (hi - lo)
+    fc, fd = f(c), f(d)
+    while hi - lo > tol:
+        if fc > fd:
+            hi, d, fd = d, c, fc
+            c = hi - invphi * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + invphi * (hi - lo)
+            fd = f(d)
+    return 0.5 * (lo + hi)
+
+
 def _start_points(B: BlaschkeProduct, config: OptimizerConfig) -> list[complex]:
     starts: list[complex] = [0.0 + 0.0j]
     starts.extend(complex(z) for z in B.zeros)
@@ -269,18 +288,5 @@ def degree2_axis_oracle(b: float, grid: int = 400_001) -> tuple[float, float]:
     k = int(np.argmax(vs))
     lo = xs[max(k - 1, 0)]
     hi = xs[min(k + 1, grid - 1)]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = hi - invphi * (hi - lo)
-    d = lo + invphi * (hi - lo)
-    fc, fd = val(c), val(d)
-    while hi - lo > 1e-12:
-        if fc > fd:
-            hi, d, fd = d, c, fc
-            c = hi - invphi * (hi - lo)
-            fc = val(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + invphi * (hi - lo)
-            fd = val(d)
-    x_star = 0.5 * (lo + hi)
+    x_star = _golden_section(val, lo, hi, 1e-12)
     return float(val(x_star)), float(x_star)

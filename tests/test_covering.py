@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -24,7 +25,13 @@ from blochkit.covering import (
 from blochkit import covering
 from blochkit.cli import _sweep_product
 from blochkit.errors import CollisionError, ContinuationError, DomainError, StructureError
-from blochkit.products import BlaschkeProduct, derivative, evaluate, random_product
+from blochkit.products import (
+    BlaschkeProduct,
+    _value_and_derivative,
+    derivative,
+    evaluate,
+    random_product,
+)
 from blochkit.slitdisk import default_threshold
 
 from conftest import power_product
@@ -416,28 +423,13 @@ def test_lockstep_tracking_matches_route_by_route_reference(monkeypatch):
         monodromy(random_product(3 + k % 6, seed=60_000 + k, law=law))
     for B, base, routes, ends, errors in seen:
         assert errors == [None] * len(routes)
-        evaluate = covering._evaluator(B)
+        evaluate = partial(_value_and_derivative, B.zeros_array, B.rotation)
         with np.errstate(all="ignore"):
             for route, end in zip(routes, ends):
                 z = base.copy()
                 for piece in route:
                     z = _track_piece_reference(evaluate, z, piece)
                 np.testing.assert_array_equal(z, end)
-
-
-def test_fused_evaluation_matches_products(monkeypatch):
-    B = random_product(7, seed=171, law="boundary_concentrated")
-    rng = np.random.default_rng(18)
-    z = 0.9 * np.sqrt(rng.random((3, 7))) * np.exp(2j * math.pi * rng.random((3, 7)))
-    z[1] = B.zeros_array  # on the zeros the product rule takes over
-    with np.errstate(all="ignore"):
-        value, der = covering._evaluator(B)(z)
-        monkeypatch.setattr(covering, "_EVAL_BLOCK", 20)  # one row per block
-        blocked = covering._evaluator(B)(z)
-    assert np.allclose(value, evaluate(B, z), rtol=1e-13, atol=1e-15)
-    assert np.allclose(der, derivative(B, z), rtol=1e-12, atol=0.0)
-    np.testing.assert_array_equal(blocked[0], value)
-    np.testing.assert_array_equal(blocked[1], der)
 
 
 def test_tracking_failures_keep_their_errors(monkeypatch):

@@ -22,7 +22,7 @@ import pytest
 
 from blochkit import _kernels, seminorm
 from blochkit._kernels import _fallback
-from blochkit.products import random_product
+from blochkit.products import ZERO_SWITCH, random_product
 
 SOURCE = Path(_kernels.__file__).with_name("_ckernel.c")
 
@@ -83,10 +83,23 @@ def test_pointwise_batch_backends_agree(ckernel):
     for f_kind in (0, 1, 2):
         zeros, pts = _random_case(10 + f_kind, 6)
         pts[:3] = zeros[:3]  # on a zero the product rule takes over
+        pts[3:6] = zeros[3:6] + 0.5 * ZERO_SWITCH  # and near one, off it
         got = fast(zeros, 1.0 + 0j, pts, f_kind, 1.0 - 1e-9)
         ref = _fallback.pointwise_batch(zeros, 1.0 + 0j, pts, f_kind, 1.0 - 1e-9)
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) < 1e-12
+
+
+def test_pointwise_batch_keeps_the_shape(kernels):
+    pointwise, _ = kernels
+    zeros, pts = _random_case(13, 4)
+    grid = pts[:60].reshape(3, 4, 5)
+    grid[0, 0, :3] = [zeros[0], 2.0, zeros[1] + 1e-9]  # on a zero, outside, near one
+    got = pointwise(zeros, 1.0 + 0j, grid, 0, 1.0 - 1e-9)
+    assert got.shape == grid.shape
+    np.testing.assert_array_equal(got.ravel(), pointwise(zeros, 1.0 + 0j, grid.ravel(), 0,
+                                                         1.0 - 1e-9))
+    assert got[0, 0, 1] == -1.0
 
 
 def test_refine_starts_backends_agree(ckernel):

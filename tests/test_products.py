@@ -7,11 +7,14 @@ import math
 import numpy as np
 import pytest
 
+from blochkit import products
 from blochkit.errors import DomainError, RangeError
 from blochkit.products import (
     BOUNDARY_MARGIN,
     ZERO_SWITCH,
     _derivative_product_rule,
+    _row_blocks,
+    _value_and_derivative,
     BlaschkeProduct,
     MoebiusAutomorphism,
     boundary_derivative_modulus,
@@ -166,6 +169,68 @@ def test_vectorized_product_rule_matches_the_loop():
         # the factors are multiplied in another order
         kappa = np.max(1.0 / (1.0 - np.abs(B.zeros_array) ** 2))
         tol = 4.0 * B.degree * eps * kappa * scale.real
-        assert np.all(np.abs(_derivative_product_rule(B, pts) - want) <= tol)
+        assert np.all(np.abs(_derivative_product_rule(B.zeros_array, B.rotation, pts) - want)
+                      <= tol)
         # within ZERO_SWITCH of a zero, derivative() takes this branch
         assert np.all(np.abs(derivative(B, pts[6:]) - want[6:]) <= tol[6:])
+
+
+def test_fused_evaluation_matches_products(monkeypatch):
+    B = random_product(7, seed=171, law="boundary_concentrated")
+    rng = np.random.default_rng(18)
+    grid = 0.9 * np.sqrt(rng.random((3, 7))) * np.exp(2j * math.pi * rng.random((3, 7)))
+    grid[1] = B.zeros_array  # on the zeros the product rule takes over
+    near = B.zeros_array + 0.5 * ZERO_SWITCH  # near the zeros but off them: the same switch
+    eps = np.finfo(np.float64).eps
+    kappa = np.max(1.0 / (1.0 - np.abs(B.zeros_array) ** 2))
+    for z in (grid, near):
+        with np.errstate(all="ignore"):
+            value, der = _value_and_derivative(B.zeros_array, B.rotation, z)
+            # blocks of two entries, the last one of three, give the same bits
+            monkeypatch.setattr(products, "_EVAL_BLOCK", 20)
+            blocked = _value_and_derivative(B.zeros_array, B.rotation, z)
+            monkeypatch.undo()
+        want, scale = np.array([_product_rule_loop(B, complex(x)) for x in z.ravel()]).T
+        assert np.allclose(value, evaluate(B, z), rtol=1e-13, atol=1e-15)
+        assert np.all(np.abs(der.ravel() - want) <= 4.0 * B.degree * eps * kappa * scale.real)
+        np.testing.assert_array_equal(blocked[0], value)
+        np.testing.assert_array_equal(blocked[1], der)
+
+
+def test_row_blocks_cover_the_range_without_a_lone_row(monkeypatch):
+    monkeypatch.setattr(products, "_EVAL_BLOCK", 12)
+    for rows in range(0, 30):
+        for width in (1, 3, 5, 7, 40):
+            blocks = _row_blocks(rows, width)
+            assert [i for b in blocks for i in range(b.start, b.stop)] == list(range(rows))
+            sizes = [b.stop - b.start for b in blocks]
+            assert all(size >= 2 for size in sizes) or sizes == [1]
+            # only the last block may take one row over the budget
+            step = max(2, 12 // width)
+            assert all(size == step for size in sizes[:-1])
+            assert not sizes or sizes[-1] <= step + 1
+
+
+def test_evaluator_skips_the_domain_check():
+    B = random_product(5, seed=191)
+    z = np.array([1.01, -1.02j, 0.3 + 0.2j])  # the first two lie outside the disk
+    with pytest.raises(DomainError):
+        derivative(B, z)
+    value, der = _value_and_derivative(B.zeros_array, B.rotation, z)
+    want = np.array([_product_rule_loop(B, complex(x))[0] for x in z])
+    factors = (z[:, None] - B.zeros_array) / (1.0 - np.conjugate(B.zeros_array) * z[:, None])
+    assert np.allclose(value, B.rotation * factors.prod(axis=1), rtol=1e-13, atol=0.0)
+    assert np.allclose(der, want, rtol=1e-12, atol=0.0)
+
+
+def test_derivative_keeps_the_input_shape():
+    B = random_product(6, seed=193, law="boundary_concentrated")
+    rng = np.random.default_rng(20)
+    z = 0.9 * np.sqrt(rng.random((2, 3, 4))) * np.exp(2j * math.pi * rng.random((2, 3, 4)))
+    der = derivative(B, z)
+    assert der.shape == z.shape
+    want = np.array([_product_rule_loop(B, complex(x))[0] for x in z.ravel()])
+    assert np.allclose(der.ravel(), want, rtol=1e-12, atol=0.0)
+    scalar = derivative(B, complex(z[1, 2, 3]))
+    assert isinstance(scalar, complex)
+    assert abs(scalar - want[-1]) <= 1e-12 * abs(want[-1])

@@ -1,4 +1,4 @@
-"""Gauss-Legendre quadrature with endpoint square-root substitutions."""
+"""Gauss-Legendre quadrature: fixed rules and node doubling."""
 
 from __future__ import annotations
 
@@ -9,12 +9,7 @@ import pytest
 import scipy.integrate
 
 from blochkit.errors import ConvergenceError, DomainError
-from blochkit.quadrature import (
-    integrate_adaptive,
-    integrate_endpoint_sqrt,
-    integrate_endpoint_sqrt_fixed,
-    integrate_fixed,
-)
+from blochkit.quadrature import integrate_adaptive, integrate_fixed
 
 
 def test_fixed_smooth_exponential():
@@ -48,43 +43,8 @@ def test_adaptive_raises_on_nonintegrable():
         integrate_adaptive(lambda t: np.abs(t - 0.31) ** -0.95, 0.0, 1.0, tol=1e-12)
 
 
-def test_inverse_sqrt_left_endpoint():
-    # 1/sqrt(t) on (0, 1] integrates to 2
-    value, _ = integrate_endpoint_sqrt(lambda t: 1.0 / np.sqrt(t), 0.0, 1.0, left="inv")
-    assert abs(value - 2.0) < 1e-12
-
-
-def test_inverse_sqrt_against_scipy_alg_weight():
-    # cos(t)/sqrt(t): scipy handles the weight exactly via weight='alg'
-    value, _ = integrate_endpoint_sqrt(lambda t: np.cos(t) / np.sqrt(t), 0.0, 1.0,
-                                       left="inv")
-    ref, _ = scipy.integrate.quad(math.cos, 0.0, 1.0, weight="alg", wvar=(-0.5, 0.0))
-    assert abs(value - ref) < 1e-11
-
-
-def test_positive_sqrt_right_endpoint_against_scipy():
-    # exp(t) * sqrt(1-t)
-    value, _ = integrate_endpoint_sqrt(lambda t: np.exp(t) * np.sqrt(1.0 - t),
-                                       0.0, 1.0, right="pos")
-    ref, _ = scipy.integrate.quad(math.exp, 0.0, 1.0, weight="alg", wvar=(0.0, 0.5))
-    assert abs(value - ref) < 1e-11
-
-
-def test_both_endpoints_singular():
-    # 1/sqrt(t(1-t)) integrates to pi
-    value, _ = integrate_endpoint_sqrt(lambda t: 1.0 / np.sqrt(t * (1.0 - t)),
-                                       0.0, 1.0, left="inv", right="inv")
-    assert abs(value - math.pi) < 1e-11
-
-
-def test_fixed_variant_agrees_with_adaptive():
-    f = lambda t: np.sqrt(2.0 - t) / np.sqrt(t)
-    adaptive, _ = integrate_endpoint_sqrt(f, 0.0, 1.0, left="inv")
-    fixed = integrate_endpoint_sqrt_fixed(f, 0.0, 1.0, left="inv", n=96)
-    assert abs(adaptive - fixed) < 1e-12
-
-
 def test_bad_bounds_rejected():
+    # a rule without nodes is rejected; an empty interval integrates to zero
     with pytest.raises(DomainError):
-        integrate_endpoint_sqrt(np.exp, 1.0, 1.0, left="inv")
+        integrate_fixed(np.exp, 0.0, 1.0, 0)
     assert integrate_fixed(np.exp, 1.0, 1.0, 8) == 0.0

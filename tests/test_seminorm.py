@@ -13,6 +13,7 @@ from blochkit.products import BlaschkeProduct, MoebiusAutomorphism, precompose, 
 from blochkit.seminorm import (
     CATALOG,
     OptimizerConfig,
+    _golden_section,
     catalog_entry,
     composed_pointwise,
     composed_seminorm,
@@ -56,6 +57,15 @@ def test_degree_two_axis_oracle():
         est = seminorm(BlaschkeProduct((0j, complex(b))))
         assert abs(est.value - oracle_value) < 1e-9
         assert -1.0 < oracle_x < 1.0
+
+
+def test_golden_section_brackets_the_maximum_to_the_tolerance():
+    for peak, tol in ((0.3, 1e-12), (-0.71, 1e-10), (0.999, 1e-12)):
+        x = _golden_section(lambda t: -abs(t - peak), -1.0, 1.0, tol)
+        assert abs(x - peak) <= tol
+    # a maximum at an end of the bracket is approached from inside
+    x = _golden_section(lambda t: t, 0.0, 1.0, 1e-12)
+    assert 1.0 - 1e-12 <= x < 1.0
 
 
 def test_pointwise_definition():
