@@ -23,8 +23,9 @@ The conformal radius at z with Im z > 0 is
 
     r(z) = 4 Im z |e^(f(z))| sqrt|z-d| / sqrt(|z-c| |z^2-1|),
 
-maximized over the half-plane by a deterministic multistart Nelder-Mead
-whose starts all run in lockstep.
+maximized over the half-plane by a deterministic multistart damped Newton
+iteration on the stationarity equation of log r, whose gradient and Hessian
+are closed-form in the integrand of f (no quadrature until the final value).
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .errors import (
     PathError,
     SingularityError,
 )
-from .quadrature import gauss_nodes, integrate_adaptive, integrate_fixed
+from .quadrature import integrate_adaptive, integrate_fixed
 from .seminorm import _van_der_corput
 
 TARGET_HEIGHT = 1.5 * math.pi     # I1 condition (rectangle height 3*pi over 2)
@@ -157,9 +158,13 @@ def _residual(c: float, d: float, a: float, nodes: int) -> np.ndarray:
     return np.array([i1 - TARGET_HEIGHT, i2 + 0.5 * math.log(a)])
 
 
-def parameter_jacobian(c: float, d: float, a: float, nodes: int = 256,
-                       step: float = 1e-6) -> np.ndarray:
-    """Forward-difference Jacobian of the two residuals w.r.t. (c, d)."""
+def parameter_jacobian(c: float, d: float, a: float, nodes: int = 256) -> np.ndarray:
+    """Forward-difference Jacobian of the two residuals w.r.t. (c, d).
+
+    I1 has a near-singularity of width sqrt(c - 1) next to t = 1, so the
+    step shrinks with c - 1: an absolute 1e-6 overshoots it once c - 1 falls
+    below about 5e-7 and the Newton steps stop reducing the residuals."""
+    step = min(1e-6, 1e-2 * (c - 1.0))
     base = _residual(c, d, a, nodes)
     jc = (_residual(c + step, d, a, nodes) - base) / step
     jd = (_residual(c, d + step, a, nodes) - base) / step
@@ -198,6 +203,10 @@ def _newton_from(start: tuple[float, float], a: float, nodes: int):
             delta = np.linalg.solve(jac, -r)
         except np.linalg.LinAlgError:
             return None
+        if (c + delta[0], d + delta[1]) == (c, d):
+            # the residuals sit on their quadrature floor above the 1e-12
+            # goal; no step that rounds to nothing can lower them
+            break
         alpha = 1.0
         while alpha > 1e-8:
             cn, dn = c + alpha * delta[0], d + alpha * delta[1]
@@ -224,8 +233,8 @@ def _newton_from(start: tuple[float, float], a: float, nodes: int):
 # ----------------------------------------------------------------------------
 
 def _F(t, c: float, d: float):
-    """Integrand of f with principal square roots (valid on the closed UHP)."""
-    t = np.asarray(t, dtype=np.complex128)
+    """Integrand of f with principal square roots (valid on the closed UHP);
+    t is complex, a scalar or an array."""
     return np.sqrt(t - d) / (np.sqrt(t - c) * np.sqrt(t - 1.0) * np.sqrt(t + 1.0))
 
 
@@ -303,64 +312,50 @@ def conformal_radius_at(z: complex, sol: SurfaceSolution) -> float:
     return 4.0 * z.imag * abs(np.exp(fz)) * pref
 
 
-def _radius_evaluator(c: float, d: float, n: int):
-    """r(x, y) over arrays of points on the default contour, n Gauss nodes per leg.
+def _log_radius_derivatives(z: complex, c: float, d: float):
+    """Gradient and Hessian of log r at z in the real coordinates (x, y).
 
-    This is the search's objective.  A point with y <= 1e-6 or within 2e-3 of
-    a branch point scores -1.  Every point with y <= 1 shares the first leg
-    (up from -1 to height 1), which is integrated once here; each leg is a
-    matrix-vector product of its integrand rows with the Gauss weights, taken
-    by einsum because BLAS may hand a product of this size to its threads."""
-    branch = np.array([-1.0, 1.0, c, d])
-    nodes, weights = gauss_nodes(n)
-    s = 0.5 + 0.5 * nodes   # the nodes on [0, 1]
+    log r = log 4 + log y + Re H with H' = -2F + 1/(2(z-d)) - 1/(2(z-c))
+    - z/(z^2-1), so both follow from F in closed form; the Hessian is returned
+    as (xx, xy, yy)."""
+    f = complex(_F(z, c, d))
+    h1 = -2.0 * f + 0.5 / (z - d) - 0.5 / (z - c) - z / (z * z - 1.0)
+    h2 = (-f * (1.0 / (z - d) - 1.0 / (z - c) - 1.0 / (z - 1.0) - 1.0 / (z + 1.0))
+          + 0.5 / (z - c) ** 2 - 0.5 / (z - d) ** 2 + (z * z + 1.0) / (z * z - 1.0) ** 2)
+    y = z.imag
+    return (h1.real, 1.0 / y - h1.imag), (h2.real, -h2.imag, -1.0 / (y * y) - h2.real)
 
-    def gauss(rows):
-        return np.einsum("kn,n->k", rows, weights)
 
-    def up(half):
-        u = half[:, None] + half[:, None] * nodes
-        return half * gauss(_F(-1.0 + 1j * u * u, c, d) * 2j * u)
-
-    up_to_one = up(np.array([0.5]))[0]   # half the leg's length sqrt(1)
-
-    def radius(x, y) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        z = x + 1j * y
-        out = np.full(z.shape, -1.0)
-        near = np.abs(z[:, None] - branch).min(axis=1)
-        ok = (y > 1e-6) & (near >= 2e-3)
-        if not ok.any():
-            return out
-        x, y, z = x[ok], y[ok], z[ok]
-        height = np.maximum(1.0, y)
-        if (_segment_clearance(-1.0 + 1j * height, x + 1j * height, branch)
-                < PATH_CLEARANCE).any():
-            raise PathError("horizontal leg violates the branch-point clearance")
-        low = height != y
-        if (_segment_clearance(x[low] + 1j * height[low], z[low], branch)
-                < PATH_CLEARANCE).any():
-            raise PathError("vertical leg violates the branch-point clearance")
-
-        total = np.full(z.shape, up_to_one)
-        high = y > 1.0
-        if high.any():
-            total[high] = up(0.5 * np.sqrt(y[high]))
-        # across at the safe height (zero when x = -1)
-        h = height[:, None]
-        total += 0.5 * gauss(_F(-1.0 + s * (x[:, None] + 1.0) + 1j * h, c, d)
-                             * (x[:, None] + 1.0))
-        # down to the target height
-        if low.any():
-            xl, yl = x[low, None], y[low, None]
-            total[low] += 0.5 * gauss(_F(xl + 1j * (1.0 + s * (yl - 1.0)), c, d)
-                                      * 1j * (yl - 1.0))
-        pref = np.sqrt(np.abs(z - d)) / np.sqrt(np.abs(z - c) * np.abs(z * z - 1.0))
-        out[ok] = 4.0 * y * np.abs(np.exp(-2.0 * total)) * pref
-        return out
-
-    return radius
+def _stationary_maximum(z: complex, c: float, d: float) -> complex | None:
+    """Damped Newton on grad log r = 0 from z: the local maximum it reaches,
+    or None when the step underflows, the iterations run out or the
+    stationary point is not a maximum."""
+    g, h = _log_radius_derivatives(z, c, d)
+    for _ in range(100):
+        norm = math.hypot(*g)
+        det = h[0] * h[2] - h[1] * h[1]
+        if norm <= 1e-10:
+            return z if h[0] < 0.0 and det > 0.0 else None
+        if det == 0.0:
+            return None
+        step = complex((h[1] * g[1] - h[2] * g[0]) / det, (h[1] * g[0] - h[0] * g[1]) / det)
+        alpha = 1.0
+        while alpha >= 1e-10:
+            trial = z + alpha * step
+            # r -> 0 like 4y/|z|^3 at infinity and its gradient vanishes there
+            # too: unconfined, about half the starts walk off to |z| ~ 1e13,
+            # where only the sign of Hessian eigenvalues of size 1e-27 would
+            # reject them
+            if (0.0 < trial.imag < 4.0 and abs(trial.real) < 4.0
+                    and min(abs(trial - b) for b in (-1.0, 1.0, c, d)) >= 1e-6):
+                gt, ht = _log_radius_derivatives(trial, c, d)
+                if math.hypot(*gt) <= norm * (1.0 - 1e-4 * alpha):
+                    break
+            alpha *= 0.5
+        else:
+            return None
+        z, g, h = trial, gt, ht
+    return None
 
 
 def _default_starts(count: int) -> list[complex]:
@@ -374,69 +369,24 @@ def _default_starts(count: int) -> list[complex]:
     return starts[:max(count, 1)]
 
 
-def _lockstep_nelder_mead(fun, start: np.ndarray, h: float, ftol: float,
-                          max_iter: int) -> tuple[np.ndarray, np.ndarray]:
-    """Maximize fun from every row of start (K x 2) at once.
-
-    Each row runs its own Nelder-Mead on the simplex (x0, y0), (x0 + h, y0),
-    (x0, y0 + h): reflection 1, expansion 2, inside and outside contraction
-    1/2, shrink toward the best vertex.  A row stops once its values span at
-    most ftol; fun is called on the pending vertices of all running rows
-    together.  Returns each row's best value and vertex."""
-    k = start.shape[0]
-    pts = np.repeat(start[:, None, :], 3, axis=1)
-    pts[:, 1, 0] += h
-    pts[:, 2, 1] += h
-    vals = fun(pts[..., 0].ravel(), pts[..., 1].ravel()).reshape(k, 3)
-    rows = np.arange(k)
-    for _ in range(max_iter):
-        order = np.argsort(-vals[rows], axis=1, kind="stable")
-        pts[rows], vals[rows] = pts[rows[:, None], order], vals[rows[:, None], order]
-        rows = rows[vals[rows, 0] - vals[rows, 2] > ftol]
-        if rows.size == 0:
-            break
-        p, v = pts[rows], vals[rows]
-        cen = 0.5 * (p[:, 0] + p[:, 1])
-        ref = 2.0 * cen - p[:, 2]
-        fr = fun(ref[:, 0], ref[:, 1])
-        expand = fr > v[:, 0]
-        accept = ~expand & (fr > v[:, 1])
-        contract = ~expand & ~accept
-        # one call for the expansion and the contraction points
-        trial = np.where(expand[:, None], cen + 2.0 * (ref - cen),
-                         np.where((fr > v[:, 2])[:, None], cen + 0.5 * (ref - cen),
-                                  cen + 0.5 * (p[:, 2] - cen)))
-        probe = expand | contract
-        ft = np.full(rows.size, -np.inf)
-        ft[probe] = fun(trial[probe, 0], trial[probe, 1])
-        better = expand & (ft > fr)
-        take_ref = (expand & ~better) | accept
-        take_trial = better | (contract & (ft > np.minimum(fr, v[:, 2])))
-        shrink = contract & ~take_trial
-        p[take_ref, 2], v[take_ref, 2] = ref[take_ref], fr[take_ref]
-        p[take_trial, 2], v[take_trial, 2] = trial[take_trial], ft[take_trial]
-        if shrink.any():
-            q = 0.5 * (p[shrink, 1:] + p[shrink, :1])
-            p[shrink, 1:] = q
-            v[shrink, 1:] = fun(q[..., 0].ravel(), q[..., 1].ravel()).reshape(-1, 2)
-        pts[rows], vals[rows] = p, v
-    best = np.argmax(vals, axis=1)   # the first of equal values, as a stable sort
-    return vals[np.arange(k), best], pts[np.arange(k), best]
-
-
-def maximize_radius(sol: SurfaceSolution, starts: int = 29,
-                    fast_nodes: int = 64) -> tuple[complex, float]:
+def maximize_radius(sol: SurfaceSolution, starts: int = 29) -> tuple[complex, float]:
     """Deterministic multistart maximization of the radius over the half-plane.
 
-    All starts run in lockstep on fixed-node quadrature for speed; the final
-    value is recomputed adaptively at the argmax, so it is a certified lower
-    bound.  Ties break toward the lexicographically smallest (Re, Im) argmax."""
-    seeds = np.array([(s.real, s.imag) for s in _default_starts(starts)])
-    vals, pts = _lockstep_nelder_mead(_radius_evaluator(sol.c, sol.d, fast_nodes),
-                                      seeds, 0.1, 1e-11, 300)
-    best = min(range(len(vals)), key=lambda i: (-vals[i], pts[i, 0], pts[i, 1]))
-    best_pt = complex(pts[best, 0], pts[best, 1])
-    return best_pt, conformal_radius_at(best_pt, sol)
+    Each start runs a damped Newton iteration on the closed-form stationarity
+    equation of log r; the distinct local maxima it finds are evaluated with
+    the adaptive map, so the value is a certified lower bound.  Ties break
+    toward the lexicographically smallest (Re, Im) argmax.  Raises
+    ConvergenceError when no start reaches a local maximum."""
+    found: list[complex] = []
+    for start in _default_starts(starts):
+        z = _stationary_maximum(start, sol.c, sol.d)
+        if z is not None and all(abs(z - w) > 1e-8 for w in found):
+            found.append(z)
+    if not found:
+        raise ConvergenceError(f"no radius search start reached a local maximum "
+                               f"(c={sol.c!r}, d={sol.d!r}, starts={starts})")
+    value, x, y = min((-conformal_radius_at(z, sol), z.real, z.imag) for z in found)
+    return complex(x, y), -value
 
 
 def edge_integrals(sol: SurfaceSolution, ray: float = 50.0) -> dict:

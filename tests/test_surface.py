@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from blochkit import surface
-from blochkit.errors import DomainError, PathError, SingularityError
+from blochkit.errors import ConvergenceError, DomainError, PathError, SingularityError
 from blochkit.quadrature import integrate_fixed
 from blochkit.slitdisk import default_threshold
 from blochkit.surface import (
@@ -17,8 +17,7 @@ from blochkit.surface import (
     SurfaceSolution,
     _default_starts,
     _F,
-    _lockstep_nelder_mead,
-    _radius_evaluator,
+    _log_radius_derivatives,
     _segment_clearance,
     conformal_radius_at,
     edge_integrals,
@@ -176,7 +175,7 @@ def test_default_starts_are_pinned():
 
 
 # ----------------------------------------------------------------------------
-# the lockstep radius search against the scalar search it replaced
+# the radius search against an independent Nelder-Mead search
 # ----------------------------------------------------------------------------
 
 def _seg_min_dist_reference(p0, p1, points):
@@ -221,8 +220,9 @@ def _radius_reference(x, y, c, d, n):
 
 
 def _nm_max_reference(fun, x0, y0, h, ftol, max_iter):
-    """One start of the search as a plain loop: the per-row rules of the
-    lockstep Nelder-Mead."""
+    """Nelder-Mead maximization of fun from one start: reflection 1,
+    expansion 2, contractions 1/2, shrink toward the best vertex, until the
+    three values span at most ftol."""
     pts = [(x0, y0), (x0 + h, y0), (x0, y0 + h)]
     vals = [fun(*p) for p in pts]
     for _ in range(max_iter):
@@ -261,10 +261,6 @@ def _nm_max_reference(fun, x0, y0, h, ftol, max_iter):
     return vals[order[0]], pts[order[0]]
 
 
-def _seeds(count):
-    return np.array([(s.real, s.imag) for s in _default_starts(count)])
-
-
 @pytest.fixture(scope="module", params=(None, 0.005, 0.1, 0.4),
                 ids=("default", "0.005", "0.1", "0.4"))
 def scalar_search(request):
@@ -277,88 +273,66 @@ def scalar_search(request):
     return a, c, d, results
 
 
-@pytest.mark.parametrize("count", (1, 2, 8, 29, 40))
-def test_lockstep_search_matches_the_scalar_search(scalar_search, count):
-    _a, c, d, results = scalar_search
-    vals, pts = _lockstep_nelder_mead(_radius_evaluator(c, d, 64), _seeds(count),
-                                      0.1, 1e-11, 300)
-    assert vals.shape == (count,) and pts.shape == (count, 2)
-    for (value, (x, y)), v, p in zip(results, vals, pts):
-        assert abs(v - value) <= 1e-13 * abs(value)
-        assert abs(complex(p[0], p[1]) - complex(x, y)) <= 1e-9
-
-
 def test_maximize_radius_picks_the_scalar_best(scalar_search):
+    # the reference is the best of all 40 reference starts: the maximum is
+    # flat in x, and with ftol 1e-11 one start alone stops up to 1.3e-5 away
     a, c, d, results = scalar_search
-    value, (x, y) = min(results[:29], key=lambda r: (-r[0], r[1][0], r[1][1]))
-    argmax, r0 = maximize_radius(SurfaceSolution(a, c, d, 1.0, RADIUS_PROBE, 256))
-    assert abs(argmax - complex(x, y)) <= 1e-9
-    assert abs(r0 - value) < 1e-9
+    _value, (x, y) = min(results, key=lambda r: (-r[0], r[1][0], r[1][1]))
+    sol = SurfaceSolution(a, c, d, 1.0, RADIUS_PROBE, 256)
+    reference = conformal_radius_at(complex(x, y), sol)
+    for count in (1, 2, 8, 29, 40):
+        argmax, r0 = maximize_radius(sol, starts=count)
+        assert r0 >= reference - 1e-14
+        assert abs(argmax - complex(x, y)) <= 1e-5
 
 
-def test_lockstep_rows_follow_the_one_start_rules_exactly(solution):
-    # on the same evaluator the lockstep rows must retrace each start's loop
-    radius = _radius_evaluator(solution.c, solution.d, 64)
-    vals, pts = _lockstep_nelder_mead(radius, _seeds(29), 0.1, 1e-11, 300)
-    for (x0, y0), v, p in zip(_seeds(29), vals, pts):
-        value, point = _nm_max_reference(
-            lambda x, y: radius(np.array([x]), np.array([y]))[0], x0, y0, 0.1, 1e-11, 300)
-        assert v == value
-        assert tuple(p) == point
+def _log_radius_differences(z, sol, h):
+    """Central differences of log r through the adaptive map: the gradient
+    with step h and the Hessian (xx, xy, yy) with step 10 h."""
+    def phi(w):
+        return math.log(conformal_radius_at(w, sol))
+
+    grad = ((phi(z + h) - phi(z - h)) / (2.0 * h),
+            (phi(z + 1j * h) - phi(z - 1j * h)) / (2.0 * h))
+    k = 10.0 * h
+    mid = 2.0 * phi(z)
+    hess = ((phi(z + k) - mid + phi(z - k)) / k**2,
+            (phi(z + k + 1j * k) - phi(z + k - 1j * k)
+             - phi(z - k + 1j * k) + phi(z - k - 1j * k)) / (4.0 * k**2),
+            (phi(z + 1j * k) - mid + phi(z - 1j * k)) / k**2)
+    return grad, hess
 
 
-ROUGH_OBJECTIVES = {
-    # many failed contractions, so many shrink steps
-    "rough": lambda x, y: -(x * x + y * y) + 0.5 * np.sin(1e3 * x) * np.cos(1e3 * y),
-    # plateaus, so many ties between vertex values
-    "steps": lambda x, y: (-np.floor(4.0 * np.abs(x - 0.3)) - np.floor(4.0 * np.abs(y + 0.2))
-                           - 0.01 * (x * x + y * y)),
-}
+def test_closed_form_derivatives_match_the_adaptive_radius(solution):
+    for z in (0.4 + 0.7j, -0.3 + 0.2j, 0.03 + 0.36j, 1.5 + 0.3j, -1.2 + 0.5j,
+              1.05 + 0.25j, 2.4 + 1.1j):
+        grad, hess = _log_radius_derivatives(z, solution.c, solution.d)
+        fd_grad, fd_hess = _log_radius_differences(z, solution, 1e-4)
+        np.testing.assert_allclose(grad, fd_grad, rtol=0.0, atol=1e-6)
+        np.testing.assert_allclose(hess, fd_hess, rtol=1e-4, atol=1e-4)
 
 
-@pytest.mark.parametrize("max_iter", (8, 300))
-@pytest.mark.parametrize("name", sorted(ROUGH_OBJECTIVES))
-def test_lockstep_rules_on_rough_objectives(name, max_iter):
-    fun = ROUGH_OBJECTIVES[name]
-    starts = np.random.default_rng(3).uniform(-2.0, 2.0, (40, 2))
-    vals, pts = _lockstep_nelder_mead(fun, starts, 0.1, 1e-11, max_iter)
-    for (x0, y0), v, p in zip(starts, vals, pts):
-        value, point = _nm_max_reference(
-            lambda x, y: fun(np.array([x]), np.array([y]))[0], x0, y0, 0.1, 1e-11, max_iter)
-        assert v == value
-        assert tuple(p) == point
+def test_search_returns_a_nondegenerate_maximum(solution):
+    grad, (hxx, hxy, hyy) = _log_radius_derivatives(solution.argmax_z, solution.c,
+                                                    solution.d)
+    assert math.hypot(*grad) <= 1e-10
+    assert hxx < 0.0 and hxx * hyy - hxy * hxy > 0.0
 
 
-def test_batched_radius_matches_the_scalar_radius(solution):
-    c, d = solution.c, solution.d
-    rng = np.random.default_rng(5)
-    x = rng.uniform(-3.0, 3.0, 200)
-    y = rng.uniform(0.0, 2.5, 200)
-    x[:3], y[3:6] = -1.0, 1.0   # no horizontal leg; no vertical leg
-    batched = _radius_evaluator(c, d, 64)(x, y)
-    for xx, yy, value in zip(x, y, batched):
-        reference = _radius_reference(xx, yy, c, d, 64)
-        assert abs(value - reference) <= 1e-14 * abs(reference)
+def test_failed_radius_search_raises(solution, monkeypatch):
+    # this start walks out toward the box edge and never reaches a maximum
+    monkeypatch.setattr(surface, "_default_starts", lambda count: [1.2 + 1.2j])
+    with pytest.raises(ConvergenceError):
+        maximize_radius(solution)
 
 
-def test_batched_radius_rejects_what_the_scalar_radius_rejects(solution, monkeypatch):
-    c, d = solution.c, solution.d
-    radius = _radius_evaluator(c, d, 64)
-    # within 2e-3 of c, d, -1 and 1; then on or below the height 1e-6
-    x = np.array([c + 1e-3, d, -1.0 + 5e-4, 1.0, 0.3, 0.3])
-    y = np.array([1e-3, 1.5e-3, 1e-3, 1.9e-3, 1e-6, 0.0])
-    np.testing.assert_array_equal(radius(x, y), -1.0)
-    assert all(_radius_reference(xx, yy, c, d, 64) == -1.0 for xx, yy in zip(x, y))
-    # the 2e-3 gate keeps the legs clear of the branch points, so the
-    # clearance is widened here to make the checks fire
-    monkeypatch.setattr(surface, "PATH_CLEARANCE", 0.5)
-    for check in (radius, lambda x, y: _radius_reference(x[0], y[0], c, d, 64)):
-        with pytest.raises(PathError, match="vertical leg"):
-            check(np.array([1.1]), np.array([0.05]))
-    monkeypatch.setattr(surface, "PATH_CLEARANCE", 1.5)
-    for check in (radius, lambda x, y: _radius_reference(x[0], y[0], c, d, 64)):
-        with pytest.raises(PathError, match="horizontal leg"):
-            check(np.array([0.3]), np.array([0.5]))
+@pytest.mark.parametrize("a", (0.438, 0.44, 0.462))
+def test_parameter_solve_with_c_next_to_one(a):
+    c, d = solve_parameters(a)
+    assert 1.0 < c < 1.0 + 5e-7 < d
+    first, second = parameter_integrals(c, d)
+    assert abs(first - 1.5 * math.pi) < 1e-9
+    assert abs(second + 0.5 * math.log(a)) < 1e-9
 
 
 def test_segment_clearance_matches_the_scalar_distance():
