@@ -273,17 +273,31 @@ def scalar_search(request):
     return a, c, d, results
 
 
-def test_maximize_radius_picks_the_scalar_best(scalar_search):
-    # the reference is the best of all 40 reference starts: the maximum is
-    # flat in x, and with ftol 1e-11 one start alone stops up to 1.3e-5 away
+def _scalar_best(scalar_search):
+    """(solution, reference argmax, adaptive radius there).
+
+    The reference is the best of all 40 reference starts: the maximum is flat
+    in x, and with ftol 1e-11 one start alone stops up to 1.3e-5 away."""
     a, c, d, results = scalar_search
     _value, (x, y) = min(results, key=lambda r: (-r[0], r[1][0], r[1][1]))
     sol = SurfaceSolution(a, c, d, 1.0, RADIUS_PROBE, 256)
-    reference = conformal_radius_at(complex(x, y), sol)
-    for count in (1, 2, 8, 29, 40):
-        argmax, r0 = maximize_radius(sol, starts=count)
-        assert r0 >= reference - 1e-14
-        assert abs(argmax - complex(x, y)) <= 1e-5
+    return sol, complex(x, y), conformal_radius_at(complex(x, y), sol)
+
+
+# the name is kept from the lockstep Nelder-Mead that the Newton search replaced
+@pytest.mark.parametrize("count", (1, 2, 8, 29, 40))
+def test_lockstep_search_matches_the_scalar_search(scalar_search, count):
+    sol, point, reference = _scalar_best(scalar_search)
+    argmax, r0 = maximize_radius(sol, starts=count)
+    assert r0 >= reference - 1e-14
+    assert abs(argmax - point) <= 1e-5
+
+
+def test_maximize_radius_picks_the_scalar_best(scalar_search):
+    sol, point, reference = _scalar_best(scalar_search)
+    argmax, r0 = maximize_radius(sol)
+    assert r0 >= reference - 1e-14
+    assert abs(argmax - point) <= 1e-5
 
 
 def _log_radius_differences(z, sol, h):
