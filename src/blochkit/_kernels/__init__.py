@@ -2,9 +2,10 @@
 
 The compiled C kernel ``_ckernel`` (built by ``setup.py``) is preferred; the
 vectorized numpy fallback is the reference implementation of the same contract
-(same objective, same simplex-descent branch logic).  The fallback takes B and
-B' from ``blochkit.products._value_and_derivative``, the evaluator the rest of
-the package uses; the C kernel is its compiled twin, one point at a time.  Set
+(same objective, same simplex-descent branch logic, same tracking rules).  The
+fallback takes B and B' from ``blochkit.products._value_and_derivative``, the
+evaluator the rest of the package uses; the C kernel is its compiled twin, one
+point at a time, with one (B, B') routine for all its entries.  Set
 ``BLOCHKIT_PURE=1`` to force the fallback, e.g. for benchmarking.
 
 Both backends expose:
@@ -13,7 +14,20 @@ Both backends expose:
   the objective |f'(B(z))| * |B'(z)| * (1 - |z|^2), or -1.0 outside the barrier;
 * ``refine_starts(zeros, lam, starts, scales, f_kind, max_iter, ftol,
   barrier_radius)`` -> (values, points, iterations), one Nelder-Mead pass per
-  start.
+  start;
+* ``track_routes(zeros, lam, base, pieces, counts, rules)`` -> (ends, status),
+  the base fiber (n points) continued along each of L routes.  ``pieces`` is
+  (start, delta, radius, angle, circle), five arrays over the pieces of all
+  routes in order; piece g is start + t delta, or start + radius exp(i (angle
+  + 2 pi t)) where circle is set, for t in [0, 1].  Route l is the next
+  counts[l] pieces.  ``rules`` is (h_start, h_max, h_min, newton_max,
+  newton_easy, newton_tol, newton_ulps, max_move, collision_tol); the caller,
+  ``covering._track_routes``, documents them.  ``ends`` is L x n complex and
+  ``status`` int64: TRACKED (0), UNDERFLOW (1, the step fell below h_min),
+  COLLISION (2, two points of an accepted fiber came within collision_tol) or
+  NOT_TRACKED (3, an earlier route failed).  A route that is not TRACKED has
+  no defined end fiber.  The C kernel tracks one route at a time in O(n)
+  scratch; the fallback moves all routes in lockstep.
 
 ``f_kind``: 0 = identity, 1 = w/(1-w), 2 = w + w^2/2 (the analytic catalog);
 any other value raises ``ValueError("unknown catalog kind ...")`` before any
@@ -28,6 +42,10 @@ both radial laws (measured: 2 differ, by at most 5.9e-13, their iteration
 totals by 1).  No bound holds for
 ``refine_starts`` with f_kind 1: its simplices climb the 1/|1 - w|^2 blow-up
 against the barrier, where terminal values are path-dependent.
+``track_routes`` statuses and the permutations they give are equal, and end
+fibers agree to 1e-12, the corrector's residual floor, over the 148 routes
+that monodromy tracks on 29 products of degrees 3-10 (measured: 147 routes
+bit for bit, the other within 2.8e-15).
 ``tests/test_kernels.py`` checks these bounds against a freshly compiled
 ``_ckernel``.
 """
@@ -37,6 +55,7 @@ import os
 import numpy as np
 
 from . import _fallback
+from ._fallback import COLLISION, NOT_TRACKED, TRACKED, UNDERFLOW  # noqa: F401
 
 
 def _flat(values, dtype=np.complex128) -> np.ndarray:
@@ -65,7 +84,19 @@ def compiled(module):
                              values, points, iterations)
         return values, points, iterations
 
-    return pointwise_batch, refine_starts
+    def track_routes(zeros, lam, base, pieces, counts, rules):
+        base = _flat(base)
+        counts = _flat(counts, np.int64)
+        start, delta, radius, angle, circle = pieces
+        ends = np.empty((counts.size, base.size), dtype=np.complex128)
+        status = np.empty(counts.size, dtype=np.int64)
+        module.track_routes(_flat(zeros), complex(lam), base, _flat(start), _flat(delta),
+                            _flat(radius, np.float64), _flat(angle, np.float64),
+                            _flat(circle, np.bool_), counts, tuple(rules), ends.reshape(-1),
+                            status)
+        return ends, status
+
+    return pointwise_batch, refine_starts, track_routes
 
 
 if os.environ.get("BLOCHKIT_PURE"):
@@ -80,6 +111,7 @@ if _ckernel is None:
     BACKEND = "python"
     pointwise_batch = _fallback.pointwise_batch
     refine_starts = _fallback.refine_starts
+    track_routes = _fallback.track_routes
 else:
     BACKEND = "c"
-    pointwise_batch, refine_starts = compiled(_ckernel)
+    pointwise_batch, refine_starts, track_routes = compiled(_ckernel)

@@ -1,11 +1,13 @@
-/* Compiled kernel backend: the scalar objective and one Nelder-Mead pass per
- * start, as a plain CPython module.
+/* Compiled kernel backend, as a plain CPython module: the scalar objective,
+ * one Nelder-Mead pass per start, and fiber tracking one route at a time.
  *
  * blochkit._kernels makes the inputs contiguous and allocates the outputs;
  * this module reads and writes them through the buffer protocol, so it needs
- * no numpy headers.  Both loops run with the interpreter lock released, and
- * nothing here is global mutable state, so concurrent calls are safe.  The
- * objective and the branch logic are those of the numpy reference,
+ * no numpy headers.  Every loop runs with the interpreter lock released, and
+ * nothing here is global mutable state, so concurrent calls are safe.  B and
+ * B' come from one routine, blaschke(), which both the objective and the
+ * tracker call.  The objective, the simplex branch logic and the per-route
+ * tracking rules are those of the numpy reference,
  * blochkit._kernels._fallback, evaluated one point at a time.
  */
 #define PY_SSIZE_T_CLEAN
@@ -15,6 +17,9 @@
 #include <string.h>
 
 #define ZERO_SWITCH2 1e-16 /* squared distance below which the product rule takes over */
+#ifndef M_PI
+#define M_PI 3.14159265358979323846
+#endif
 
 typedef struct { double re, im; } cplx;
 
@@ -49,16 +54,34 @@ static inline cplx factor_den(cplx a, cplx z)
     return sub(mk(1.0, 0.0), mul(mk(a.re, -a.im), z));
 }
 
-/* |f'(B(z))| |B'(z)| (1 - |z|^2), or -1 at and beyond the barrier */
-static double objective(Py_ssize_t n, const cplx *zr, cplx lam, cplx z, int kind,
-                        double barrier2)
+/* P'(z) by the product rule, sum_j f_j'(z) prod_{k != j} f_k(z): stable at
+ * a zero of P, where the log-derivative sum collapses */
+static cplx product_rule(Py_ssize_t n, const cplx *zr, cplx z)
 {
-    double r2 = z.re * z.re + z.im * z.im, min_d2 = HUGE_VAL, fp;
-    cplx prod = mk(1.0, 0.0), lsum = mk(0.0, 0.0), bp, u;
+    cplx bp = mk(0.0, 0.0);
     Py_ssize_t j, k;
 
-    if (r2 >= barrier2)
-        return -1.0;
+    for (j = 0; j < n; j++) {
+        cplx den = factor_den(zr[j], z);
+        double aj2 = zr[j].re * zr[j].re + zr[j].im * zr[j].im;
+        cplx term = quot(mk(1.0 - aj2, 0.0), mul(den, den));
+        for (k = 0; k < n; k++)
+            if (k != j)
+                term = mul(term, quot(sub(z, zr[k]), factor_den(zr[k], z)));
+        bp = add(bp, term);
+    }
+    return bp;
+}
+
+/* The product of the factors at z, P = B/lam, and its derivative P' = B'/lam:
+ * P times the log-derivative sum, or the product rule within ZERO_SWITCH of
+ * a zero.  The one (B, B') routine of this file. */
+static inline void blaschke(Py_ssize_t n, const cplx *zr, cplx z, cplx *value, cplx *der)
+{
+    double min_d2 = HUGE_VAL;
+    cplx prod = mk(1.0, 0.0), lsum = mk(0.0, 0.0);
+    Py_ssize_t j;
+
     for (j = 0; j < n; j++) {
         cplx num = sub(z, zr[j]), den = factor_den(zr[j], z);
         double aj2 = zr[j].re * zr[j].re + zr[j].im * zr[j].im;
@@ -68,20 +91,20 @@ static double objective(Py_ssize_t n, const cplx *zr, cplx lam, cplx z, int kind
         if (d2 < min_d2)
             min_d2 = d2;
     }
-    if (min_d2 > ZERO_SWITCH2) {
-        bp = mul(prod, lsum);
-    } else {
-        bp = mk(0.0, 0.0);
-        for (j = 0; j < n; j++) {
-            cplx den = factor_den(zr[j], z);
-            double aj2 = zr[j].re * zr[j].re + zr[j].im * zr[j].im;
-            cplx term = quot(mk(1.0 - aj2, 0.0), mul(den, den));
-            for (k = 0; k < n; k++)
-                if (k != j)
-                    term = mul(term, quot(sub(z, zr[k]), factor_den(zr[k], z)));
-            bp = add(bp, term);
-        }
-    }
+    *value = prod;
+    *der = min_d2 > ZERO_SWITCH2 ? mul(prod, lsum) : product_rule(n, zr, z);
+}
+
+/* |f'(B(z))| |B'(z)| (1 - |z|^2), or -1 at and beyond the barrier */
+static double objective(Py_ssize_t n, const cplx *zr, cplx lam, cplx z, int kind,
+                        double barrier2)
+{
+    double r2 = z.re * z.re + z.im * z.im, fp;
+    cplx prod, bp, u;
+
+    if (r2 >= barrier2)
+        return -1.0;
+    blaschke(n, zr, z, &prod, &bp);
     if (kind == 0) {
         fp = 1.0;
     } else if (kind == 1) {
@@ -174,11 +197,198 @@ static long nelder_mead(Py_ssize_t n, const cplx *zr, cplx lam, int kind, cplx z
     return it;
 }
 
+/* ---- fiber tracking ---------------------------------------------------- */
+
+enum { TRACKED = 0, UNDERFLOW = 1, COLLISION = 2, NOT_TRACKED = 3 };
+
+typedef struct {
+    double h_start, h_max, h_min;
+    long newton_max, newton_easy;
+    double newton_tol, newton_ulps, max_move, collision_tol;
+} track_rules;
+
+/* the route pieces w(t), t in [0, 1]: a segment start + t delta, or a circle
+ * start + radius exp(i (angle + 2 pi t)) */
+typedef struct {
+    const cplx *start, *delta;
+    const double *radius, *angle;
+    const unsigned char *circle;
+} route_pieces;
+
+static cplx piece_at(const route_pieces *p, Py_ssize_t g, double t)
+{
+    if (p->circle[g]) {
+        double theta = p->angle[g] + 2.0 * M_PI * t;
+        return add(p->start[g], scale(p->radius[g], mk(cos(theta), sin(theta))));
+    }
+    return add(p->start[g], scale(t, p->delta[g]));
+}
+
+static inline int is_finite(cplx a) { return isfinite(a.re) && isfinite(a.im); }
+
+static double min_separation(Py_ssize_t n, const cplx *z)
+{
+    double sep = HUGE_VAL;
+    Py_ssize_t i, j;
+    for (i = 0; i < n; i++)
+        for (j = i + 1; j < n; j++) {
+            cplx d = sub(z[i], z[j]);
+            double dist = hypot(d.re, d.im);
+            if (dist < sep)
+                sep = dist;
+        }
+    return sep;
+}
+
+/* Newton on B(x) = w for the n points of a fiber, in place; d receives B' at
+ * the final iterate.  It stops at the first iterate where every point has
+ * |B - w| <= max(newton_tol, newton_ulps |x| |B'|) and returns the number
+ * of updates made, or -1 after more than newton_max updates or a breakdown
+ * (B' not finite or below 1e-300, an update not finite or beyond |x| = 1.2). */
+static long correct(Py_ssize_t nz, const cplx *zr, cplx lam, Py_ssize_t n, cplx *x, cplx *d,
+                    cplx *next, cplx w, const track_rules *rules)
+{
+    long it;
+    Py_ssize_t i;
+
+    for (it = 0;; it++) {
+        int done = 1, live = 1;
+        for (i = 0; i < n; i++) {
+            cplx value, der, r, step;
+            double size;
+            blaschke(nz, zr, x[i], &value, &der);
+            d[i] = mul(lam, der);
+            r = sub(mul(lam, value), w);
+            size = hypot(d[i].re, d[i].im);
+            if (!(hypot(r.re, r.im)
+                  <= fmax(rules->newton_tol, rules->newton_ulps * hypot(x[i].re, x[i].im) * size)))
+                done = 0;
+            step = sub(x[i], quot(r, d[i]));
+            if (!(is_finite(d[i]) && size >= 1e-300 && is_finite(step)
+                  && hypot(step.re, step.im) <= 1.2))
+                live = 0;
+            next[i] = step;
+        }
+        if (done)
+            return it;
+        if (it == rules->newton_max || !live)
+            return -1;
+        memcpy(x, next, n * sizeof(cplx));
+    }
+}
+
+/* Continue the fiber z (n points, B' = der, minimal separation sep) along the
+ * pieces [first, first + count); z ends as the last accepted fiber.  The step
+ * in t halves when the corrector fails or a point moves more than max_move
+ * times the fiber's minimal separation, doubles (up to h_max) after at most
+ * newton_easy updates, and starts at h_start on every piece.  Returns a
+ * status: TRACKED, UNDERFLOW below h_min, or COLLISION when two points of an
+ * accepted fiber are closer than collision_tol. */
+static int track_route(Py_ssize_t nz, const cplx *zr, cplx lam, Py_ssize_t n, cplx *z,
+                       cplx *der, double sep, const route_pieces *pieces, Py_ssize_t first,
+                       Py_ssize_t count, const track_rules *rules, cplx *x, cplx *d, cplx *next)
+{
+    Py_ssize_t g, i;
+
+    for (g = first; g < first + count; g++) {
+        double t = 0.0, h = rules->h_start;
+        cplx w_prev = piece_at(pieces, g, 0.0);
+        for (;;) {
+            double t_new, move = 0.0, new_sep;
+            cplx w_new, dw;
+            long iters;
+
+            if (h > 1.0 - t)
+                h = 1.0 - t;
+            t_new = t + h;
+            w_new = piece_at(pieces, g, t_new);
+            dw = sub(w_new, w_prev);
+            for (i = 0; i < n; i++) {
+                cplx pred = add(z[i], quot(dw, der[i]));
+                x[i] = is_finite(pred) ? pred : z[i];
+            }
+            iters = correct(nz, zr, lam, n, x, d, next, w_new, rules);
+            /* a point may only move a fraction of the minimal separation per
+             * step, or Newton can land on a neighbouring sheet near a
+             * critical fiber without any collision */
+            for (i = 0; iters >= 0 && i < n; i++) {
+                cplx dz = sub(x[i], z[i]);
+                double m = hypot(dz.re, dz.im);
+                if (m > move)
+                    move = m;
+            }
+            if (iters < 0 || move > rules->max_move * sep) {
+                h *= 0.5;
+                if (h < rules->h_min)
+                    return UNDERFLOW;
+                continue;
+            }
+            new_sep = min_separation(n, x);
+            if (new_sep < rules->collision_tol)
+                return COLLISION;
+            memcpy(z, x, n * sizeof(cplx));
+            memcpy(der, d, n * sizeof(cplx));
+            sep = new_sep;
+            w_prev = w_new;
+            t = t_new;
+            if (iters <= rules->newton_easy)
+                h = fmin(2.0 * h, rules->h_max);
+            if (!(t < 1.0 - 1e-15))
+                break;
+        }
+    }
+    return TRACKED;
+}
+
+/* Track every route from the base fiber, route by route, into ends (one row
+ * of n per route) and status; the first route that fails stops the rest,
+ * which are NOT_TRACKED.  scratch holds 5 n points. */
+static void track_routes_loop(Py_ssize_t nz, const cplx *zr, cplx lam, Py_ssize_t n,
+                              const cplx *base, const route_pieces *pieces,
+                              const int64_t *counts, Py_ssize_t routes,
+                              const track_rules *rules, cplx *ends, int64_t *status,
+                              cplx *scratch)
+{
+    cplx *base_der = scratch, *der = scratch + n, *x = scratch + 2 * n, *d = scratch + 3 * n,
+         *next = scratch + 4 * n;
+    double base_sep = min_separation(n, base);
+    Py_ssize_t l, i, first = 0;
+    int failed = 0;
+
+    for (i = 0; i < n; i++) {
+        cplx value;
+        blaschke(nz, zr, base[i], &value, &base_der[i]);
+        base_der[i] = mul(lam, base_der[i]);
+    }
+    for (l = 0; l < routes; first += counts[l], l++) {
+        cplx *z = ends + l * n;
+        memcpy(z, base, n * sizeof(cplx));
+        if (failed) {
+            status[l] = NOT_TRACKED;
+            continue;
+        }
+        memcpy(der, base_der, n * sizeof(cplx));
+        status[l] = track_route(nz, zr, lam, n, z, der, base_sep, pieces, first, counts[l],
+                                rules, x, d, next);
+        failed = status[l] != TRACKED;
+    }
+}
+
 typedef struct {
     const char *format, *name;
     Py_ssize_t itemsize;
     int writable;
+    int size_of; /* index of the array whose item count this one has, or -1: any */
 } array_spec;
+
+static int check_count(const Py_buffer *view, const char *name, Py_ssize_t count)
+{
+    if (view->len / view->itemsize == count)
+        return 0;
+    PyErr_Format(PyExc_ValueError, "%s: expected %zd items, got %zd", name, count,
+                 view->len / view->itemsize);
+    return -1;
+}
 
 /* Get a C-contiguous buffer of `count` items (any count if negative) in the
  * struct format of `spec`; numpy reports int64 as 'l' where long has 64 bits. */
@@ -193,10 +403,7 @@ static int get_array(PyObject *obj, Py_buffer *view, const array_spec *spec, Py_
              || (strcmp(spec->format, "q") == 0 && strcmp(view->format, "l") == 0))) {
         PyErr_Format(PyExc_TypeError, "%s: expected format '%s', got '%s'", spec->name,
                      spec->format, view->format);
-    } else if (count >= 0 && view->len / view->itemsize != count) {
-        PyErr_Format(PyExc_ValueError, "%s: expected %zd items, got %zd", spec->name, count,
-                     view->len / view->itemsize);
-    } else {
+    } else if (count < 0 || check_count(view, spec->name, count) == 0) {
         return 0;
     }
     PyBuffer_Release(view);
@@ -209,13 +416,14 @@ static void release_arrays(Py_buffer *b, int count)
         PyBuffer_Release(&b[count]);
 }
 
-/* Get the buffers of obj[0..count): the zeros and the points of any length,
- * every later array as long as the points.  On failure none is held. */
+/* Get the buffers of obj[0..count), each as long as spec says.  On failure
+ * none is held. */
 static int get_arrays(PyObject **obj, Py_buffer *b, const array_spec *spec, int count)
 {
     int i;
     for (i = 0; i < count; i++) {
-        if (get_array(obj[i], &b[i], &spec[i], i < 2 ? -1 : b[1].len / b[1].itemsize) < 0) {
+        int of = spec[i].size_of;
+        if (get_array(obj[i], &b[i], &spec[i], of < 0 ? -1 : b[of].len / b[of].itemsize) < 0) {
             release_arrays(b, i);
             return -1;
         }
@@ -232,7 +440,7 @@ static int check_kind(int kind)
 }
 
 static const array_spec pointwise_spec[3] = {
-    {"Zd", "zeros", 16, 0}, {"Zd", "pts", 16, 0}, {"d", "out", 8, 1},
+    {"Zd", "zeros", 16, 0, -1}, {"Zd", "pts", 16, 0, -1}, {"d", "out", 8, 1, 1},
 };
 
 PyDoc_STRVAR(pointwise_batch_doc,
@@ -266,8 +474,8 @@ static PyObject *pointwise_batch(PyObject *Py_UNUSED(self), PyObject *args)
 }
 
 static const array_spec refine_spec[6] = {
-    {"Zd", "zeros", 16, 0}, {"Zd", "starts", 16, 0}, {"d", "scales", 8, 0},
-    {"d", "values", 8, 1},  {"Zd", "points", 16, 1}, {"q", "iterations", 8, 1},
+    {"Zd", "zeros", 16, 0, -1}, {"Zd", "starts", 16, 0, -1}, {"d", "scales", 8, 0, 1},
+    {"d", "values", 8, 1, 1},   {"Zd", "points", 16, 1, 1},  {"q", "iterations", 8, 1, 1},
 };
 
 PyDoc_STRVAR(refine_starts_doc,
@@ -307,15 +515,79 @@ static PyObject *refine_starts(PyObject *Py_UNUSED(self), PyObject *args)
     Py_RETURN_NONE;
 }
 
+static const array_spec track_spec[10] = {
+    {"Zd", "zeros", 16, 0, -1}, {"Zd", "base", 16, 0, -1},   {"Zd", "start", 16, 0, -1},
+    {"Zd", "delta", 16, 0, 2},  {"d", "radius", 8, 0, 2},     {"d", "angle", 8, 0, 2},
+    {"?", "circle", 1, 0, 2},   {"q", "counts", 8, 0, -1},    {"Zd", "ends", 16, 1, -1},
+    {"q", "status", 8, 1, 7},
+};
+
+PyDoc_STRVAR(track_routes_doc,
+"track_routes(zeros, lam, base, start, delta, radius, angle, circle, counts,\n"
+"             rules, ends, status)\n\n"
+"Continue the base fiber along every route, one after the other.  Route l is\n"
+"the next counts[l] pieces; rules is (h_start, h_max, h_min, newton_max,\n"
+"newton_easy, newton_tol, newton_ulps, max_move, collision_tol).  Writes the end\n"
+"fiber of route l to ends[l * n:(l + 1) * n] and its status (int64) to status[l].");
+
+static PyObject *track_routes(PyObject *Py_UNUSED(self), PyObject *args)
+{
+    PyObject *obj[10];
+    Py_buffer b[10];
+    Py_complex lam;
+    track_rules rules;
+    cplx *scratch;
+    Py_ssize_t i, total = 0;
+
+    if (!PyArg_ParseTuple(args, "ODOOOOOOO(dddlldddd)OO", &obj[0], &lam, &obj[1], &obj[2],
+                          &obj[3], &obj[4], &obj[5], &obj[6], &obj[7], &rules.h_start,
+                          &rules.h_max, &rules.h_min, &rules.newton_max, &rules.newton_easy,
+                          &rules.newton_tol, &rules.newton_ulps, &rules.max_move,
+                          &rules.collision_tol, &obj[8], &obj[9])
+        || get_arrays(obj, b, track_spec, 10) < 0)
+        return NULL;
+    {
+        const int64_t *counts = b[7].buf;
+        Py_ssize_t n = b[1].len / 16, routes = b[7].len / 8;
+        int negative = 0;
+        for (i = 0; i < routes; i++) {
+            negative |= counts[i] < 0;
+            total += counts[i];
+        }
+        if (negative || total != b[2].len / 16) {
+            PyErr_Format(PyExc_ValueError, "counts: expected nonnegative counts summing to %zd",
+                         b[2].len / 16);
+        } else if (check_count(&b[8], "ends", routes * n) == 0) {
+            route_pieces pieces = {b[2].buf, b[3].buf, b[4].buf, b[5].buf, b[6].buf};
+            scratch = PyMem_Malloc(5 * n * sizeof(cplx));
+            if (scratch == NULL) {
+                PyErr_NoMemory();
+            } else {
+                Py_BEGIN_ALLOW_THREADS
+                track_routes_loop(b[0].len / 16, b[0].buf, mk(lam.real, lam.imag), n, b[1].buf,
+                                  &pieces, counts, routes, &rules, b[8].buf, b[9].buf, scratch);
+                Py_END_ALLOW_THREADS
+                PyMem_Free(scratch);
+            }
+        }
+    }
+    release_arrays(b, 10);
+    if (PyErr_Occurred())
+        return NULL;
+    Py_RETURN_NONE;
+}
+
 static PyMethodDef methods[] = {
     {"pointwise_batch", pointwise_batch, METH_VARARGS, pointwise_batch_doc},
     {"refine_starts", refine_starts, METH_VARARGS, refine_starts_doc},
+    {"track_routes", track_routes, METH_VARARGS, track_routes_doc},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, "_ckernel",
-    "Compiled Bloch-seminorm kernels; see blochkit._kernels for the contract.",
+    "Compiled Bloch-seminorm and fiber-tracking kernels; see blochkit._kernels for the\n"
+    "contract.",
     0, methods, NULL, NULL, NULL, NULL,
 };
 

@@ -4,10 +4,14 @@ Runs every simplex in the multistart *simultaneously*: the Nelder-Mead control
 flow is expressed through boolean masks so each of the k simplices follows
 exactly the branch logic of the scalar compiled kernel (``_ckernel.c``), while
 every objective evaluation is a single vectorized sweep over all active
-simplices.
+simplices.  Fiber tracking works the same way: the fibers of all routes move
+in one lockstep L x n batch, each row under the per-route rules that the
+compiled kernel applies to one route at a time.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -144,3 +148,130 @@ def _refine_starts(zeros, lam, starts, scales, f_kind, max_iter, ftol, barrier_r
     best = np.argmax(F, axis=1)
     rows = np.arange(k)
     return F[rows, best].copy(), V[rows, best].copy(), iters
+
+
+# ----------------------------------------------------------------------------
+# fiber tracking
+# ----------------------------------------------------------------------------
+
+TRACKED, UNDERFLOW, COLLISION, NOT_TRACKED = 0, 1, 2, 3
+
+
+def _min_separation(z: np.ndarray) -> np.ndarray:
+    """Smallest distance between two points in each row of z."""
+    d = np.abs(z[:, :, None] - z[:, None, :])
+    k = np.arange(z.shape[1])
+    d[:, k, k] = np.inf
+    return d.min(axis=(1, 2))
+
+
+def _newton(zeros, lam, z: np.ndarray, w: np.ndarray, newton_max: int, tol: float,
+            ulps: float):
+    """Newton on B(z) = w[i] for each row i of z, a fiber; returns (z, B'(z), iters, ok).
+
+    A row stops at its first iterate where every point has |B(z) - w| <=
+    max(tol, ulps |z| |B'(z)|), i.e. within one ulp of z pushed through B':
+    near a zero close to the circle |B'| is large and an absolute tolerance
+    lies below rounding.  A row that needs more than newton_max updates, or
+    whose derivative or iterate breaks down, is not ok.  Stopped rows are
+    evaluated again at the same point, which keeps their B'.
+    """
+    iters = np.zeros(z.shape[0], dtype=np.int64)
+    live = np.ones(z.shape[0], dtype=bool)
+    ok = np.zeros(z.shape[0], dtype=bool)
+    for it in range(newton_max + 1):
+        value, der = _value_and_derivative(zeros, lam, z)
+        r = value - w[:, None]
+        size = np.abs(der)
+        done = (np.abs(r) <= np.fmax(tol, ulps * np.abs(z) * size)).all(axis=1)
+        ok |= live & done
+        live &= ~done
+        if it == newton_max or not live.any():
+            break
+        step = z - r / der
+        live &= (np.isfinite(der) & (size >= 1e-300)
+                 & np.isfinite(step) & (np.abs(step) <= 1.2)).all(axis=1)
+        z = np.where(live[:, None], step, z)
+        iters += live
+    return z, der, iters, ok
+
+
+def track_routes(zeros, lam, base, pieces, counts, rules):
+    """Continue the base fiber along every route at once, in lockstep.
+
+    Row l of the L x n state is the fiber over route l, with its own piece,
+    t, step h and last accepted w; an active mask drops the rows that are
+    done.  The per-row rules are those of ``_ckernel.c``'s ``track_route``.
+    The first failed route stops the later ones, which are NOT_TRACKED
+    whatever they reached.
+    """
+    (h_start, h_max, h_min, newton_max, newton_easy, newton_tol, newton_ulps, max_move,
+     collision_tol) = rules
+    zeros = np.ascontiguousarray(zeros, dtype=np.complex128)
+    lam = complex(lam)
+    base = np.asarray(base, dtype=np.complex128)
+    start, delta, radius, angle, circle = (np.asarray(a) for a in pieces)
+    counts = np.asarray(counts, dtype=np.int64)
+    end = np.cumsum(counts)
+    piece = end - counts
+
+    def w_at(g, t):
+        theta = angle[g] + 2.0 * math.pi * t
+        return np.where(circle[g], start[g] + radius[g] * (np.cos(theta) + 1j * np.sin(theta)),
+                        start[g] + t * delta[g])
+
+    L = counts.size
+    status = np.full(L, TRACKED, dtype=np.int64)
+    stop = L  # the first failed route; it and all later ones are dropped
+    with np.errstate(all="ignore"):
+        z = np.tile(base, (L, 1))
+        der = np.tile(_value_and_derivative(zeros, lam, base)[1], (L, 1))
+        sep = np.full(L, _min_separation(base[None, :])[0])
+        t = np.zeros(L)
+        h = np.full(L, h_start)
+        w_prev = w_at(piece, t)
+        active = np.ones(L, dtype=bool)
+        while active.any():
+            rows = np.nonzero(active)[0]
+            h[rows] = np.minimum(h[rows], 1.0 - t[rows])
+            t_new = t[rows] + h[rows]
+            w_new = w_at(piece[rows], t_new)
+            z0 = z[rows]
+            pred = z0 + (w_new - w_prev[rows])[:, None] / der[rows]
+            pred = np.where(np.isfinite(pred), pred, z0)
+            z1, d1, iters, ok = _newton(zeros, lam, pred, w_new, newton_max, newton_tol,
+                                        newton_ulps)
+            ok &= ~(np.abs(z1 - z0).max(axis=1) > max_move * sep[rows])
+
+            rejected = rows[~ok]
+            h[rejected] *= 0.5
+            for row in rejected[h[rejected] < h_min]:
+                status[row] = UNDERFLOW
+                stop = min(stop, row)
+
+            good = np.flatnonzero(ok)
+            new_sep = _min_separation(z1[good])
+            collided = new_sep < collision_tol
+            for row in rows[good[collided]]:
+                status[row] = COLLISION
+                stop = min(stop, row)
+            keep = good[~collided]
+            acc = rows[keep]
+            z[acc] = z1[keep]
+            der[acc] = d1[keep]
+            sep[acc] = new_sep[~collided]
+            w_prev[acc] = w_new[keep]
+            t[acc] = t_new[keep]
+            easy = acc[iters[keep] <= newton_easy]
+            h[easy] = np.minimum(2.0 * h[easy], h_max)
+
+            finished = acc[~(t[acc] < 1.0 - 1e-15)]
+            piece[finished] += 1
+            active[finished[piece[finished] == end[finished]]] = False
+            nxt = finished[piece[finished] < end[finished]]
+            t[nxt] = 0.0
+            h[nxt] = h_start
+            w_prev[nxt] = w_at(piece[nxt], t[nxt])
+            active[stop:] = False
+    status[stop + 1:] = NOT_TRACKED
+    return z, status

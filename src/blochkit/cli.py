@@ -207,7 +207,9 @@ def cmd_theorem4(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     product = _load_product(args.input)
     report = analyze_covering(product, a=args.a, perturb=args.perturb, seed=args.seed)
-    estimate = seminorm(product, OptimizerConfig(seed=args.seed))
+    # a perturbed report holds the critical points of another product
+    critical = None if args.perturb else report.critical_points
+    estimate = seminorm(product, OptimizerConfig(seed=args.seed), critical)
     _print_json({"report": report.to_json(), "seminorm_estimate": estimate.to_json()})
     return 0
 

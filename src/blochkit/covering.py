@@ -17,8 +17,9 @@ basis (Bini, Numer. Algorithms 13, 1996; Bini & Robol, MPSolve, J. Comput.
 Appl. Math. 272, 2014).  Each root freezes once its relative residual
 reaches rounding level, and must pass a relative residual gate of 1e-10.
 Fiber tracking uses an Euler predictor with a Newton corrector and adaptive
-step control, with the fibers of all loops advanced together in one
-lockstep batch.
+step control.  ``_kernels.track_routes`` does the work: the compiled kernel
+tracks one route at a time, and the numpy fallback, its reference, advances
+the fibers of all routes together in one lockstep batch.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _kernels
 from .errors import (
     CollisionError,
     ContinuationError,
@@ -61,11 +63,15 @@ _VALUE_CLUSTER_TOL = 1e-9
 _FREEZE_ULPS = 4.0 * np.finfo(np.float64).eps
 
 
+#: 2 pi times the first draw of numpy.random.default_rng(0), written out: the
+#: draw would import numpy.random, about 6 MB of resident memory, for one number
+_RING_PHASE = 2.0 * math.pi * 0.6369616873214543
+
+
 def _ring(count: int) -> np.ndarray:
     """Aberth start points: ``count`` points evenly spaced on the circle of
-    radius 0.9, with a phase offset drawn from a generator seeded with 0."""
-    phase = 2.0 * math.pi * np.random.default_rng(0).random()
-    return 0.9 * np.exp(1j * (2.0 * math.pi * np.arange(count) / count + phase))
+    radius 0.9, with the phase offset _RING_PHASE."""
+    return 0.9 * np.exp(1j * (2.0 * math.pi * np.arange(count) / count + _RING_PHASE))
 
 
 def _repulsion(z: np.ndarray, idx: np.ndarray, mirrored: bool) -> np.ndarray:
@@ -237,7 +243,7 @@ def fiber_solve(B: BlaschkeProduct, w: complex) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------------
-# lockstep fiber tracking
+# fiber tracking
 # ----------------------------------------------------------------------------
 
 _H_START = 1.0 / 16.0   # step in t at the start of every piece of a route
@@ -250,129 +256,34 @@ _NEWTON_ULPS = 8.0 * np.finfo(np.float64).eps
 _MAX_MOVE = 0.4         # per step, as a fraction of the fiber's minimal separation
 
 
-def _min_separation(z: np.ndarray) -> np.ndarray:
-    """Smallest distance between two points in each row of z."""
-    d = np.abs(z[:, :, None] - z[:, None, :])
-    k = np.arange(z.shape[1])
-    d[:, k, k] = np.inf
-    return d.min(axis=(1, 2))
-
-
-def _newton(B: BlaschkeProduct, z: np.ndarray, w: np.ndarray):
-    """Newton on B(z) = w[i] for each row i of z, a fiber; returns (z, B'(z), iters, ok).
-
-    A row stops at its first iterate where every point has |B(z) - w| <=
-    max(1e-12, 8 eps |z| |B'(z)|), i.e. within one ulp of z pushed through
-    B': near a zero close to the circle |B'| is large and an absolute 1e-12
-    lies below rounding.  A row that needs more than _NEWTON_MAX updates, or
-    whose derivative or iterate breaks down, is not ok.  Stopped rows are
-    evaluated again at the same point, which keeps their B'.
-    """
-    iters = np.zeros(z.shape[0], dtype=np.int64)
-    live = np.ones(z.shape[0], dtype=bool)
-    ok = np.zeros(z.shape[0], dtype=bool)
-    for it in range(_NEWTON_MAX + 1):
-        value, der = _value_and_derivative(B.zeros_array, B.rotation, z)
-        r = value - w[:, None]
-        size = np.abs(der)
-        done = (np.abs(r) <= np.fmax(_NEWTON_TOL, _NEWTON_ULPS * np.abs(z) * size)).all(axis=1)
-        ok |= live & done
-        live &= ~done
-        if it == _NEWTON_MAX or not live.any():
-            break
-        step = z - r / der
-        live &= (np.isfinite(der) & (size >= 1e-300)
-                 & np.isfinite(step) & (np.abs(step) <= 1.2)).all(axis=1)
-        z = np.where(live[:, None], step, z)
-        iters += live
-    return z, der, iters, ok
-
-
 def _track_routes(B: BlaschkeProduct, base: np.ndarray, routes: list[list[tuple]]):
-    """Continue the base fiber along every route at once, in lockstep.
+    """Continue the base fiber along every route.
 
     A route is a list of pieces w(t), t in [0, 1], made by _segment and
-    _circle.  Row l of the L x n state is the fiber over route l, with its own
-    piece, t, step h and last accepted w; an active mask drops the rows that
-    are done.  Per row: Euler predictor
-    dz = dw / B'(z), Newton corrector; the step halves when the corrector
-    fails or needs more than 4 iterations, or a sheet moves more than 0.4 of
-    the fiber's minimal separation, and doubles (up to 0.125) after at most
-    2 iterations; every piece starts at h = 1/16.  The B' of the accepted
-    corrector iterate serves the next predictor.
+    _circle.  Per route: Euler predictor dz = dw / B'(z), Newton corrector;
+    the step halves when the corrector fails or needs more than 4
+    iterations, or a sheet moves more than 0.4 of the fiber's minimal
+    separation, and doubles (up to 0.125) after at most 2 iterations; every
+    piece starts at h = 1/16.  The B' of the accepted corrector iterate
+    serves the next predictor.  The move limit keeps Newton from silently
+    converging to a neighbouring sheet near a critical fiber, which would
+    scramble the permutation without tripping the collision check.  The
+    work is ``_kernels.track_routes``.
 
     Returns the end fibers and, per route, the error that stopped it or
     None.  A failure drops the later routes as well: a caller going through
     the routes in order raises before it reaches them.
     """
-    counts = [len(route) for route in routes]
-    start, delta, radius, angle, circle = map(
-        np.array, zip(*[piece for route in routes for piece in route]))
-    end = np.cumsum(counts)
-    piece = end - counts
-
-    def w_at(g, t):
-        theta = angle[g] + 2.0 * math.pi * t
-        return np.where(circle[g], start[g] + radius[g] * (np.cos(theta) + 1j * np.sin(theta)),
-                        start[g] + t * delta[g])
-
-    L = len(routes)
-    errors: list[Exception | None] = [None] * L
-    stop = L  # the first failed route; it and all later ones are dropped
-    with np.errstate(all="ignore"):
-        z = np.tile(base, (L, 1))
-        der = np.tile(_value_and_derivative(B.zeros_array, B.rotation, base)[1], (L, 1))
-        sep = np.full(L, _min_separation(base[None, :])[0])
-        t = np.zeros(L)
-        h = np.full(L, _H_START)
-        w_prev = w_at(piece, t)
-        active = np.ones(L, dtype=bool)
-        while active.any():
-            rows = np.nonzero(active)[0]
-            h[rows] = np.minimum(h[rows], 1.0 - t[rows])
-            t_new = t[rows] + h[rows]
-            w_new = w_at(piece[rows], t_new)
-            z0 = z[rows]
-            pred = z0 + (w_new - w_prev[rows])[:, None] / der[rows]
-            pred = np.where(np.isfinite(pred), pred, z0)
-            z1, d1, iters, ok = _newton(B, pred, w_new)
-            # a sheet may only move a fraction of the fiber's minimal
-            # separation per step, otherwise Newton can silently converge to a
-            # neighbouring sheet near a critical fiber and scramble the
-            # permutation without tripping the collision check
-            ok &= ~(np.abs(z1 - z0).max(axis=1) > _MAX_MOVE * sep[rows])
-
-            rejected = rows[~ok]
-            h[rejected] *= 0.5
-            for row in rejected[h[rejected] < _H_MIN]:
-                errors[row] = ContinuationError("fiber tracking step size underflow")
-                stop = min(stop, row)
-
-            good = np.flatnonzero(ok)
-            new_sep = _min_separation(z1[good])
-            collided = new_sep < COLLISION_TOL
-            for row in rows[good[collided]]:
-                errors[row] = CollisionError("two fiber paths collided during tracking")
-                stop = min(stop, row)
-            keep = good[~collided]
-            acc = rows[keep]
-            z[acc] = z1[keep]
-            der[acc] = d1[keep]
-            sep[acc] = new_sep[~collided]
-            w_prev[acc] = w_new[keep]
-            t[acc] = t_new[keep]
-            easy = acc[iters[keep] <= _NEWTON_EASY]
-            h[easy] = np.minimum(2.0 * h[easy], _H_MAX)
-
-            finished = acc[~(t[acc] < 1.0 - 1e-15)]
-            piece[finished] += 1
-            active[finished[piece[finished] == end[finished]]] = False
-            nxt = finished[piece[finished] < end[finished]]
-            t[nxt] = 0.0
-            h[nxt] = _H_START
-            w_prev[nxt] = w_at(piece[nxt], t[nxt])
-            active[stop:] = False
-    return z, errors
+    pieces = tuple(map(np.array, zip(*[piece for route in routes for piece in route])))
+    rules = (_H_START, _H_MAX, _H_MIN, _NEWTON_MAX, _NEWTON_EASY, _NEWTON_TOL, _NEWTON_ULPS,
+             _MAX_MOVE, COLLISION_TOL)
+    ends, status = _kernels.track_routes(B.zeros_array, B.rotation, base, pieces,
+                                         [len(route) for route in routes], rules)
+    errors = {
+        _kernels.UNDERFLOW: ContinuationError("fiber tracking step size underflow"),
+        _kernels.COLLISION: CollisionError("two fiber paths collided during tracking"),
+    }
+    return ends, [errors.get(int(code)) for code in status]
 
 
 def _segment_waypoints(w0: complex, w1: complex,
@@ -456,7 +367,9 @@ def _monodromy(B: BlaschkeProduct, base_point: complex | None, loop_radius_facto
     if np.min(np.abs(centers - w_star)) < _BASE_CLEARANCE:
         raise DomainError("base point coincides with a critical value")
 
-    base = fiber_solve(B, w_star)
+    # over w = 0, clear of every critical value, the fiber is the zeros, and
+    # they are distinct
+    base = _lex_sort(B.zeros_array) if w_star == 0 else fiber_solve(B, w_star)
     sep = np.abs(base[:, None] - base[None, :])
     np.fill_diagonal(sep, np.inf)
     match_tol = 0.45 * sep.min()

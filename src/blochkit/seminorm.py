@@ -165,16 +165,21 @@ def _golden_section(f, lo, hi, tol: float):
     return 0.5 * (lo + hi)
 
 
-def _start_points(B: BlaschkeProduct, config: OptimizerConfig) -> list[complex]:
+def _start_points(B: BlaschkeProduct, config: OptimizerConfig,
+                  critical: tuple[complex, ...] | None = None) -> list[complex]:
+    """The deduplicated starts; ``critical``, when given, is
+    ``covering.critical_points(B)`` from a caller that already has it."""
     starts: list[complex] = [0.0 + 0.0j]
     starts.extend(complex(z) for z in B.zeros)
     if config.include_critical_starts and B.degree >= 2:
-        from . import covering
+        if critical is None:
+            from . import covering
 
-        try:
-            starts.extend(covering.critical_points(B))
-        except RootCountError:
-            pass
+            try:
+                critical = covering.critical_points(B)
+            except RootCountError:
+                critical = ()
+        starts.extend(critical)
     radii = _van_der_corput(config.grid_radii)
     for k in range(config.grid_angles):
         theta = 2.0 * math.pi * k / config.grid_angles
@@ -200,9 +205,10 @@ def _scales(starts: np.ndarray) -> np.ndarray:
     return np.minimum(0.1, 0.5 * (1.0 - np.abs(starts)))
 
 
-def _run_multistart(B: BlaschkeProduct, config: OptimizerConfig,
-                    kernel_kind: int) -> tuple[float, complex, int, int]:
-    starts = np.asarray(_start_points(B, config), dtype=np.complex128)
+def _run_multistart(B: BlaschkeProduct, config: OptimizerConfig, kernel_kind: int,
+                    critical: tuple[complex, ...] | None = None
+                    ) -> tuple[float, complex, int, int]:
+    starts = np.asarray(_start_points(B, config, critical), dtype=np.complex128)
     zeros = B.zeros_array
     lam = complex(B.rotation)
     vals, pts, iters = impl.refine_starts(
@@ -235,14 +241,17 @@ def _argbest(vals: np.ndarray, pts: np.ndarray) -> int:
     return keys[0][2]
 
 
-def seminorm(B: BlaschkeProduct, config: OptimizerConfig | None = None) -> SeminormEstimate:
+def seminorm(B: BlaschkeProduct, config: OptimizerConfig | None = None,
+             critical_points: tuple[complex, ...] | None = None) -> SeminormEstimate:
     """Multistart lower-bound estimate of sup |B'(z)|(1-|z|^2).
 
     The returned value is recomputed at the argmax with the pointwise formula,
-    so ``value == pointwise_bloch(B, argmax)`` holds by construction.
+    so ``value == pointwise_bloch(B, argmax)`` holds by construction.  A
+    caller that already holds ``covering.critical_points(B)`` may pass it as
+    ``critical_points`` to spare the second solve; the estimate is the same.
     """
     config = config or OptimizerConfig()
-    _val, argmax, used, iters = _run_multistart(B, config, 0)
+    _val, argmax, used, iters = _run_multistart(B, config, 0, critical_points)
     return SeminormEstimate(pointwise_bloch(B, argmax), argmax, used, iters)
 
 

@@ -151,6 +151,33 @@ def test_analyze_subcommand(product_file):
     assert data["seminorm_estimate"]["value"] > 0.0
 
 
+def test_analyze_solves_the_critical_points_once(product_file, monkeypatch, capsys):
+    """The seminorm reuses the report's critical points, and the base fiber
+    over w = 0 is the zeros; a perturbed report is of another product."""
+    from blochkit import cli, covering
+    from blochkit.products import BlaschkeProduct
+    from blochkit.seminorm import OptimizerConfig, seminorm
+
+    calls = []
+    for name in ("critical_points", "fiber_solve"):
+        solve = getattr(covering, name)
+        monkeypatch.setattr(covering, name,
+                            lambda *args, _solve=solve, _name=name:
+                            calls.append(_name) or _solve(*args))
+    assert cli.main(["analyze", "--input", product_file]) == 0
+    assert calls == ["critical_points"]
+    product = BlaschkeProduct.from_json(json.loads(Path(product_file).read_text()))
+    monkeypatch.undo()
+    estimate = seminorm(product, OptimizerConfig(seed=0))
+    assert json.loads(capsys.readouterr().out)["seminorm_estimate"] == estimate.to_json()
+    monkeypatch.setattr(covering, "critical_points",
+                        lambda B, _solve=covering.critical_points:
+                        calls.append("critical_points") or _solve(B))
+    calls.clear()
+    assert cli.main(["analyze", "--input", product_file, "--perturb"]) == 0
+    assert calls == ["critical_points", "critical_points"]
+
+
 def test_analyze_perturb_path(tmp_path):
     path = tmp_path / "sym.json"
     path.write_text(json.dumps({"zeros": [[0.5, 0.0], [-0.5, 0.0],

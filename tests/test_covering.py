@@ -22,7 +22,8 @@ from blochkit.covering import (
     monodromy,
     sheet_tree,
 )
-from blochkit import covering
+from blochkit import _kernels, covering
+from blochkit._kernels import _fallback
 from blochkit.cli import _sweep_product
 from blochkit.errors import CollisionError, ContinuationError, DomainError, StructureError
 from blochkit.products import (
@@ -65,6 +66,10 @@ def _known_ratio(roots):
         return (1.0 / diff).sum(axis=1), np.abs(np.prod(diff, axis=1)) / scale
 
     return ratio
+
+
+def test_ring_phase_is_the_seeded_draw():
+    assert covering._RING_PHASE == 2.0 * math.pi * np.random.default_rng(0).random()
 
 
 def test_aberth_known_cubic():
@@ -409,6 +414,9 @@ def _track_piece_reference(evaluate, z, piece):
 
 
 def test_lockstep_tracking_matches_route_by_route_reference(monkeypatch):
+    # the numpy lockstep tracker, the reference twin of the compiled one,
+    # whatever backend was imported; test_kernels holds the two together
+    monkeypatch.setattr(_kernels, "track_routes", _fallback.track_routes)
     seen = []
 
     def record(B, base, routes):
@@ -432,12 +440,36 @@ def test_lockstep_tracking_matches_route_by_route_reference(monkeypatch):
                 np.testing.assert_array_equal(z, end)
 
 
-def test_tracking_failures_keep_their_errors(monkeypatch):
+def test_tracking_failures_keep_their_errors(monkeypatch, request):
+    backends = [_fallback.track_routes]
+    try:  # and the C kernel, wherever it compiles
+        backends.append(_kernels.compiled(request.getfixturevalue("ckernel"))[2])
+    except pytest.skip.Exception:
+        pass
     B = random_product(5, seed=181)
-    monkeypatch.setattr(covering, "COLLISION_TOL", 2.0)
-    with pytest.raises(CollisionError, match="two fiber paths collided during tracking"):
-        monodromy(B)
-    monkeypatch.undo()
-    monkeypatch.setattr(covering, "_MAX_MOVE", 0.0)
-    with pytest.raises(ContinuationError, match="fiber tracking step size underflow"):
-        monodromy(B)
+    # a route whose first piece starts at w = 0.9, away from the base fiber
+    # over 0: no step is ever accepted, and the step size underflows
+    stray = [covering._segment(0.9 + 0j, 0.95 + 0j)]
+    track = covering._track_routes
+
+    def with_stray(at):
+        return lambda B, base, routes: track(B, base, [*routes[:at], stray, *routes[at:]])
+
+    for backend in backends:
+        with monkeypatch.context() as m:
+            m.setattr(_kernels, "track_routes", backend)
+            m.setattr(covering, "COLLISION_TOL", 2.0)
+            with pytest.raises(CollisionError, match="two fiber paths collided during tracking"):
+                monodromy(B)
+            # two routes fail, each in its own way: the earlier one's error is raised
+            m.setattr(covering, "_track_routes", with_stray(0))
+            with pytest.raises(ContinuationError, match="fiber tracking step size underflow"):
+                monodromy(B)
+            m.setattr(covering, "_track_routes", with_stray(1))
+            with pytest.raises(CollisionError, match="two fiber paths collided during tracking"):
+                monodromy(B)
+        with monkeypatch.context() as m:
+            m.setattr(_kernels, "track_routes", backend)
+            m.setattr(covering, "_MAX_MOVE", 0.0)
+            with pytest.raises(ContinuationError, match="fiber tracking step size underflow"):
+                monodromy(B)

@@ -1,61 +1,33 @@
 """Backend parity: the compiled C kernel and the numpy fallback agree.
 
-The C kernel is compiled from this tree into a temporary directory, so these
-tests run wherever a C compiler exists, whether or not the package was built.
+The C kernel is compiled from this tree into a temporary directory (the
+``ckernel`` fixture of conftest.py), so these tests run wherever a C compiler
+exists, whether or not the package was built.
 """
 
 from __future__ import annotations
 
-import importlib.util
 import math
 import os
-import shutil
 import subprocess
 import sys
-import sysconfig
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-from blochkit import _kernels, seminorm
+from blochkit import _kernels, covering, seminorm
 from blochkit._kernels import _fallback
-from blochkit.products import ZERO_SWITCH, random_product
+from blochkit.products import ZERO_SWITCH, BlaschkeProduct, random_product
 
-SOURCE = Path(_kernels.__file__).with_name("_ckernel.c")
-
-
-@pytest.fixture(scope="session")
-def ckernel(tmp_path_factory):
-    """The ``_ckernel`` module built from SOURCE with setup.py's flags."""
-    compiler = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
-    if shutil.which(compiler.split()[0]) is None:
-        pytest.skip("no C compiler")
-    from setuptools import Distribution, Extension
-
-    out = tmp_path_factory.mktemp("ckernel")
-    ext = Extension("_ckernel", [str(SOURCE)],
-                    extra_compile_args=["-O3", "-ffp-contract=off"])
-    build = Distribution({"ext_modules": [ext]}).get_command_obj("build_ext")
-    build.build_lib = str(out)
-    build.build_temp = str(out / "tmp")
-    build.ensure_finalized()
-    build.run()
-    spec = importlib.util.spec_from_file_location(
-        "_ckernel", build.get_ext_fullpath("_ckernel"))
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
+LAWS = ("uniform_disk", "boundary_concentrated")
 
 @pytest.fixture(params=["c", "python"])
 def kernels(request):
-    """(pointwise_batch, refine_starts) of each backend."""
+    """(pointwise_batch, refine_starts, track_routes) of each backend."""
     if request.param == "c":
         return _kernels.compiled(request.getfixturevalue("ckernel"))
-    return _fallback.pointwise_batch, _fallback.refine_starts
+    return _fallback.pointwise_batch, _fallback.refine_starts, _fallback.track_routes
 
 
 def _random_case(seed: int, degree: int):
@@ -79,7 +51,7 @@ def test_backend_reports_name():
 
 
 def test_pointwise_batch_backends_agree(ckernel):
-    fast, _ = _kernels.compiled(ckernel)
+    fast, _, _ = _kernels.compiled(ckernel)
     for f_kind in (0, 1, 2):
         zeros, pts = _random_case(10 + f_kind, 6)
         pts[:3] = zeros[:3]  # on a zero the product rule takes over
@@ -91,7 +63,7 @@ def test_pointwise_batch_backends_agree(ckernel):
 
 
 def test_pointwise_batch_keeps_the_shape(kernels):
-    pointwise, _ = kernels
+    pointwise, _, _ = kernels
     zeros, pts = _random_case(13, 4)
     grid = pts[:60].reshape(3, 4, 5)
     grid[0, 0, :3] = [zeros[0], 2.0, zeros[1] + 1e-9]  # on a zero, outside, near one
@@ -103,7 +75,7 @@ def test_pointwise_batch_keeps_the_shape(kernels):
 
 
 def test_refine_starts_backends_agree(ckernel):
-    _, fast = _kernels.compiled(ckernel)
+    _, fast, _ = _kernels.compiled(ckernel)
     zeros, pts = _random_case(42, 5)
     starts = pts[:16]
     scales = 0.05 * np.ones(16)
@@ -120,7 +92,7 @@ def test_refine_starts_backends_agree(ckernel):
 
 def test_seminorm_backends_agree_on_degrees_1_to_12(ckernel, monkeypatch):
     """The bound stated in blochkit._kernels, over 240 products."""
-    _, fast = _kernels.compiled(ckernel)
+    _, fast, _ = _kernels.compiled(ckernel)
     for law in ("uniform_disk", "boundary_concentrated"):
         for degree in range(1, 13):
             for seed in range(10):
@@ -134,7 +106,7 @@ def test_seminorm_backends_agree_on_degrees_1_to_12(ckernel, monkeypatch):
 
 @pytest.mark.parametrize("f_kind", [3, -1])
 def test_unknown_kind_is_rejected_before_any_work(kernels, f_kind):
-    pointwise, refine = kernels
+    pointwise, refine, _ = kernels
     zeros, _ = _random_case(5, 3)
     outside = np.array([2.0 + 0j])  # nothing to evaluate: still rejected
     with pytest.raises(ValueError, match=f"unknown catalog kind {f_kind}"):
@@ -155,25 +127,114 @@ def test_compiled_kernel_rejects_bad_arrays(ckernel):
                               1e-10, 0.5, *outputs)
     with pytest.raises(ValueError, match="not C-contiguous"):
         ckernel.pointwise_batch(zeros, 0j, starts, np.empty(6)[::2], 0, 0.5)
+    # two routes of one piece each from a base fiber of three points
+    pieces = (np.zeros(2, dtype=np.complex128), np.zeros(2, dtype=np.complex128),
+              np.zeros(2), np.zeros(2), np.zeros(2, dtype=bool))
+    rules = (1 / 16, 0.125, 1e-8, 4, 2, 1e-12, 1e-15, 0.4, 1e-10)
+    ends, status = np.empty(6, dtype=np.complex128), np.empty(2, dtype=np.int64)
+    for counts in ([1, 2], [3, -1]):
+        with pytest.raises(ValueError, match="counts: expected nonnegative counts summing to 2"):
+            ckernel.track_routes(zeros, 0j, starts, *pieces, np.array(counts), rules, ends,
+                                 status)
+    with pytest.raises(ValueError, match="ends: expected 6 items, got 5"):
+        ckernel.track_routes(zeros, 0j, starts, *pieces, np.array([1, 1]), rules, ends[:5],
+                             status)
+    with pytest.raises(TypeError, match="circle: expected format '\\?'"):
+        ckernel.track_routes(zeros, 0j, starts, *pieces[:4], np.zeros(2), np.array([1, 1]),
+                             rules, ends, status)
 
 
-def test_concurrent_calls_match_serial_calls(kernels):
-    """Four threads at once, one product each, give the serial results bit for bit."""
-    _, refine = kernels
-    cases = [(*_multistart_case(6 + 3 * i, seed=70 + i), i % 3, 500, 1e-10,
-              seminorm.BARRIER_RADIUS) for i in range(4)]
-    serial = [refine(*case) for case in cases]
-    start = threading.Barrier(len(cases))
+def _tracking_products() -> list[BlaschkeProduct]:
+    """The 12 products of test_covering's lockstep reference test, the 16 of
+    the benchmark's covering corpus (perfbench/workloads.py, unturned) and
+    the last of those with a rotation, which B and B' carry."""
+    out = [random_product(3 + k % 6, seed=60_000 + k, law=LAWS[k % 2]) for k in range(12)]
+    classes = [(degree, law) for degree in (3, 10, 4, 9, 5, 8, 6, 7) for law in LAWS]
+    for i, (degree, law) in enumerate(classes):
+        seed = int(np.random.SeedSequence([20220330, i]).generate_state(1)[0])
+        out.append(random_product(degree, seed, law))
+    out.append(BlaschkeProduct(out[-1].zeros, complex(math.cos(0.7), math.sin(0.7))))
+    return out
 
-    def run(case):
+
+def _tracking_calls(monkeypatch, products):
+    """The arguments of every ``track_routes`` call that monodromy makes on
+    ``products``: (zeros, lam, base, pieces, counts, rules)."""
+    calls = []
+
+    def record(*args):
+        calls.append(args)
+        return _fallback.track_routes(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(_kernels, "track_routes", record)
+        for B in products:
+            covering.monodromy(B)
+    return calls
+
+
+def test_track_routes_backends_agree(ckernel, monkeypatch):
+    """The end-fibre bound stated in blochkit._kernels, and equal statuses
+    and permutations."""
+    _, _, fast = _kernels.compiled(ckernel)
+    products = _tracking_products()
+    for args in _tracking_calls(monkeypatch, products):
+        ends, status = fast(*args)
+        ref_ends, ref_status = _fallback.track_routes(*args)
+        assert status.dtype == ref_status.dtype == np.int64
+        assert ends.shape == ref_ends.shape == (len(args[4]), args[2].size)
+        np.testing.assert_array_equal(status, ref_status)
+        assert np.all(status == _kernels.TRACKED)
+        assert np.max(np.abs(ends - ref_ends)) <= 1e-12
+    for B in products:
+        perms = []
+        for track in (fast, _fallback.track_routes):
+            monkeypatch.setattr(_kernels, "track_routes", track)
+            perms.append([p for _v, p in covering.monodromy(B)])
+        assert perms[0] == perms[1]
+
+
+def test_track_routes_statuses(kernels, monkeypatch):
+    """The first failed route stops the later ones, on either backend."""
+    _, _, track = kernels
+    zeros, lam, base, pieces, counts, rules = _tracking_calls(
+        monkeypatch, [random_product(5, seed=181)])[0]
+    # one piece starting at w = 0.9, away from the base fiber over 0: no step
+    # is accepted and the step size underflows
+    stray = (0.9 + 0j, 0.05 + 0j, 0.0, 0.0, False)
+    later = len(counts)
+
+    def statuses(at, collision_tol=rules[-1]):
+        stretched = tuple(np.insert(a, sum(counts[:at]), x) for a, x in zip(pieces, stray))
+        return list(track(zeros, lam, base, stretched, np.insert(counts, at, 1),
+                          (*rules[:-1], collision_tol))[1])
+
+    ok, skip = _kernels.TRACKED, _kernels.NOT_TRACKED
+    assert statuses(0) == [_kernels.UNDERFLOW] + [skip] * later
+    assert statuses(later) == [ok] * later + [_kernels.UNDERFLOW]
+    assert statuses(1, collision_tol=2.0) == [_kernels.COLLISION] + [skip] * later
+
+
+def test_concurrent_calls_match_serial_calls(kernels, monkeypatch):
+    """Eight threads at once, four Nelder-Mead passes and four trackings of
+    one product each, give the serial results bit for bit."""
+    _, refine, track = kernels
+    jobs = [(refine, (*_multistart_case(6 + 3 * i, seed=70 + i), i % 3, 500, 1e-10,
+                      seminorm.BARRIER_RADIUS)) for i in range(4)]
+    products = [random_product(5 + i, seed=80 + i, law=LAWS[i % 2]) for i in range(4)]
+    jobs += [(track, args) for args in _tracking_calls(monkeypatch, products)]
+    serial = [fn(*args) for fn, args in jobs]
+    start = threading.Barrier(len(jobs))
+
+    def run(fn, args):
         start.wait(timeout=60)
-        return refine(*case)
+        return fn(*args)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        with ThreadPoolExecutor(max_workers=len(cases)) as pool:
-            futures = [pool.submit(run, case) for case in cases]
+        with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
+            futures = [pool.submit(run, fn, args) for fn, args in jobs]
             concurrent = [f.result(timeout=120) for f in futures]
     finally:
         sys.setswitchinterval(interval)
