@@ -223,6 +223,10 @@ def _newton_from(start: tuple[float, float], a: float, nodes: int):
             alpha *= 0.5
         else:
             break
+        if np.max(np.abs(r)) >= norm:
+            # taken only through the 1e-15 slack: the residuals sit on their
+            # quadrature floor, where more steps wander without lowering them
+            break
     if np.max(np.abs(r)) < 1e-9:
         return float(c), float(d)
     return None

@@ -1,15 +1,124 @@
-"""Gauss-Legendre quadrature: fixed rules and node doubling."""
+"""Gauss-Legendre quadrature: the rules, fixed rules and node doubling."""
 
 from __future__ import annotations
 
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.integrate
 
 from blochkit.errors import ConvergenceError, DomainError
-from blochkit.quadrature import integrate_adaptive, integrate_fixed
+from blochkit.quadrature import gauss_nodes, integrate_adaptive, integrate_fixed
+
+RULE_SIZES = (1, 2, 3, 5, 16, 64, 128, 1024, 2048)
+
+long_double = pytest.mark.skipif(
+    np.finfo(np.longdouble).eps > 1e-18,
+    reason="the reference rule needs a long double with a 64-bit mantissa")
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Independent oracle: Newton in theta, x = cos theta, on the three-term
+    recurrence, in np.longdouble (eps 1.1e-19 on x86-64).
+
+    The recurrence runs in Reinsch's form, on s = 1 - x = 2 sin^2(theta/2)
+    and the differences D_k = P_k - P_(k-1):
+
+        D_(k+1) = (k D_k - (2k+1) s P_k) / (k+1),   P_(k+1) = P_k + D_(k+1),
+
+    so nothing depends on x through a rounded 1 - x; then
+    dP_n/dtheta = n (D_n - s P_n) / sin theta and w = 2 / (dP_n/dtheta)^2.
+    Against 40-digit mpmath at nine nodes of the 2048-point rule, ends and
+    middle included, it was within 1e-19 in the nodes and 5e-18 relative in
+    the weights.  It starts from pi (4j - 1) / (4n + 2),
+    without the Tricomi term, and shares no code with the rule it checks."""
+    ld = np.longdouble
+    half = (n + 1) // 2
+    theta = np.arccos(ld(-1)) * (4 * np.arange(1, half + 1, dtype=ld) - 1) / (4 * n + 2)
+
+    def recurrence(theta):
+        s = 2 * np.sin(theta / 2) ** 2
+        p, d = 1 - s, -s
+        for k in range(1, n):
+            d = (k * d - (2 * k + 1) * s * p) / (k + 1)
+            p = p + d
+        return p, n * (d - s * p) / np.sin(theta)
+
+    for _ in range(50):
+        p, dp = recurrence(theta)
+        step = p / dp
+        theta = theta - step
+        if np.max(np.abs(step) / theta) < 1e-18:
+            break
+    else:
+        raise AssertionError(f"reference rule did not converge at n = {n}")
+    _, dp = recurrence(theta)
+    x = np.empty(n, dtype=ld)
+    w = np.empty(n, dtype=ld)
+    x[:half] = -np.cos(theta)
+    x[n - half:] = np.cos(theta[::-1])
+    if n % 2:
+        x[half - 1] = 0
+    w[:half] = 2 / dp**2
+    w[n - half:] = w[half - 1::-1]
+    return x, w
+
+
+@long_double
+@pytest.mark.parametrize("n", RULE_SIZES)
+def test_rule_matches_the_long_double_reference(n):
+    """Nodes within 4.4e-16; weights within 1e-15 absolute and
+    1e-15 * sqrt(n) relative, 5e-15 relative at the four end nodes of each
+    side.  Measured on x86-64: nodes 1.4e-16, weights 4.0e-17 absolute, and
+    relative 2.6e-14 at n = 2048 (the middle nodes, where the cosine series
+    sums terms of alternating sign), 1.7e-14 at 1024, 2.4e-15 at 64, at the
+    end nodes 2.8e-15."""
+    x, w = gauss_nodes(n)
+    xr, wr = _reference_rule(n)
+    assert np.max(np.abs(x - xr)) <= 4.4e-16
+    assert np.max(np.abs(w - wr)) <= 1e-15
+    rel = np.abs((w - wr) / wr)
+    assert np.max(rel) <= 1e-15 * math.sqrt(n)
+    assert max(rel[:4].max(), rel[-4:].max()) <= 5e-15
+
+
+@pytest.mark.parametrize("n", RULE_SIZES[1:])
+def test_rule_integrates_even_powers(n):
+    """sum w x^(2k) = 2 / (2k + 1) for 2k <= 2n - 2 within 1e-13 relative;
+    measured 4.2e-14 at n = 2048 (2k = 4092), 6.0e-15 at 128."""
+    x, w = gauss_nodes(n)
+    k = np.arange(n)
+    exact = 2.0 / (2 * k + 1)
+    assert np.max(np.abs(w @ np.power.outer(x, 2 * k) - exact) / exact) <= 1e-13
+
+
+@pytest.mark.parametrize("n", RULE_SIZES)
+def test_rule_is_symmetric_positive_and_read_only(n):
+    x, w = gauss_nodes(n)
+    assert x.shape == w.shape == (n,)
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    if n % 2:
+        assert x[n // 2] == 0.0
+    assert np.all(np.diff(x) > 0) and -1.0 < x[0]
+    assert np.all(w > 0)
+    assert not x.flags.writeable and not w.flags.writeable
+
+
+def test_building_the_largest_rule_stays_bounded():
+    # measured peak 4.3 MB; built without row blocks, the angle matrix and
+    # its cosines and sines alone would take 3 x 8.4 MB
+    gauss_nodes.cache_clear()
+    tracemalloc.start()
+    try:
+        gauss_nodes(2048)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_fixed_smooth_exponential():

@@ -349,6 +349,30 @@ def test_parameter_solve_with_c_next_to_one(a):
     assert abs(second + 0.5 * math.log(a)) < 1e-9
 
 
+def test_parameter_solve_at_a_0_47():
+    # c - 1 = 1.3e-7; with numpy's leggauss rules the I1 quadrature stalled
+    # at a delta of 5.1e-11 after 2048 nodes here, and the solve failed
+    c, d = solve_parameters(0.47)
+    assert 1.0 < c < 1.0 + 2e-7 < d
+    first, second = parameter_integrals(c, d)
+    assert abs(first - 1.5 * math.pi) <= 1e-10
+    assert abs(second + 0.5 * math.log(0.47)) <= 1e-10
+
+
+@pytest.mark.parametrize("a", (0.412, 0.432, 0.434))
+def test_parameter_solve_stops_on_its_quadrature_floor(a, monkeypatch):
+    # at these a the residuals stall near 1e-11, above the 1e-12 goal; the
+    # Newton loop once kept taking steps that did not lower them for all its
+    # 100 iterations, 488 residual evaluations against 59-63 when it stops
+    calls = []
+    residual = surface._residual
+    monkeypatch.setattr(surface, "_residual",
+                        lambda *args: calls.append(args) or residual(*args))
+    c, d = solve_parameters(a)
+    assert 1.0 < c < d
+    assert len(calls) < 150
+
+
 def test_segment_clearance_matches_the_scalar_distance():
     rng = np.random.default_rng(11)
     points = (-1.0, 1.0, 1.1, 1.8)
