@@ -15,6 +15,7 @@ f o B via the chain rule |f'(B(z))| |B'(z)| (1-|z|^2).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -110,11 +111,18 @@ def catalog_entry(name: str) -> AnalyticCatalogEntry:
 
 
 def pointwise_bloch(B: BlaschkeProduct, z: complex) -> float:
-    """|B'(z)| (1-|z|^2) for a point strictly inside the disk."""
+    """|B'(z)| (1-|z|^2) for a point strictly inside the disk, capped at 1.
+
+    By Schwarz-Pick the quantity never exceeds 1, with equality everywhere
+    for a disk automorphism.  Next to a zero a close to the circle,
+    1 - conj(a) z cancels and the computed product can round above 1 (by up
+    to 5.5e-14 on degree-1 sweep products); the cap returns the bound
+    instead."""
     z = complex(z)
     if abs(z) >= 1.0:
         raise DomainError("pointwise Bloch quantity is defined for |z| < 1")
-    return abs(derivative(B, z)) * (1.0 - abs(z) ** 2)
+    value = abs(derivative(B, z)) * (1.0 - abs(z) ** 2)
+    return 1.0 if value > 1.0 else value
 
 
 def composed_pointwise(entry: AnalyticCatalogEntry, B: BlaschkeProduct,
@@ -165,12 +173,29 @@ def _golden_section(f, lo, hi, tol: float):
     return 0.5 * (lo + hi)
 
 
+@functools.lru_cache(maxsize=32)
+def _polar_grid(angles: int, radii: int) -> np.ndarray:
+    """The nested polar start grid, angle by angle, as a read-only array."""
+    rs = _van_der_corput(radii)
+    grid = []
+    for k in range(angles):
+        theta = 2.0 * math.pi * k / angles
+        rot = complex(math.cos(theta), math.sin(theta))
+        for r in rs:
+            grid.append(r * rot)
+    out = np.array(grid, dtype=np.complex128)
+    out.flags.writeable = False
+    return out
+
+
 def _start_points(B: BlaschkeProduct, config: OptimizerConfig,
-                  critical: tuple[complex, ...] | None = None) -> list[complex]:
-    """The deduplicated starts; ``critical``, when given, is
-    ``covering.critical_points(B)`` from a caller that already has it."""
+                  critical: tuple[complex, ...] | None = None) -> np.ndarray:
+    """The deduplicated starts, each at its first occurrence, in the order
+    origin, zeros, critical points, polar grid, stochastic starts;
+    ``critical``, when given, is ``covering.critical_points(B)`` from a
+    caller that already has it."""
     starts: list[complex] = [0.0 + 0.0j]
-    starts.extend(complex(z) for z in B.zeros)
+    starts.extend(B.zeros)
     if config.include_critical_starts and B.degree >= 2:
         if critical is None:
             from . import covering
@@ -180,25 +205,18 @@ def _start_points(B: BlaschkeProduct, config: OptimizerConfig,
             except RootCountError:
                 critical = ()
         starts.extend(critical)
-    radii = _van_der_corput(config.grid_radii)
-    for k in range(config.grid_angles):
-        theta = 2.0 * math.pi * k / config.grid_angles
-        rot = complex(math.cos(theta), math.sin(theta))
-        for r in radii:
-            starts.append(r * rot)
+    parts = [np.array(starts, dtype=np.complex128),
+             _polar_grid(config.grid_angles, config.grid_radii)]
     if config.stochastic_starts:
         rng = np.random.default_rng(config.seed)
         u = rng.random(config.stochastic_starts)
         ang = 2.0 * math.pi * rng.random(config.stochastic_starts)
-        for rr, tt in zip((1.0 - 1e-6) * np.sqrt(u), ang):
-            starts.append(rr * complex(math.cos(tt), math.sin(tt)))
-    seen: set[complex] = set()
-    unique: list[complex] = []
-    for s in starts:
-        if s not in seen:
-            seen.add(s)
-            unique.append(s)
-    return unique
+        parts.append(np.array([rr * complex(math.cos(tt), math.sin(tt))
+                               for rr, tt in zip((1.0 - 1e-6) * np.sqrt(u), ang)],
+                              dtype=np.complex128))
+    points = np.concatenate(parts)
+    _, first = np.unique(points, return_index=True)
+    return points[np.sort(first)]
 
 
 def _scales(starts: np.ndarray) -> np.ndarray:

@@ -26,6 +26,9 @@ The conformal radius at z with Im z > 0 is
 maximized over the half-plane by a deterministic multistart damped Newton
 iteration on the stationarity equation of log r, whose gradient and Hessian
 are closed-form in the integrand of f (no quadrature until the final value).
+A start is dropped as soon as its Newton step is not an ascent direction of
+log r: such a step heads for a saddle, a minimum or the edge of the search
+box, while every step in the concave region around a maximum climbs.
 """
 
 from __future__ import annotations
@@ -158,14 +161,18 @@ def _residual(c: float, d: float, a: float, nodes: int) -> np.ndarray:
     return np.array([i1 - TARGET_HEIGHT, i2 + 0.5 * math.log(a)])
 
 
-def parameter_jacobian(c: float, d: float, a: float, nodes: int = 256) -> np.ndarray:
+def parameter_jacobian(c: float, d: float, a: float, nodes: int = 256,
+                       base: np.ndarray | None = None) -> np.ndarray:
     """Forward-difference Jacobian of the two residuals w.r.t. (c, d).
 
     I1 has a near-singularity of width sqrt(c - 1) next to t = 1, so the
     step shrinks with c - 1: an absolute 1e-6 overshoots it once c - 1 falls
-    below about 5e-7 and the Newton steps stop reducing the residuals."""
+    below about 5e-7 and the Newton steps stop reducing the residuals.
+    ``base``, when given, is the residual at (c, d) from a caller that already
+    holds it; the differences then cost two residuals, not three."""
     step = min(1e-6, 1e-2 * (c - 1.0))
-    base = _residual(c, d, a, nodes)
+    if base is None:
+        base = _residual(c, d, a, nodes)
     jc = (_residual(c + step, d, a, nodes) - base) / step
     jd = (_residual(c, d + step, a, nodes) - base) / step
     return np.column_stack([jc, jd])
@@ -198,7 +205,7 @@ def _newton_from(start: tuple[float, float], a: float, nodes: int):
         norm = np.max(np.abs(r))
         if norm < 1e-12:
             break
-        jac = parameter_jacobian(c, d, a, nodes)
+        jac = parameter_jacobian(c, d, a, nodes, base=r)
         try:
             delta = np.linalg.solve(jac, -r)
         except np.linalg.LinAlgError:
@@ -332,8 +339,13 @@ def _log_radius_derivatives(z: complex, c: float, d: float):
 
 def _stationary_maximum(z: complex, c: float, d: float) -> complex | None:
     """Damped Newton on grad log r = 0 from z: the local maximum it reaches,
-    or None when the step underflows, the iterations run out or the
-    stationary point is not a maximum."""
+    or None when the step underflows, the iterations run out, a Newton step
+    s = -H^-1 g is not an ascent direction of log r (g.s <= 0) or the
+    stationary point is not a maximum.
+
+    Where the Hessian is negative definite, g.s = -g^T H^-1 g > 0, so no
+    iterate in the concave region around a maximum is dropped; a step with
+    g.s <= 0 heads downhill, for a saddle, a minimum or the box edge."""
     g, h = _log_radius_derivatives(z, c, d)
     for _ in range(100):
         norm = math.hypot(*g)
@@ -343,6 +355,8 @@ def _stationary_maximum(z: complex, c: float, d: float) -> complex | None:
         if det == 0.0:
             return None
         step = complex((h[1] * g[1] - h[2] * g[0]) / det, (h[1] * g[0] - h[0] * g[1]) / det)
+        if g[0] * step.real + g[1] * step.imag <= 0.0:
+            return None
         alpha = 1.0
         while alpha >= 1e-10:
             trial = z + alpha * step
@@ -377,8 +391,9 @@ def maximize_radius(sol: SurfaceSolution, starts: int = 29) -> tuple[complex, fl
     """Deterministic multistart maximization of the radius over the half-plane.
 
     Each start runs a damped Newton iteration on the closed-form stationarity
-    equation of log r; the distinct local maxima it finds are evaluated with
-    the adaptive map, so the value is a certified lower bound.  Ties break
+    equation of log r, and is dropped once a Newton step points downhill; the
+    distinct local maxima the starts reach are evaluated with the adaptive
+    map, so the value is a certified lower bound.  Ties break
     toward the lexicographically smallest (Re, Im) argmax.  Raises
     ConvergenceError when no start reaches a local maximum."""
     found: list[complex] = []

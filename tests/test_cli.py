@@ -102,6 +102,14 @@ def test_sweep_json_and_determinism():
     assert data["minimizer"]["value"] == data["min"]
 
 
+def test_sweep_never_reports_a_value_above_one():
+    # trials 62, 67 and 88 here are degree 1 with a zero close to the circle,
+    # where (1 - |z|^2)|B'(z)| rounded to up to 1.000000000000055
+    out = run_cli("sweep", "--count", "100", "--max-degree", "16", "--seed", "1926383459")
+    assert out.returncode == 0
+    assert json.loads(out.stdout)["max"] <= 1.0
+
+
 def test_sweep_csv_rows():
     out = run_cli("sweep", "--count", "7", "--output-format", "csv")
     assert out.returncode == 0

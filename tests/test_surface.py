@@ -340,6 +340,82 @@ def test_failed_radius_search_raises(solution, monkeypatch):
         maximize_radius(solution)
 
 
+def _unfiltered_stationary_maximum(z, c, d):
+    """The Newton iteration of the radius search without the ascent test:
+    every start runs until it converges, its step underflows or its
+    iterations run out."""
+    g, h = _log_radius_derivatives(z, c, d)
+    for _ in range(100):
+        norm = math.hypot(*g)
+        det = h[0] * h[2] - h[1] * h[1]
+        if norm <= 1e-10:
+            return z if h[0] < 0.0 and det > 0.0 else None
+        if det == 0.0:
+            return None
+        step = complex((h[1] * g[1] - h[2] * g[0]) / det, (h[1] * g[0] - h[0] * g[1]) / det)
+        alpha = 1.0
+        while alpha >= 1e-10:
+            trial = z + alpha * step
+            if (0.0 < trial.imag < 4.0 and abs(trial.real) < 4.0
+                    and min(abs(trial - b) for b in (-1.0, 1.0, c, d)) >= 1e-6):
+                gt, ht = _log_radius_derivatives(trial, c, d)
+                if math.hypot(*gt) <= norm * (1.0 - 1e-4 * alpha):
+                    break
+            alpha *= 0.5
+        else:
+            return None
+        z, g, h = trial, gt, ht
+    return None
+
+
+def _unfiltered_maximize_radius(sol, starts=29):
+    found = []
+    for start in _default_starts(starts):
+        z = _unfiltered_stationary_maximum(start, sol.c, sol.d)
+        if z is not None and all(abs(z - w) > 1e-8 for w in found):
+            found.append(z)
+    value, x, y = min((-conformal_radius_at(z, sol), z.real, z.imag) for z in found)
+    return complex(x, y), -value
+
+
+_ORACLE_A = ([float(a) for a in np.geomspace(1e-4, 0.4, 26)]
+             + [None, 0.43, 0.46, 0.484])
+
+
+@pytest.mark.parametrize("a", _ORACLE_A, ids=lambda a: "default" if a is None else f"{a:.4g}")
+def test_ascent_test_drops_no_maximum(a):
+    # the downhill starts dropped early were the ones that never reached a
+    # maximum, so the result is the unfiltered search's to the last bit
+    a = default_threshold() if a is None else a
+    c, d = solve_parameters(a)
+    sol = SurfaceSolution(a, c, d, 1.0, RADIUS_PROBE, 256)
+    assert maximize_radius(sol) == _unfiltered_maximize_radius(sol)
+
+
+def test_ascent_test_halves_the_derivative_evaluations(solution, monkeypatch):
+    # the unfiltered search makes 439 evaluations here, 313 of them for the
+    # 17 starts that walk to the edge of the search box
+    calls = []
+    derivatives = surface._log_radius_derivatives
+    monkeypatch.setattr(surface, "_log_radius_derivatives",
+                        lambda *args: calls.append(args) or derivatives(*args))
+    maximize_radius(solution)
+    assert len(calls) <= 439 // 2
+
+
+@pytest.mark.parametrize("a", (None, 0.005, 0.05, 0.4, 0.47))
+def test_parameter_solve_never_repeats_a_residual(a, monkeypatch):
+    # the Jacobian takes the residual at (c, d) from the Newton loop, which
+    # already holds it, in place of computing it again
+    a = default_threshold() if a is None else a
+    calls = []
+    residual = surface._residual
+    monkeypatch.setattr(surface, "_residual",
+                        lambda *args: calls.append(args[:2]) or residual(*args))
+    solve_parameters(a)
+    assert all(prev != cur for prev, cur in zip(calls, calls[1:]))
+
+
 @pytest.mark.parametrize("a", (0.438, 0.44, 0.462))
 def test_parameter_solve_with_c_next_to_one(a):
     c, d = solve_parameters(a)
