@@ -8,13 +8,12 @@ evaluator the rest of the package uses; the C kernel is its compiled twin, one
 point at a time, with one (B, B') routine for all its entries.  Set
 ``BLOCHKIT_PURE=1`` to force the fallback, e.g. for benchmarking.
 
-Both backends expose:
+Both backends expose two entries:
 
-* ``pointwise_batch(zeros, lam, pts, f_kind, barrier_radius)`` -> float array,
-  the objective |f'(B(z))| * |B'(z)| * (1 - |z|^2), or -1.0 outside the barrier;
 * ``refine_starts(zeros, lam, starts, scales, f_kind, max_iter, ftol,
   barrier_radius)`` -> (values, points, iterations), one Nelder-Mead pass per
-  start;
+  start on the objective |f'(B(z))| * |B'(z)| * (1 - |z|^2), which is -1.0
+  outside the barrier;
 * ``track_routes(zeros, lam, base, pieces, counts, rules)`` -> (ends, status),
   the base fiber (n points) continued along each of L routes.  ``pieces`` is
   (start, delta, radius, angle, circle), five arrays over the pieces of all
@@ -35,13 +34,15 @@ work.
 
 Agreement bound.  Both backends write the same formulas, but numpy may round
 a complex product or modulus differently in the last bit, and a simplex that
-then meets a near-tie takes another branch.  ``pointwise_batch`` values agree
-to 1e-12 (measured: relative 1.9e-15, on and near zeros included).
+then meets a near-tie takes another branch.  The objective at each start,
+which ``refine_starts`` returns with ``max_iter`` 0 and all scales 0, agrees to
+1e-12 for every ``f_kind`` (measured: relative 1.9e-15, on and near zeros
+included).
 ``seminorm`` values agree to 1e-10 on the 240 products of degrees 1-12 under
 both radial laws (measured: 2 differ, by at most 5.9e-13, their iteration
-totals by 1).  No bound holds for
-``refine_starts`` with f_kind 1: its simplices climb the 1/|1 - w|^2 blow-up
-against the barrier, where terminal values are path-dependent.
+totals by 1).  No bound holds for the descent of ``refine_starts`` with
+f_kind 1: its simplices climb the 1/|1 - w|^2 blow-up against the barrier,
+where terminal values are path-dependent.
 ``track_routes`` statuses and the permutations they give are equal, and end
 fibers agree to 1e-12, the corrector's residual floor, over the 148 routes
 that monodromy tracks on 29 products of degrees 3-10 (measured: 147 routes
@@ -66,13 +67,6 @@ def compiled(module):
     """The kernel contract over the C module ``module``: the arrays it reads
     are made contiguous complex128/float64 and its outputs allocated here."""
 
-    def pointwise_batch(zeros, lam, pts, f_kind, barrier_radius):
-        pts = np.asarray(pts, dtype=np.complex128)
-        out = np.empty(pts.shape)
-        module.pointwise_batch(_flat(zeros), complex(lam), pts.ravel(), out.reshape(-1),
-                               int(f_kind), float(barrier_radius))
-        return out
-
     def refine_starts(zeros, lam, starts, scales, f_kind, max_iter, ftol,
                       barrier_radius):
         starts = _flat(starts)
@@ -96,7 +90,7 @@ def compiled(module):
                             status)
         return ends, status
 
-    return pointwise_batch, refine_starts, track_routes
+    return refine_starts, track_routes
 
 
 if os.environ.get("BLOCHKIT_PURE"):
@@ -109,9 +103,8 @@ else:
 
 if _ckernel is None:
     BACKEND = "python"
-    pointwise_batch = _fallback.pointwise_batch
     refine_starts = _fallback.refine_starts
     track_routes = _fallback.track_routes
 else:
     BACKEND = "c"
-    pointwise_batch, refine_starts, track_routes = compiled(_ckernel)
+    refine_starts, track_routes = compiled(_ckernel)

@@ -1,5 +1,6 @@
-/* Compiled kernel backend, as a plain CPython module: the scalar objective,
- * one Nelder-Mead pass per start, and fiber tracking one route at a time.
+/* Compiled kernel backend, as a plain CPython module with two entries:
+ * refine_starts, one Nelder-Mead pass per start on the scalar objective, and
+ * track_routes, fiber tracking one route at a time.
  *
  * blochkit._kernels makes the inputs contiguous and allocates the outputs;
  * this module reads and writes them through the buffer protocol, so it needs
@@ -439,40 +440,6 @@ static int check_kind(int kind)
     return -1;
 }
 
-static const array_spec pointwise_spec[3] = {
-    {"Zd", "zeros", 16, 0, -1}, {"Zd", "pts", 16, 0, -1}, {"d", "out", 8, 1, 1},
-};
-
-PyDoc_STRVAR(pointwise_batch_doc,
-"pointwise_batch(zeros, lam, pts, out, f_kind, barrier_radius)\n\n"
-"Write the objective at each of pts (complex128) into out (float64).");
-
-static PyObject *pointwise_batch(PyObject *Py_UNUSED(self), PyObject *args)
-{
-    PyObject *obj[3];
-    Py_buffer b[3];
-    Py_complex lam;
-    int kind;
-    double radius;
-    Py_ssize_t i;
-
-    if (!PyArg_ParseTuple(args, "ODOOid", &obj[0], &lam, &obj[1], &obj[2], &kind, &radius)
-        || check_kind(kind) < 0 || get_arrays(obj, b, pointwise_spec, 3) < 0)
-        return NULL;
-    {
-        const cplx *zr = b[0].buf, *pts = b[1].buf;
-        double *out = b[2].buf, barrier2 = radius * radius;
-        cplx clam = mk(lam.real, lam.imag);
-        Py_ssize_t n = b[0].len / 16, m = b[1].len / 16;
-        Py_BEGIN_ALLOW_THREADS
-        for (i = 0; i < m; i++)
-            out[i] = objective(n, zr, clam, pts[i], kind, barrier2);
-        Py_END_ALLOW_THREADS
-    }
-    release_arrays(b, 3);
-    Py_RETURN_NONE;
-}
-
 static const array_spec refine_spec[6] = {
     {"Zd", "zeros", 16, 0, -1}, {"Zd", "starts", 16, 0, -1}, {"d", "scales", 8, 0, 1},
     {"d", "values", 8, 1, 1},   {"Zd", "points", 16, 1, 1},  {"q", "iterations", 8, 1, 1},
@@ -578,7 +545,6 @@ static PyObject *track_routes(PyObject *Py_UNUSED(self), PyObject *args)
 }
 
 static PyMethodDef methods[] = {
-    {"pointwise_batch", pointwise_batch, METH_VARARGS, pointwise_batch_doc},
     {"refine_starts", refine_starts, METH_VARARGS, refine_starts_doc},
     {"track_routes", track_routes, METH_VARARGS, track_routes_doc},
     {NULL, NULL, 0, NULL},

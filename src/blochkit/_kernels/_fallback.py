@@ -45,14 +45,6 @@ def _check_kind(f_kind) -> None:
         raise ValueError(f"unknown catalog kind {f_kind}")
 
 
-def pointwise_batch(zeros, lam, pts, f_kind, barrier_radius):
-    _check_kind(f_kind)
-    zeros = np.ascontiguousarray(zeros, dtype=np.complex128)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return _objective(zeros, complex(lam), np.asarray(pts, dtype=np.complex128),
-                          int(f_kind), float(barrier_radius))
-
-
 def refine_starts(zeros, lam, starts, scales, f_kind, max_iter, ftol, barrier_radius):
     """One Nelder-Mead maximization pass per start; all simplices in lockstep."""
     _check_kind(f_kind)

@@ -90,19 +90,22 @@ def _repulsion(z: np.ndarray, idx: np.ndarray, mirrored: bool) -> np.ndarray:
     return out
 
 
-def aberth_roots(ratio, start, freeze_tol: float, mirrored: bool = False,
-                 max_iter: int = 200, step_tol: float = 1e-13):
+_ABERTH_MAX_ITER = 200  # sweeps
+_ABERTH_STEP_TOL = 1e-13  # relative step below which the iteration has stalled
+
+
+def aberth_roots(ratio, start, freeze_tol: float, mirrored: bool = False):
     """Roots of p by Ehrlich-Aberth iteration from the points ``start``.
 
     ``ratio(z)`` returns p'/p at the points z together with the relative
     residual of p there.  A root freezes, keeping its place in the
     repulsion sums of the others, once its residual is at most
     ``freeze_tol``; the iteration stops when every root is frozen, when the
-    live roots all step less than step_tol (1 + |z|), or after max_iter
-    sweeps.  With ``mirrored`` the roots of p are the iterates together with
-    their mirror images 1/conj(z) in the unit circle, which enter the
-    repulsion sums but are not iterated; an iterate that steps out of the
-    disk is replaced by its image, so the iterates stay in the closed disk.
+    live roots all step less than 1e-13 (1 + |z|), or after 200 sweeps.
+    With ``mirrored`` the roots of p are the iterates together with their
+    mirror images 1/conj(z) in the unit circle, which enter the repulsion
+    sums but are not iterated; an iterate that steps out of the disk is
+    replaced by its image, so the iterates stay in the closed disk.
 
     Returns the roots and their relative residuals.
     """
@@ -110,7 +113,7 @@ def aberth_roots(ratio, start, freeze_tol: float, mirrored: bool = False,
     res = np.full(z.shape, np.inf)
     live = np.ones(z.size, dtype=bool)
     with np.errstate(all="ignore"):
-        for _ in range(max_iter):
+        for _ in range(_ABERTH_MAX_ITER):
             idx = np.flatnonzero(live)
             if idx.size == 0:
                 break
@@ -126,7 +129,7 @@ def aberth_roots(ratio, start, freeze_tol: float, mirrored: bool = False,
             if mirrored:
                 out = idx[np.abs(z[idx]) > 1.0]
                 z[out] = 1.0 / np.conjugate(z[out])
-            if np.max(np.abs(step) / (1.0 + np.abs(z[idx]))) < step_tol:
+            if np.max(np.abs(step) / (1.0 + np.abs(z[idx]))) < _ABERTH_STEP_TOL:
                 break
         idx = np.flatnonzero(live)
         if idx.size:
@@ -337,23 +340,22 @@ def _cluster_values(values: np.ndarray) -> list[np.ndarray]:
     return [values[np.array(g)] for g in groups]
 
 
-def monodromy(B: BlaschkeProduct, base_point: complex | None = None,
-              loop_radius_factor: float = 0.25):
+#: each loop circles its critical value at this fraction of the distance to
+#: the nearest other critical value or to the unit circle
+_LOOP_RADIUS_FACTOR = 0.25
+
+
+def monodromy(B: BlaschkeProduct, values=None):
     """Loop permutations of the base fiber around each distinct critical value.
 
     Returns a list of (critical value, permutation) pairs, permutation[i] being
     the index of the base fiber point that the path starting at base index i
     lands on after the loop.  Deterministic: clusters are visited in
-    lexicographic order and the base fiber is lexicographically indexed.
+    lexicographic order and the base fiber is lexicographically indexed.  The
+    base point is 0, or a nearby point when 0 is within 1e-6 of a critical
+    value.  ``values``, when given, are the critical values of B from a caller
+    that already has them.
     """
-    return _monodromy(B, base_point, loop_radius_factor)
-
-
-def _monodromy(B: BlaschkeProduct, base_point: complex | None, loop_radius_factor: float,
-               values=None):
-    """``monodromy``, taking the critical values from a caller that already has them."""
-    if not (0.0 < loop_radius_factor <= 0.5):
-        raise DomainError("loop_radius_factor must lie in (0, 0.5]")
     if values is None:
         values = _values_of(B, critical_points(B))
     clusters = _cluster_values(np.asarray(values, dtype=np.complex128))
@@ -361,11 +363,7 @@ def _monodromy(B: BlaschkeProduct, base_point: complex | None, loop_radius_facto
     order = np.lexsort((centers.imag, centers.real))
     centers = centers[order]
 
-    w_star = _default_base_point(centers) if base_point is None else complex(base_point)
-    if abs(w_star) >= 1.0:
-        raise DomainError("base point must lie in the open disk")
-    if np.min(np.abs(centers - w_star)) < _BASE_CLEARANCE:
-        raise DomainError("base point coincides with a critical value")
+    w_star = _default_base_point(centers)
 
     # over w = 0, clear of every critical value, the fiber is the zeros, and
     # they are distinct
@@ -378,7 +376,7 @@ def _monodromy(B: BlaschkeProduct, base_point: complex | None, loop_radius_facto
     for i, v in enumerate(centers):
         others = np.delete(np.abs(centers - v), i)
         gap = others.min() if others.size else np.inf
-        radii[i] = loop_radius_factor * min(gap, 1.0 - abs(v))
+        radii[i] = _LOOP_RADIUS_FACTOR * min(gap, 1.0 - abs(v))
 
     routes = []
     for i, v in enumerate(centers):
@@ -625,9 +623,8 @@ def _transitive(perms, n: int) -> bool:
     return len(seen) == n
 
 
-def analyze(B: BlaschkeProduct, a: float | None = None,
-            base_point: complex | None = None, loop_radius_factor: float = 0.25,
-            perturb: bool = False, seed: int = 0) -> CoveringReport:
+def analyze(B: BlaschkeProduct, a: float | None = None, perturb: bool = False,
+            seed: int = 0) -> CoveringReport:
     """Full covering report: classification, monodromy, sheet tree.
 
     ``perturb`` rotates every zero by an independent angle of magnitude at most
@@ -649,7 +646,7 @@ def analyze(B: BlaschkeProduct, a: float | None = None,
     report = classify(B, a)
     if report.case_label == DEGENERATE or B.degree < 2:
         return report
-    loops = tuple(_monodromy(B, base_point, loop_radius_factor, report.critical_values))
+    loops = tuple(monodromy(B, report.critical_values))
     if not _transitive([p for _v, p in loops], B.degree):
         raise StructureError("monodromy group does not act transitively")
     edges: tuple = ()

@@ -27,6 +27,8 @@ from .errors import DomainError, RangeError, RootCountError
 from .products import BlaschkeProduct, derivative, evaluate
 
 BARRIER_RADIUS = 1.0 - 1e-9
+MAX_ITERATIONS = 500        # simplex iterations per start
+OBJECTIVE_TOLERANCE = 1e-10  # a simplex stops once its values span at most this
 
 
 @dataclass(frozen=True)
@@ -35,19 +37,12 @@ class OptimizerConfig:
 
     grid_angles: int = 24
     grid_radii: int = 16
-    max_iterations: int = 500
-    objective_tolerance: float = 1e-10
-    include_critical_starts: bool = True
     stochastic_starts: int = 0
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.grid_angles < 1 or self.grid_radii < 0:
             raise RangeError("grid shape must be positive")
-        if self.max_iterations < 1:
-            raise RangeError("max_iterations must be positive")
-        if not (0.0 < self.objective_tolerance < 1.0):
-            raise RangeError("objective_tolerance must lie in (0, 1)")
         if self.stochastic_starts < 0:
             raise RangeError("stochastic_starts must be nonnegative")
 
@@ -196,7 +191,7 @@ def _start_points(B: BlaschkeProduct, config: OptimizerConfig,
     caller that already has it."""
     starts: list[complex] = [0.0 + 0.0j]
     starts.extend(B.zeros)
-    if config.include_critical_starts and B.degree >= 2:
+    if B.degree >= 2:
         if critical is None:
             from . import covering
 
@@ -231,14 +226,14 @@ def _run_multistart(B: BlaschkeProduct, config: OptimizerConfig, kernel_kind: in
     lam = complex(B.rotation)
     vals, pts, iters = impl.refine_starts(
         zeros, lam, starts, _scales(starts), kernel_kind,
-        config.max_iterations, config.objective_tolerance, BARRIER_RADIUS,
+        MAX_ITERATIONS, OBJECTIVE_TOLERANCE, BARRIER_RADIUS,
     )
     best = _argbest(vals, pts)
     total_iters = int(np.sum(iters))
     restart = np.array([pts[best]], dtype=np.complex128)
     rvals, rpts, riters = impl.refine_starts(
         zeros, lam, restart, _scales(restart) * 0.1, kernel_kind,
-        config.max_iterations, config.objective_tolerance, BARRIER_RADIUS,
+        MAX_ITERATIONS, OBJECTIVE_TOLERANCE, BARRIER_RADIUS,
     )
     total_iters += int(riters[0])
     all_vals = np.concatenate([vals, rvals])

@@ -7,6 +7,7 @@ exists, whether or not the package was built.
 
 from __future__ import annotations
 
+import inspect
 import math
 import os
 import subprocess
@@ -24,10 +25,10 @@ LAWS = ("uniform_disk", "boundary_concentrated")
 
 @pytest.fixture(params=["c", "python"])
 def kernels(request):
-    """(pointwise_batch, refine_starts, track_routes) of each backend."""
+    """(refine_starts, track_routes) of each backend."""
     if request.param == "c":
         return _kernels.compiled(request.getfixturevalue("ckernel"))
-    return _fallback.pointwise_batch, _fallback.refine_starts, _fallback.track_routes
+    return _fallback.refine_starts, _fallback.track_routes
 
 
 def _random_case(seed: int, degree: int):
@@ -50,32 +51,40 @@ def test_backend_reports_name():
     assert _kernels.BACKEND in ("c", "python")
 
 
+def test_kernel_contract_has_two_entries(ckernel):
+    """Both backends expose refine_starts and track_routes, and nothing else."""
+    contract = {"refine_starts", "track_routes"}
+    compiled = {name for name in dir(ckernel)
+                if not name.startswith("_") and callable(getattr(ckernel, name))}
+    fallback = {name for name, obj in vars(_fallback).items()
+                if inspect.isfunction(obj) and obj.__module__ == _fallback.__name__
+                and not name.startswith("_")}
+    assert compiled == contract
+    assert fallback == contract
+    assert not hasattr(_kernels, "pointwise_batch")
+
+
 def test_pointwise_batch_backends_agree(ckernel):
-    fast, _, _ = _kernels.compiled(ckernel)
+    """The objective at each point, read from refine_starts with no iterations
+    and a degenerate simplex, agrees to the stated 1e-12 for every kind."""
+    fast, _ = _kernels.compiled(ckernel)
     for f_kind in (0, 1, 2):
         zeros, pts = _random_case(10 + f_kind, 6)
         pts[:3] = zeros[:3]  # on a zero the product rule takes over
         pts[3:6] = zeros[3:6] + 0.5 * ZERO_SWITCH  # and near one, off it
-        got = fast(zeros, 1.0 + 0j, pts, f_kind, 1.0 - 1e-9)
-        ref = _fallback.pointwise_batch(zeros, 1.0 + 0j, pts, f_kind, 1.0 - 1e-9)
-        assert got.shape == ref.shape
+        pts[6] = 2.0  # outside the barrier
+        args = (zeros, 1.0 + 0j, pts, np.zeros(pts.size), f_kind, 0, 1e-10, 1.0 - 1e-9)
+        got, got_pts, got_iters = fast(*args)
+        ref, ref_pts, ref_iters = _fallback.refine_starts(*args)
+        np.testing.assert_array_equal(got_pts, pts)
+        np.testing.assert_array_equal(ref_pts, pts)
+        assert not got_iters.any() and not ref_iters.any()
+        assert got[6] == ref[6] == -1.0
         assert np.max(np.abs(got - ref)) < 1e-12
 
 
-def test_pointwise_batch_keeps_the_shape(kernels):
-    pointwise, _, _ = kernels
-    zeros, pts = _random_case(13, 4)
-    grid = pts[:60].reshape(3, 4, 5)
-    grid[0, 0, :3] = [zeros[0], 2.0, zeros[1] + 1e-9]  # on a zero, outside, near one
-    got = pointwise(zeros, 1.0 + 0j, grid, 0, 1.0 - 1e-9)
-    assert got.shape == grid.shape
-    np.testing.assert_array_equal(got.ravel(), pointwise(zeros, 1.0 + 0j, grid.ravel(), 0,
-                                                         1.0 - 1e-9))
-    assert got[0, 0, 1] == -1.0
-
-
 def test_refine_starts_backends_agree(ckernel):
-    _, fast, _ = _kernels.compiled(ckernel)
+    fast, _ = _kernels.compiled(ckernel)
     zeros, pts = _random_case(42, 5)
     starts = pts[:16]
     scales = 0.05 * np.ones(16)
@@ -92,7 +101,7 @@ def test_refine_starts_backends_agree(ckernel):
 
 def test_seminorm_backends_agree_on_degrees_1_to_12(ckernel, monkeypatch):
     """The bound stated in blochkit._kernels, over 240 products."""
-    _, fast, _ = _kernels.compiled(ckernel)
+    fast, _ = _kernels.compiled(ckernel)
     for law in ("uniform_disk", "boundary_concentrated"):
         for degree in range(1, 13):
             for seed in range(10):
@@ -106,11 +115,9 @@ def test_seminorm_backends_agree_on_degrees_1_to_12(ckernel, monkeypatch):
 
 @pytest.mark.parametrize("f_kind", [3, -1])
 def test_unknown_kind_is_rejected_before_any_work(kernels, f_kind):
-    pointwise, refine, _ = kernels
+    refine, _ = kernels
     zeros, _ = _random_case(5, 3)
     outside = np.array([2.0 + 0j])  # nothing to evaluate: still rejected
-    with pytest.raises(ValueError, match=f"unknown catalog kind {f_kind}"):
-        pointwise(zeros, 1.0 + 0j, outside, f_kind, 1.0 - 1e-9)
     with pytest.raises(ValueError, match=f"unknown catalog kind {f_kind}"):
         refine(zeros, 1.0 + 0j, outside, np.ones(1), f_kind, 10, 1e-10, 1.0 - 1e-9)
 
@@ -126,7 +133,8 @@ def test_compiled_kernel_rejects_bad_arrays(ckernel):
         ckernel.refine_starts(zeros, 0j, starts, np.ones(3, dtype=np.float32), 0, 10,
                               1e-10, 0.5, *outputs)
     with pytest.raises(ValueError, match="not C-contiguous"):
-        ckernel.pointwise_batch(zeros, 0j, starts, np.empty(6)[::2], 0, 0.5)
+        ckernel.refine_starts(zeros, 0j, starts, np.ones(3), 0, 10, 1e-10, 0.5,
+                              np.empty(6)[::2], *outputs[1:])
     # two routes of one piece each from a base fiber of three points
     pieces = (np.zeros(2, dtype=np.complex128), np.zeros(2, dtype=np.complex128),
               np.zeros(2), np.zeros(2), np.zeros(2, dtype=bool))
@@ -176,7 +184,7 @@ def _tracking_calls(monkeypatch, products):
 def test_track_routes_backends_agree(ckernel, monkeypatch):
     """The end-fibre bound stated in blochkit._kernels, and equal statuses
     and permutations."""
-    _, _, fast = _kernels.compiled(ckernel)
+    _, fast = _kernels.compiled(ckernel)
     products = _tracking_products()
     for args in _tracking_calls(monkeypatch, products):
         ends, status = fast(*args)
@@ -196,7 +204,7 @@ def test_track_routes_backends_agree(ckernel, monkeypatch):
 
 def test_track_routes_statuses(kernels, monkeypatch):
     """The first failed route stops the later ones, on either backend."""
-    _, _, track = kernels
+    _, track = kernels
     zeros, lam, base, pieces, counts, rules = _tracking_calls(
         monkeypatch, [random_product(5, seed=181)])[0]
     # one piece starting at w = 0.9, away from the base fiber over 0: no step
@@ -218,7 +226,7 @@ def test_track_routes_statuses(kernels, monkeypatch):
 def test_concurrent_calls_match_serial_calls(kernels, monkeypatch):
     """Eight threads at once, four Nelder-Mead passes and four trackings of
     one product each, give the serial results bit for bit."""
-    _, refine, track = kernels
+    refine, track = kernels
     jobs = [(refine, (*_multistart_case(6 + 3 * i, seed=70 + i), i % 3, 500, 1e-10,
                       seminorm.BARRIER_RADIUS)) for i in range(4)]
     products = [random_product(5 + i, seed=80 + i, law=LAWS[i % 2]) for i in range(4)]

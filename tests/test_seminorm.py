@@ -123,8 +123,6 @@ def test_config_validation():
     with pytest.raises(RangeError):
         OptimizerConfig(grid_angles=0)
     with pytest.raises(RangeError):
-        OptimizerConfig(max_iterations=-1)
-    with pytest.raises(RangeError):
         OptimizerConfig(stochastic_starts=-3)
 
 
