@@ -56,22 +56,22 @@ static inline cplx factor_den(cplx a, cplx z)
 }
 
 /* P'(z) by the product rule, sum_j f_j'(z) prod_{k != j} f_k(z): stable at
- * a zero of P, where the log-derivative sum collapses */
+ * a zero of P, where the log-derivative sum collapses.  One pass carries the
+ * partial product p = f_0 ... f_j and its derivative, dp <- dp f_j + p f_j',
+ * so no factor is divided out and the cost is O(n). */
 static cplx product_rule(Py_ssize_t n, const cplx *zr, cplx z)
 {
-    cplx bp = mk(0.0, 0.0);
-    Py_ssize_t j, k;
+    cplx p = mk(1.0, 0.0), dp = mk(0.0, 0.0);
+    Py_ssize_t j;
 
     for (j = 0; j < n; j++) {
         cplx den = factor_den(zr[j], z);
         double aj2 = zr[j].re * zr[j].re + zr[j].im * zr[j].im;
-        cplx term = quot(mk(1.0 - aj2, 0.0), mul(den, den));
-        for (k = 0; k < n; k++)
-            if (k != j)
-                term = mul(term, quot(sub(z, zr[k]), factor_den(zr[k], z)));
-        bp = add(bp, term);
+        cplx f = quot(sub(z, zr[j]), den);
+        dp = add(mul(dp, f), mul(p, quot(mk(1.0 - aj2, 0.0), mul(den, den))));
+        p = mul(p, f);
     }
-    return bp;
+    return dp;
 }
 
 /* The product of the factors at z, P = B/lam, and its derivative P' = B'/lam:

@@ -18,8 +18,8 @@ The derivation chain uses, for every z on the radial segment [z0, zeta],
     |B(z0)| >= 1 - d*delta/(1-d)^2,
 
 and ``verify_construction`` re-checks those numerically at sampled points.
-``select_zeta`` takes zeta from a sampled scan of the circle, so it can miss a
-narrow peak; delta is then computed at the zeta it returns.
+``select_zeta`` takes zeta from the top sampled peak of ``boundary_peaks``,
+polished; delta is computed at the zeta it returns.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DegenerateError, DomainError, StructureError
-from .products import BlaschkeProduct, boundary_derivative_modulus, evaluate
+from .products import BlaschkeProduct, boundary_derivative_modulus, boundary_peaks, evaluate
 from .seminorm import _golden_section, pointwise_bloch
 
 DEFAULT_D = 1.0 / 7.0
@@ -65,31 +65,25 @@ class ConstructiveResult:
         }
 
 
-_ANGULAR_SAMPLES = 4096
-
-
 def select_zeta(B: BlaschkeProduct) -> complex:
-    """The largest of |B'| at 4096 equally spaced points of the circle,
-    golden-section polished; it can miss a peak narrower than the 1.5e-3 step.
+    """The top sampled peak of |B'| on the circle (``boundary_peaks``),
+    golden-section polished between its neighbouring samples.
 
-    Deterministic: the first grid angle attaining the maximum wins (for the
-    rotationally symmetric z^n this returns exactly 1), and the polished angle
-    replaces it only when it strictly improves the modulus.
+    The scan samples a narrow peak next to a zero close to the circle on a
+    local grid, so it does not step over it.  Deterministic: the first
+    sampled angle attaining the maximum wins (for the rotationally symmetric
+    z^n this returns exactly 1), and the polished angle replaces it only
+    when it strictly improves the modulus.
     """
-    thetas = 2.0 * math.pi * np.arange(_ANGULAR_SAMPLES) / _ANGULAR_SAMPLES
-    points = np.exp(1j * thetas)
-    vals = boundary_derivative_modulus(B, points)
-    # first angle within relative 1e-12 of the top, so exact symmetry (z^n)
-    # deterministically lands on angle zero instead of float-noise argmax
-    k = int(np.argmax(vals >= np.max(vals) * (1.0 - 1e-12)))
-    best_theta, best_val = float(thetas[k]), float(vals[k])
+    theta, modulus, bracket = boundary_peaks(B)
+    k = int(np.argmax(modulus))
+    best_theta, best_val = float(theta[k]), float(modulus[k])
 
     def m(theta: float) -> float:
         return boundary_derivative_modulus(B, complex(math.cos(theta),
                                                       math.sin(theta)))
 
-    step = 2.0 * math.pi / _ANGULAR_SAMPLES
-    theta_ref = _golden_section(m, best_theta - step, best_theta + step, 1e-10)
+    theta_ref = _golden_section(m, float(bracket[k, 0]), float(bracket[k, 1]), 1e-10)
     if m(theta_ref) > best_val + 1e-13 * max(1.0, best_val):
         best_theta = theta_ref
     return complex(math.cos(best_theta), math.sin(best_theta))

@@ -238,19 +238,76 @@ def derivative(B: BlaschkeProduct, z):
     return complex(out[()]) if scalar else out
 
 
+def _boundary_sum(zeros: np.ndarray, zeta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sum_j (1-|z_j|^2)/|zeta-z_j|^2 and min_j |zeta-z_j|^2 at each entry of
+    the 1-d array zeta, in row blocks of _row_blocks."""
+    weight = 1.0 - np.abs(zeros) ** 2
+    total = np.empty(zeta.shape)
+    nearest = np.empty(zeta.shape)
+    for rows in _row_blocks(zeta.size, zeros.size):
+        diff = zeta[rows, None] - zeros
+        dist2 = diff.real ** 2 + diff.imag ** 2
+        total[rows] = (weight / dist2).sum(axis=1)
+        nearest[rows] = dist2.min(axis=1)
+    return total, nearest
+
+
 def boundary_derivative_modulus(B: BlaschkeProduct, zeta):
     """|B'(zeta)| for |zeta| = 1, via the positive-sum boundary identity."""
     arr, scalar = _as_points(zeta)
     _require_finite(arr, "boundary points")
     if np.any(np.abs(np.abs(arr) - 1.0) > _BOUNDARY_TOL):
         raise DomainError("boundary points must satisfy ||zeta| - 1| <= 1e-10")
-    zs = B.zeros_array
-    flat = np.atleast_1d(arr).ravel()
-    diff2 = np.abs(flat[:, None] - zs[None, :]) ** 2
-    if np.any(diff2.min(axis=1) < _POLE_TOL**2):
+    with np.errstate(divide="ignore"):
+        total, nearest = _boundary_sum(B.zeros_array, np.atleast_1d(arr).ravel())
+    if np.any(nearest < _POLE_TOL**2):
         raise SingularityError("zeta is within 1e-14 of a zero of the product")
-    out = ((1.0 - np.abs(zs) ** 2)[None, :] / diff2).sum(axis=1).reshape(arr.shape)
+    out = total.reshape(arr.shape)
     return float(out[()]) if scalar else out
+
+
+#: uniform angles of the boundary scan in boundary_peaks
+_SCAN_ANGLES = 1024
+#: angles of the local scan around a zero close to the circle ...
+_LOCAL_ANGLES = 32
+#: ... which spans arg a +- _LOCAL_SPAN * (1 - |a|)
+_LOCAL_SPAN = 8.0
+
+
+def boundary_peaks(B: BlaschkeProduct) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The local maxima of |B'| on the circle among sampled angles, as
+    (theta, modulus, bracket): ascending angles in [0, 2 pi), |B'| there, and
+    for each the angles of its two neighbouring samples, lo < theta < hi.
+
+    |B'(e^{i theta})| is the positive sum of the boundary identity.  It is
+    sampled on _SCAN_ANGLES uniform angles and, for each zero a whose
+    peak, about 1 - |a| wide, is narrower than four uniform steps, on
+    _LOCAL_ANGLES more angles over arg a +- _LOCAL_SPAN (1 - |a|).  A peak is
+    a sample at least its left neighbour and above its right one; the
+    samples are not polished.  A modulus flat to relative 1e-12 (z^n and its
+    rotations) has no strict peak and gives one peak, at angle zero.  The
+    samples go through in row blocks, so memory stays bounded at any degree.
+    """
+    zeros = B.zeros_array
+    step = 2.0 * math.pi / _SCAN_ANGLES
+    parts = [step * np.arange(_SCAN_ANGLES)]
+    depth = 1.0 - np.abs(zeros)
+    narrow = depth < 4.0 * step
+    if narrow.any():
+        offsets = np.linspace(-_LOCAL_SPAN, _LOCAL_SPAN, _LOCAL_ANGLES)
+        local = np.angle(zeros[narrow])[:, None] + depth[narrow][:, None] * offsets
+        local = np.mod(local.ravel(), 2.0 * math.pi)
+        parts.append(local[local < 2.0 * math.pi])
+    theta = np.unique(np.concatenate(parts))
+    modulus = _boundary_sum(zeros, np.exp(1j * theta))[0]
+    if modulus.min() >= modulus.max() * (1.0 - 1e-12):
+        peak = np.zeros(1, dtype=np.intp)
+    else:
+        peak = np.nonzero((modulus >= np.roll(modulus, 1))
+                          & (modulus > np.roll(modulus, -1)))[0]
+    wrapped = np.concatenate([[theta[-1] - 2.0 * math.pi], theta, [theta[0] + 2.0 * math.pi]])
+    bracket = np.stack([wrapped[peak], wrapped[peak + 2]], axis=1)
+    return theta[peak], modulus[peak], bracket
 
 
 # probe points for re-normalizing the rotation after a pullback; the first one

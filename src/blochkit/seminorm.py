@@ -2,11 +2,14 @@
 
 The pointwise quantity is |B'(z)|(1-|z|^2); its supremum over the disk is the
 Bloch seminorm, which for a Blaschke product sits in [0, 1] by Schwarz-Pick.
-The estimator is a deterministic multistart local search: starts at the
-origin, the zeros, the critical points of B, and a nested polar grid, each
-refined by a derivative-free simplex descent (compiled kernel when available),
-then one restart pass from the best point at a tenth of the scale.  The result
-is always a certified lower bound of the supremum.
+The estimator is a deterministic multistart local search.  Its starts are the
+origin, the zeros, the critical points of B, and three points
+(1 - t/|B'(zeta)|) zeta, t in {1/4, 1/2, 1}, toward each sampled local maximum
+zeta of |B'| on the circle (``products.boundary_peaks``): Theorem 4 places its
+certified point z0 = (1 - d delta/|B'(zeta)|) zeta on that radius.  Each start
+is refined by a derivative-free simplex descent (compiled kernel when
+available), then one restart pass runs from the best point at a tenth of the
+scale.  The result is always a certified lower bound of the supremum.
 
 Also here: the closed form for the z^n family, and a small catalog of analytic
 outer functions f with f'(0) = 1 for estimating the seminorm of compositions
@@ -15,34 +18,31 @@ f o B via the chain rule |f'(B(z))| |B'(z)| (1-|z|^2).
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import _kernels as impl
 from .errors import DomainError, RangeError, RootCountError
-from .products import BlaschkeProduct, derivative, evaluate
+from .products import BlaschkeProduct, boundary_peaks, derivative, evaluate
 
 BARRIER_RADIUS = 1.0 - 1e-9
 MAX_ITERATIONS = 500        # simplex iterations per start
 OBJECTIVE_TOLERANCE = 1e-10  # a simplex stops once its values span at most this
+#: the starts (1 - t/|B'(zeta)|) zeta toward each boundary peak zeta
+PEAK_OFFSETS = (0.25, 0.5, 1.0)
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Deterministic multistart settings; identical configs give identical runs."""
 
-    grid_angles: int = 24
-    grid_radii: int = 16
     stochastic_starts: int = 0
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.grid_angles < 1 or self.grid_radii < 0:
-            raise RangeError("grid shape must be positive")
         if self.stochastic_starts < 0:
             raise RangeError("stochastic_starts must be nonnegative")
 
@@ -130,25 +130,6 @@ def composed_pointwise(entry: AnalyticCatalogEntry, B: BlaschkeProduct,
             * abs(derivative(B, z)) * (1.0 - abs(z) ** 2))
 
 
-def _van_der_corput(count: int) -> np.ndarray:
-    """First ``count`` terms of the base-2 radical-inverse sequence (no zero).
-
-    The first k terms are always a subset of the first 2k, which makes the
-    polar start grid nested under doubling and the estimate monotone in the
-    grid size.
-    """
-    out = np.empty(count)
-    for i in range(count):
-        x, f, n = 0.0, 0.5, i + 1
-        while n:
-            if n & 1:
-                x += f
-            f *= 0.5
-            n >>= 1
-        out[i] = x
-    return out
-
-
 def _golden_section(f, lo, hi, tol: float):
     """Midpoint of the final bracket of a golden-section search for a maximum
     of the unimodal f on [lo, hi], stopped once the bracket is at most tol."""
@@ -168,25 +149,20 @@ def _golden_section(f, lo, hi, tol: float):
     return 0.5 * (lo + hi)
 
 
-@functools.lru_cache(maxsize=32)
-def _polar_grid(angles: int, radii: int) -> np.ndarray:
-    """The nested polar start grid, angle by angle, as a read-only array."""
-    rs = _van_der_corput(radii)
-    grid = []
-    for k in range(angles):
-        theta = 2.0 * math.pi * k / angles
-        rot = complex(math.cos(theta), math.sin(theta))
-        for r in rs:
-            grid.append(r * rot)
-    out = np.array(grid, dtype=np.complex128)
-    out.flags.writeable = False
-    return out
+def _peak_starts(B: BlaschkeProduct) -> np.ndarray:
+    """(1 - t/|B'(zeta)|) zeta for each boundary peak zeta and t in
+    PEAK_OFFSETS, peak by peak; a t at or above the peak's |B'| would not
+    give a point of the radius inside the disk and is left out."""
+    theta, modulus, _ = boundary_peaks(B)
+    radius = 1.0 - np.divide.outer(PEAK_OFFSETS, modulus).T
+    points = radius * np.exp(1j * theta)[:, None]
+    return points[radius > 0.0]
 
 
 def _start_points(B: BlaschkeProduct, config: OptimizerConfig,
                   critical: tuple[complex, ...] | None = None) -> np.ndarray:
     """The deduplicated starts, each at its first occurrence, in the order
-    origin, zeros, critical points, polar grid, stochastic starts;
+    origin, zeros, critical points, boundary-peak starts, stochastic starts;
     ``critical``, when given, is ``covering.critical_points(B)`` from a
     caller that already has it."""
     starts: list[complex] = [0.0 + 0.0j]
@@ -200,8 +176,7 @@ def _start_points(B: BlaschkeProduct, config: OptimizerConfig,
             except RootCountError:
                 critical = ()
         starts.extend(critical)
-    parts = [np.array(starts, dtype=np.complex128),
-             _polar_grid(config.grid_angles, config.grid_radii)]
+    parts = [np.array(starts, dtype=np.complex128), _peak_starts(B)]
     if config.stochastic_starts:
         rng = np.random.default_rng(config.seed)
         u = rng.random(config.stochastic_starts)
@@ -270,7 +245,11 @@ def seminorm(B: BlaschkeProduct, config: OptimizerConfig | None = None,
 
 def composed_seminorm(entry: AnalyticCatalogEntry, B: BlaschkeProduct,
                       config: OptimizerConfig | None = None) -> SeminormEstimate:
-    """Lower-bound estimate of the Bloch seminorm of f o B for a catalog f."""
+    """Lower-bound estimate of the Bloch seminorm of f o B for a catalog f.
+
+    ``halfplane`` is not a Bloch function, and f o B is unbounded in the
+    Bloch sense next to every boundary point where B = 1; its value is what
+    the search reaches before BARRIER_RADIUS stops it."""
     config = config or OptimizerConfig()
     _val, argmax, used, iters = _run_multistart(B, config, entry.kernel_kind)
     return SeminormEstimate(composed_pointwise(entry, B, argmax), argmax, used, iters)

@@ -45,7 +45,6 @@ from .errors import (
     SingularityError,
 )
 from .quadrature import integrate_adaptive, integrate_fixed
-from .seminorm import _van_der_corput
 
 TARGET_HEIGHT = 1.5 * math.pi     # I1 condition (rectangle height 3*pi over 2)
 PATH_CLEARANCE = 1e-3
@@ -374,6 +373,20 @@ def _stationary_maximum(z: complex, c: float, d: float) -> complex | None:
             return None
         z, g, h = trial, gt, ht
     return None
+
+
+def _van_der_corput(count: int) -> np.ndarray:
+    """First ``count`` terms of the base-2 radical-inverse sequence (no zero)."""
+    out = np.empty(count)
+    for i in range(count):
+        x, f, n = 0.0, 0.5, i + 1
+        while n:
+            if n & 1:
+                x += f
+            f *= 0.5
+            n >>= 1
+        out[i] = x
+    return out
 
 
 def _default_starts(count: int) -> list[complex]:

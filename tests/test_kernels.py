@@ -83,6 +83,22 @@ def test_pointwise_batch_backends_agree(ckernel):
         assert np.max(np.abs(got - ref)) < 1e-12
 
 
+def test_product_rule_backends_agree_at_high_degree(ckernel):
+    """On the zeros of a degree-400 product, where both backends take the
+    product rule, the objective agrees to 1e-12; at a double zero B' is 0."""
+    fast, _ = _kernels.compiled(ckernel)
+    zeros, _ = _random_case(77, 400)
+    for pts, kind in ((zeros.copy(), 0), (zeros[:50].copy(), 2)):
+        args = (zeros, 1.0 + 0j, pts, np.zeros(pts.size), kind, 0, 1e-10, 1.0 - 1e-9)
+        got = fast(*args)[0]
+        ref = _fallback.refine_starts(*args)[0]
+        assert np.all(got > 0.0)
+        assert np.max(np.abs(got - ref)) < 1e-12
+    double = np.array([0.3 + 0.1j, 0.3 + 0.1j, -0.5j])
+    args = (double, 1.0 + 0j, double[:1].copy(), np.zeros(1), 0, 0, 1e-10, 1.0 - 1e-9)
+    assert fast(*args)[0][0] == 0.0
+
+
 def test_refine_starts_backends_agree(ckernel):
     fast, _ = _kernels.compiled(ckernel)
     zeros, pts = _random_case(42, 5)

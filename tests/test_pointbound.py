@@ -69,6 +69,21 @@ def test_select_zeta_beats_dense_scan(random_products):
         assert best >= dense - 1e-6
 
 
+def test_select_zeta_finds_a_narrow_peak():
+    """A zero 1.3e-4 from the circle: its peak of |B'| is narrower than a
+    4096-angle scan's step, which found 1129.388 at another peak."""
+    B = random_product(3, seed=81724177, law="boundary_concentrated")
+    zeta = select_zeta(B)
+    best = boundary_derivative_modulus(B, zeta)
+    scan = boundary_derivative_modulus(B, np.exp(2j * math.pi * np.arange(4096) / 4096))
+    assert best >= 1129.388 and best > 10.0 * scan.max()
+    theta = math.atan2(zeta.imag, zeta.real)
+    for width in (1e-4, 1e-6, 1e-8):
+        dense = boundary_derivative_modulus(
+            B, np.exp(1j * (theta + np.linspace(-width, width, 20_001)))).max()
+        assert best >= dense * (1.0 - 1e-9)
+
+
 def test_certification_sample():
     for B in mixed_products(50, 12, base_seed=70_000):
         zeta = select_zeta(B)

@@ -18,6 +18,7 @@ from blochkit.products import (
     BlaschkeProduct,
     MoebiusAutomorphism,
     boundary_derivative_modulus,
+    boundary_peaks,
     derivative,
     evaluate,
     precompose,
@@ -84,6 +85,48 @@ def test_boundary_derivative_sum_formula(random_products):
         direct = abs(derivative(B, zeta))
         via_sum = boundary_derivative_modulus(B, zeta)
         assert abs(direct - via_sum) < 1e-9 * max(1.0, direct)
+
+
+def test_boundary_peaks_are_the_local_maxima_of_a_dense_scan(random_products):
+    """Every local maximum of |B'| on 2^16 angles lies within a bracket's
+    width of a peak whose sample is within 10 % of it (the samples are not
+    polished), and each peak tops its bracket's ends."""
+    dense_theta = 2.0 * math.pi * np.arange(1 << 16) / (1 << 16)
+    for B in random_products:
+        theta, modulus, bracket = boundary_peaks(B)
+        assert np.all(np.diff(theta) > 0.0)
+        assert np.all((bracket[:, 0] < theta) & (theta < bracket[:, 1]))
+        ends = boundary_derivative_modulus(B, np.exp(1j * bracket))
+        assert np.all(modulus[:, None] >= ends)
+        np.testing.assert_allclose(modulus, boundary_derivative_modulus(B, np.exp(1j * theta)),
+                                   rtol=1e-12)
+        dense = boundary_derivative_modulus(B, np.exp(1j * dense_theta))
+        top = (dense >= np.roll(dense, 1)) & (dense > np.roll(dense, -1))
+        for th, m in zip(dense_theta[top], dense[top]):
+            gap = np.abs(np.angle(np.exp(1j * (theta - th))))
+            k = int(np.argmin(gap))
+            assert gap[k] <= bracket[k, 1] - bracket[k, 0]
+            assert modulus[k] >= 0.9 * m
+
+
+def test_boundary_peaks_of_a_flat_modulus_is_angle_zero():
+    for n in (1, 4, 7):
+        for rotation in (1.0, 1j, complex(math.cos(2.0), math.sin(2.0))):
+            theta, modulus, _ = boundary_peaks(BlaschkeProduct((0j,) * n, rotation))
+            assert theta.tolist() == [0.0]
+            assert abs(modulus[0] - n) < 1e-12
+
+
+def test_boundary_peaks_narrow_peak_and_high_degree():
+    """A zero 2e-6 from the circle gets a peak near its argument; at degree
+    1024 the scan runs in several row blocks."""
+    B = BlaschkeProduct((0.3 + 0.1j, (1.0 - 2e-6) * complex(math.cos(1.0), math.sin(1.0))))
+    theta, modulus, _ = boundary_peaks(B)
+    k = int(np.argmax(modulus))
+    assert abs(theta[k] - 1.0) < 2e-6 and modulus[k] > 5e5
+    B = random_product(1024, seed=3, law="boundary_concentrated")
+    theta, modulus, _ = boundary_peaks(B)
+    assert theta.size > 0 and np.all(np.isfinite(modulus))
 
 
 def test_boundary_derivative_positive_lower_bound(random_products):

@@ -2,18 +2,27 @@
 
 from __future__ import annotations
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from blochkit import covering
 from blochkit.errors import ConvergenceError, DomainError, RangeError, RootCountError
-from blochkit.products import BlaschkeProduct, MoebiusAutomorphism, precompose, random_product
+from blochkit.products import (
+    BlaschkeProduct,
+    MoebiusAutomorphism,
+    boundary_peaks,
+    precompose,
+    random_product,
+)
 from blochkit.seminorm import (
     CATALOG,
     OptimizerConfig,
     _golden_section,
+    _start_points,
     catalog_entry,
     composed_pointwise,
     composed_seminorm,
@@ -23,7 +32,7 @@ from blochkit.seminorm import (
     znorm_closed_form,
 )
 
-from conftest import power_product
+from conftest import mixed_products, power_product
 
 
 def test_degree_one_is_exactly_one():
@@ -101,14 +110,47 @@ def test_moebius_invariance_sample():
         assert abs(direct - pulled) < 2e-6
 
 
-def test_refinement_is_monotone_under_grid_doubling():
-    coarse = OptimizerConfig(grid_angles=24, grid_radii=16)
-    fine = OptimizerConfig(grid_angles=48, grid_radii=32)
-    for seed in (31, 32, 33):
-        B = random_product(5, seed=seed)
-        v_coarse = seminorm(B, coarse).value
-        v_fine = seminorm(B, fine).value
-        assert v_fine >= v_coarse - 1e-12
+def _peak_points(B: BlaschkeProduct) -> np.ndarray:
+    theta, modulus, _ = boundary_peaks(B)
+    return np.array([(1.0 - t / m) * complex(np.exp(1j * th))
+                     for th, m in zip(theta, modulus) for t in (0.25, 0.5, 1.0)])
+
+
+def test_starts_hold_three_peak_starts_per_boundary_peak():
+    for B in mixed_products(24, 12, base_seed=31):
+        starts = _start_points(B, OptimizerConfig())
+        peaks = _peak_points(B)
+        assert peaks.size == 3 * boundary_peaks(B)[0].size > 0
+        assert np.all(np.abs(peaks) < 1.0) and np.all(np.abs(peaks) > 0.0)
+        assert np.isin(peaks, starts).all()
+
+
+def test_power_product_peak_starts_lie_at_angle_zero():
+    for n in (2, 5, 9):
+        starts = _start_points(power_product(n), OptimizerConfig())
+        expected = [0.0, 1.0 - 0.25 / n, 1.0 - 0.5 / n, 1.0 - 1.0 / n]
+        np.testing.assert_allclose(starts, expected, rtol=0.0, atol=1e-15)
+
+
+def test_starts_stay_below_the_polar_grid_count():
+    """Degrees 1-12 under both laws: the peak starts never outnumber the 384
+    points of the 24 x 16 polar grid that they replaced."""
+    for law in ("uniform_disk", "boundary_concentrated"):
+        for degree in range(1, 13):
+            for seed in range(10):
+                B = random_product(degree, seed=100 * degree + seed, law=law)
+                critical = covering.critical_points(B) if degree >= 2 else ()
+                base = np.unique(np.array([0j, *B.zeros, *critical])).size
+                assert _start_points(B, OptimizerConfig(), critical).size <= base + 384
+
+
+def test_hole_product_reaches_its_maximum():
+    """A degree-5 product whose maximum at -0.51829 + 0.84390i the polar
+    start grid missed by 7.5e-3 (it gave 0.7595620)."""
+    data = json.loads((Path(__file__).parent / "data" / "seminorm_hole.json").read_text())
+    est = seminorm(BlaschkeProduct.from_json(data))
+    assert est.value >= 0.76710545 - 1e-8
+    assert abs(est.argmax - (-0.51829 + 0.84390j)) < 1e-4
 
 
 def test_stochastic_starts_are_reproducible():
@@ -121,9 +163,10 @@ def test_stochastic_starts_are_reproducible():
 
 def test_config_validation():
     with pytest.raises(RangeError):
-        OptimizerConfig(grid_angles=0)
-    with pytest.raises(RangeError):
         OptimizerConfig(stochastic_starts=-3)
+    for removed in ("grid_angles", "grid_radii"):
+        with pytest.raises(TypeError):
+            OptimizerConfig(**{removed: 24})
 
 
 def test_little_bloch_boundary_decay():
