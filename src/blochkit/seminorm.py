@@ -151,8 +151,8 @@ def _golden_section(f, lo, hi, tol: float):
 
 def _peak_starts(B: BlaschkeProduct) -> np.ndarray:
     """(1 - t/|B'(zeta)|) zeta for each boundary peak zeta and t in
-    PEAK_OFFSETS, peak by peak; a t at or above the peak's |B'| would not
-    give a point of the radius inside the disk and is left out."""
+    PEAK_OFFSETS, peak by peak; a t at or above the peak's |B'| gives no
+    point of the open radius from 0 to zeta and is left out."""
     theta, modulus, _ = boundary_peaks(B)
     radius = 1.0 - np.divide.outer(PEAK_OFFSETS, modulus).T
     points = radius * np.exp(1j * theta)[:, None]
