@@ -1,14 +1,16 @@
-/* Compiled kernel backend, as a plain CPython module with two entries:
- * refine_starts, one Nelder-Mead pass per start on the scalar objective, and
- * track_routes, fiber tracking one route at a time.
+/* Compiled kernel backend, as a plain CPython module with three entries:
+ * refine_starts, one Nelder-Mead pass per start on the scalar objective;
+ * track_routes, fiber tracking one route at a time; and critical_roots,
+ * mirrored Ehrlich-Aberth on the numerator of B'/B, one root at a time in
+ * scratch linear in the degree.
  *
  * blochkit._kernels makes the inputs contiguous and allocates the outputs;
  * this module reads and writes them through the buffer protocol, so it needs
  * no numpy headers.  Every loop runs with the interpreter lock released, and
  * nothing here is global mutable state, so concurrent calls are safe.  B and
  * B' come from one routine, blaschke(), which both the objective and the
- * tracker call.  The objective, the simplex branch logic and the per-route
- * tracking rules are those of the numpy reference,
+ * tracker call.  The objective, the simplex branch logic, the per-route
+ * tracking rules and the Aberth rules are those of the numpy reference,
  * blochkit._kernels._fallback, evaluated one point at a time.
  */
 #define PY_SSIZE_T_CLEAN
@@ -375,6 +377,105 @@ static void track_routes_loop(Py_ssize_t nz, const cplx *zr, cplx lam, Py_ssize_
     }
 }
 
+/* ---- critical points --------------------------------------------------- */
+
+static inline cplx conjugate(cplx a) { return mk(a.re, -a.im); }
+
+/* p'/p at x into *newton, for p the numerator of g = B'/B over the d distinct
+ * zeros zr with weights m_k (1 - |a_k|^2); returns the relative residual
+ * |g| / sum_k |t_k| of g = sum_k t_k.  The formulas of the numpy reference's
+ * _critical_ratio, summed in order over the zeros. */
+static double critical_ratio(Py_ssize_t d, const cplx *zr, const double *weight, cplx x,
+                             cplx *newton)
+{
+    cplx g = mk(0.0, 0.0), su = mk(0.0, 0.0), tu = mk(0.0, 0.0);
+    double size = 0.0;
+    Py_ssize_t k;
+
+    for (k = 0; k < d; k++) {
+        cplx ca = conjugate(zr[k]);
+        cplx e = quot(mk(1.0, 0.0), sub(x, zr[k]));
+        cplx f = quot(mk(1.0, 0.0), sub(mk(1.0, 0.0), mul(ca, x)));
+        cplx t = mul(scale(weight[k], e), f);
+        cplx u = sub(e, mul(ca, f));
+        g = add(g, t);
+        su = add(su, u);
+        tu = add(tu, mul(t, u));
+        size += hypot(t.re, t.im);
+    }
+    *newton = sub(su, quot(tu, g));
+    return hypot(g.re, g.im) / size;
+}
+
+/* The Aberth sum of root i over the m iterates z and their mirror images:
+ * sum_{j != i} 1/(z_i - z_j) + sum_j conj(z_j)/(z_i conj(z_j) - 1). */
+static cplx repulsion(Py_ssize_t m, const cplx *z, Py_ssize_t i)
+{
+    cplx near = mk(0.0, 0.0), far = mk(0.0, 0.0);
+    Py_ssize_t j;
+
+    for (j = 0; j < m; j++) {
+        cplx cz = conjugate(z[j]);
+        if (j != i)
+            near = add(near, quot(mk(1.0, 0.0), sub(z[i], z[j])));
+        far = add(far, quot(cz, sub(mul(z[i], cz), mk(1.0, 0.0))));
+    }
+    return add(near, far);
+}
+
+/* Mirrored Ehrlich-Aberth on the m iterates z, in place, with the rules of
+ * the numpy reference's _aberth: a root whose residual reaches freeze_tol
+ * stops moving but stays in the sums; every sweep steps the live roots from
+ * the same iterates, and an iterate that leaves the disk is replaced by its
+ * mirror image; the iteration ends when no root is live, when every step is
+ * below step_tol (1 + |z|), or after max_iter sweeps.  res receives each
+ * root's relative residual.  step and live are scratch of m entries each. */
+static void critical_loop(Py_ssize_t d, const cplx *zr, const double *weight, Py_ssize_t m,
+                          cplx *z, double *res, double freeze_tol, long max_iter,
+                          double step_tol, cplx *step, unsigned char *live)
+{
+    cplx newton;
+    long it;
+    Py_ssize_t i;
+
+    for (i = 0; i < m; i++) {
+        res[i] = HUGE_VAL;
+        live[i] = 1;
+    }
+    for (it = 0; it < max_iter; it++) {
+        int moving = 0, stalled = 1;
+        for (i = 0; i < m; i++) {
+            cplx s;
+            if (!live[i])
+                continue;
+            res[i] = critical_ratio(d, zr, weight, z[i], &newton);
+            if (res[i] <= freeze_tol) {
+                live[i] = 0;
+                continue;
+            }
+            moving = 1;
+            s = quot(mk(1.0, 0.0), sub(newton, repulsion(m, z, i)));
+            step[i] = is_finite(s) ? s : mk(0.0, 0.0);
+        }
+        if (!moving)
+            break;
+        for (i = 0; i < m; i++) {
+            if (!live[i])
+                continue;
+            z[i] = sub(z[i], step[i]);
+            if (hypot(z[i].re, z[i].im) > 1.0)
+                z[i] = quot(mk(1.0, 0.0), conjugate(z[i]));
+            if (!(hypot(step[i].re, step[i].im) / (1.0 + hypot(z[i].re, z[i].im)) < step_tol))
+                stalled = 0;
+        }
+        if (stalled)
+            break;
+    }
+    for (i = 0; i < m; i++)
+        if (live[i])
+            res[i] = critical_ratio(d, zr, weight, z[i], &newton);
+}
+
 typedef struct {
     const char *format, *name;
     Py_ssize_t itemsize;
@@ -544,9 +645,62 @@ static PyObject *track_routes(PyObject *Py_UNUSED(self), PyObject *args)
     Py_RETURN_NONE;
 }
 
+static const array_spec critical_spec[5] = {
+    {"Zd", "zeros", 16, 0, -1}, {"q", "mult", 8, 0, 0},  {"Zd", "start", 16, 0, -1},
+    {"Zd", "roots", 16, 1, 2},  {"d", "res", 8, 1, 2},
+};
+
+PyDoc_STRVAR(critical_roots_doc,
+"critical_roots(zeros, mult, start, freeze_tol, max_iter, step_tol, roots, res)\n\n"
+"Mirrored Ehrlich-Aberth from start on the numerator of g = B'/B over the\n"
+"distinct zeros with multiplicities mult (int64).  Writes the roots (complex128)\n"
+"and their relative residuals (float64).");
+
+static PyObject *critical_roots(PyObject *Py_UNUSED(self), PyObject *args)
+{
+    PyObject *obj[5];
+    Py_buffer b[5];
+    double freeze_tol, step_tol;
+    long max_iter;
+
+    if (!PyArg_ParseTuple(args, "OOOdldOO", &obj[0], &obj[1], &obj[2], &freeze_tol, &max_iter,
+                          &step_tol, &obj[3], &obj[4])
+        || get_arrays(obj, b, critical_spec, 5) < 0)
+        return NULL;
+    {
+        const cplx *zr = b[0].buf;
+        const int64_t *mult = b[1].buf;
+        Py_ssize_t d = b[0].len / 16, m = b[2].len / 16, k;
+        /* one block: d weights, m steps, m live flags */
+        double *weight = PyMem_Malloc((d + 2 * m) * sizeof(double) + m);
+        if (weight == NULL) {
+            PyErr_NoMemory();
+        } else {
+            cplx *step = (cplx *)(weight + d);
+            unsigned char *live = (unsigned char *)(step + m);
+            cplx *z = b[3].buf;
+            Py_BEGIN_ALLOW_THREADS
+            for (k = 0; k < d; k++) {
+                double a = hypot(zr[k].re, zr[k].im);
+                weight[k] = (double)mult[k] * (1.0 - a * a);
+            }
+            memmove(z, b[2].buf, m * sizeof(cplx)); /* start may be roots */
+            critical_loop(d, zr, weight, m, z, b[4].buf, freeze_tol, max_iter, step_tol, step,
+                          live);
+            Py_END_ALLOW_THREADS
+            PyMem_Free(weight);
+        }
+    }
+    release_arrays(b, 5);
+    if (PyErr_Occurred())
+        return NULL;
+    Py_RETURN_NONE;
+}
+
 static PyMethodDef methods[] = {
     {"refine_starts", refine_starts, METH_VARARGS, refine_starts_doc},
     {"track_routes", track_routes, METH_VARARGS, track_routes_doc},
+    {"critical_roots", critical_roots, METH_VARARGS, critical_roots_doc},
     {NULL, NULL, 0, NULL},
 };
 

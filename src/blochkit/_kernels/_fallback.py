@@ -6,7 +6,9 @@ exactly the branch logic of the scalar compiled kernel (``_ckernel.c``), while
 every objective evaluation is a single vectorized sweep over all active
 simplices.  Fiber tracking works the same way: the fibers of all routes move
 in one lockstep L x n batch, each row under the per-route rules that the
-compiled kernel applies to one route at a time.
+compiled kernel applies to one route at a time.  The critical points are
+found by Ehrlich-Aberth iteration on all live roots at once, in row blocks;
+``covering.fiber_solve`` runs the same driver on its fibers.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import math
 
 import numpy as np
 
-from ..products import _value_and_derivative
+from ..products import _row_blocks, _value_and_derivative
 
 _ALPHA, _GAMMA, _RHO, _SIGMA = 1.0, 2.0, 0.5, 0.5
 
@@ -267,3 +269,108 @@ def track_routes(zeros, lam, base, pieces, counts, rules):
             active[stop:] = False
     status[stop + 1:] = NOT_TRACKED
     return z, status
+
+
+# ----------------------------------------------------------------------------
+# critical points: Ehrlich-Aberth on partial-fraction Newton ratios
+# ----------------------------------------------------------------------------
+
+def _repulsion(z: np.ndarray, idx: np.ndarray, mirrored: bool) -> np.ndarray:
+    """sum over j != i of 1/(z_i - z_j) for each i in idx; with ``mirrored``
+    also over the mirror images 1/conj(z_j) of every z_j, the i-th included."""
+    out = np.empty(idx.size, dtype=np.complex128)
+    zc = np.conjugate(z)
+    for rows in _row_blocks(idx.size, z.size):
+        zi = z[idx[rows], None]
+        diff = zi - z
+        diff[np.arange(diff.shape[0]), idx[rows]] = np.inf
+        s = (1.0 / diff).sum(axis=1)
+        if mirrored:
+            s += (zc / (zi * zc - 1.0)).sum(axis=1)
+        out[rows] = s
+    return out
+
+
+def _aberth(ratio, start, freeze_tol: float, mirrored: bool, max_iter: int,
+            step_tol: float):
+    """Roots of p by Ehrlich-Aberth iteration from the points ``start``.
+
+    ``ratio(z)`` returns p'/p at the points z together with the relative
+    residual of p there.  A root freezes, keeping its place in the
+    repulsion sums of the others, once its residual is at most
+    ``freeze_tol``; the iteration stops when every root is frozen, when the
+    live roots all step less than ``step_tol`` (1 + |z|), or after
+    ``max_iter`` sweeps.  Every sweep steps all live roots from the same
+    iterates (Jacobi style).  With ``mirrored`` the roots of p are the
+    iterates together with their mirror images 1/conj(z) in the unit
+    circle, which enter the repulsion sums but are not iterated; an iterate
+    that steps out of the disk is replaced by its image, so the iterates
+    stay in the closed disk.
+
+    Returns the roots and their relative residuals.
+    """
+    z = np.array(start, dtype=np.complex128)
+    res = np.full(z.shape, np.inf)
+    live = np.ones(z.size, dtype=bool)
+    with np.errstate(all="ignore"):
+        for _ in range(int(max_iter)):
+            idx = np.flatnonzero(live)
+            if idx.size == 0:
+                break
+            newton, res[idx] = ratio(z[idx])
+            moving = ~(res[idx] <= freeze_tol)
+            live[idx[~moving]] = False
+            idx, newton = idx[moving], newton[moving]
+            if idx.size == 0:
+                break
+            step = 1.0 / (newton - _repulsion(z, idx, mirrored))
+            step = np.where(np.isfinite(step), step, 0.0)
+            z[idx] -= step
+            if mirrored:
+                out = idx[np.abs(z[idx]) > 1.0]
+                z[out] = 1.0 / np.conjugate(z[out])
+            if np.max(np.abs(step) / (1.0 + np.abs(z[idx]))) < step_tol:
+                break
+        idx = np.flatnonzero(live)
+        if idx.size:
+            res[idx] = ratio(z[idx])[1]
+    return z, res
+
+
+def _critical_ratio(zeros: np.ndarray, mult: np.ndarray):
+    """p'/p and the relative residual of g = B'/B at points z, for p the
+    numerator of g written over the distinct zeros with their multiplicities:
+
+        g = sum_k t_k,   t_k = m_k (1 - |a_k|^2) / ((z - a_k)(1 - conj(a_k) z)),
+        p'/p = g'/g + sum_k [1/(z - a_k) - conj(a_k)/(1 - conj(a_k) z)],
+
+    with g' = -sum_k t_k [1/(z - a_k) - conj(a_k)/(1 - conj(a_k) z)].  The
+    residual is |g| over the sum of the |t_k|.
+    """
+    conj = np.conjugate(zeros)
+    weight = mult * (1.0 - np.abs(zeros) ** 2)
+
+    def ratio(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        newton = np.empty(z.size, dtype=np.complex128)
+        res = np.empty(z.size)
+        for rows in _row_blocks(z.size, zeros.size):
+            x = z[rows, None]
+            e = 1.0 / (x - zeros)
+            f = 1.0 / (1.0 - conj * x)
+            t = weight * e * f
+            u = e - conj * f
+            g = t.sum(axis=1)
+            newton[rows] = u.sum(axis=1) - (t * u).sum(axis=1) / g
+            res[rows] = np.abs(g) / np.abs(t).sum(axis=1)
+        return newton, res
+
+    return ratio
+
+
+def critical_roots(zeros, mult, start, freeze_tol, max_iter, step_tol):
+    """The roots in the closed disk of the numerator of g = B'/B over the
+    distinct ``zeros`` with multiplicities ``mult``, by mirrored
+    Ehrlich-Aberth from ``start``; returns (roots, relative residuals)."""
+    zeros = np.ascontiguousarray(zeros, dtype=np.complex128)
+    mult = np.asarray(mult, dtype=np.int64)
+    return _aberth(_critical_ratio(zeros, mult), start, freeze_tol, True, max_iter, step_tol)

@@ -120,7 +120,7 @@ def cmd_constants(args: argparse.Namespace) -> int:
 
 def cmd_seminorm(args: argparse.Namespace) -> int:
     product = _load_product(args.input)
-    estimate = seminorm(product, OptimizerConfig(seed=args.seed))
+    estimate = seminorm(product)  # deterministic: --seed does not change it
     _print_json({"estimate": estimate.to_json(), "product": product.to_json()})
     return 0 if 0.0 <= estimate.value <= 1.0 + 1e-9 else 1
 
@@ -209,7 +209,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     report = analyze_covering(product, a=args.a, perturb=args.perturb, seed=args.seed)
     # a perturbed report holds the critical points of another product
     critical = None if args.perturb else report.critical_points
-    estimate = seminorm(product, OptimizerConfig(seed=args.seed), critical)
+    estimate = seminorm(product, OptimizerConfig(), critical)
     _print_json({"report": report.to_json(), "seminorm_estimate": estimate.to_json()})
     return 0
 
@@ -247,9 +247,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tolerance", action="append", type=_tolerance_pair, metavar="NAME=VALUE")
     p.set_defaults(func=cmd_constants)
 
-    p = sub.add_parser("seminorm", help="estimate the Bloch seminorm of a product")
+    p = sub.add_parser("seminorm", help="estimate the Bloch seminorm of a product",
+                       description="The estimate is deterministic: its starts are fixed "
+                                   "by the product.")
     p.add_argument("--input", required=True, metavar="FILE")
-    p.add_argument("--seed", type=_unsigned, default=0)
+    p.add_argument("--seed", type=_unsigned, default=0,
+                   help="accepted so that existing scripts run; it does not change the "
+                        "estimate")
     p.set_defaults(func=cmd_seminorm)
 
     p = sub.add_parser("sweep", help="randomized seminorm sweep with violation check")
@@ -271,7 +275,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, metavar="FILE")
     p.add_argument("--a", type=float, default=None)
     p.add_argument("--perturb", action="store_true")
-    p.add_argument("--seed", type=_unsigned, default=0)
+    p.add_argument("--seed", type=_unsigned, default=0,
+                   help="seed of the --perturb rotation; the seminorm estimate is "
+                        "deterministic and does not depend on it")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("surface", help="solve the two-sheeted surface parameters")

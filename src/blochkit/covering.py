@@ -16,6 +16,10 @@ of B - w (fibers), so no polynomial is ever multiplied out in the monomial
 basis (Bini, Numer. Algorithms 13, 1996; Bini & Robol, MPSolve, J. Comput.
 Appl. Math. 272, 2014).  Each root freezes once its relative residual
 reaches rounding level, and must pass a relative residual gate of 1e-10.
+``_kernels.critical_roots`` solves the critical points: the compiled kernel
+one root at a time with the interpreter lock released, and the numpy
+fallback, its reference, all live roots at once.  A fiber other than the
+zeros is solved by the fallback's driver, through ``aberth_roots``.
 Fiber tracking uses an Euler predictor with a Newton corrector and adaptive
 step control.  ``_kernels.track_routes`` does the work: the compiled kernel
 tracks one route at a time, and the numpy fallback, its reference, advances
@@ -30,6 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
+from ._kernels import _fallback
 from .errors import (
     CollisionError,
     ContinuationError,
@@ -74,22 +79,6 @@ def _ring(count: int) -> np.ndarray:
     return 0.9 * np.exp(1j * (2.0 * math.pi * np.arange(count) / count + _RING_PHASE))
 
 
-def _repulsion(z: np.ndarray, idx: np.ndarray, mirrored: bool) -> np.ndarray:
-    """sum over j != i of 1/(z_i - z_j) for each i in idx; with ``mirrored``
-    also over the mirror images 1/conj(z_j) of every z_j, the i-th included."""
-    out = np.empty(idx.size, dtype=np.complex128)
-    zc = np.conjugate(z)
-    for rows in _row_blocks(idx.size, z.size):
-        zi = z[idx[rows], None]
-        diff = zi - z
-        diff[np.arange(diff.shape[0]), idx[rows]] = np.inf
-        s = (1.0 / diff).sum(axis=1)
-        if mirrored:
-            s += (zc / (zi * zc - 1.0)).sum(axis=1)
-        out[rows] = s
-    return out
-
-
 _ABERTH_MAX_ITER = 200  # sweeps
 _ABERTH_STEP_TOL = 1e-13  # relative step below which the iteration has stalled
 
@@ -105,66 +94,14 @@ def aberth_roots(ratio, start, freeze_tol: float, mirrored: bool = False):
     With ``mirrored`` the roots of p are the iterates together with their
     mirror images 1/conj(z) in the unit circle, which enter the repulsion
     sums but are not iterated; an iterate that steps out of the disk is
-    replaced by its image, so the iterates stay in the closed disk.
+    replaced by its image, so the iterates stay in the closed disk.  The
+    driver is the numpy kernel's, which also solves the critical points on
+    that backend.
 
     Returns the roots and their relative residuals.
     """
-    z = np.array(start, dtype=np.complex128)
-    res = np.full(z.shape, np.inf)
-    live = np.ones(z.size, dtype=bool)
-    with np.errstate(all="ignore"):
-        for _ in range(_ABERTH_MAX_ITER):
-            idx = np.flatnonzero(live)
-            if idx.size == 0:
-                break
-            newton, res[idx] = ratio(z[idx])
-            moving = ~(res[idx] <= freeze_tol)
-            live[idx[~moving]] = False
-            idx, newton = idx[moving], newton[moving]
-            if idx.size == 0:
-                break
-            step = 1.0 / (newton - _repulsion(z, idx, mirrored))
-            step = np.where(np.isfinite(step), step, 0.0)
-            z[idx] -= step
-            if mirrored:
-                out = idx[np.abs(z[idx]) > 1.0]
-                z[out] = 1.0 / np.conjugate(z[out])
-            if np.max(np.abs(step) / (1.0 + np.abs(z[idx]))) < _ABERTH_STEP_TOL:
-                break
-        idx = np.flatnonzero(live)
-        if idx.size:
-            res[idx] = ratio(z[idx])[1]
-    return z, res
-
-
-def _critical_ratio(zeros: np.ndarray, mult: np.ndarray):
-    """p'/p and the relative residual of g = B'/B at points z, for p the
-    numerator of g written over the distinct zeros with their multiplicities:
-
-        g = sum_k t_k,   t_k = m_k (1 - |a_k|^2) / ((z - a_k)(1 - conj(a_k) z)),
-        p'/p = g'/g + sum_k [1/(z - a_k) - conj(a_k)/(1 - conj(a_k) z)],
-
-    with g' = -sum_k t_k [1/(z - a_k) - conj(a_k)/(1 - conj(a_k) z)].  The
-    residual is |g| over the sum of the |t_k|.
-    """
-    conj = np.conjugate(zeros)
-    weight = mult * (1.0 - np.abs(zeros) ** 2)
-
-    def ratio(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        newton = np.empty(z.size, dtype=np.complex128)
-        res = np.empty(z.size)
-        for rows in _row_blocks(z.size, zeros.size):
-            x = z[rows, None]
-            e = 1.0 / (x - zeros)
-            f = 1.0 / (1.0 - conj * x)
-            t = weight * e * f
-            u = e - conj * f
-            g = t.sum(axis=1)
-            newton[rows] = u.sum(axis=1) - (t * u).sum(axis=1) / g
-            res[rows] = np.abs(g) / np.abs(t).sum(axis=1)
-        return newton, res
-
-    return ratio
+    return _fallback._aberth(ratio, start, freeze_tol, mirrored, _ABERTH_MAX_ITER,
+                             _ABERTH_STEP_TOL)
 
 
 def _lex_sort(points: np.ndarray) -> np.ndarray:
@@ -178,7 +115,10 @@ def critical_points(B: BlaschkeProduct) -> tuple[complex, ...]:
     A zero of multiplicity m contributes m - 1 critical points at itself; the
     others are the zeros of g = B'/B.  Over d distinct zeros the numerator of
     g has 2d - 2 roots, d - 1 in the disk and their mirror images outside, so
-    Aberth iterates d - 1 of them with the images standing in for the rest.
+    Aberth iterates d - 1 of them with the images standing in for the rest,
+    from the ring _ring(d - 1); ``_kernels.critical_roots`` does the work,
+    with the rules of ``aberth_roots``.  The checks below are the same on
+    both backends.
 
     Raises RootCountError when the in-disk count is off or a root fails the
     relative residual check; both signal a numerically hostile configuration,
@@ -189,8 +129,9 @@ def critical_points(B: BlaschkeProduct) -> tuple[complex, ...]:
     zeros, mult = np.unique(B.zeros_array, return_counts=True)
     roots = np.empty(0, dtype=np.complex128)
     if zeros.size > 1:
-        roots, res = aberth_roots(_critical_ratio(zeros, mult), _ring(zeros.size - 1),
-                                  _FREEZE_ULPS * zeros.size, mirrored=True)
+        roots, res = _kernels.critical_roots(zeros, mult, _ring(zeros.size - 1),
+                                             _FREEZE_ULPS * zeros.size, _ABERTH_MAX_ITER,
+                                             _ABERTH_STEP_TOL)
         bad = ~(res <= _RESIDUAL_TOL)
         if bad.any():
             raise RootCountError(

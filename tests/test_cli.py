@@ -149,6 +149,14 @@ def test_theorem4_d_variants(product_file):
     assert inadmissible.returncode == 1
 
 
+def test_seminorm_seed_does_not_change_the_output(product_file):
+    """The estimate is deterministic; --seed is accepted and ignored."""
+    first = run_cli("seminorm", "--input", product_file, "--seed", "0")
+    second = run_cli("seminorm", "--input", product_file, "--seed", "7")
+    assert first.returncode == second.returncode == 0
+    assert first.stdout == second.stdout
+
+
 def test_analyze_subcommand(product_file):
     out = run_cli("analyze", "--input", product_file)
     assert out.returncode == 0
@@ -164,7 +172,7 @@ def test_analyze_solves_the_critical_points_once(product_file, monkeypatch, caps
     over w = 0 is the zeros; a perturbed report is of another product."""
     from blochkit import cli, covering
     from blochkit.products import BlaschkeProduct
-    from blochkit.seminorm import OptimizerConfig, seminorm
+    from blochkit.seminorm import seminorm
 
     calls = []
     for name in ("critical_points", "fiber_solve"):
@@ -176,7 +184,7 @@ def test_analyze_solves_the_critical_points_once(product_file, monkeypatch, caps
     assert calls == ["critical_points"]
     product = BlaschkeProduct.from_json(json.loads(Path(product_file).read_text()))
     monkeypatch.undo()
-    estimate = seminorm(product, OptimizerConfig(seed=0))
+    estimate = seminorm(product)
     assert json.loads(capsys.readouterr().out)["seminorm_estimate"] == estimate.to_json()
     monkeypatch.setattr(covering, "critical_points",
                         lambda B, _solve=covering.critical_points:

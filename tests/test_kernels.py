@@ -19,16 +19,18 @@ import pytest
 
 from blochkit import _kernels, covering, seminorm
 from blochkit._kernels import _fallback
+from blochkit.cli import _sweep_product
+from blochkit.errors import RootCountError
 from blochkit.products import ZERO_SWITCH, BlaschkeProduct, random_product
 
 LAWS = ("uniform_disk", "boundary_concentrated")
 
 @pytest.fixture(params=["c", "python"])
 def kernels(request):
-    """(refine_starts, track_routes) of each backend."""
+    """(refine_starts, track_routes, critical_roots) of each backend."""
     if request.param == "c":
         return _kernels.compiled(request.getfixturevalue("ckernel"))
-    return _fallback.refine_starts, _fallback.track_routes
+    return _fallback.refine_starts, _fallback.track_routes, _fallback.critical_roots
 
 
 def _random_case(seed: int, degree: int):
@@ -51,9 +53,10 @@ def test_backend_reports_name():
     assert _kernels.BACKEND in ("c", "python")
 
 
-def test_kernel_contract_has_two_entries(ckernel):
-    """Both backends expose refine_starts and track_routes, and nothing else."""
-    contract = {"refine_starts", "track_routes"}
+def test_kernel_contract_has_three_entries(ckernel):
+    """Both backends expose refine_starts, track_routes and critical_roots,
+    and nothing else."""
+    contract = {"refine_starts", "track_routes", "critical_roots"}
     compiled = {name for name in dir(ckernel)
                 if not name.startswith("_") and callable(getattr(ckernel, name))}
     fallback = {name for name, obj in vars(_fallback).items()
@@ -67,7 +70,7 @@ def test_kernel_contract_has_two_entries(ckernel):
 def test_pointwise_batch_backends_agree(ckernel):
     """The objective at each point, read from refine_starts with no iterations
     and a degenerate simplex, agrees to the stated 1e-12 for every kind."""
-    fast, _ = _kernels.compiled(ckernel)
+    fast = _kernels.compiled(ckernel)[0]
     for f_kind in (0, 1, 2):
         zeros, pts = _random_case(10 + f_kind, 6)
         pts[:3] = zeros[:3]  # on a zero the product rule takes over
@@ -86,7 +89,7 @@ def test_pointwise_batch_backends_agree(ckernel):
 def test_product_rule_backends_agree_at_high_degree(ckernel):
     """On the zeros of a degree-400 product, where both backends take the
     product rule, the objective agrees to 1e-12; at a double zero B' is 0."""
-    fast, _ = _kernels.compiled(ckernel)
+    fast = _kernels.compiled(ckernel)[0]
     zeros, _ = _random_case(77, 400)
     for pts, kind in ((zeros.copy(), 0), (zeros[:50].copy(), 2)):
         args = (zeros, 1.0 + 0j, pts, np.zeros(pts.size), kind, 0, 1e-10, 1.0 - 1e-9)
@@ -100,7 +103,7 @@ def test_product_rule_backends_agree_at_high_degree(ckernel):
 
 
 def test_refine_starts_backends_agree(ckernel):
-    fast, _ = _kernels.compiled(ckernel)
+    fast = _kernels.compiled(ckernel)[0]
     zeros, pts = _random_case(42, 5)
     starts = pts[:16]
     scales = 0.05 * np.ones(16)
@@ -117,7 +120,7 @@ def test_refine_starts_backends_agree(ckernel):
 
 def test_seminorm_backends_agree_on_degrees_1_to_12(ckernel, monkeypatch):
     """The bound stated in blochkit._kernels, over 240 products."""
-    fast, _ = _kernels.compiled(ckernel)
+    fast = _kernels.compiled(ckernel)[0]
     for law in ("uniform_disk", "boundary_concentrated"):
         for degree in range(1, 13):
             for seed in range(10):
@@ -131,7 +134,7 @@ def test_seminorm_backends_agree_on_degrees_1_to_12(ckernel, monkeypatch):
 
 @pytest.mark.parametrize("f_kind", [3, -1])
 def test_unknown_kind_is_rejected_before_any_work(kernels, f_kind):
-    refine, _ = kernels
+    refine = kernels[0]
     zeros, _ = _random_case(5, 3)
     outside = np.array([2.0 + 0j])  # nothing to evaluate: still rejected
     with pytest.raises(ValueError, match=f"unknown catalog kind {f_kind}"):
@@ -166,6 +169,17 @@ def test_compiled_kernel_rejects_bad_arrays(ckernel):
     with pytest.raises(TypeError, match="circle: expected format '\\?'"):
         ckernel.track_routes(zeros, 0j, starts, *pieces[:4], np.zeros(2), np.array([1, 1]),
                              rules, ends, status)
+    # three roots over two distinct zeros
+    mult = np.ones(2, dtype=np.int64)
+    roots, res = np.empty(3, dtype=np.complex128), np.empty(3)
+    caps = (1e-15, 200, 1e-13)
+    with pytest.raises(ValueError, match="res: expected 3 items, got 2"):
+        ckernel.critical_roots(zeros, mult, starts, *caps, roots, res[:2])
+    with pytest.raises(TypeError, match="mult: expected format 'q', got 'd'"):
+        ckernel.critical_roots(zeros, np.ones(2), starts, *caps, roots, res)
+    with pytest.raises(ValueError, match="not C-contiguous"):
+        ckernel.critical_roots(zeros, mult, np.zeros(6, dtype=np.complex128)[::2], *caps,
+                               roots, res)
 
 
 def _tracking_products() -> list[BlaschkeProduct]:
@@ -197,10 +211,72 @@ def _tracking_calls(monkeypatch, products):
     return calls
 
 
+def _critical_calls(monkeypatch, products):
+    """The arguments of the ``critical_roots`` call that critical_points makes
+    on each of ``products``: (zeros, mult, start, freeze_tol, max_iter,
+    step_tol)."""
+    calls = []
+
+    def record(*args):
+        calls.append(args)
+        return _fallback.critical_roots(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(_kernels, "critical_roots", record)
+        for B in products:
+            covering.critical_points(B)
+    return calls
+
+
+def _critical_outcome(B):
+    """critical_points(B) as an array, or the RootCountError it raised."""
+    try:
+        return np.array(covering.critical_points(B))
+    except RootCountError as exc:
+        return str(exc)
+
+
+def _distance(a: np.ndarray, b: np.ndarray) -> float:
+    """The largest distance from a point of either set to the other set."""
+    d = np.abs(a[:, None] - b[None, :])
+    return max(d.min(axis=0).max(), d.min(axis=1).max())
+
+
+def test_critical_roots_backends_agree(ckernel, monkeypatch):
+    """The critical-point bound stated in blochkit._kernels, and a
+    RootCountError on the same inputs, over the parity set's products of
+    degree 2-12, the sweep products of seeds 1-3 and degree 256 under both
+    laws; also with the sweeps capped at 8, where 218 of these 496 fail."""
+    fast = _kernels.compiled(ckernel)[2]
+    products = [random_product(degree, seed=100 * degree + seed, law=law)
+                for law in LAWS for degree in range(2, 13) for seed in range(10)]
+    products += [B for seed in (1, 2, 3) for index in range(100)
+                 for B in [_sweep_product(seed, index, 16)[2]] if B.degree >= 2]
+    products += [random_product(256, seed=0, law=law) for law in LAWS]
+    full = covering._ABERTH_MAX_ITER
+    for cap in (full, 8):
+        monkeypatch.setattr(covering, "_ABERTH_MAX_ITER", cap)
+        failures = 0
+        for k, B in enumerate(products):
+            outcomes = []
+            for solve in (fast, _fallback.critical_roots):
+                monkeypatch.setattr(_kernels, "critical_roots", solve)
+                outcomes.append(_critical_outcome(B))
+            got, ref = outcomes
+            if isinstance(ref, str):
+                failures += 1
+                assert got == ref, (cap, k)
+            else:
+                assert not isinstance(got, str), (cap, k, got)
+                assert _distance(got, ref) <= 1e-12, (cap, k)
+        # the full cap solves every product; eight sweeps leave some unsolved
+        assert failures == 0 if cap == full else 0 < failures < len(products)
+
+
 def test_track_routes_backends_agree(ckernel, monkeypatch):
     """The end-fibre bound stated in blochkit._kernels, and equal statuses
     and permutations."""
-    _, fast = _kernels.compiled(ckernel)
+    fast = _kernels.compiled(ckernel)[1]
     products = _tracking_products()
     for args in _tracking_calls(monkeypatch, products):
         ends, status = fast(*args)
@@ -220,7 +296,7 @@ def test_track_routes_backends_agree(ckernel, monkeypatch):
 
 def test_track_routes_statuses(kernels, monkeypatch):
     """The first failed route stops the later ones, on either backend."""
-    _, track = kernels
+    track = kernels[1]
     zeros, lam, base, pieces, counts, rules = _tracking_calls(
         monkeypatch, [random_product(5, seed=181)])[0]
     # one piece starting at w = 0.9, away from the base fiber over 0: no step
@@ -240,13 +316,16 @@ def test_track_routes_statuses(kernels, monkeypatch):
 
 
 def test_concurrent_calls_match_serial_calls(kernels, monkeypatch):
-    """Eight threads at once, four Nelder-Mead passes and four trackings of
-    one product each, give the serial results bit for bit."""
-    refine, track = kernels
+    """Twelve threads at once, four Nelder-Mead passes, four trackings and
+    four critical-point solves of one product each, give the serial results
+    bit for bit."""
+    refine, track, critical = kernels
     jobs = [(refine, (*_multistart_case(6 + 3 * i, seed=70 + i), i % 3, 500, 1e-10,
                       seminorm.BARRIER_RADIUS)) for i in range(4)]
     products = [random_product(5 + i, seed=80 + i, law=LAWS[i % 2]) for i in range(4)]
     jobs += [(track, args) for args in _tracking_calls(monkeypatch, products)]
+    products = [random_product(8 + 8 * i, seed=90 + i, law=LAWS[i % 2]) for i in range(4)]
+    jobs += [(critical, args) for args in _critical_calls(monkeypatch, products)]
     serial = [fn(*args) for fn, args in jobs]
     start = threading.Barrier(len(jobs))
 
