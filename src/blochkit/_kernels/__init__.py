@@ -38,8 +38,10 @@ Both backends expose three entries:
   stops when no root is live, when every step is below step_tol (1 + |z|),
   or after max_iter sweeps.  The caller, ``covering.critical_points``,
   passes its constants and checks the residuals.  The C kernel iterates one
-  root at a time in O(m) scratch; the fallback, whose driver also solves
-  ``covering.fiber_solve``, steps all live roots together in row blocks.
+  root at a time in O(m) scratch; the fallback steps all live roots
+  together in row blocks.  Its driver also solves ``covering.fiber_solve``,
+  through ``covering.aberth_roots``, but without mirror images: mirroring
+  belongs to this critical-point entry only.
 
 ``f_kind``: 0 = identity, 1 = w/(1-w), 2 = w + w^2/2 (the analytic catalog);
 any other value raises ``ValueError("unknown catalog kind ...")`` before any

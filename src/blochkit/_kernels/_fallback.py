@@ -7,8 +7,9 @@ every objective evaluation is a single vectorized sweep over all active
 simplices.  Fiber tracking works the same way: the fibers of all routes move
 in one lockstep L x n batch, each row under the per-route rules that the
 compiled kernel applies to one route at a time.  The critical points are
-found by Ehrlich-Aberth iteration on all live roots at once, in row blocks;
-``covering.fiber_solve`` runs the same driver on its fibers.
+found by mirrored Ehrlich-Aberth iteration on all live roots at once, in row
+blocks; ``covering.fiber_solve`` runs the same driver on its fibers, without
+mirroring.
 """
 
 from __future__ import annotations
@@ -301,11 +302,11 @@ def _aberth(ratio, start, freeze_tol: float, mirrored: bool, max_iter: int,
     ``freeze_tol``; the iteration stops when every root is frozen, when the
     live roots all step less than ``step_tol`` (1 + |z|), or after
     ``max_iter`` sweeps.  Every sweep steps all live roots from the same
-    iterates (Jacobi style).  With ``mirrored`` the roots of p are the
-    iterates together with their mirror images 1/conj(z) in the unit
-    circle, which enter the repulsion sums but are not iterated; an iterate
-    that steps out of the disk is replaced by its image, so the iterates
-    stay in the closed disk.
+    iterates (Jacobi style).  With ``mirrored``, which only critical_roots
+    sets, the roots of p are the iterates together with their mirror images
+    1/conj(z) in the unit circle, which enter the repulsion sums but are not
+    iterated; an iterate that steps out of the disk is replaced by its
+    image, so the iterates stay in the closed disk.
 
     Returns the roots and their relative residuals.
     """

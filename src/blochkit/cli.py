@@ -20,6 +20,7 @@ import argparse
 import concurrent.futures
 import csv
 import json
+import math
 import os
 import sys
 
@@ -29,8 +30,8 @@ from .constants import REFERENCE_TABLE, check_constants, computed_constants
 from .covering import analyze as analyze_covering
 from .errors import BlochkitError, DomainError, RangeError
 from .pointbound import DEFAULT_D, compute_delta, construct, select_zeta, verify_construction
-from .products import BlaschkeProduct, random_product
-from .seminorm import OptimizerConfig, seminorm
+from .products import MAX_DEGREE, BlaschkeProduct, random_product
+from .seminorm import seminorm
 from .slitdisk import default_threshold, max_conformal_radius
 from .surface import parameter_integrals_fixed, solve_surface
 
@@ -59,6 +60,8 @@ def _tolerance_pair(text: str) -> tuple[str, float]:
         value = float(raw)
     except ValueError:
         raise argparse.ArgumentTypeError(f"tolerance value {raw!r} is not a number") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"tolerance value {raw!r} is not finite")
     return name, value
 
 
@@ -73,6 +76,20 @@ def _positive(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be a positive integer")
+    return value
+
+
+def _degree_cap(text: str) -> int:
+    value = _positive(text)
+    if value > MAX_DEGREE:
+        raise argparse.ArgumentTypeError(f"must be at most the degree cap {MAX_DEGREE}")
+    return value
+
+
+def _threshold(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError("must be a finite value in (0, 1)")
     return value
 
 
@@ -209,7 +226,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     report = analyze_covering(product, a=args.a, perturb=args.perturb, seed=args.seed)
     # a perturbed report holds the critical points of another product
     critical = None if args.perturb else report.critical_points
-    estimate = seminorm(product, OptimizerConfig(), critical)
+    estimate = seminorm(product, critical)
     _print_json({"report": report.to_json(), "seminorm_estimate": estimate.to_json()})
     return 0
 
@@ -258,7 +275,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="randomized seminorm sweep with violation check")
     p.add_argument("--count", type=_positive, default=100)
-    p.add_argument("--max-degree", type=_positive, default=8)
+    p.add_argument("--max-degree", type=_degree_cap, default=8)
     p.add_argument("--seed", type=_unsigned, default=0)
     p.add_argument("--output-format", choices=("json", "csv"), default="json")
     p.add_argument("--tolerance", action="append", type=_tolerance_pair, metavar="NAME=VALUE")
@@ -273,7 +290,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="critical points, monodromy and sheet tree")
     p.add_argument("--input", required=True, metavar="FILE")
-    p.add_argument("--a", type=float, default=None)
+    p.add_argument("--a", type=_threshold, default=None)
     p.add_argument("--perturb", action="store_true")
     p.add_argument("--seed", type=_unsigned, default=0,
                    help="seed of the --perturb rotation; the seminorm estimate is "
@@ -281,7 +298,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("surface", help="solve the two-sheeted surface parameters")
-    p.add_argument("--a", type=float, default=None)
+    p.add_argument("--a", type=_threshold, default=None)
     p.add_argument("--nodes", type=_positive, default=256)
     p.add_argument("--starts", type=_positive, default=29)
     p.add_argument("--csv", action="store_true",

@@ -29,7 +29,7 @@ the fibers of all routes together in one lockstep batch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from .errors import (
     RootCountError,
     StructureError,
 )
-from .products import BlaschkeProduct, _row_blocks, _value_and_derivative
+from .products import BlaschkeProduct, _row_blocks, _value_and_derivative, evaluate
 
 SLIT_DISK = "SLIT_DISK"
 SURFACE_CASE = "SURFACE_CASE"
@@ -83,24 +83,22 @@ _ABERTH_MAX_ITER = 200  # sweeps
 _ABERTH_STEP_TOL = 1e-13  # relative step below which the iteration has stalled
 
 
-def aberth_roots(ratio, start, freeze_tol: float, mirrored: bool = False):
-    """Roots of p by Ehrlich-Aberth iteration from the points ``start``.
+def aberth_roots(ratio, start, freeze_tol: float):
+    """Roots of p by Ehrlich-Aberth iteration from the points ``start``, one
+    root per start; ``fiber_solve`` calls it.
 
     ``ratio(z)`` returns p'/p at the points z together with the relative
     residual of p there.  A root freezes, keeping its place in the
     repulsion sums of the others, once its residual is at most
     ``freeze_tol``; the iteration stops when every root is frozen, when the
     live roots all step less than 1e-13 (1 + |z|), or after 200 sweeps.
-    With ``mirrored`` the roots of p are the iterates together with their
-    mirror images 1/conj(z) in the unit circle, which enter the repulsion
-    sums but are not iterated; an iterate that steps out of the disk is
-    replaced by its image, so the iterates stay in the closed disk.  The
-    driver is the numpy kernel's, which also solves the critical points on
-    that backend.
+    The driver is the numpy kernel's, run without mirroring: only the
+    critical-point solve, ``_kernels.critical_roots``, lets mirror images
+    stand in for roots outside the disk.
 
     Returns the roots and their relative residuals.
     """
-    return _fallback._aberth(ratio, start, freeze_tol, mirrored, _ABERTH_MAX_ITER,
+    return _fallback._aberth(ratio, start, freeze_tol, False, _ABERTH_MAX_ITER,
                              _ABERTH_STEP_TOL)
 
 
@@ -117,8 +115,8 @@ def critical_points(B: BlaschkeProduct) -> tuple[complex, ...]:
     g has 2d - 2 roots, d - 1 in the disk and their mirror images outside, so
     Aberth iterates d - 1 of them with the images standing in for the rest,
     from the ring _ring(d - 1); ``_kernels.critical_roots`` does the work,
-    with the rules of ``aberth_roots``.  The checks below are the same on
-    both backends.
+    with the stopping rules of ``aberth_roots``.  The checks below are the
+    same on both backends.
 
     Raises RootCountError when the in-disk count is off or a root fails the
     relative residual check; both signal a numerically hostile configuration,
@@ -341,8 +339,6 @@ def monodromy(B: BlaschkeProduct, values=None):
 
 
 def _values_of(B, pts):
-    from .products import evaluate
-
     vals = np.asarray([evaluate(B, z) for z in pts], dtype=np.complex128)
     if np.any(np.abs(vals) >= 1.0 + 1e-12):
         raise StructureError("a critical value left the closed disk")
@@ -496,12 +492,12 @@ def sheet_tree(report: CoveringReport) -> tuple[tuple[int, int, int], ...]:
     n = len(report.monodromy[0][1])
     edges = []
     for k, (_v, perm) in enumerate(report.monodromy):
-        moved = [i for i in range(n) if perm[i] != i]
-        if len(moved) != 2 or perm[moved[0]] != moved[1] or perm[moved[1]] != moved[0]:
+        if not _is_transposition(perm):
             raise StructureError(
                 "monodromy permutation is not a transposition; configuration "
                 "is not generic"
             )
+        moved = [i for i in range(n) if perm[i] != i]
         edges.append((min(moved), max(moved), k))
     if len(edges) != n - 1:
         raise StructureError(f"expected {n - 1} edges, got {len(edges)}")
@@ -590,16 +586,12 @@ def analyze(B: BlaschkeProduct, a: float | None = None, perturb: bool = False,
     loops = tuple(monodromy(B, report.critical_values))
     if not _transitive([p for _v, p in loops], B.degree):
         raise StructureError("monodromy group does not act transitively")
-    edges: tuple = ()
-    sheet = None
-    if all(_is_transposition(p) for _v, p in loops):
-        tmp = CoveringReport(report.critical_points, report.critical_values,
-                             report.max_critical_modulus, report.case_label, loops)
-        edges = sheet_tree(tmp)
-        sheet = distinguished_sheet(edges, B.degree)
-    return CoveringReport(report.critical_points, report.critical_values,
-                          report.max_critical_modulus, report.case_label,
-                          loops, edges, sheet)
+    report = replace(report, monodromy=loops)
+    if not all(_is_transposition(p) for _v, p in loops):
+        return report
+    edges = sheet_tree(report)
+    return replace(report, sheet_edges=edges,
+                   distinguished_sheet=distinguished_sheet(edges, B.degree))
 
 
 def _is_transposition(perm) -> bool:

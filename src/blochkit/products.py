@@ -41,6 +41,9 @@ MAX_DEGREE = 4096
 EVAL_SLACK = 1e-9
 #: below this distance to a zero the derivative switches to the product rule
 ZERO_SWITCH = 1e-8
+#: ``boundary_concentrated`` draws the distance to the circle as 10^{-u}, with
+#: u uniform on (0, CONCENTRATION]
+CONCENTRATION = 4.0
 
 _BOUNDARY_TOL = 1e-10   # |zeta| must be unimodular to this tolerance
 _POLE_TOL = 1e-14       # boundary modulus rejects zeta this close to a zero
@@ -107,7 +110,7 @@ class BlaschkeProduct:
         }
 
     @staticmethod
-    def from_json(data: dict, margin: float = BOUNDARY_MARGIN) -> "BlaschkeProduct":
+    def from_json(data: dict) -> "BlaschkeProduct":
         if not isinstance(data, dict) or "zeros" not in data:
             raise DomainError("product JSON must be an object with a 'zeros' list")
         rot = data.get("rotation", [1.0, 0.0])
@@ -116,7 +119,7 @@ class BlaschkeProduct:
             zeros = tuple(complex(float(p[0]), float(p[1])) for p in data["zeros"])
         except (TypeError, ValueError, IndexError) as exc:
             raise DomainError(f"malformed product JSON: {exc}") from None
-        return BlaschkeProduct(zeros, rotation, margin=margin)
+        return BlaschkeProduct(zeros, rotation)
 
 
 @dataclass(frozen=True)
@@ -353,18 +356,14 @@ def precompose(B: BlaschkeProduct, phi: MoebiusAutomorphism) -> BlaschkeProduct:
     return BlaschkeProduct(pulled, lam, margin=0.0)
 
 
-def random_product(
-    degree: int,
-    seed: int,
-    law: str = "uniform_disk",
-    concentration: float = 4.0,
-) -> BlaschkeProduct:
+def random_product(degree: int, seed: int, law: str = "uniform_disk") -> BlaschkeProduct:
     """Deterministic random product with rotation 1.
 
     ``uniform_disk`` draws zeros area-uniformly on the disk of radius
     1 - BOUNDARY_MARGIN.  ``boundary_concentrated`` draws |z| = 1 - 10^{-u}
-    with u uniform on (0, concentration], capped at the construction margin,
-    so the distance to the circle is log-uniform.
+    with the decimal exponent u uniform on (0, CONCENTRATION] = (0, 4], so
+    the distance to the circle is log-uniform on [1e-4, 1), well clear of
+    BOUNDARY_MARGIN.
     """
     if not isinstance(degree, int) or degree < 1:
         raise DomainError("degree must be a positive integer")
@@ -374,10 +373,8 @@ def random_product(
     if law == "uniform_disk":
         radii = (1.0 - BOUNDARY_MARGIN) * np.sqrt(rng.random(degree))
     elif law == "boundary_concentrated":
-        if not (concentration > 0.0 and math.isfinite(concentration)):
-            raise DomainError("concentration must be a positive finite real")
-        u = concentration * (1.0 - rng.random(degree))  # uniform on (0, concentration]
-        radii = np.minimum(1.0 - np.power(10.0, -u), 1.0 - BOUNDARY_MARGIN)
+        u = CONCENTRATION * (1.0 - rng.random(degree))  # uniform on (0, CONCENTRATION]
+        radii = 1.0 - np.power(10.0, -u)
     else:
         raise DomainError(f"unknown radial law {law!r}")
     angles = 2.0 * math.pi * rng.random(degree)

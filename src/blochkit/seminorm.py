@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from . import _kernels as impl
-from .errors import DomainError, RangeError, RootCountError
+from .errors import DomainError, RootCountError
 from .products import BlaschkeProduct, boundary_peaks, derivative, evaluate
 
 BARRIER_RADIUS = 1.0 - 1e-9
@@ -33,18 +33,6 @@ MAX_ITERATIONS = 500        # simplex iterations per start
 OBJECTIVE_TOLERANCE = 1e-10  # a simplex stops once its values span at most this
 #: the starts (1 - t/|B'(zeta)|) zeta toward each boundary peak zeta
 PEAK_OFFSETS = (0.25, 0.5, 1.0)
-
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """Deterministic multistart settings; identical configs give identical runs."""
-
-    stochastic_starts: int = 0
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.stochastic_starts < 0:
-            raise RangeError("stochastic_starts must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -159,12 +147,12 @@ def _peak_starts(B: BlaschkeProduct) -> np.ndarray:
     return points[radius > 0.0]
 
 
-def _start_points(B: BlaschkeProduct, config: OptimizerConfig,
+def _start_points(B: BlaschkeProduct,
                   critical: tuple[complex, ...] | None = None) -> np.ndarray:
     """The deduplicated starts, each at its first occurrence, in the order
-    origin, zeros, critical points, boundary-peak starts, stochastic starts;
-    ``critical``, when given, is ``covering.critical_points(B)`` from a
-    caller that already has it."""
+    origin, zeros, critical points, boundary-peak starts; ``critical``, when
+    given, is ``covering.critical_points(B)`` from a caller that already has
+    it."""
     starts: list[complex] = [0.0 + 0.0j]
     starts.extend(B.zeros)
     if B.degree >= 2:
@@ -176,15 +164,7 @@ def _start_points(B: BlaschkeProduct, config: OptimizerConfig,
             except RootCountError:
                 critical = ()
         starts.extend(critical)
-    parts = [np.array(starts, dtype=np.complex128), _peak_starts(B)]
-    if config.stochastic_starts:
-        rng = np.random.default_rng(config.seed)
-        u = rng.random(config.stochastic_starts)
-        ang = 2.0 * math.pi * rng.random(config.stochastic_starts)
-        parts.append(np.array([rr * complex(math.cos(tt), math.sin(tt))
-                               for rr, tt in zip((1.0 - 1e-6) * np.sqrt(u), ang)],
-                              dtype=np.complex128))
-    points = np.concatenate(parts)
+    points = np.concatenate([np.array(starts, dtype=np.complex128), _peak_starts(B)])
     _, first = np.unique(points, return_index=True)
     return points[np.sort(first)]
 
@@ -193,10 +173,10 @@ def _scales(starts: np.ndarray) -> np.ndarray:
     return np.minimum(0.1, 0.5 * (1.0 - np.abs(starts)))
 
 
-def _run_multistart(B: BlaschkeProduct, config: OptimizerConfig, kernel_kind: int,
+def _run_multistart(B: BlaschkeProduct, kernel_kind: int,
                     critical: tuple[complex, ...] | None = None
                     ) -> tuple[float, complex, int, int]:
-    starts = np.asarray(_start_points(B, config, critical), dtype=np.complex128)
+    starts = _start_points(B, critical)
     zeros = B.zeros_array
     lam = complex(B.rotation)
     vals, pts, iters = impl.refine_starts(
@@ -229,7 +209,7 @@ def _argbest(vals: np.ndarray, pts: np.ndarray) -> int:
     return keys[0][2]
 
 
-def seminorm(B: BlaschkeProduct, config: OptimizerConfig | None = None,
+def seminorm(B: BlaschkeProduct,
              critical_points: tuple[complex, ...] | None = None) -> SeminormEstimate:
     """Multistart lower-bound estimate of sup |B'(z)|(1-|z|^2).
 
@@ -238,20 +218,17 @@ def seminorm(B: BlaschkeProduct, config: OptimizerConfig | None = None,
     caller that already holds ``covering.critical_points(B)`` may pass it as
     ``critical_points`` to spare the second solve; the estimate is the same.
     """
-    config = config or OptimizerConfig()
-    _val, argmax, used, iters = _run_multistart(B, config, 0, critical_points)
+    _val, argmax, used, iters = _run_multistart(B, 0, critical_points)
     return SeminormEstimate(pointwise_bloch(B, argmax), argmax, used, iters)
 
 
-def composed_seminorm(entry: AnalyticCatalogEntry, B: BlaschkeProduct,
-                      config: OptimizerConfig | None = None) -> SeminormEstimate:
+def composed_seminorm(entry: AnalyticCatalogEntry, B: BlaschkeProduct) -> SeminormEstimate:
     """Lower-bound estimate of the Bloch seminorm of f o B for a catalog f.
 
     ``halfplane`` is not a Bloch function, and f o B is unbounded in the
     Bloch sense next to every boundary point where B = 1; its value is what
     the search reaches before BARRIER_RADIUS stops it."""
-    config = config or OptimizerConfig()
-    _val, argmax, used, iters = _run_multistart(B, config, entry.kernel_kind)
+    _val, argmax, used, iters = _run_multistart(B, entry.kernel_kind)
     return SeminormEstimate(composed_pointwise(entry, B, argmax), argmax, used, iters)
 
 

@@ -49,6 +49,8 @@ from .quadrature import integrate_adaptive, integrate_fixed
 TARGET_HEIGHT = 1.5 * math.pi     # I1 condition (rectangle height 3*pi over 2)
 PATH_CLEARANCE = 1e-3
 BRANCH_TOL = 1e-12
+#: tolerance of the adaptive quadrature on each leg of map_f's contour
+MAP_TOL = 1e-12
 
 #: upper-half-plane point where the radius is near-maximal for the default
 #: parameter set; used as the primary optimizer seed and the constants-table
@@ -258,8 +260,7 @@ def _segment_clearance(p0, p1, points) -> np.ndarray:
     return np.abs(q - (p0 + np.minimum(np.maximum(t, 0.0), 1.0) * d)).min(axis=0)
 
 
-def map_f(z: complex, sol: SurfaceSolution, contour: str = "default",
-          tol: float = 1e-12) -> complex:
+def map_f(z: complex, sol: SurfaceSolution, contour: str = "default") -> complex:
     """f(z) along an admissible polyline contour from -1 (adaptive nodes)."""
     z = complex(z)
     c, d = sol.c, sol.d
@@ -283,7 +284,7 @@ def map_f(z: complex, sol: SurfaceSolution, contour: str = "default",
         raise DomainError(f"unknown contour {contour!r}")
 
     def leg(fun, lo, hi):
-        val, _ = integrate_adaptive(fun, lo, hi, tol=tol, n0=32)
+        val, _ = integrate_adaptive(fun, lo, hi, tol=MAP_TOL, n0=32)
         return val
 
     total = 0.0 + 0.0j

@@ -67,6 +67,37 @@ def test_unknown_tolerance_is_usage_error():
     assert out.returncode == 2
 
 
+def _usage_error(capsys, *args: str) -> None:
+    """The arguments are rejected at parse time: exit 2, nothing on stdout."""
+    from blochkit.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(list(args))
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_non_finite_tolerance_is_usage_error(capsys):
+    for value in ("nan", "inf", "-inf"):
+        _usage_error(capsys, "sweep", "--count", "3", "--max-degree", "3",
+                     "--tolerance", f"violation_margin={value}")
+        _usage_error(capsys, "constants", "--tolerance", f"r0={value}")
+
+
+def test_out_of_range_arguments_are_usage_errors(capsys, product_file):
+    from blochkit.cli import _build_parser
+    from blochkit.products import MAX_DEGREE
+
+    for degree in (MAX_DEGREE + 1, 100000):
+        _usage_error(capsys, "sweep", "--count", "1", "--max-degree", str(degree))
+    for a in ("1.5", "1", "0", "-0.1", "nan", "inf"):
+        _usage_error(capsys, "analyze", "--input", product_file, "--a", a)
+        _usage_error(capsys, "surface", "--a", a)
+    parser = _build_parser()
+    assert parser.parse_args(["sweep", "--max-degree", str(MAX_DEGREE)]).max_degree == MAX_DEGREE
+    assert parser.parse_args(["surface", "--a", "0.1"]).a == 0.1
+
+
 def test_missing_subcommand_is_usage_error():
     assert run_cli().returncode == 2
     assert run_cli("bogus").returncode == 2

@@ -91,7 +91,8 @@ def test_aberth_mirrored_pairs():
     # iterated, the images stand in for the outer ones
     inner = np.array([0.5 + 0.1j, -0.3 - 0.6j, 0.05j])
     ratio = _known_ratio(np.concatenate([inner, 1.0 / np.conjugate(inner)]))
-    roots, res = aberth_roots(ratio, covering._ring(3), 1e-15, mirrored=True)
+    roots, res = _fallback._aberth(ratio, covering._ring(3), 1e-15, True,
+                                   covering._ABERTH_MAX_ITER, covering._ABERTH_STEP_TOL)
     assert np.all(np.abs(roots) < 1.0)
     assert np.max(np.abs(covering._lex_sort(roots) - covering._lex_sort(inner))) < 1e-12
 

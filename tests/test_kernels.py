@@ -45,7 +45,7 @@ def _random_case(seed: int, degree: int):
 def _multistart_case(degree: int, seed: int):
     """The zeros, rotation, starts and scales of seminorm's first pass."""
     B = random_product(degree, seed=seed)
-    starts = np.asarray(seminorm._start_points(B, seminorm.OptimizerConfig()))
+    starts = np.asarray(seminorm._start_points(B))
     return B.zeros_array, complex(B.rotation), starts, seminorm._scales(starts)
 
 

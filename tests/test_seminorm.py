@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from blochkit import covering
-from blochkit.errors import ConvergenceError, DomainError, RangeError, RootCountError
+from blochkit.errors import ConvergenceError, DomainError, RootCountError
 from blochkit.products import (
     BlaschkeProduct,
     MoebiusAutomorphism,
@@ -20,7 +20,6 @@ from blochkit.products import (
 )
 from blochkit.seminorm import (
     CATALOG,
-    OptimizerConfig,
     _golden_section,
     _start_points,
     catalog_entry,
@@ -118,7 +117,7 @@ def _peak_points(B: BlaschkeProduct) -> np.ndarray:
 
 def test_starts_hold_three_peak_starts_per_boundary_peak():
     for B in mixed_products(24, 12, base_seed=31):
-        starts = _start_points(B, OptimizerConfig())
+        starts = _start_points(B)
         peaks = _peak_points(B)
         assert peaks.size == 3 * boundary_peaks(B)[0].size > 0
         assert np.all(np.abs(peaks) < 1.0) and np.all(np.abs(peaks) > 0.0)
@@ -127,7 +126,7 @@ def test_starts_hold_three_peak_starts_per_boundary_peak():
 
 def test_power_product_peak_starts_lie_at_angle_zero():
     for n in (2, 5, 9):
-        starts = _start_points(power_product(n), OptimizerConfig())
+        starts = _start_points(power_product(n))
         expected = [0.0, 1.0 - 0.25 / n, 1.0 - 0.5 / n, 1.0 - 1.0 / n]
         np.testing.assert_allclose(starts, expected, rtol=0.0, atol=1e-15)
 
@@ -141,7 +140,7 @@ def test_starts_stay_below_the_polar_grid_count():
                 B = random_product(degree, seed=100 * degree + seed, law=law)
                 critical = covering.critical_points(B) if degree >= 2 else ()
                 base = np.unique(np.array([0j, *B.zeros, *critical])).size
-                assert _start_points(B, OptimizerConfig(), critical).size <= base + 384
+                assert _start_points(B, critical).size <= base + 384
 
 
 def test_hole_product_reaches_its_maximum():
@@ -151,22 +150,6 @@ def test_hole_product_reaches_its_maximum():
     est = seminorm(BlaschkeProduct.from_json(data))
     assert est.value >= 0.76710545 - 1e-8
     assert abs(est.argmax - (-0.51829 + 0.84390j)) < 1e-4
-
-
-def test_stochastic_starts_are_reproducible():
-    B = random_product(6, seed=44)
-    cfg = OptimizerConfig(stochastic_starts=32, seed=5)
-    assert seminorm(B, cfg).value == seminorm(B, cfg).value
-    other = seminorm(B, OptimizerConfig(stochastic_starts=32, seed=6)).value
-    assert other <= 1.0 + 1e-9
-
-
-def test_config_validation():
-    with pytest.raises(RangeError):
-        OptimizerConfig(stochastic_starts=-3)
-    for removed in ("grid_angles", "grid_radii"):
-        with pytest.raises(TypeError):
-            OptimizerConfig(**{removed: 24})
 
 
 def test_little_bloch_boundary_decay():
