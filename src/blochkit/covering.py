@@ -501,42 +501,42 @@ def sheet_tree(report: CoveringReport) -> tuple[tuple[int, int, int], ...]:
         edges.append((min(moved), max(moved), k))
     if len(edges) != n - 1:
         raise StructureError(f"expected {n - 1} edges, got {len(edges)}")
-    adj = {i: [] for i in range(n)}
-    for i, j, _k in edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    if len(seen) != n:
+    if len(_bfs(_adjacency(edges, n), 0)[0]) != n:
         raise StructureError("sheet graph is not connected")
     return tuple(edges)
 
 
-def distinguished_sheet(edges, n: int) -> int:
-    """Second vertex of a maximal path of the tree (double-BFS diameter)."""
+def _adjacency(edges, n: int) -> dict[int, list[int]]:
+    """Neighbour lists of the undirected graph on 0..n-1 with edges (i, j, ...)."""
     adj = {i: [] for i in range(n)}
-    for i, j, _k in edges:
+    for i, j, *_ in edges:
         adj[i].append(j)
         adj[j].append(i)
+    return adj
+
+
+def _bfs(adj, src: int) -> tuple[dict, dict]:
+    """(dist, parent) of a breadth-first search from src; both dicts hold the
+    reached vertices in visiting order, and parent[src] is None."""
+    dist = {src: 0}
+    parent = {src: None}
+    queue = [src]
+    for u in queue:
+        for v in adj[u]:
+            if v not in dist:
+                dist[v] = dist[u] + 1
+                parent[v] = u
+                queue.append(v)
+    return dist, parent
+
+
+def distinguished_sheet(edges, n: int) -> int:
+    """Second vertex of a maximal path of the tree (double-BFS diameter)."""
+    adj = _adjacency(edges, n)
 
     def farthest(src):
-        dist = {src: 0}
-        parent = {src: None}
-        queue = [src]
-        for u in queue:
-            for v in adj[u]:
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    parent[v] = u
-                    queue.append(v)
-        far = max(dist, key=lambda v: (dist[v], v))
-        return far, parent
+        dist, parent = _bfs(adj, src)
+        return max(dist, key=lambda v: (dist[v], v)), parent
 
     u, _ = farthest(0)
     v, parent = farthest(u)
@@ -548,16 +548,11 @@ def distinguished_sheet(edges, n: int) -> int:
 
 
 def _transitive(perms, n: int) -> bool:
-    seen = {0}
-    queue = [0]
-    while queue:
-        u = queue.pop()
-        for p in perms:
-            v = p[u]
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return len(seen) == n
+    """Whether the permutations move sheet 0 to every sheet; for a finite
+    permutation group that orbit is the component of 0 in the graph with the
+    edges u - p[u]."""
+    moves = ((u, p[u]) for p in perms for u in range(n) if p[u] != u)
+    return len(_bfs(_adjacency(moves, n), 0)[0]) == n
 
 
 def analyze(B: BlaschkeProduct, a: float | None = None, perturb: bool = False,

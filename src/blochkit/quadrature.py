@@ -144,6 +144,9 @@ def integrate_adaptive(f, a: float, b: float, tol: float = 1e-12,
     """Node-doubling Gauss: accept I(2N) once |I(2N) - I(N)| is below
     tol * max(1, |I(2N)|).  Returns (value, accepted node count)."""
     n = max(int(n0), 2)
+    if n > MAX_NODES // 2:
+        raise DomainError(f"starting node count {n} leaves no doubling under "
+                          f"the cap of {MAX_NODES}")
     prev = integrate_fixed(f, a, b, n)
     delta = float("inf")
     while 2 * n <= MAX_NODES:

@@ -3,10 +3,11 @@
 The pointwise quantity is |B'(z)|(1-|z|^2); its supremum over the disk is the
 Bloch seminorm, which for a Blaschke product sits in [0, 1] by Schwarz-Pick.
 The estimator is a deterministic multistart local search.  Its starts are the
-origin, the zeros, the critical points of B, and three points
-(1 - t/|B'(zeta)|) zeta, t in {1/4, 1/2, 1}, toward each sampled local maximum
-zeta of |B'| on the circle (``products.boundary_peaks``): Theorem 4 places its
-certified point z0 = (1 - d delta/|B'(zeta)|) zeta on that radius.  Each start
+origin, the zeros, and three points (1 - t/|B'(zeta)|) zeta, t in
+{1/4, 1/2, 1}, toward each sampled local maximum zeta of |B'| on the circle
+(``products.boundary_peaks``): Theorem 4 places its certified point
+z0 = (1 - d delta/|B'(zeta)|) zeta on that radius.  The critical points of B
+are not starts: the quantity is zero there, its global minimum.  Each start
 is refined by a derivative-free simplex descent (compiled kernel when
 available), then one restart pass runs from the best point at a tenth of the
 scale.  The result is always a certified lower bound of the supremum.
@@ -25,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from . import _kernels as impl
-from .errors import DomainError, RootCountError
+from .errors import DomainError
 from .products import BlaschkeProduct, boundary_peaks, derivative, evaluate
 
 BARRIER_RADIUS = 1.0 - 1e-9
@@ -147,24 +148,10 @@ def _peak_starts(B: BlaschkeProduct) -> np.ndarray:
     return points[radius > 0.0]
 
 
-def _start_points(B: BlaschkeProduct,
-                  critical: tuple[complex, ...] | None = None) -> np.ndarray:
+def _start_points(B: BlaschkeProduct) -> np.ndarray:
     """The deduplicated starts, each at its first occurrence, in the order
-    origin, zeros, critical points, boundary-peak starts; ``critical``, when
-    given, is ``covering.critical_points(B)`` from a caller that already has
-    it."""
-    starts: list[complex] = [0.0 + 0.0j]
-    starts.extend(B.zeros)
-    if B.degree >= 2:
-        if critical is None:
-            from . import covering
-
-            try:
-                critical = covering.critical_points(B)
-            except RootCountError:
-                critical = ()
-        starts.extend(critical)
-    points = np.concatenate([np.array(starts, dtype=np.complex128), _peak_starts(B)])
+    origin, zeros, boundary-peak starts."""
+    points = np.concatenate([[0.0 + 0.0j], B.zeros_array, _peak_starts(B)])
     _, first = np.unique(points, return_index=True)
     return points[np.sort(first)]
 
@@ -173,10 +160,9 @@ def _scales(starts: np.ndarray) -> np.ndarray:
     return np.minimum(0.1, 0.5 * (1.0 - np.abs(starts)))
 
 
-def _run_multistart(B: BlaschkeProduct, kernel_kind: int,
-                    critical: tuple[complex, ...] | None = None
-                    ) -> tuple[float, complex, int, int]:
-    starts = _start_points(B, critical)
+def _run_multistart(B: BlaschkeProduct,
+                    kernel_kind: int) -> tuple[float, complex, int, int]:
+    starts = _start_points(B)
     zeros = B.zeros_array
     lam = complex(B.rotation)
     vals, pts, iters = impl.refine_starts(
@@ -209,16 +195,13 @@ def _argbest(vals: np.ndarray, pts: np.ndarray) -> int:
     return keys[0][2]
 
 
-def seminorm(B: BlaschkeProduct,
-             critical_points: tuple[complex, ...] | None = None) -> SeminormEstimate:
+def seminorm(B: BlaschkeProduct) -> SeminormEstimate:
     """Multistart lower-bound estimate of sup |B'(z)|(1-|z|^2).
 
     The returned value is recomputed at the argmax with the pointwise formula,
-    so ``value == pointwise_bloch(B, argmax)`` holds by construction.  A
-    caller that already holds ``covering.critical_points(B)`` may pass it as
-    ``critical_points`` to spare the second solve; the estimate is the same.
+    so ``value == pointwise_bloch(B, argmax)`` holds by construction.
     """
-    _val, argmax, used, iters = _run_multistart(B, 0, critical_points)
+    _val, argmax, used, iters = _run_multistart(B, 0)
     return SeminormEstimate(pointwise_bloch(B, argmax), argmax, used, iters)
 
 

@@ -44,7 +44,7 @@ from .errors import (
     PathError,
     SingularityError,
 )
-from .quadrature import integrate_adaptive, integrate_fixed
+from .quadrature import MAX_NODES, integrate_adaptive, integrate_fixed
 
 TARGET_HEIGHT = 1.5 * math.pi     # I1 condition (rectangle height 3*pi over 2)
 PATH_CLEARANCE = 1e-3
@@ -56,6 +56,11 @@ MAP_TOL = 1e-12
 #: parameter set; used as the primary optimizer seed and the constants-table
 #: checkpoint
 RADIUS_PROBE = -0.0205 + 0.3659j
+
+#: the node counts ``parameter_integrals`` accepts: it starts each adaptive
+#: quadrature at max(16, nodes // 4), which must leave room for one doubling
+#: under ``quadrature.MAX_NODES``
+NODE_RANGE = (16, 4 * (MAX_NODES // 2) + 3)
 
 
 @dataclass(frozen=True)
@@ -143,8 +148,9 @@ def _sum_pieces(pieces, adaptive: bool, n: int) -> float:
 def parameter_integrals(c: float, d: float, nodes: int = 256) -> tuple[float, float]:
     """(I1, I2) by node-doubling Gauss on the substituted smooth integrands."""
     _check_params(c, d)
-    if nodes < 16:
-        raise DomainError("node count must be at least 16")
+    lo, hi = NODE_RANGE
+    if not lo <= nodes <= hi:
+        raise DomainError(f"node count must lie in [{lo}, {hi}]")
     n0 = max(16, nodes // 4)
     return (_sum_pieces(_inner_pieces(c, d), True, n0),
             _sum_pieces(_middle_pieces(c, d), True, n0))

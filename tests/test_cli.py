@@ -93,7 +93,11 @@ def test_out_of_range_arguments_are_usage_errors(capsys, product_file):
     for a in ("1.5", "1", "0", "-0.1", "nan", "inf"):
         _usage_error(capsys, "analyze", "--input", product_file, "--a", a)
         _usage_error(capsys, "surface", "--a", a)
+    for nodes in ("8", "15", "4100", "20000"):
+        _usage_error(capsys, "surface", "--nodes", nodes)
     parser = _build_parser()
+    assert [parser.parse_args(["surface", "--nodes", n]).nodes
+            for n in ("16", "4099")] == [16, 4099]
     assert parser.parse_args(["sweep", "--max-degree", str(MAX_DEGREE)]).max_degree == MAX_DEGREE
     assert parser.parse_args(["surface", "--a", "0.1"]).a == 0.1
 
@@ -199,8 +203,8 @@ def test_analyze_subcommand(product_file):
 
 
 def test_analyze_solves_the_critical_points_once(product_file, monkeypatch, capsys):
-    """The seminorm reuses the report's critical points, and the base fiber
-    over w = 0 is the zeros; a perturbed report is of another product."""
+    """Only the report solves the critical points, with or without
+    --perturb, and the base fiber over w = 0 is the zeros."""
     from blochkit import cli, covering
     from blochkit.products import BlaschkeProduct
     from blochkit.seminorm import seminorm
@@ -222,7 +226,7 @@ def test_analyze_solves_the_critical_points_once(product_file, monkeypatch, caps
                         calls.append("critical_points") or _solve(B))
     calls.clear()
     assert cli.main(["analyze", "--input", product_file, "--perturb"]) == 0
-    assert calls == ["critical_points", "critical_points"]
+    assert calls == ["critical_points"]
 
 
 def test_analyze_perturb_path(tmp_path):

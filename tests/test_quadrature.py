@@ -11,7 +11,7 @@ import pytest
 import scipy.integrate
 
 from blochkit.errors import ConvergenceError, DomainError
-from blochkit.quadrature import gauss_nodes, integrate_adaptive, integrate_fixed
+from blochkit.quadrature import MAX_NODES, gauss_nodes, integrate_adaptive, integrate_fixed
 
 RULE_SIZES = (1, 2, 3, 5, 16, 64, 128, 1024, 2048)
 
@@ -150,6 +150,13 @@ def test_adaptive_matches_scipy_oscillatory():
 def test_adaptive_raises_on_nonintegrable():
     with pytest.raises(ConvergenceError):
         integrate_adaptive(lambda t: np.abs(t - 0.31) ** -0.95, 0.0, 1.0, tol=1e-12)
+
+
+def test_adaptive_rejects_a_start_with_no_doubling_left():
+    value, nodes = integrate_adaptive(np.exp, 0.0, 1.0, n0=MAX_NODES // 2)
+    assert nodes == MAX_NODES and abs(value - (math.e - 1.0)) < 1e-13
+    with pytest.raises(DomainError, match="no doubling"):
+        integrate_adaptive(np.exp, 0.0, 1.0, n0=MAX_NODES // 2 + 1)
 
 
 def test_bad_bounds_rejected():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from blochkit import covering
-from blochkit.errors import ConvergenceError, DomainError, RootCountError
+from blochkit.errors import ConvergenceError, DomainError
 from blochkit.products import (
     BlaschkeProduct,
     MoebiusAutomorphism,
@@ -138,9 +138,8 @@ def test_starts_stay_below_the_polar_grid_count():
         for degree in range(1, 13):
             for seed in range(10):
                 B = random_product(degree, seed=100 * degree + seed, law=law)
-                critical = covering.critical_points(B) if degree >= 2 else ()
-                base = np.unique(np.array([0j, *B.zeros, *critical])).size
-                assert _start_points(B, critical).size <= base + 384
+                base = np.unique(np.array([0j, *B.zeros])).size
+                assert _start_points(B).size <= base + 384
 
 
 def test_hole_product_reaches_its_maximum():
@@ -205,18 +204,15 @@ def test_estimate_serialization():
     assert abs(data["value"] - est.value) < 1e-15
 
 
-def test_only_a_root_count_failure_drops_the_critical_starts(monkeypatch):
+def test_the_estimates_do_not_solve_the_critical_points(monkeypatch):
+    """The critical points are zeros of the quantity, not starts: a failing
+    critical-point solve cannot reach either estimate."""
     B = random_product(5, seed=21)
-    full = seminorm(B)
+    entry = catalog_entry("quadratic")
+    expected = (seminorm(B), composed_seminorm(entry, B))
 
-    def fail(error):
-        def critical_points(_B):
-            raise error("critical points unavailable")
-        return critical_points
+    def unavailable(_B):
+        raise ConvergenceError("critical points unavailable")
 
-    monkeypatch.setattr(covering, "critical_points", fail(RootCountError))
-    dropped = seminorm(B)
-    assert dropped.starts_used == full.starts_used - (B.degree - 1)
-    monkeypatch.setattr(covering, "critical_points", fail(ConvergenceError))
-    with pytest.raises(ConvergenceError, match="critical points unavailable"):
-        seminorm(B)
+    monkeypatch.setattr(covering, "critical_points", unavailable)
+    assert (seminorm(B), composed_seminorm(entry, B)) == expected

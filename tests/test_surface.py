@@ -148,6 +148,15 @@ def test_solution_validation():
         SurfaceSolution(1.3, 1.1, 1.5, 1.0, 0.5j, 256)
 
 
+def test_node_counts_without_a_doubling_are_rejected(solution):
+    """Below 16 nodes, or above the largest count whose adaptive start
+    nodes // 4 still leaves a doubling under quadrature.MAX_NODES."""
+    for nodes in (8, 15, 4100, 20000):
+        with pytest.raises(DomainError, match="node count"):
+            parameter_integrals(solution.c, solution.d, nodes)
+    assert surface.NODE_RANGE == (16, 4099)
+
+
 def test_solve_survives_a_failed_trial_quadrature():
     # here a line-search trial point lies so close to c = 1 that the adaptive
     # quadrature gives up; the solve must reject that step, not fail
