@@ -1,8 +1,9 @@
-/* Compiled kernel backend, as a plain CPython module with three entries:
+/* Compiled kernel backend, as a plain CPython module with four entries:
  * refine_starts, one Nelder-Mead pass per start on the scalar objective;
- * track_routes, fiber tracking one route at a time; and critical_roots,
- * mirrored Ehrlich-Aberth on the numerator of B'/B, one root at a time in
- * scratch linear in the degree.
+ * seminorm_search, the whole multistart search from the boundary scan to
+ * the restart; track_routes, fiber tracking one route at a time; and
+ * critical_roots, mirrored Ehrlich-Aberth on the numerator of B'/B, one root
+ * at a time in scratch linear in the degree.
  *
  * blochkit._kernels makes the inputs contiguous and allocates the outputs;
  * this module reads and writes them through the buffer protocol, so it needs
@@ -198,6 +199,214 @@ static long nelder_mead(Py_ssize_t n, const cplx *zr, cplx lam, int kind, cplx z
     *best_f = f[0];
     *best_z = v[0];
     return it;
+}
+
+/* ---- the whole seminorm search ----------------------------------------- */
+
+/* the constants of the boundary scan and of the peak starts */
+typedef struct {
+    int scan;       /* uniform angles */
+    int local;      /* angles around each zero whose peak is narrower than 4 steps */
+    double span;    /* ... spanning arg a +- span (1 - |a|) */
+    Py_ssize_t noff;
+    const double *offsets; /* the starts (1 - t/|B'(zeta)|) zeta, t in offsets */
+} scan_rules;
+
+typedef struct {
+    double value;
+    cplx argmax;
+    Py_ssize_t starts;
+    long iterations;
+} search_result;
+
+typedef struct { double re, im; Py_ssize_t index; } start_key;
+
+static int cmp_double(const void *a, const void *b)
+{
+    double x = *(const double *)a, y = *(const double *)b;
+    return (x > y) - (x < y);
+}
+
+/* lexicographic in (Re, Im), then by index */
+static int cmp_start(const void *a, const void *b)
+{
+    const start_key *x = a, *y = b;
+    if (x->re != y->re)
+        return x->re < y->re ? -1 : 1;
+    if (x->im != y->im)
+        return x->im < y->im ? -1 : 1;
+    return (x->index > y->index) - (x->index < y->index);
+}
+
+/* _argbest's rule: the larger value wins, and an exact tie goes to the
+ * lexicographically smaller (Re, Im) point; candidates come in index order,
+ * so an equal point keeps the earlier one */
+static inline int beats(double f, cplx z, double best_f, cplx best_z)
+{
+    return f > best_f
+           || (f == best_f && (z.re < best_z.re || (z.re == best_z.re && z.im < best_z.im)));
+}
+
+/* whether the peak of |B'| at zero a, about 1 - |a| wide, is narrower than
+ * four scan steps, so that local angles sample it */
+static inline int narrow_peak(cplx a, double step)
+{
+    return 1.0 - hypot(a.re, a.im) < 4.0 * step;
+}
+
+/* The sampled angles of products.boundary_peaks into theta, ascending and
+ * distinct, and |B'| there into modulus; returns their count.  The local
+ * angles of the narrow zeros (np.linspace offsets, reduced as np.mod does)
+ * are sorted in local and merged with the uniform ones.  weight receives
+ * 1 - |a|^2 per zero. */
+static Py_ssize_t boundary_scan(Py_ssize_t n, const cplx *zr, const scan_rules *rules,
+                                double *weight, double *theta, double *modulus, double *local)
+{
+    double two_pi = 2.0 * M_PI, step = two_pi / rules->scan;
+    double dstep = (rules->span - -rules->span) / (rules->local - 1);
+    Py_ssize_t m = 0, count = 0, i, j, k;
+
+    for (j = 0; j < n; j++) {
+        double a = hypot(zr[j].re, zr[j].im), depth = 1.0 - a, arg;
+        weight[j] = 1.0 - a * a;
+        if (!narrow_peak(zr[j], step))
+            continue;
+        arg = atan2(zr[j].im, zr[j].re);
+        for (i = 0; i < rules->local; i++) {
+            double off = i == rules->local - 1 ? rules->span : i * dstep + -rules->span;
+            double t = fmod(arg + depth * off, two_pi);
+            if (t < 0.0)
+                t += two_pi;
+            if (t < two_pi)
+                local[m++] = t;
+        }
+    }
+    qsort(local, m, sizeof(double), cmp_double);
+    for (i = 0, k = 0; i < rules->scan || k < m;) {
+        double t = k == m || (i < rules->scan && step * i <= local[k]) ? step * i++ : local[k++];
+        if (count == 0 || t > theta[count - 1])
+            theta[count++] = t;
+    }
+    for (i = 0; i < count; i++) {
+        double c = cos(theta[i]), s = sin(theta[i]), total = 0.0;
+        for (j = 0; j < n; j++) {
+            double dx = c - zr[j].re, dy = s - zr[j].im;
+            total += weight[j] / (dx * dx + dy * dy);
+        }
+        modulus[i] = total;
+    }
+    return count;
+}
+
+/* The starts of _fallback._start_points into starts, deduplicated at their
+ * first occurrence: the origin, the zeros, then (1 - t/|B'|) zeta for each
+ * peak zeta of the scan and each offset t with a positive radius.  A peak
+ * is a sample at least its left neighbour and above its right one; a
+ * modulus flat to relative 1e-12 gives one peak, at angle zero.  keys and
+ * first are scratch of as many entries as starts.  Returns the count. */
+static Py_ssize_t start_points(Py_ssize_t n, const cplx *zr, const scan_rules *rules,
+                               Py_ssize_t count, const double *theta, const double *modulus,
+                               cplx *starts, start_key *keys, unsigned char *first)
+{
+    double lo = HUGE_VAL, hi = -HUGE_VAL;
+    Py_ssize_t k = 0, kept = 0, i, p;
+    int flat;
+
+    starts[k++] = mk(0.0, 0.0);
+    for (i = 0; i < n; i++)
+        starts[k++] = zr[i];
+    for (i = 0; i < count; i++) {
+        lo = fmin(lo, modulus[i]);
+        hi = fmax(hi, modulus[i]);
+    }
+    flat = lo >= hi * (1.0 - 1e-12);
+    for (p = 0; p < count; p++) {
+        double before = modulus[p == 0 ? count - 1 : p - 1];
+        double after = modulus[p == count - 1 ? 0 : p + 1];
+        double c, s;
+        if (!(flat ? p == 0 : modulus[p] >= before && modulus[p] > after))
+            continue;
+        c = cos(theta[p]);
+        s = sin(theta[p]);
+        for (i = 0; i < rules->noff; i++) {
+            double r = 1.0 - rules->offsets[i] / modulus[p];
+            if (r > 0.0)
+                starts[k++] = mk(r * c, r * s);
+        }
+    }
+    for (i = 0; i < k; i++) {
+        keys[i].re = starts[i].re;
+        keys[i].im = starts[i].im;
+        keys[i].index = i;
+    }
+    qsort(keys, k, sizeof(start_key), cmp_start);
+    /* the first key of each run of equal points holds its first occurrence */
+    for (i = 0; i < k; i++)
+        first[keys[i].index] = i == 0 || keys[i].re != keys[i - 1].re
+                               || keys[i].im != keys[i - 1].im;
+    for (i = 0; i < k; i++)
+        if (first[i])
+            starts[kept++] = starts[i];
+    return kept;
+}
+
+/* The multistart search of _fallback.seminorm_search: one Nelder-Mead pass
+ * per start at scale min(0.1, (1 - |z|)/2), then one from the best point at
+ * a tenth of its scale.  Scratch comes from PyMem_RawMalloc, so this runs
+ * without the interpreter lock; returns 0 when it cannot be had. */
+static int search(Py_ssize_t n, const cplx *zr, cplx lam, int kind, long max_iter, double ftol,
+                  double barrier2, const scan_rules *rules, search_result *out)
+{
+    double *weight = NULL, *theta, *modulus, h, f;
+    cplx *starts = NULL, z;
+    start_key *keys;
+    Py_ssize_t narrow = 0, count, k, i;
+    int ok = 0;
+
+    for (i = 0; i < n; i++)
+        narrow += narrow_peak(zr[i], 2.0 * M_PI / rules->scan);
+    weight = PyMem_RawMalloc((n + 2 * (rules->scan + narrow * rules->local)
+                              + narrow * rules->local) * sizeof(double));
+    if (weight == NULL)
+        goto done;
+    theta = weight + n;
+    modulus = theta + rules->scan + narrow * rules->local;
+    count = boundary_scan(n, zr, rules, weight, theta, modulus,
+                          modulus + rules->scan + narrow * rules->local);
+    /* room for the origin, the zeros and noff starts on every sample */
+    k = 1 + n + rules->noff * count;
+    starts = PyMem_RawMalloc(k * (sizeof(cplx) + sizeof(start_key) + 1));
+    if (starts == NULL)
+        goto done;
+    keys = (start_key *)(starts + k);
+    k = start_points(n, zr, rules, count, theta, modulus, starts, keys,
+                     (unsigned char *)(keys + k));
+
+    out->value = -HUGE_VAL;
+    out->argmax = starts[0];
+    out->iterations = 0;
+    for (i = 0; i < k; i++) {
+        h = fmin(0.1, 0.5 * (1.0 - hypot(starts[i].re, starts[i].im)));
+        out->iterations += nelder_mead(n, zr, lam, kind, starts[i], h, max_iter, ftol,
+                                       barrier2, &f, &z);
+        if (beats(f, z, out->value, out->argmax)) {
+            out->value = f;
+            out->argmax = z;
+        }
+    }
+    h = fmin(0.1, 0.5 * (1.0 - hypot(out->argmax.re, out->argmax.im))) * 0.1;
+    out->iterations += nelder_mead(n, zr, lam, kind, out->argmax, h, max_iter, ftol, barrier2,
+                                   &f, &z);
+    if (beats(f, z, out->value, out->argmax)) {
+        out->value = f;
+        out->argmax = z;
+    }
+    out->starts = k + 1;
+    ok = 1;
+done:
+    PyMem_RawFree(weight);
+    PyMem_RawFree(starts);
+    return ok;
 }
 
 /* ---- fiber tracking ---------------------------------------------------- */
@@ -583,6 +792,53 @@ static PyObject *refine_starts(PyObject *Py_UNUSED(self), PyObject *args)
     Py_RETURN_NONE;
 }
 
+static const array_spec search_spec[2] = {
+    {"Zd", "zeros", 16, 0, -1}, {"d", "offsets", 8, 0, -1},
+};
+
+PyDoc_STRVAR(seminorm_search_doc,
+"seminorm_search(zeros, lam, f_kind, max_iter, ftol, barrier_radius, scan_angles,\n"
+"                local_angles, local_span, offsets) -> (value, argmax, starts, iterations)\n\n"
+"The multistart search of the numpy reference's seminorm_search in one call: the\n"
+"boundary scan on scan_angles uniform angles plus local_angles over arg a +-\n"
+"local_span (1 - |a|) for each zero near the circle, the deduplicated starts,\n"
+"one Nelder-Mead pass per start and the restart from the best point.");
+
+static PyObject *seminorm_search(PyObject *Py_UNUSED(self), PyObject *args)
+{
+    PyObject *obj[2];
+    Py_buffer b[2];
+    Py_complex lam, argmax;
+    scan_rules rules;
+    search_result out;
+    int kind, ok;
+    long max_iter;
+    double ftol, radius;
+
+    if (!PyArg_ParseTuple(args, "ODilddiidO", &obj[0], &lam, &kind, &max_iter, &ftol, &radius,
+                          &rules.scan, &rules.local, &rules.span, &obj[1])
+        || check_kind(kind) < 0)
+        return NULL;
+    if (rules.scan < 1 || rules.local < 2) {
+        PyErr_SetString(PyExc_ValueError, "expected scan_angles >= 1 and local_angles >= 2");
+        return NULL;
+    }
+    if (get_arrays(obj, b, search_spec, 2) < 0)
+        return NULL;
+    rules.offsets = b[1].buf;
+    rules.noff = b[1].len / 8;
+    Py_BEGIN_ALLOW_THREADS
+    ok = search(b[0].len / 16, b[0].buf, mk(lam.real, lam.imag), kind, max_iter, ftol,
+                radius * radius, &rules, &out);
+    Py_END_ALLOW_THREADS
+    release_arrays(b, 2);
+    if (!ok)
+        return PyErr_NoMemory();
+    argmax.real = out.argmax.re;
+    argmax.imag = out.argmax.im;
+    return Py_BuildValue("dDnl", out.value, &argmax, out.starts, out.iterations);
+}
+
 static const array_spec track_spec[10] = {
     {"Zd", "zeros", 16, 0, -1}, {"Zd", "base", 16, 0, -1},   {"Zd", "start", 16, 0, -1},
     {"Zd", "delta", 16, 0, 2},  {"d", "radius", 8, 0, 2},     {"d", "angle", 8, 0, 2},
@@ -699,6 +955,7 @@ static PyObject *critical_roots(PyObject *Py_UNUSED(self), PyObject *args)
 
 static PyMethodDef methods[] = {
     {"refine_starts", refine_starts, METH_VARARGS, refine_starts_doc},
+    {"seminorm_search", seminorm_search, METH_VARARGS, seminorm_search_doc},
     {"track_routes", track_routes, METH_VARARGS, track_routes_doc},
     {"critical_roots", critical_roots, METH_VARARGS, critical_roots_doc},
     {NULL, NULL, 0, NULL},

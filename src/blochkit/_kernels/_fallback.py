@@ -4,9 +4,12 @@ Runs every simplex in the multistart *simultaneously*: the Nelder-Mead control
 flow is expressed through boolean masks so each of the k simplices follows
 exactly the branch logic of the scalar compiled kernel (``_ckernel.c``), while
 every objective evaluation is a single vectorized sweep over all active
-simplices.  Fiber tracking works the same way: the fibers of all routes move
-in one lockstep L x n batch, each row under the per-route rules that the
-compiled kernel applies to one route at a time.  The critical points are
+simplices.  The whole seminorm search, from the boundary scan of
+``products.boundary_peaks`` to the restart, is the reference that the
+compiled ``seminorm_search`` follows step by step.  Fiber tracking works the
+same way as the simplices: the fibers of all routes move in one lockstep
+L x n batch, each row under the per-route rules that the compiled kernel
+applies to one route at a time.  The critical points are
 found by mirrored Ehrlich-Aberth iteration on all live roots at once, in row
 blocks; ``covering.fiber_solve`` runs the same driver on its fibers, without
 mirroring.
@@ -18,9 +21,11 @@ import math
 
 import numpy as np
 
-from ..products import _row_blocks, _value_and_derivative
+from ..products import _boundary_peaks, _row_blocks, _value_and_derivative
 
 _ALPHA, _GAMMA, _RHO, _SIGMA = 1.0, 2.0, 0.5, 0.5
+#: the starts (1 - t/|B'(zeta)|) zeta toward each boundary peak zeta
+PEAK_OFFSETS = (0.25, 0.5, 1.0)
 
 
 def _objective(zeros: np.ndarray, lam: complex, pts: np.ndarray, f_kind: int,
@@ -143,6 +148,63 @@ def _refine_starts(zeros, lam, starts, scales, f_kind, max_iter, ftol, barrier_r
     best = np.argmax(F, axis=1)
     rows = np.arange(k)
     return F[rows, best].copy(), V[rows, best].copy(), iters
+
+
+# ----------------------------------------------------------------------------
+# the whole seminorm search
+# ----------------------------------------------------------------------------
+
+def _peak_starts(zeros: np.ndarray) -> np.ndarray:
+    """(1 - t/|B'(zeta)|) zeta for each boundary peak zeta and t in
+    PEAK_OFFSETS, peak by peak; a t at or above the peak's |B'| gives no
+    point of the open radius from 0 to zeta and is left out."""
+    theta, modulus, _ = _boundary_peaks(zeros)
+    radius = 1.0 - np.divide.outer(PEAK_OFFSETS, modulus).T
+    points = radius * np.exp(1j * theta)[:, None]
+    return points[radius > 0.0]
+
+
+def _start_points(zeros: np.ndarray) -> np.ndarray:
+    """The deduplicated starts, each at its first occurrence, in the order
+    origin, zeros, boundary-peak starts."""
+    points = np.concatenate([[0.0 + 0.0j], zeros, _peak_starts(zeros)])
+    _, first = np.unique(points, return_index=True)
+    return points[np.sort(first)]
+
+
+def _scales(starts: np.ndarray) -> np.ndarray:
+    return np.minimum(0.1, 0.5 * (1.0 - np.abs(starts)))
+
+
+def _argbest(vals: np.ndarray, pts: np.ndarray) -> int:
+    """Index of the maximal value; exact ties go to the lexicographically
+    smallest (Re, Im) argmax so the reduction is order-independent."""
+    top = np.max(vals)
+    tied = np.nonzero(vals == top)[0]
+    if tied.size == 1:
+        return int(tied[0])
+    keys = sorted((pts[i].real, pts[i].imag, int(i)) for i in tied)
+    return keys[0][2]
+
+
+def seminorm_search(zeros, lam, f_kind, max_iter, ftol, barrier_radius):
+    """The multistart search: one refine_starts pass over the starts of
+    _start_points, then one from the best point at a tenth of its scale;
+    returns (value, argmax, starts, iterations) of the best of all passes."""
+    _check_kind(f_kind)
+    starts = _start_points(zeros)
+    vals, pts, iters = refine_starts(zeros, lam, starts, _scales(starts), f_kind, max_iter,
+                                     ftol, barrier_radius)
+    best = _argbest(vals, pts)
+    total_iters = int(np.sum(iters))
+    restart = np.array([pts[best]], dtype=np.complex128)
+    rvals, rpts, riters = refine_starts(zeros, lam, restart, _scales(restart) * 0.1, f_kind,
+                                        max_iter, ftol, barrier_radius)
+    total_iters += int(riters[0])
+    all_vals = np.concatenate([vals, rvals])
+    all_pts = np.concatenate([pts, rpts])
+    winner = _argbest(all_vals, all_pts)
+    return (float(all_vals[winner]), complex(all_pts[winner]), starts.size + 1, total_iters)
 
 
 # ----------------------------------------------------------------------------

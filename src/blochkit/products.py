@@ -299,7 +299,11 @@ def boundary_peaks(B: BlaschkeProduct) -> tuple[np.ndarray, np.ndarray, np.ndarr
     rotations) has no strict peak and gives one peak, at angle zero.  The
     samples go through in row blocks, so memory stays bounded at any degree.
     """
-    zeros = B.zeros_array
+    return _boundary_peaks(B.zeros_array)
+
+
+def _boundary_peaks(zeros: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """boundary_peaks for the product with these zeros."""
     step = 2.0 * math.pi / _SCAN_ANGLES
     parts = [step * np.arange(_SCAN_ANGLES)]
     depth = 1.0 - np.abs(zeros)

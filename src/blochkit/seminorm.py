@@ -8,9 +8,13 @@ origin, the zeros, and three points (1 - t/|B'(zeta)|) zeta, t in
 (``products.boundary_peaks``): Theorem 4 places its certified point
 z0 = (1 - d delta/|B'(zeta)|) zeta on that radius.  The critical points of B
 are not starts: the quantity is zero there, its global minimum.  Each start
-is refined by a derivative-free simplex descent (compiled kernel when
-available), then one restart pass runs from the best point at a tenth of the
-scale.  The result is always a certified lower bound of the supremum.
+is refined by a derivative-free simplex descent, then one restart pass runs
+from the best point at a tenth of the scale.  The whole search, from the
+boundary scan to the restart, is one kernel call, ``seminorm_search``: in
+the compiled kernel it runs without the interpreter lock, and the numpy
+fallback (``blochkit._kernels._fallback``) holds its reference steps.  The
+value is then recomputed at the argmax with ``pointwise_bloch``, so the
+result is always a certified lower bound of the supremum.
 
 Also here: the closed form for the z^n family, and a small catalog of analytic
 outer functions f with f'(0) = 1 for estimating the seminorm of compositions
@@ -27,13 +31,11 @@ import numpy as np
 
 from . import _kernels as impl
 from .errors import DomainError
-from .products import BlaschkeProduct, boundary_peaks, derivative, evaluate
+from .products import BlaschkeProduct, derivative, evaluate
 
 BARRIER_RADIUS = 1.0 - 1e-9
 MAX_ITERATIONS = 500        # simplex iterations per start
 OBJECTIVE_TOLERANCE = 1e-10  # a simplex stops once its values span at most this
-#: the starts (1 - t/|B'(zeta)|) zeta toward each boundary peak zeta
-PEAK_OFFSETS = (0.25, 0.5, 1.0)
 
 
 @dataclass(frozen=True)
@@ -138,61 +140,10 @@ def _golden_section(f, lo, hi, tol: float):
     return 0.5 * (lo + hi)
 
 
-def _peak_starts(B: BlaschkeProduct) -> np.ndarray:
-    """(1 - t/|B'(zeta)|) zeta for each boundary peak zeta and t in
-    PEAK_OFFSETS, peak by peak; a t at or above the peak's |B'| gives no
-    point of the open radius from 0 to zeta and is left out."""
-    theta, modulus, _ = boundary_peaks(B)
-    radius = 1.0 - np.divide.outer(PEAK_OFFSETS, modulus).T
-    points = radius * np.exp(1j * theta)[:, None]
-    return points[radius > 0.0]
-
-
-def _start_points(B: BlaschkeProduct) -> np.ndarray:
-    """The deduplicated starts, each at its first occurrence, in the order
-    origin, zeros, boundary-peak starts."""
-    points = np.concatenate([[0.0 + 0.0j], B.zeros_array, _peak_starts(B)])
-    _, first = np.unique(points, return_index=True)
-    return points[np.sort(first)]
-
-
-def _scales(starts: np.ndarray) -> np.ndarray:
-    return np.minimum(0.1, 0.5 * (1.0 - np.abs(starts)))
-
-
 def _run_multistart(B: BlaschkeProduct,
                     kernel_kind: int) -> tuple[float, complex, int, int]:
-    starts = _start_points(B)
-    zeros = B.zeros_array
-    lam = complex(B.rotation)
-    vals, pts, iters = impl.refine_starts(
-        zeros, lam, starts, _scales(starts), kernel_kind,
-        MAX_ITERATIONS, OBJECTIVE_TOLERANCE, BARRIER_RADIUS,
-    )
-    best = _argbest(vals, pts)
-    total_iters = int(np.sum(iters))
-    restart = np.array([pts[best]], dtype=np.complex128)
-    rvals, rpts, riters = impl.refine_starts(
-        zeros, lam, restart, _scales(restart) * 0.1, kernel_kind,
-        MAX_ITERATIONS, OBJECTIVE_TOLERANCE, BARRIER_RADIUS,
-    )
-    total_iters += int(riters[0])
-    all_vals = np.concatenate([vals, rvals])
-    all_pts = np.concatenate([pts, rpts])
-    winner = _argbest(all_vals, all_pts)
-    return (float(all_vals[winner]), complex(all_pts[winner]),
-            starts.size + 1, total_iters)
-
-
-def _argbest(vals: np.ndarray, pts: np.ndarray) -> int:
-    """Index of the maximal value; exact ties go to the lexicographically
-    smallest (Re, Im) argmax so the reduction is order-independent."""
-    top = np.max(vals)
-    tied = np.nonzero(vals == top)[0]
-    if tied.size == 1:
-        return int(tied[0])
-    keys = sorted((pts[i].real, pts[i].imag, int(i)) for i in tied)
-    return keys[0][2]
+    return impl.seminorm_search(B.zeros_array, complex(B.rotation), kernel_kind,
+                                MAX_ITERATIONS, OBJECTIVE_TOLERANCE, BARRIER_RADIUS)
 
 
 def seminorm(B: BlaschkeProduct) -> SeminormEstimate:

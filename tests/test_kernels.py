@@ -27,10 +27,12 @@ LAWS = ("uniform_disk", "boundary_concentrated")
 
 @pytest.fixture(params=["c", "python"])
 def kernels(request):
-    """(refine_starts, track_routes, critical_roots) of each backend."""
+    """(refine_starts, track_routes, critical_roots, seminorm_search) of each
+    backend."""
     if request.param == "c":
         return _kernels.compiled(request.getfixturevalue("ckernel"))
-    return _fallback.refine_starts, _fallback.track_routes, _fallback.critical_roots
+    return (_fallback.refine_starts, _fallback.track_routes, _fallback.critical_roots,
+            _fallback.seminorm_search)
 
 
 def _random_case(seed: int, degree: int):
@@ -45,18 +47,20 @@ def _random_case(seed: int, degree: int):
 def _multistart_case(degree: int, seed: int):
     """The zeros, rotation, starts and scales of seminorm's first pass."""
     B = random_product(degree, seed=seed)
-    starts = np.asarray(seminorm._start_points(B))
-    return B.zeros_array, complex(B.rotation), starts, seminorm._scales(starts)
+    starts = _fallback._start_points(B.zeros_array)
+    return B.zeros_array, complex(B.rotation), starts, _fallback._scales(starts)
 
 
 def test_backend_reports_name():
     assert _kernels.BACKEND in ("c", "python")
 
 
-def test_kernel_contract_has_three_entries(ckernel):
-    """Both backends expose refine_starts, track_routes and critical_roots,
-    and nothing else."""
-    contract = {"refine_starts", "track_routes", "critical_roots"}
+def test_kernel_contract_has_four_entries(ckernel):
+    """Both backends expose refine_starts, seminorm_search, track_routes and
+    critical_roots, and nothing else.  The package reaches refine_starts only
+    through the numpy seminorm_search, but the benchmark harness traces it
+    on both backends, so it stays in the contract."""
+    contract = {"refine_starts", "seminorm_search", "track_routes", "critical_roots"}
     compiled = {name for name in dir(ckernel)
                 if not name.startswith("_") and callable(getattr(ckernel, name))}
     fallback = {name for name, obj in vars(_fallback).items()
@@ -119,26 +123,57 @@ def test_refine_starts_backends_agree(ckernel):
 
 
 def test_seminorm_backends_agree_on_degrees_1_to_12(ckernel, monkeypatch):
-    """The bound stated in blochkit._kernels, over 240 products."""
-    fast = _kernels.compiled(ckernel)[0]
+    """The bound stated in blochkit._kernels, over 240 products, from the
+    same number of starts."""
+    fast = _kernels.compiled(ckernel)[3]
     for law in ("uniform_disk", "boundary_concentrated"):
         for degree in range(1, 13):
             for seed in range(10):
                 B = random_product(degree, seed=100 * degree + seed, law=law)
-                monkeypatch.setattr(_kernels, "refine_starts", fast)
-                compiled_value = seminorm.seminorm(B).value
-                monkeypatch.setattr(_kernels, "refine_starts", _fallback.refine_starts)
-                reference = seminorm.seminorm(B).value
-                assert abs(compiled_value - reference) <= 1e-10, (law, degree, seed)
+                monkeypatch.setattr(_kernels, "seminorm_search", fast)
+                compiled = seminorm.seminorm(B)
+                monkeypatch.setattr(_kernels, "seminorm_search", _fallback.seminorm_search)
+                reference = seminorm.seminorm(B)
+                assert abs(compiled.value - reference.value) <= 1e-10, (law, degree, seed)
+                assert compiled.starts_used == reference.starts_used, (law, degree, seed)
+
+
+def test_seminorm_search_backends_agree_on_flat_narrow_and_repeated_zeros(ckernel):
+    """The scan's special cases: z^n and its rotations, whose flat modulus
+    gives one peak at angle zero; zeros within 1e-5 of the circle, which add
+    local angles; and repeated zeros, which the starts hold once.  The
+    start counts are equal and the values agree to 1e-10, for kinds 0 and 2."""
+    fast = _kernels.compiled(ckernel)[3]
+    turn = complex(math.cos(0.3), math.sin(0.3))
+    cases = [(np.zeros(n, dtype=np.complex128), lam) for n in (1, 2, 5, 9)
+             for lam in (1.0, turn)]
+    cases.append((np.array([(1 - 1e-5) * turn, -0.2j, (1 - 2e-4) * -1j]), 1.0))
+    cases.append((np.array([0.5, 0.5, 0.3j, -0.7, 0.3j]), turn))
+    for zeros, lam in cases:
+        for f_kind in (0, 2):
+            args = (zeros, lam, f_kind, 500, 1e-10, seminorm.BARRIER_RADIUS)
+            value, argmax, starts, _ = fast(*args)
+            ref_value, ref_argmax, ref_starts, _ = _fallback.seminorm_search(*args)
+            assert starts == ref_starts == _fallback._start_points(zeros).size + 1
+            assert abs(value - ref_value) <= 1e-10
 
 
 @pytest.mark.parametrize("f_kind", [3, -1])
-def test_unknown_kind_is_rejected_before_any_work(kernels, f_kind):
-    refine = kernels[0]
+def test_unknown_kind_is_rejected_before_any_work(kernels, f_kind, monkeypatch):
+    refine, search = kernels[0], kernels[3]
     zeros, _ = _random_case(5, 3)
     outside = np.array([2.0 + 0j])  # nothing to evaluate: still rejected
     with pytest.raises(ValueError, match=f"unknown catalog kind {f_kind}"):
         refine(zeros, 1.0 + 0j, outside, np.ones(1), f_kind, 10, 1e-10, 1.0 - 1e-9)
+
+    def scan(_zeros):
+        raise AssertionError("the search scanned before it checked the kind")
+
+    # the numpy search starts its work here; the C kernel checks the kind
+    # before it reads any array (test_compiled_kernel_rejects_bad_arrays)
+    monkeypatch.setattr(_fallback, "_start_points", scan)
+    with pytest.raises(ValueError, match=f"unknown catalog kind {f_kind}"):
+        search(zeros, 1.0 + 0j, f_kind, 10, 1e-10, 1.0 - 1e-9)
 
 
 def test_compiled_kernel_rejects_bad_arrays(ckernel):
@@ -154,6 +189,18 @@ def test_compiled_kernel_rejects_bad_arrays(ckernel):
     with pytest.raises(ValueError, match="not C-contiguous"):
         ckernel.refine_starts(zeros, 0j, starts, np.ones(3), 0, 10, 1e-10, 0.5,
                               np.empty(6)[::2], *outputs[1:])
+    scan = (1024, 32, 8.0, np.array([0.25, 0.5, 1.0]))
+    with pytest.raises(ValueError, match="unknown catalog kind 3"):
+        ckernel.seminorm_search(np.zeros(2), 0j, 3, 10, 1e-10, 0.5, *scan)
+    with pytest.raises(TypeError, match="zeros: expected format 'Zd', got 'd'"):
+        ckernel.seminorm_search(np.zeros(2), 0j, 0, 10, 1e-10, 0.5, *scan)
+    with pytest.raises(ValueError, match="not C-contiguous"):
+        ckernel.seminorm_search(np.zeros(4, dtype=np.complex128)[::2], 0j, 0, 10, 1e-10, 0.5,
+                                *scan)
+    with pytest.raises(TypeError, match="offsets: expected format 'd', got 'l'"):
+        ckernel.seminorm_search(zeros, 0j, 0, 10, 1e-10, 0.5, *scan[:3], np.ones(3, dtype=int))
+    with pytest.raises(ValueError, match="local_angles >= 2"):
+        ckernel.seminorm_search(zeros, 0j, 0, 10, 1e-10, 0.5, 1024, 1, *scan[2:])
     # two routes of one piece each from a base fiber of three points
     pieces = (np.zeros(2, dtype=np.complex128), np.zeros(2, dtype=np.complex128),
               np.zeros(2), np.zeros(2), np.zeros(2, dtype=bool))
@@ -316,12 +363,15 @@ def test_track_routes_statuses(kernels, monkeypatch):
 
 
 def test_concurrent_calls_match_serial_calls(kernels, monkeypatch):
-    """Twelve threads at once, four Nelder-Mead passes, four trackings and
-    four critical-point solves of one product each, give the serial results
-    bit for bit."""
-    refine, track, critical = kernels
+    """Sixteen threads at once, four Nelder-Mead passes, four whole seminorm
+    searches, four trackings and four critical-point solves of one product
+    each, give the serial results bit for bit."""
+    refine, track, critical, search = kernels
     jobs = [(refine, (*_multistart_case(6 + 3 * i, seed=70 + i), i % 3, 500, 1e-10,
                       seminorm.BARRIER_RADIUS)) for i in range(4)]
+    products = [random_product(4 + 4 * i, seed=75 + i, law=LAWS[i % 2]) for i in range(4)]
+    jobs += [(search, (B.zeros_array, B.rotation, i % 3, 500, 1e-10, seminorm.BARRIER_RADIUS))
+             for i, B in enumerate(products)]
     products = [random_product(5 + i, seed=80 + i, law=LAWS[i % 2]) for i in range(4)]
     jobs += [(track, args) for args in _tracking_calls(monkeypatch, products)]
     products = [random_product(8 + 8 * i, seed=90 + i, law=LAWS[i % 2]) for i in range(4)]

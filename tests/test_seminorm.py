@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from blochkit import covering
+from blochkit._kernels._fallback import _start_points
 from blochkit.errors import ConvergenceError, DomainError
 from blochkit.products import (
     BlaschkeProduct,
@@ -21,7 +22,6 @@ from blochkit.products import (
 from blochkit.seminorm import (
     CATALOG,
     _golden_section,
-    _start_points,
     catalog_entry,
     composed_pointwise,
     composed_seminorm,
@@ -117,7 +117,7 @@ def _peak_points(B: BlaschkeProduct) -> np.ndarray:
 
 def test_starts_hold_three_peak_starts_per_boundary_peak():
     for B in mixed_products(24, 12, base_seed=31):
-        starts = _start_points(B)
+        starts = _start_points(B.zeros_array)
         peaks = _peak_points(B)
         assert peaks.size == 3 * boundary_peaks(B)[0].size > 0
         assert np.all(np.abs(peaks) < 1.0) and np.all(np.abs(peaks) > 0.0)
@@ -126,7 +126,7 @@ def test_starts_hold_three_peak_starts_per_boundary_peak():
 
 def test_power_product_peak_starts_lie_at_angle_zero():
     for n in (2, 5, 9):
-        starts = _start_points(power_product(n))
+        starts = _start_points(power_product(n).zeros_array)
         expected = [0.0, 1.0 - 0.25 / n, 1.0 - 0.5 / n, 1.0 - 1.0 / n]
         np.testing.assert_allclose(starts, expected, rtol=0.0, atol=1e-15)
 
@@ -139,7 +139,7 @@ def test_starts_stay_below_the_polar_grid_count():
             for seed in range(10):
                 B = random_product(degree, seed=100 * degree + seed, law=law)
                 base = np.unique(np.array([0j, *B.zeros])).size
-                assert _start_points(B).size <= base + 384
+                assert _start_points(B.zeros_array).size <= base + 384
 
 
 def test_hole_product_reaches_its_maximum():
