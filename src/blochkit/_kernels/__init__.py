@@ -8,20 +8,15 @@ evaluator the rest of the package uses; the C kernel is its compiled twin, one
 point at a time, with one (B, B') routine for all its entries.  Set
 ``BLOCHKIT_PURE=1`` to force the fallback, e.g. for benchmarking.
 
-Both backends expose four entries:
+Both backends expose three entries:
 
-* ``refine_starts(zeros, lam, starts, scales, f_kind, max_iter, ftol,
-  barrier_radius)`` -> (values, points, iterations), one Nelder-Mead pass per
-  start on the objective |f'(B(z))| * |B'(z)| * (1 - |z|^2), which is -1.0
-  outside the barrier.  The package calls it only from the numpy
-  ``seminorm_search``; it stays in the contract because the benchmark
-  harness (``perfbench/run.py``) traces it by name on both backends;
 * ``seminorm_search(zeros, lam, f_kind, max_iter, ftol, barrier_radius)`` ->
   (value, argmax, starts, iterations), the whole multistart search of
-  ``seminorm``: the boundary scan and peak rule of
+  ``seminorm`` on the objective |f'(B(z))| * |B'(z)| * (1 - |z|^2), which is
+  -1.0 outside the barrier: the boundary scan and peak rule of
   ``products.boundary_peaks``, the starts (origin, zeros, and (1 - t/|B'|)
   zeta for t in ``_fallback.PEAK_OFFSETS`` toward each peak zeta) kept at
-  their first occurrence, one ``refine_starts`` pass per start at scale
+  their first occurrence, one Nelder-Mead pass per start at scale
   min(0.1, (1 - |z|)/2), one more from the best point at a tenth of its
   scale, and the best of all passes, exact ties going to the
   lexicographically smallest (Re, Im) point.  ``starts`` counts the
@@ -61,12 +56,20 @@ Both backends expose four entries:
 any other value raises ``ValueError("unknown catalog kind ...")`` before any
 work.
 
+``refine_starts`` is ``_fallback.refine_starts`` on both backends, the numpy
+search's Nelder-Mead pass, kept under this name because the benchmark
+harness (``perfbench/run.py``) traces it: its traced calls read 0 on the C
+backend and the numpy search's two passes per ``seminorm`` on the fallback.
+
 Agreement bound.  Both backends write the same formulas, but numpy may round
 a complex product or modulus differently in the last bit, and a simplex that
-then meets a near-tie takes another branch.  The objective at each start,
-which ``refine_starts`` returns with ``max_iter`` 0 and all scales 0, agrees to
-1e-12 for every ``f_kind`` (measured: relative 1.9e-15, on and near zeros
-included).
+then meets a near-tie takes another branch.  The value that
+``seminorm_search`` returns with ``max_iter`` 0, the objective at its best
+start or initial vertex, agrees with ``_fallback._objective`` at the compiled
+argmax to 3e-12 for f_kind 0 and 2 and to 1.5e-11 relative for f_kind 1, on
+the 240 products of degrees 1-12 under both radial laws (measured: 2.0e-12,
+1.5e-12 and 9.3e-12, at argmaxes within 1.2e-4 of the circle), and on the
+product rule's side, at a zero of a degree-400 product, to 5.6e-13.
 ``seminorm_search`` gives ``seminorm`` values that agree to 1e-10, from equal
 start counts, on the 240 products of degrees 1-12 under both radial laws
 (measured: at most 1.1e-12, one iteration total differs by 1), and on 2,074
@@ -110,17 +113,6 @@ def compiled(module):
     """The kernel contract over the C module ``module``: the arrays it reads
     are made contiguous complex128/float64 and its outputs allocated here."""
 
-    def refine_starts(zeros, lam, starts, scales, f_kind, max_iter, ftol,
-                      barrier_radius):
-        starts = _flat(starts)
-        values = np.empty(starts.size)
-        points = np.empty(starts.size, dtype=np.complex128)
-        iterations = np.empty(starts.size, dtype=np.int64)
-        module.refine_starts(_flat(zeros), complex(lam), starts, _flat(scales, np.float64),
-                             int(f_kind), int(max_iter), float(ftol), float(barrier_radius),
-                             values, points, iterations)
-        return values, points, iterations
-
     offsets = np.asarray(_fallback.PEAK_OFFSETS, dtype=np.float64)
 
     def seminorm_search(zeros, lam, f_kind, max_iter, ftol, barrier_radius):
@@ -149,7 +141,7 @@ def compiled(module):
                               int(max_iter), float(step_tol), roots, res)
         return roots, res
 
-    return refine_starts, track_routes, critical_roots, seminorm_search
+    return seminorm_search, track_routes, critical_roots
 
 
 if os.environ.get("BLOCHKIT_PURE"):
@@ -160,12 +152,12 @@ else:
     except ImportError:  # pragma: no cover - depends on build environment
         _ckernel = None
 
+refine_starts = _fallback.refine_starts
 if _ckernel is None:
     BACKEND = "python"
-    refine_starts = _fallback.refine_starts
+    seminorm_search = _fallback.seminorm_search
     track_routes = _fallback.track_routes
     critical_roots = _fallback.critical_roots
-    seminorm_search = _fallback.seminorm_search
 else:
     BACKEND = "c"
-    refine_starts, track_routes, critical_roots, seminorm_search = compiled(_ckernel)
+    seminorm_search, track_routes, critical_roots = compiled(_ckernel)

@@ -1,5 +1,4 @@
-/* Compiled kernel backend, as a plain CPython module with four entries:
- * refine_starts, one Nelder-Mead pass per start on the scalar objective;
+/* Compiled kernel backend, as a plain CPython module with three entries:
  * seminorm_search, the whole multistart search from the boundary scan to
  * the restart; track_routes, fiber tracking one route at a time; and
  * critical_roots, mirrored Ehrlich-Aberth on the numerator of B'/B, one root
@@ -750,48 +749,6 @@ static int check_kind(int kind)
     return -1;
 }
 
-static const array_spec refine_spec[6] = {
-    {"Zd", "zeros", 16, 0, -1}, {"Zd", "starts", 16, 0, -1}, {"d", "scales", 8, 0, 1},
-    {"d", "values", 8, 1, 1},   {"Zd", "points", 16, 1, 1},  {"q", "iterations", 8, 1, 1},
-};
-
-PyDoc_STRVAR(refine_starts_doc,
-"refine_starts(zeros, lam, starts, scales, f_kind, max_iter, ftol, barrier_radius,\n"
-"              values, points, iterations)\n\n"
-"One Nelder-Mead maximization per start; writes the best value (float64), its\n"
-"point (complex128) and the iteration count (int64) of each start.");
-
-static PyObject *refine_starts(PyObject *Py_UNUSED(self), PyObject *args)
-{
-    PyObject *obj[6];
-    Py_buffer b[6];
-    Py_complex lam;
-    int kind;
-    long max_iter;
-    double ftol, radius;
-    Py_ssize_t i;
-
-    if (!PyArg_ParseTuple(args, "ODOOilddOOO", &obj[0], &lam, &obj[1], &obj[2], &kind,
-                          &max_iter, &ftol, &radius, &obj[3], &obj[4], &obj[5])
-        || check_kind(kind) < 0 || get_arrays(obj, b, refine_spec, 6) < 0)
-        return NULL;
-    {
-        const cplx *zr = b[0].buf, *starts = b[1].buf;
-        const double *scales = b[2].buf;
-        double *values = b[3].buf, barrier2 = radius * radius;
-        cplx *points = b[4].buf, clam = mk(lam.real, lam.imag);
-        int64_t *iterations = b[5].buf;
-        Py_ssize_t n = b[0].len / 16, k = b[1].len / 16;
-        Py_BEGIN_ALLOW_THREADS
-        for (i = 0; i < k; i++)
-            iterations[i] = nelder_mead(n, zr, clam, kind, starts[i], scales[i], max_iter,
-                                        ftol, barrier2, &values[i], &points[i]);
-        Py_END_ALLOW_THREADS
-    }
-    release_arrays(b, 6);
-    Py_RETURN_NONE;
-}
-
 static const array_spec search_spec[2] = {
     {"Zd", "zeros", 16, 0, -1}, {"d", "offsets", 8, 0, -1},
 };
@@ -954,7 +911,6 @@ static PyObject *critical_roots(PyObject *Py_UNUSED(self), PyObject *args)
 }
 
 static PyMethodDef methods[] = {
-    {"refine_starts", refine_starts, METH_VARARGS, refine_starts_doc},
     {"seminorm_search", seminorm_search, METH_VARARGS, seminorm_search_doc},
     {"track_routes", track_routes, METH_VARARGS, track_routes_doc},
     {"critical_roots", critical_roots, METH_VARARGS, critical_roots_doc},

@@ -264,19 +264,19 @@ def _segment_waypoints(w0: complex, w1: complex,
 
 
 def _cluster_values(values: np.ndarray) -> list[np.ndarray]:
-    """Group near-equal critical values (single-link within 1e-9)."""
-    idx = list(range(values.size))
-    groups: list[list[int]] = []
-    for i in idx:
-        placed = False
-        for g in groups:
-            if any(abs(values[i] - values[j]) <= _VALUE_CLUSTER_TOL for j in g):
-                g.append(i)
-                placed = True
-                break
-        if not placed:
-            groups.append([i])
-    return [values[np.array(g)] for g in groups]
+    """Group near-equal critical values: the connected components of the graph
+    joining two values within 1e-9 (single link), each in input order, the
+    groups in the order of their first value."""
+    n = values.size
+    adj = _adjacency([(i, i + 1 + j) for i in range(n) for j in np.flatnonzero(
+        np.abs(values[i + 1:] - values[i]) <= _VALUE_CLUSTER_TOL).tolist()], n)
+    groups, seen = [], set()
+    for i in range(n):
+        if i not in seen:
+            members = sorted(_bfs(adj, i)[0])
+            seen.update(members)
+            groups.append(values[members])
+    return groups
 
 
 #: each loop circles its critical value at this fraction of the distance to

@@ -140,19 +140,15 @@ def _golden_section(f, lo, hi, tol: float):
     return 0.5 * (lo + hi)
 
 
-def _run_multistart(B: BlaschkeProduct,
-                    kernel_kind: int) -> tuple[float, complex, int, int]:
-    return impl.seminorm_search(B.zeros_array, complex(B.rotation), kernel_kind,
-                                MAX_ITERATIONS, OBJECTIVE_TOLERANCE, BARRIER_RADIUS)
-
-
 def seminorm(B: BlaschkeProduct) -> SeminormEstimate:
     """Multistart lower-bound estimate of sup |B'(z)|(1-|z|^2).
 
     The returned value is recomputed at the argmax with the pointwise formula,
     so ``value == pointwise_bloch(B, argmax)`` holds by construction.
     """
-    _val, argmax, used, iters = _run_multistart(B, 0)
+    _val, argmax, used, iters = impl.seminorm_search(
+        B.zeros_array, complex(B.rotation), 0, MAX_ITERATIONS, OBJECTIVE_TOLERANCE,
+        BARRIER_RADIUS)
     return SeminormEstimate(pointwise_bloch(B, argmax), argmax, used, iters)
 
 
@@ -162,7 +158,9 @@ def composed_seminorm(entry: AnalyticCatalogEntry, B: BlaschkeProduct) -> Semino
     ``halfplane`` is not a Bloch function, and f o B is unbounded in the
     Bloch sense next to every boundary point where B = 1; its value is what
     the search reaches before BARRIER_RADIUS stops it."""
-    _val, argmax, used, iters = _run_multistart(B, entry.kernel_kind)
+    _val, argmax, used, iters = impl.seminorm_search(
+        B.zeros_array, complex(B.rotation), entry.kernel_kind, MAX_ITERATIONS,
+        OBJECTIVE_TOLERANCE, BARRIER_RADIUS)
     return SeminormEstimate(composed_pointwise(entry, B, argmax), argmax, used, iters)
 
 

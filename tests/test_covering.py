@@ -191,6 +191,17 @@ def test_power_monodromy_is_full_cycle():
         assert len(seen) == n  # one n-cycle
 
 
+def test_cluster_values_is_single_link_in_any_order():
+    """Values chained within 1e-9 of each other form one cluster whether or
+    not the middle one comes first; one further off stays apart."""
+    chain = np.array([0.5, 0.5 + 1.8e-9j, 0.5 + 0.9e-9j, 0.5 + 3e-9j])
+    for values in (chain, np.sort(chain)):
+        clusters = covering._cluster_values(values)
+        assert len(clusters) == 2
+        np.testing.assert_array_equal(clusters[0], values[np.abs(values - 0.5) < 2e-9])
+        np.testing.assert_array_equal(clusters[1], [0.5 + 3e-9j])
+
+
 def test_cycle_string_format():
     assert cycle_string((0, 1, 2)) == "()"
     assert cycle_string((1, 0, 2)) == "(1 2)"
