@@ -1,6 +1,7 @@
 /* Compiled kernel backend, as a plain CPython module with three entries:
  * seminorm_search, the whole multistart search from the boundary scan to
- * the restart; track_routes, fiber tracking one route at a time; and
+ * the restart; track_routes, fiber tracking one route at a time, each from
+ * its own start fiber; and
  * critical_roots, mirrored Ehrlich-Aberth on the numerator of B'/B, one root
  * at a time in scratch linear in the degree.
  *
@@ -551,36 +552,34 @@ static int track_route(Py_ssize_t nz, const cplx *zr, cplx lam, Py_ssize_t n, cp
     return TRACKED;
 }
 
-/* Track every route from the base fiber, route by route, into ends (one row
- * of n per route) and status; the first route that fails stops the rest,
- * which are NOT_TRACKED.  scratch holds 5 n points. */
+/* Track route l from row l of base (n points per row), route by route, into
+ * ends (one row of n per route) and status; each route starts from its own
+ * row's B' and minimal separation, and the first route that fails stops the
+ * rest, which are NOT_TRACKED.  scratch holds 4 n points. */
 static void track_routes_loop(Py_ssize_t nz, const cplx *zr, cplx lam, Py_ssize_t n,
                               const cplx *base, const route_pieces *pieces,
                               const int64_t *counts, Py_ssize_t routes,
                               const track_rules *rules, cplx *ends, int64_t *status,
                               cplx *scratch)
 {
-    cplx *base_der = scratch, *der = scratch + n, *x = scratch + 2 * n, *d = scratch + 3 * n,
-         *next = scratch + 4 * n;
-    double base_sep = min_separation(n, base);
+    cplx *der = scratch, *x = scratch + n, *d = scratch + 2 * n, *next = scratch + 3 * n;
     Py_ssize_t l, i, first = 0;
     int failed = 0;
 
-    for (i = 0; i < n; i++) {
-        cplx value;
-        blaschke(nz, zr, base[i], &value, &base_der[i]);
-        base_der[i] = mul(lam, base_der[i]);
-    }
     for (l = 0; l < routes; first += counts[l], l++) {
         cplx *z = ends + l * n;
-        memcpy(z, base, n * sizeof(cplx));
+        memcpy(z, base + l * n, n * sizeof(cplx));
         if (failed) {
             status[l] = NOT_TRACKED;
             continue;
         }
-        memcpy(der, base_der, n * sizeof(cplx));
-        status[l] = track_route(nz, zr, lam, n, z, der, base_sep, pieces, first, counts[l],
-                                rules, x, d, next);
+        for (i = 0; i < n; i++) {
+            cplx value;
+            blaschke(nz, zr, z[i], &value, &der[i]);
+            der[i] = mul(lam, der[i]);
+        }
+        status[l] = track_route(nz, zr, lam, n, z, der, min_separation(n, z), pieces, first,
+                                counts[l], rules, x, d, next);
         failed = status[l] != TRACKED;
     }
 }
@@ -806,10 +805,11 @@ static const array_spec track_spec[10] = {
 PyDoc_STRVAR(track_routes_doc,
 "track_routes(zeros, lam, base, start, delta, radius, angle, circle, counts,\n"
 "             rules, ends, status)\n\n"
-"Continue the base fiber along every route, one after the other.  Route l is\n"
-"the next counts[l] pieces; rules is (h_start, h_max, h_min, newton_max,\n"
-"newton_easy, newton_tol, newton_ulps, max_move, collision_tol).  Writes the end\n"
-"fiber of route l to ends[l * n:(l + 1) * n] and its status (int64) to status[l].");
+"Continue the start fiber base[l * n:(l + 1) * n] along route l, for every route,\n"
+"one after the other; n is the number of zeros.  Route l is the next counts[l]\n"
+"pieces; rules is (h_start, h_max, h_min, newton_max, newton_easy, newton_tol,\n"
+"newton_ulps, max_move, collision_tol).  Writes the end fiber of route l to\n"
+"ends[l * n:(l + 1) * n] and its status (int64) to status[l].");
 
 static PyObject *track_routes(PyObject *Py_UNUSED(self), PyObject *args)
 {
@@ -829,7 +829,7 @@ static PyObject *track_routes(PyObject *Py_UNUSED(self), PyObject *args)
         return NULL;
     {
         const int64_t *counts = b[7].buf;
-        Py_ssize_t n = b[1].len / 16, routes = b[7].len / 8;
+        Py_ssize_t n = b[0].len / 16, routes = b[7].len / 8;
         int negative = 0;
         for (i = 0; i < routes; i++) {
             negative |= counts[i] < 0;
@@ -838,9 +838,10 @@ static PyObject *track_routes(PyObject *Py_UNUSED(self), PyObject *args)
         if (negative || total != b[2].len / 16) {
             PyErr_Format(PyExc_ValueError, "counts: expected nonnegative counts summing to %zd",
                          b[2].len / 16);
-        } else if (check_count(&b[8], "ends", routes * n) == 0) {
+        } else if (check_count(&b[1], "base", routes * n) == 0
+                   && check_count(&b[8], "ends", routes * n) == 0) {
             route_pieces pieces = {b[2].buf, b[3].buf, b[4].buf, b[5].buf, b[6].buf};
-            scratch = PyMem_Malloc(5 * n * sizeof(cplx));
+            scratch = PyMem_Malloc(4 * n * sizeof(cplx));
             if (scratch == NULL) {
                 PyErr_NoMemory();
             } else {

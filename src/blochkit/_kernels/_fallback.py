@@ -254,7 +254,8 @@ def _newton(zeros, lam, z: np.ndarray, w: np.ndarray, newton_max: int, tol: floa
 
 
 def track_routes(zeros, lam, base, pieces, counts, rules):
-    """Continue the base fiber along every route at once, in lockstep.
+    """Continue row l of the L x n start fibers ``base`` along route l, for
+    every route at once, in lockstep.
 
     Row l of the L x n state is the fiber over route l, with its own piece,
     t, step h and last accepted w; an active mask drops the rows that are
@@ -266,7 +267,6 @@ def track_routes(zeros, lam, base, pieces, counts, rules):
      collision_tol) = rules
     zeros = np.ascontiguousarray(zeros, dtype=np.complex128)
     lam = complex(lam)
-    base = np.asarray(base, dtype=np.complex128)
     start, delta, radius, angle, circle = (np.asarray(a) for a in pieces)
     counts = np.asarray(counts, dtype=np.int64)
     end = np.cumsum(counts)
@@ -281,9 +281,9 @@ def track_routes(zeros, lam, base, pieces, counts, rules):
     status = np.full(L, TRACKED, dtype=np.int64)
     stop = L  # the first failed route; it and all later ones are dropped
     with np.errstate(all="ignore"):
-        z = np.tile(base, (L, 1))
-        der = np.tile(_value_and_derivative(zeros, lam, base)[1], (L, 1))
-        sep = np.full(L, _min_separation(base[None, :])[0])
+        z = np.array(base, dtype=np.complex128).reshape(L, zeros.size)
+        der = _value_and_derivative(zeros, lam, z)[1]
+        sep = _min_separation(z)
         t = np.zeros(L)
         h = np.full(L, h_start)
         w_prev = w_at(piece, t)

@@ -6,9 +6,9 @@ points.  This module finds the critical points (the zeros of B'), classifies
 the configuration against a radius threshold ``a`` (is some branch point
 outside the small disk |w| < a, or do all of them crowd inside it?), and
 computes the monodromy permutations by tracking the full fiber over a base
-point around each distinct critical value.   For a generic configuration every
-permutation is a transposition and the sheet graph they span is a tree on n
-vertices.
+point out to a small circle about each distinct critical value and once
+around it.  For a generic configuration every permutation is a transposition
+and the sheet graph they span is a tree on n vertices.
 
 Root finding uses Ehrlich-Aberth simultaneous iteration with the Newton
 ratio p'/p taken from the partial-fraction form of B'/B (critical points) or
@@ -21,9 +21,10 @@ one root at a time with the interpreter lock released, and the numpy
 fallback, its reference, all live roots at once.  A fiber other than the
 zeros is solved by the fallback's driver, through ``aberth_roots``.
 Fiber tracking uses an Euler predictor with a Newton corrector and adaptive
-step control.  ``_kernels.track_routes`` does the work: the compiled kernel
-tracks one route at a time, and the numpy fallback, its reference, advances
-the fibers of all routes together in one lockstep batch.
+step control.  ``_kernels.track_routes`` does the work, each route from its
+own start fiber: the compiled kernel tracks one route at a time, and the
+numpy fallback, its reference, advances the fibers of all routes together in
+one lockstep batch.
 """
 
 from __future__ import annotations
@@ -198,8 +199,9 @@ _NEWTON_ULPS = 8.0 * np.finfo(np.float64).eps
 _MAX_MOVE = 0.4         # per step, as a fraction of the fiber's minimal separation
 
 
-def _track_routes(B: BlaschkeProduct, base: np.ndarray, routes: list[list[tuple]]):
-    """Continue the base fiber along every route.
+def _track_routes(B: BlaschkeProduct, starts: np.ndarray, routes: list[list[tuple]]):
+    """Continue row l of the L x n start fibers ``starts`` along route l, for
+    every route.
 
     A route is a list of pieces w(t), t in [0, 1], made by _segment and
     _circle.  Per route: Euler predictor dz = dw / B'(z), Newton corrector;
@@ -219,7 +221,7 @@ def _track_routes(B: BlaschkeProduct, base: np.ndarray, routes: list[list[tuple]
     pieces = tuple(map(np.array, zip(*[piece for route in routes for piece in route])))
     rules = (_H_START, _H_MAX, _H_MIN, _NEWTON_MAX, _NEWTON_EASY, _NEWTON_TOL, _NEWTON_ULPS,
              _MAX_MOVE, COLLISION_TOL)
-    ends, status = _kernels.track_routes(B.zeros_array, B.rotation, base, pieces,
+    ends, status = _kernels.track_routes(B.zeros_array, B.rotation, starts, pieces,
                                          [len(route) for route in routes], rules)
     errors = {
         _kernels.UNDERFLOW: ContinuationError("fiber tracking step size underflow"),
@@ -234,10 +236,10 @@ def _segment_waypoints(w0: complex, w1: complex,
 
     Each detour point sits on the ray from the obstacle center through the
     closest point of the chord, i.e. on the same side of the obstacle as the
-    straight segment.  That keeps the homotopy class of the route, gives the
-    replacement legs real clearance, and produces the identical polyline for
-    both traversal directions (an asymmetric in/out route would silently
-    multiply the loop permutation by another branch point's monodromy).
+    straight segment.  That keeps the homotopy class of the route and gives
+    the replacement legs real clearance.  A chord through a center has no
+    such side; the detour then takes one fixed by the chord's direction, so
+    the polyline is a function of the chord alone.
     """
     d = w1 - w0
     L = abs(d)
@@ -253,7 +255,7 @@ def _segment_waypoints(w0: complex, w1: complex,
             if gap < clear:
                 if gap < 1e-14 * max(1.0, L):
                     # chord through the center: either side works, pick one
-                    # independently of the traversal direction
+                    # by the chord's direction alone
                     canon = u if (u.real, u.imag) > (-u.real, -u.imag) else -u
                     out_dir = 1j * canon
                 else:
@@ -294,6 +296,15 @@ def monodromy(B: BlaschkeProduct, values=None):
     base point is 0, or a nearby point when 0 is within 1e-6 of a critical
     value.  ``values``, when given, are the critical values of B from a caller
     that already has them.
+
+    The loop around v leaves the base point for its foot q on the circle of
+    radius rho about v, goes once around that circle and returns the way it
+    came.  Two ``_kernels.track_routes`` calls track it one way: the first
+    carries the base fiber to every foot fiber F_q, whose point j is the
+    continuation of base point j; the second takes each F_q once around its
+    circle.  The way back carries F_q[j] to base point j, so permutation[i]
+    is the j whose F_q[j] is nearest to where point i of F_q ends, within
+    0.45 of F_q's minimal separation.
     """
     if values is None:
         values = _values_of(B, critical_points(B))
@@ -307,9 +318,6 @@ def monodromy(B: BlaschkeProduct, values=None):
     # over w = 0, clear of every critical value, the fiber is the zeros, and
     # they are distinct
     base = _lex_sort(B.zeros_array) if w_star == 0 else fiber_solve(B, w_star)
-    sep = np.abs(base[:, None] - base[None, :])
-    np.fill_diagonal(sep, np.inf)
-    match_tol = 0.45 * sep.min()
 
     radii = np.empty(centers.size)
     for i, v in enumerate(centers):
@@ -317,25 +325,30 @@ def monodromy(B: BlaschkeProduct, values=None):
         gap = others.min() if others.size else np.inf
         radii[i] = _LOOP_RADIUS_FACTOR * min(gap, 1.0 - abs(v))
 
-    routes = []
+    legs, circles = [], []
     for i, v in enumerate(centers):
         rho = radii[i]
         direction = (w_star - v) / abs(w_star - v)
-        q = v + rho * direction
         obstacles = [(complex(centers[j]), 0.5 * radii[j])
                      for j in range(centers.size) if j != i]
-        theta0 = math.atan2(direction.imag, direction.real)
-        routes.append(
-            [_segment(w0, w1) for w0, w1 in _pairs(_segment_waypoints(w_star, q, obstacles))]
-            + [_circle(v, rho, theta0)]
-            + [_segment(w0, w1) for w0, w1 in _pairs(_segment_waypoints(q, w_star, obstacles))])
-    ends, errors = _track_routes(B, base, routes)
-    out = []
-    for v, fiber, error in zip(centers, ends, errors):
+        waypoints = _segment_waypoints(w_star, v + rho * direction, obstacles)
+        legs.append([_segment(w0, w1) for w0, w1 in _pairs(waypoints)])
+        circles.append([_circle(v, rho, math.atan2(direction.imag, direction.real))])
+    feet = _tracked(B, np.broadcast_to(base, (len(legs), base.size)), legs)
+    ends = _tracked(B, feet, circles)
+    tols = 0.45 * _fallback._min_separation(feet)
+    return [(complex(v), _match_permutation(foot, end, tol))
+            for v, foot, end, tol in zip(centers, feet, ends, tols)]
+
+
+def _tracked(B: BlaschkeProduct, starts: np.ndarray, routes: list[list[tuple]]):
+    """The end fibers of _track_routes, or the error of the first route that
+    failed raised."""
+    ends, errors = _track_routes(B, starts, routes)
+    for error in errors:
         if error is not None:
             raise error
-        out.append((complex(v), _match_permutation(base, fiber, match_tol)))
-    return out
+    return ends
 
 
 def _values_of(B, pts):
@@ -388,18 +401,15 @@ def _circle(center: complex, rho: float, theta0: float) -> tuple:
     return (center, 0j, rho, theta0, True)
 
 
-def _match_permutation(base: np.ndarray, final: np.ndarray, tol: float) -> tuple[int, ...]:
-    n = base.size
-    perm = [-1] * n
-    used = set()
-    for i in range(n):
-        d = np.abs(base - final[i])
-        j = int(np.argmin(d))
-        if d[j] > tol or j in used:
-            raise ContinuationError("fiber endpoints did not match the base fiber")
-        used.add(j)
-        perm[i] = j
-    return tuple(perm)
+def _match_permutation(fiber: np.ndarray, final: np.ndarray, tol: float) -> tuple[int, ...]:
+    """perm[i] = the index of the point of ``fiber`` nearest to final[i], the
+    first one on a tie; ContinuationError when a nearest point lies beyond
+    ``tol`` or two points of ``final`` pick the same one."""
+    d = np.abs(final[:, None] - fiber[None, :])
+    perm = d.argmin(axis=1)
+    if (d[np.arange(perm.size), perm] > tol).any() or np.unique(perm).size < perm.size:
+        raise ContinuationError("fiber endpoints did not match the base fiber")
+    return tuple(perm.tolist())
 
 
 # ----------------------------------------------------------------------------

@@ -439,8 +439,8 @@ def test_lockstep_tracking_matches_route_by_route_reference(monkeypatch):
         assert errors == [None] * len(routes)
         evaluate = partial(_value_and_derivative, B.zeros_array, B.rotation)
         with np.errstate(all="ignore"):
-            for route, end in zip(routes, ends):
-                z = base.copy()
+            for route, start, end in zip(routes, base, ends):
+                z = start.copy()
                 for piece in route:
                     z = _track_piece_reference(evaluate, z, piece)
                 np.testing.assert_array_equal(z, end)
@@ -459,7 +459,8 @@ def test_tracking_failures_keep_their_errors(monkeypatch, request):
     track = covering._track_routes
 
     def with_stray(at):
-        return lambda B, base, routes: track(B, base, [*routes[:at], stray, *routes[at:]])
+        return lambda B, base, routes: track(B, np.insert(base, at, base[0], axis=0),
+                                             [*routes[:at], stray, *routes[at:]])
 
     for backend in backends:
         with monkeypatch.context() as m:
@@ -479,3 +480,109 @@ def test_tracking_failures_keep_their_errors(monkeypatch, request):
             m.setattr(covering, "_MAX_MOVE", 0.0)
             with pytest.raises(ContinuationError, match="fiber tracking step size underflow"):
                 monodromy(B)
+
+
+def _recorded_tracking(monkeypatch, B, track):
+    """monodromy(B) with ``track`` as the kernel, and each call's
+    (base, pieces, counts, ends, status)."""
+    calls = []
+
+    def record(zeros, lam, base, pieces, counts, rules):
+        ends, status = track(zeros, lam, base, pieces, counts, rules)
+        calls.append((np.array(base), pieces, counts, ends, status))
+        return ends, status
+
+    with monkeypatch.context() as m:
+        m.setattr(_kernels, "track_routes", record)
+        loops = monodromy(B)
+    return loops, calls
+
+
+def test_monodromy_tracks_each_loop_once(monkeypatch):
+    # z^3 has its one critical value at 0, so the base point moves off it
+    for B in (random_product(7, seed=181), power_product(3)):
+        loops, calls = _recorded_tracking(monkeypatch, B, _fallback.track_routes)
+        assert len(calls) == 2
+        (base, legs, leg_counts, feet, _), (starts, circles, circle_counts, _, _) = calls
+        assert len(leg_counts) == len(circle_counts) == len(loops)
+        # every leg starts at the base point from the base fiber ...
+        first = np.cumsum(leg_counts) - leg_counts
+        w_star = legs[0][0]
+        assert np.all(legs[0][first] == w_star)
+        assert np.all(base == base[0])
+        assert not np.any(legs[4])
+        # ... and ends at its loop's foot, not at the base point
+        last = first + leg_counts - 1
+        tips = legs[0][last] + legs[1][last]
+        assert np.all(tips != w_star)
+        center, _, rho, theta0, circle = circles
+        np.testing.assert_allclose(tips, center + rho * np.exp(1j * theta0), rtol=0,
+                                   atol=1e-15)
+        # each circle is a route of its own, from its foot fiber
+        assert list(circle_counts) == [1] * len(loops) and np.all(circle)
+        np.testing.assert_array_equal(starts, feet)
+
+
+def _round_trip_permutation(B, base, leg, circle):
+    """The loop permutation of the base fiber along leg, circle and the leg
+    reversed, tracked piece by piece by _track_piece_reference and matched
+    at the base point, point by point."""
+    back = [covering._segment(w0 + dw, w0) for w0, dw, *_ in reversed(leg)]
+    evaluate = partial(_value_and_derivative, B.zeros_array, B.rotation)
+    z = base.copy()
+    with np.errstate(all="ignore"):
+        for piece in [*leg, circle, *back]:
+            z = _track_piece_reference(evaluate, z, piece)
+    sep = min(abs(p - q) for i, p in enumerate(base) for q in base[i + 1:])
+    perm = []
+    for point in z:
+        d = np.abs(base - point)
+        j = int(np.argmin(d))
+        assert d[j] <= 0.45 * sep and j not in perm
+        perm.append(j)
+    return tuple(perm)
+
+
+def _loop_products() -> list[BlaschkeProduct]:
+    """Two products of each degree 3-12 under each radial law, z^3 (its base
+    point moves off 0), a double zero (the same) and a rotated ring of five
+    zeros, whose one critical value gives a 5-cycle."""
+    out = [random_product(degree, seed=60_000 + 10 * degree + k, law=law)
+           for degree in range(3, 13) for law in ("uniform_disk", "boundary_concentrated")
+           for k in range(2)]
+    ring = 0.6 * np.exp(2j * np.pi * (np.arange(5) + 0.3) / 5)
+    return out + [power_product(3), BlaschkeProduct((0.3 + 0.2j, 0.3 + 0.2j, -0.5j, 0.6)),
+                  BlaschkeProduct(tuple(ring))]
+
+
+def test_one_way_loops_match_round_trip_loops(monkeypatch, request):
+    """Each permutation that monodromy matches at its loop's foot is the one
+    the round trip back to the base point gives, on either backend."""
+    backends = [_fallback.track_routes]
+    try:  # and the C kernel, wherever it compiles
+        backends.append(_kernels.compiled(request.getfixturevalue("ckernel"))[1])
+    except pytest.skip.Exception:
+        pass
+    for k, B in enumerate(_loop_products()):
+        expected = None
+        for track in backends:
+            loops, ((base, legs, counts, _, _), (_, circles, *_)) = _recorded_tracking(
+                monkeypatch, B, track)
+            if expected is None:
+                pieces = list(zip(*legs))
+                first = np.cumsum(counts) - counts
+                expected = [_round_trip_permutation(B, base[0], pieces[a:a + c], circle)
+                            for a, c, circle in zip(first, counts, zip(*circles))]
+            assert [p for _v, p in loops] == expected, k
+
+
+def test_match_permutation_takes_the_nearest_point_once():
+    fiber = np.array([-1.0, 1.0, 5.0], dtype=np.complex128)
+    match = covering._match_permutation
+    assert match(fiber, fiber[[2, 0, 1]] + 0.1j, 0.45) == (2, 0, 1)
+    # 0 is as near to -1 as to 1: the tie goes to the first
+    assert match(fiber, np.array([0.0, 1.0, 5.0], dtype=np.complex128), 1.0) == (0, 1, 2)
+    # a nearest point beyond the tolerance, and two ends at one point
+    for final in (fiber + np.array([0.0, 0.0, 0.5]), np.array([-1.0, -0.9, 5.0])):
+        with pytest.raises(ContinuationError, match="fiber endpoints did not match"):
+            match(fiber, final.astype(np.complex128), 0.45)

@@ -196,20 +196,25 @@ def test_compiled_kernel_rejects_bad_arrays(ckernel):
         ckernel.seminorm_search(zeros, 0j, 0, 10, 1e-10, 0.5, *scan[:3], np.ones(3, dtype=int))
     with pytest.raises(ValueError, match="local_angles >= 2"):
         ckernel.seminorm_search(zeros, 0j, 0, 10, 1e-10, 0.5, 1024, 1, *scan[2:])
-    # two routes of one piece each from a base fiber of three points
+    # two routes of one piece each, each from its own start fiber of two points
+    base = np.zeros(4, dtype=np.complex128)
     pieces = (np.zeros(2, dtype=np.complex128), np.zeros(2, dtype=np.complex128),
               np.zeros(2), np.zeros(2), np.zeros(2, dtype=bool))
     rules = (1 / 16, 0.125, 1e-8, 4, 2, 1e-12, 1e-15, 0.4, 1e-10)
-    ends, status = np.empty(6, dtype=np.complex128), np.empty(2, dtype=np.int64)
+    ends, status = np.empty(4, dtype=np.complex128), np.empty(2, dtype=np.int64)
     for counts in ([1, 2], [3, -1]):
         with pytest.raises(ValueError, match="counts: expected nonnegative counts summing to 2"):
-            ckernel.track_routes(zeros, 0j, starts, *pieces, np.array(counts), rules, ends,
+            ckernel.track_routes(zeros, 0j, base, *pieces, np.array(counts), rules, ends,
                                  status)
-    with pytest.raises(ValueError, match="ends: expected 6 items, got 5"):
-        ckernel.track_routes(zeros, 0j, starts, *pieces, np.array([1, 1]), rules, ends[:5],
+    # one start fiber for the two routes
+    with pytest.raises(ValueError, match="base: expected 4 items, got 2"):
+        ckernel.track_routes(zeros, 0j, base[:2], *pieces, np.array([1, 1]), rules, ends,
+                             status)
+    with pytest.raises(ValueError, match="ends: expected 4 items, got 3"):
+        ckernel.track_routes(zeros, 0j, base, *pieces, np.array([1, 1]), rules, ends[:3],
                              status)
     with pytest.raises(TypeError, match="circle: expected format '\\?'"):
-        ckernel.track_routes(zeros, 0j, starts, *pieces[:4], np.zeros(2), np.array([1, 1]),
+        ckernel.track_routes(zeros, 0j, base, *pieces[:4], np.zeros(2), np.array([1, 1]),
                              rules, ends, status)
     # three roots over two distinct zeros
     mult = np.ones(2, dtype=np.int64)
@@ -324,7 +329,7 @@ def test_track_routes_backends_agree(ckernel, monkeypatch):
         ends, status = fast(*args)
         ref_ends, ref_status = _fallback.track_routes(*args)
         assert status.dtype == ref_status.dtype == np.int64
-        assert ends.shape == ref_ends.shape == (len(args[4]), args[2].size)
+        assert ends.shape == ref_ends.shape == np.shape(args[2]) == (len(args[4]), args[0].size)
         np.testing.assert_array_equal(status, ref_status)
         assert np.all(status == _kernels.TRACKED)
         assert np.max(np.abs(ends - ref_ends)) <= 1e-12
@@ -348,8 +353,8 @@ def test_track_routes_statuses(kernels, monkeypatch):
 
     def statuses(at, collision_tol=rules[-1]):
         stretched = tuple(np.insert(a, sum(counts[:at]), x) for a, x in zip(pieces, stray))
-        return list(track(zeros, lam, base, stretched, np.insert(counts, at, 1),
-                          (*rules[:-1], collision_tol))[1])
+        return list(track(zeros, lam, np.insert(base, at, base[0], axis=0), stretched,
+                          np.insert(counts, at, 1), (*rules[:-1], collision_tol))[1])
 
     ok, skip = _kernels.TRACKED, _kernels.NOT_TRACKED
     assert statuses(0) == [_kernels.UNDERFLOW] + [skip] * later
