@@ -10,9 +10,11 @@ point at a time, with one (B, B') routine for all its entries.  Set
 
 Both backends expose three entries:
 
-* ``seminorm_search(zeros, lam, f_kind, max_iter, ftol, barrier_radius)`` ->
+* ``seminorm_search(zeros, lam, slope, max_iter, ftol, barrier_radius)`` ->
   (value, argmax, starts, iterations), the whole multistart search of
-  ``seminorm`` on the objective |f'(B(z))| * |B'(z)| * (1 - |z|^2), which is
+  ``seminorm`` on the objective |1 + slope B(z)| * |B'(z)| * (1 - |z|^2),
+  that is |f'(B(z))| |B'(z)| (1 - |z|^2) for the catalog map f(w) = w +
+  slope w^2/2, with the first factor exactly 1.0 when slope == 0.0; it is
   -1.0 outside the barrier: the boundary scan and peak rule of
   ``products.boundary_peaks``, the starts (origin, zeros, and (1 - t/|B'|)
   zeta for t in ``_fallback.PEAK_OFFSETS`` toward each peak zeta) kept at
@@ -54,10 +56,6 @@ Both backends expose three entries:
   through ``covering.aberth_roots``, but without mirror images: mirroring
   belongs to this critical-point entry only.
 
-``f_kind``: 0 = identity, 1 = w/(1-w), 2 = w + w^2/2 (the analytic catalog);
-any other value raises ``ValueError("unknown catalog kind ...")`` before any
-work.
-
 ``refine_starts`` is ``_fallback.refine_starts`` on both backends, the numpy
 search's Nelder-Mead pass, kept under this name because the benchmark
 harness (``perfbench/run.py``) traces it: its traced calls read 0 on the C
@@ -68,19 +66,21 @@ a complex product or modulus differently in the last bit, and a simplex that
 then meets a near-tie takes another branch.  The value that
 ``seminorm_search`` returns with ``max_iter`` 0, the objective at its best
 start or initial vertex, agrees with ``_fallback._objective`` at the compiled
-argmax to 3e-12 for f_kind 0 and 2 and to 1.5e-11 relative for f_kind 1, on
-the 240 products of degrees 1-12 under both radial laws (measured: 2.0e-12,
-1.5e-12 and 9.3e-12, at argmaxes within 1.2e-4 of the circle), and on the
-product rule's side, at a zero of a degree-400 product, to 5.6e-13.
+argmax to 3e-12 for slope 0 and 1 and to 2e-12 for slope 1/2, on the 240
+products of degrees 1-12 under both radial laws (measured: 2.0e-12, 1.5e-12
+and 1.7e-12, at argmaxes within 5.9e-5 of the circle), and on the product
+rule's side, at a zero of a degree-400 product, to 5.6e-13.
 ``seminorm_search`` gives ``seminorm`` values that agree to 1e-10, from equal
 start counts, on the 240 products of degrees 1-12 under both radial laws
 (measured: at most 1.1e-12, one iteration total differs by 1), and on 2,074
-``sweep`` and higher-degree products with f_kind 0 and 464 ``sweep`` products
-with f_kind 2 (measured: at most 2.6e-11).  The two are not bitwise equal:
-numpy's complex modulus can round apart from C's hypot in the last bit,
-and the scales and boundary weights round with it.  No bound holds for the
-descent with f_kind 1: its simplices climb the 1/|1 - w|^2 blow-up against
-the barrier, where terminal values are path-dependent.
+``sweep`` and higher-degree products with slope 0 and 464 ``sweep`` products
+with slope 1 (measured: at most 2.6e-11).  With slope 1/2 the values agree
+to 1e-10 on the scan's special cases that ``tests/test_kernels.py`` checks,
+and from equal start counts on the 240 products (measured: at most
+2.7e-12).  The two are not bitwise equal: numpy's complex modulus can round
+apart from C's hypot in the last bit, and the scales and boundary weights
+round with it.  Slope 0 skips the first factor and slope 1 multiplies B by
+exactly 1.0, so neither rounds apart from the plain formulas.
 ``track_routes`` statuses and the permutations they give are equal, and end
 fibers agree to 1e-12, the corrector's residual floor, over the 296 routes
 that monodromy tracks on 29 products of degrees 3-10, 148 legs out to a
@@ -118,9 +118,9 @@ def compiled(module):
 
     offsets = np.asarray(_fallback.PEAK_OFFSETS, dtype=np.float64)
 
-    def seminorm_search(zeros, lam, f_kind, max_iter, ftol, barrier_radius):
+    def seminorm_search(zeros, lam, slope, max_iter, ftol, barrier_radius):
         # the scan and start constants are the reference's, so no copy can drift
-        return module.seminorm_search(_flat(zeros), complex(lam), int(f_kind), int(max_iter),
+        return module.seminorm_search(_flat(zeros), complex(lam), float(slope), int(max_iter),
                                       float(ftol), float(barrier_radius), _SCAN_ANGLES,
                                       _LOCAL_ANGLES, _LOCAL_SPAN, offsets)
 

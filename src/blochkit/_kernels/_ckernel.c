@@ -99,25 +99,19 @@ static inline void blaschke(Py_ssize_t n, const cplx *zr, cplx z, cplx *value, c
     *der = min_d2 > ZERO_SWITCH2 ? mul(prod, lsum) : product_rule(n, zr, z);
 }
 
-/* |f'(B(z))| |B'(z)| (1 - |z|^2), or -1 at and beyond the barrier */
-static double objective(Py_ssize_t n, const cplx *zr, cplx lam, cplx z, int kind,
+/* |1 + slope B(z)| |B'(z)| (1 - |z|^2), the objective for f(w) = w + slope w^2/2,
+ * or -1 at and beyond the barrier */
+static double objective(Py_ssize_t n, const cplx *zr, cplx lam, cplx z, double slope,
                         double barrier2)
 {
-    double r2 = z.re * z.re + z.im * z.im, fp;
+    double r2 = z.re * z.re + z.im * z.im, fp = 1.0;
     cplx prod, bp, u;
 
     if (r2 >= barrier2)
         return -1.0;
     blaschke(n, zr, z, &prod, &bp);
-    if (kind == 0) {
-        fp = 1.0;
-    } else if (kind == 1) {
-        double u2;
-        u = sub(mk(1.0, 0.0), mul(lam, prod));
-        u2 = u.re * u.re + u.im * u.im;
-        fp = 1.0 / (u2 < 1e-250 ? 1e-250 : u2);
-    } else {
-        u = add(mk(1.0, 0.0), mul(lam, prod));
+    if (slope != 0.0) {
+        u = add(mk(1.0, 0.0), scale(slope, mul(lam, prod)));
         fp = hypot(u.re, u.im);
     }
     return fp * hypot(bp.re, bp.im) * (1.0 - r2);
@@ -142,7 +136,7 @@ static void sort3(cplx *v, double *f)
 }
 
 /* one Nelder-Mead maximization from z0 with initial edge h; returns iterations */
-static long nelder_mead(Py_ssize_t n, const cplx *zr, cplx lam, int kind, cplx z0,
+static long nelder_mead(Py_ssize_t n, const cplx *zr, cplx lam, double slope, cplx z0,
                         double h, long max_iter, double ftol, double barrier2,
                         double *best_f, cplx *best_z)
 {
@@ -159,7 +153,7 @@ static long nelder_mead(Py_ssize_t n, const cplx *zr, cplx lam, int kind, cplx z
     if (v[2].re * v[2].re + v[2].im * v[2].im >= barrier2)
         v[2] = mk(z0.re, z0.im - h);
     for (i = 0; i < 3; i++)
-        f[i] = objective(n, zr, lam, v[i], kind, barrier2);
+        f[i] = objective(n, zr, lam, v[i], slope, barrier2);
 
     while (it < max_iter) {
         sort3(v, f);
@@ -168,31 +162,31 @@ static long nelder_mead(Py_ssize_t n, const cplx *zr, cplx lam, int kind, cplx z
         it++;
         c = scale(0.5, add(v[0], v[1]));
         xr = add(c, sub(c, v[2]));
-        fr = objective(n, zr, lam, xr, kind, barrier2);
+        fr = objective(n, zr, lam, xr, slope, barrier2);
         shrink = 0;
         if (fr > f[0]) {
             xe = add(c, scale(2.0, sub(xr, c)));
-            fe = objective(n, zr, lam, xe, kind, barrier2);
+            fe = objective(n, zr, lam, xe, slope, barrier2);
             if (fe > fr) { v[2] = xe; f[2] = fe; }
             else { v[2] = xr; f[2] = fr; }
         } else if (fr > f[1]) {
             v[2] = xr; f[2] = fr;
         } else if (fr > f[2]) {
             xc = add(c, scale(0.5, sub(xr, c)));
-            fc = objective(n, zr, lam, xc, kind, barrier2);
+            fc = objective(n, zr, lam, xc, slope, barrier2);
             if (fc >= fr) { v[2] = xc; f[2] = fc; }
             else shrink = 1;
         } else {
             xc = add(c, scale(0.5, sub(v[2], c)));
-            fc = objective(n, zr, lam, xc, kind, barrier2);
+            fc = objective(n, zr, lam, xc, slope, barrier2);
             if (fc > f[2]) { v[2] = xc; f[2] = fc; }
             else shrink = 1;
         }
         if (shrink) {
             v[1] = add(v[0], scale(0.5, sub(v[1], v[0])));
             v[2] = add(v[0], scale(0.5, sub(v[2], v[0])));
-            f[1] = objective(n, zr, lam, v[1], kind, barrier2);
-            f[2] = objective(n, zr, lam, v[2], kind, barrier2);
+            f[1] = objective(n, zr, lam, v[1], slope, barrier2);
+            f[2] = objective(n, zr, lam, v[2], slope, barrier2);
         }
     }
     sort3(v, f);
@@ -354,7 +348,7 @@ static Py_ssize_t start_points(Py_ssize_t n, const cplx *zr, const scan_rules *r
  * per start at scale min(0.1, (1 - |z|)/2), then one from the best point at
  * a tenth of its scale.  Scratch comes from PyMem_RawMalloc, so this runs
  * without the interpreter lock; returns 0 when it cannot be had. */
-static int search(Py_ssize_t n, const cplx *zr, cplx lam, int kind, long max_iter, double ftol,
+static int search(Py_ssize_t n, const cplx *zr, cplx lam, double slope, long max_iter, double ftol,
                   double barrier2, const scan_rules *rules, search_result *out)
 {
     double *weight = NULL, *theta, *modulus, h, f;
@@ -387,7 +381,7 @@ static int search(Py_ssize_t n, const cplx *zr, cplx lam, int kind, long max_ite
     out->iterations = 0;
     for (i = 0; i < k; i++) {
         h = fmin(0.1, 0.5 * (1.0 - hypot(starts[i].re, starts[i].im)));
-        out->iterations += nelder_mead(n, zr, lam, kind, starts[i], h, max_iter, ftol,
+        out->iterations += nelder_mead(n, zr, lam, slope, starts[i], h, max_iter, ftol,
                                        barrier2, &f, &z);
         if (beats(f, z, out->value, out->argmax)) {
             out->value = f;
@@ -395,7 +389,7 @@ static int search(Py_ssize_t n, const cplx *zr, cplx lam, int kind, long max_ite
         }
     }
     h = fmin(0.1, 0.5 * (1.0 - hypot(out->argmax.re, out->argmax.im))) * 0.1;
-    out->iterations += nelder_mead(n, zr, lam, kind, out->argmax, h, max_iter, ftol, barrier2,
+    out->iterations += nelder_mead(n, zr, lam, slope, out->argmax, h, max_iter, ftol, barrier2,
                                    &f, &z);
     if (beats(f, z, out->value, out->argmax)) {
         out->value = f;
@@ -740,20 +734,12 @@ static int get_arrays(PyObject **obj, Py_buffer *b, const array_spec *spec, int 
     return 0;
 }
 
-static int check_kind(int kind)
-{
-    if (kind >= 0 && kind <= 2)
-        return 0;
-    PyErr_Format(PyExc_ValueError, "unknown catalog kind %d", kind);
-    return -1;
-}
-
 static const array_spec search_spec[2] = {
     {"Zd", "zeros", 16, 0, -1}, {"d", "offsets", 8, 0, -1},
 };
 
 PyDoc_STRVAR(seminorm_search_doc,
-"seminorm_search(zeros, lam, f_kind, max_iter, ftol, barrier_radius, scan_angles,\n"
+"seminorm_search(zeros, lam, slope, max_iter, ftol, barrier_radius, scan_angles,\n"
 "                local_angles, local_span, offsets) -> (value, argmax, starts, iterations)\n\n"
 "The multistart search of the numpy reference's seminorm_search in one call: the\n"
 "boundary scan on scan_angles uniform angles plus local_angles over arg a +-\n"
@@ -767,13 +753,12 @@ static PyObject *seminorm_search(PyObject *Py_UNUSED(self), PyObject *args)
     Py_complex lam, argmax;
     scan_rules rules;
     search_result out;
-    int kind, ok;
+    int ok;
     long max_iter;
-    double ftol, radius;
+    double slope, ftol, radius;
 
-    if (!PyArg_ParseTuple(args, "ODilddiidO", &obj[0], &lam, &kind, &max_iter, &ftol, &radius,
-                          &rules.scan, &rules.local, &rules.span, &obj[1])
-        || check_kind(kind) < 0)
+    if (!PyArg_ParseTuple(args, "ODdlddiidO", &obj[0], &lam, &slope, &max_iter, &ftol, &radius,
+                          &rules.scan, &rules.local, &rules.span, &obj[1]))
         return NULL;
     if (rules.scan < 1 || rules.local < 2) {
         PyErr_SetString(PyExc_ValueError, "expected scan_angles >= 1 and local_angles >= 2");
@@ -784,7 +769,7 @@ static PyObject *seminorm_search(PyObject *Py_UNUSED(self), PyObject *args)
     rules.offsets = b[1].buf;
     rules.noff = b[1].len / 8;
     Py_BEGIN_ALLOW_THREADS
-    ok = search(b[0].len / 16, b[0].buf, mk(lam.real, lam.imag), kind, max_iter, ftol,
+    ok = search(b[0].len / 16, b[0].buf, mk(lam.real, lam.imag), slope, max_iter, ftol,
                 radius * radius, &rules, &out);
     Py_END_ALLOW_THREADS
     release_arrays(b, 2);

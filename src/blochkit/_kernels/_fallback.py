@@ -28,8 +28,10 @@ _ALPHA, _GAMMA, _RHO, _SIGMA = 1.0, 2.0, 0.5, 0.5
 PEAK_OFFSETS = (0.25, 0.5, 1.0)
 
 
-def _objective(zeros: np.ndarray, lam: complex, pts: np.ndarray, f_kind: int,
+def _objective(zeros: np.ndarray, lam: complex, pts: np.ndarray, slope: float,
                barrier_radius: float) -> np.ndarray:
+    """|1 + slope B(z)| |B'(z)| (1 - |z|^2), the objective for f(w) = w +
+    slope w^2/2, or -1 at and beyond the barrier."""
     pts = np.asarray(pts, dtype=np.complex128)
     out = np.full(pts.shape, -1.0)
     r2 = pts.real**2 + pts.imag**2
@@ -37,33 +39,21 @@ def _objective(zeros: np.ndarray, lam: complex, pts: np.ndarray, f_kind: int,
     if not ok.any():
         return out
     value, der = _value_and_derivative(zeros, lam, pts[ok])
-    if f_kind == 0:
-        fp = 1.0
-    elif f_kind == 1:
-        u2 = np.abs(1.0 - value) ** 2
-        fp = 1.0 / np.maximum(u2, 1e-250)
-    else:
-        fp = np.abs(1.0 + value)
+    fp = 1.0 if slope == 0.0 else np.abs(1.0 + slope * value)
     out[ok] = fp * np.abs(der) * (1.0 - r2[ok])
     return out
 
 
-def _check_kind(f_kind) -> None:
-    if int(f_kind) not in (0, 1, 2):
-        raise ValueError(f"unknown catalog kind {f_kind}")
-
-
-def refine_starts(zeros, lam, starts, scales, f_kind, max_iter, ftol, barrier_radius):
+def refine_starts(zeros, lam, starts, scales, slope, max_iter, ftol, barrier_radius):
     """One Nelder-Mead maximization pass per start; all simplices in lockstep."""
-    _check_kind(f_kind)
     # points sitting on a zero divide by zero in the log-derivative sum; the
     # product rule replaces those values, so the warnings carry no news
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _refine_starts(zeros, lam, starts, scales, f_kind, max_iter, ftol,
+        return _refine_starts(zeros, lam, starts, scales, slope, max_iter, ftol,
                               barrier_radius)
 
 
-def _refine_starts(zeros, lam, starts, scales, f_kind, max_iter, ftol, barrier_radius):
+def _refine_starts(zeros, lam, starts, scales, slope, max_iter, ftol, barrier_radius):
     zeros = np.ascontiguousarray(zeros, dtype=np.complex128)
     starts = np.asarray(starts, dtype=np.complex128).ravel()
     scales = np.asarray(scales, dtype=np.float64).ravel()
@@ -72,7 +62,7 @@ def _refine_starts(zeros, lam, starts, scales, f_kind, max_iter, ftol, barrier_r
     b2 = float(barrier_radius)
 
     def f(pts):
-        return _objective(zeros, lam, pts, int(f_kind), b2)
+        return _objective(zeros, lam, pts, slope, b2)
 
     V = np.empty((k, 3), dtype=np.complex128)
     V[:, 0] = starts
@@ -187,18 +177,17 @@ def _argbest(vals: np.ndarray, pts: np.ndarray) -> int:
     return keys[0][2]
 
 
-def seminorm_search(zeros, lam, f_kind, max_iter, ftol, barrier_radius):
+def seminorm_search(zeros, lam, slope, max_iter, ftol, barrier_radius):
     """The multistart search: one refine_starts pass over the starts of
     _start_points, then one from the best point at a tenth of its scale;
     returns (value, argmax, starts, iterations) of the best of all passes."""
-    _check_kind(f_kind)
     starts = _start_points(zeros)
-    vals, pts, iters = refine_starts(zeros, lam, starts, _scales(starts), f_kind, max_iter,
+    vals, pts, iters = refine_starts(zeros, lam, starts, _scales(starts), slope, max_iter,
                                      ftol, barrier_radius)
     best = _argbest(vals, pts)
     total_iters = int(np.sum(iters))
     restart = np.array([pts[best]], dtype=np.complex128)
-    rvals, rpts, riters = refine_starts(zeros, lam, restart, _scales(restart) * 0.1, f_kind,
+    rvals, rpts, riters = refine_starts(zeros, lam, restart, _scales(restart) * 0.1, slope,
                                         max_iter, ftol, barrier_radius)
     total_iters += int(riters[0])
     all_vals = np.concatenate([vals, rvals])

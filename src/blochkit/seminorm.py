@@ -16,16 +16,18 @@ fallback (``blochkit._kernels._fallback``) holds its reference steps.  The
 value is then recomputed at the argmax with ``pointwise_bloch``, so the
 result is always a certified lower bound of the supremum.
 
-Also here: the closed form for the z^n family, and a small catalog of analytic
-outer functions f with f'(0) = 1 for estimating the seminorm of compositions
-f o B via the chain rule |f'(B(z))| |B'(z)| (1-|z|^2).
+Also here: the closed form for the z^n family, and a small catalog of outer
+maps for estimating the seminorm of compositions f o B via the chain rule
+|f'(B(z))| |B'(z)| (1-|z|^2).  The catalog is one family, f(w) = w +
+slope w^2/2 with f'(w) = 1 + slope w: ``identity`` (slope 0), ``convex``
+(slope 1/2, convex univalent) and ``quadratic`` (slope 1, not convex).  Each
+f' is bounded on the disk, so each f o B has a finite seminorm.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -56,35 +58,35 @@ class SeminormEstimate:
 
 @dataclass(frozen=True)
 class AnalyticCatalogEntry:
-    """Outer function f with f'(0) = 1 for composition estimates.
+    """The outer map f(w) = w + slope w^2/2 for composition estimates.
 
-    kernel_kind selects the compiled implementation of f' and must stay in
-    sync with f_derivative; see blochkit._kernels for the dispatch table.
-    """
+    f(0) = 0, f'(w) = 1 + slope w and f'(0) = 1.  w + c w^2 is convex
+    univalent in the disk iff |c| <= 1/4, so f is iff |slope| <= 1/2.  The
+    kernels take the slope itself, so f, f' and convexity all follow from
+    it."""
 
     name: str
-    f_value: Callable[[complex], complex]
-    f_derivative: Callable[[complex], complex]
-    is_convex_univalent: bool
-    kernel_kind: int
+    slope: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.slope):
+            raise DomainError(f"catalog slope must be finite, got {self.slope!r}")
+
+    def f_value(self, w: complex) -> complex:
+        return w + 0.5 * self.slope * w * w
+
+    def f_derivative(self, w: complex) -> complex:
+        return 1.0 + self.slope * w
+
+    @property
+    def is_convex_univalent(self) -> bool:
+        return abs(self.slope) <= 0.5
 
 
 CATALOG: tuple[AnalyticCatalogEntry, ...] = (
-    AnalyticCatalogEntry("identity", lambda w: w, lambda w: 1.0 + 0.0j, True, 0),
-    AnalyticCatalogEntry(
-        "halfplane",
-        lambda w: w / (1.0 - w),
-        lambda w: 1.0 / (1.0 - w) ** 2,
-        True,
-        1,
-    ),
-    AnalyticCatalogEntry(
-        "quadratic",
-        lambda w: w + 0.5 * w * w,
-        lambda w: 1.0 + w,
-        False,
-        2,
-    ),
+    AnalyticCatalogEntry("identity", 0.0),
+    AnalyticCatalogEntry("convex", 0.5),
+    AnalyticCatalogEntry("quadratic", 1.0),
 )
 
 
@@ -147,19 +149,15 @@ def seminorm(B: BlaschkeProduct) -> SeminormEstimate:
     so ``value == pointwise_bloch(B, argmax)`` holds by construction.
     """
     _val, argmax, used, iters = impl.seminorm_search(
-        B.zeros_array, complex(B.rotation), 0, MAX_ITERATIONS, OBJECTIVE_TOLERANCE,
+        B.zeros_array, complex(B.rotation), 0.0, MAX_ITERATIONS, OBJECTIVE_TOLERANCE,
         BARRIER_RADIUS)
     return SeminormEstimate(pointwise_bloch(B, argmax), argmax, used, iters)
 
 
 def composed_seminorm(entry: AnalyticCatalogEntry, B: BlaschkeProduct) -> SeminormEstimate:
-    """Lower-bound estimate of the Bloch seminorm of f o B for a catalog f.
-
-    ``halfplane`` is not a Bloch function, and f o B is unbounded in the
-    Bloch sense next to every boundary point where B = 1; its value is what
-    the search reaches before BARRIER_RADIUS stops it."""
+    """Lower-bound estimate of the Bloch seminorm of f o B for a catalog f."""
     _val, argmax, used, iters = impl.seminorm_search(
-        B.zeros_array, complex(B.rotation), entry.kernel_kind, MAX_ITERATIONS,
+        B.zeros_array, complex(B.rotation), entry.slope, MAX_ITERATIONS,
         OBJECTIVE_TOLERANCE, BARRIER_RADIUS)
     return SeminormEstimate(composed_pointwise(entry, B, argmax), argmax, used, iters)
 

@@ -186,7 +186,7 @@ def test_acceptance_08_covering_structure(capsys):
 
 
 def test_acceptance_09_composition_thresholds(capsys):
-    convex = catalog_entry("halfplane")
+    convex = catalog_entry("convex")
     bumpy = catalog_entry("quadratic")
     low_convex = math.inf
     low_bumpy = math.inf

@@ -88,33 +88,33 @@ def test_traced_refine_starts_is_the_numpy_pass(ckernel, monkeypatch):
     assert passes == [starts - 1, 1]
 
 
-def _objective_at(zeros, lam, z, f_kind) -> float:
+def _objective_at(zeros, lam, z, slope) -> float:
     """numpy's objective at the one point z; on a zero the product rule
     replaces the log-derivative sum, whose division by zero carries no news."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _fallback._objective(zeros, complex(lam), np.array([z]), f_kind,
+        return _fallback._objective(zeros, complex(lam), np.array([z]), slope,
                                     seminorm.BARRIER_RADIUS)[0]
 
 
 def test_objective_backends_agree_at_the_compiled_argmax(ckernel):
     """With max_iter 0 the compiled search returns the objective at its best
     start or initial vertex; numpy's objective at that argmax agrees to the
-    bound stated in blochkit._kernels, for every kind, on the 240 products of
-    the parity set.  Near-ties make the two searches restart from different
-    points, so the numpy search's own value is no reference."""
+    bound stated in blochkit._kernels, for each catalog slope, on the 240
+    products of the parity set.  Near-ties make the two searches restart
+    from different points, so the numpy search's own value is no
+    reference."""
     fast = _kernels.compiled(ckernel)[0]
-    bound = {0: 3e-12, 1: 1.5e-11, 2: 3e-12}  # relative for kind 1
+    bound = {0.0: 3e-12, 0.5: 2e-12, 1.0: 3e-12}
     for law in LAWS:
         for degree in range(1, 13):
             for seed in range(10):
                 B = random_product(degree, seed=100 * degree + seed, law=law)
-                for f_kind in (0, 1, 2):
+                for slope in bound:
                     value, argmax, _, iterations = fast(
-                        B.zeros_array, B.rotation, f_kind, 0, 1e-10, seminorm.BARRIER_RADIUS)
-                    ref = _objective_at(B.zeros_array, B.rotation, argmax, f_kind)
+                        B.zeros_array, B.rotation, slope, 0, 1e-10, seminorm.BARRIER_RADIUS)
+                    ref = _objective_at(B.zeros_array, B.rotation, argmax, slope)
                     assert iterations == 0
-                    scale = ref if f_kind == 1 else 1.0
-                    assert abs(value - ref) <= bound[f_kind] * scale, (law, degree, seed, f_kind)
+                    assert abs(value - ref) <= bound[slope], (law, degree, seed, slope)
 
 
 def test_product_rule_backends_agree_at_high_degree(ckernel):
@@ -150,7 +150,8 @@ def test_seminorm_search_backends_agree_on_flat_narrow_and_repeated_zeros(ckerne
     """The scan's special cases: z^n and its rotations, whose flat modulus
     gives one peak at angle zero; zeros within 1e-5 of the circle, which add
     local angles; and repeated zeros, which the starts hold once.  The
-    start counts are equal and the values agree to 1e-10, for kinds 0 and 2."""
+    start counts are equal and the values agree to 1e-10, for the slopes 0,
+    1/2 and 1."""
     fast = _kernels.compiled(ckernel)[0]
     turn = complex(math.cos(0.3), math.sin(0.3))
     cases = [(np.zeros(n, dtype=np.complex128), lam) for n in (1, 2, 5, 9)
@@ -158,35 +159,18 @@ def test_seminorm_search_backends_agree_on_flat_narrow_and_repeated_zeros(ckerne
     cases.append((np.array([(1 - 1e-5) * turn, -0.2j, (1 - 2e-4) * -1j]), 1.0))
     cases.append((np.array([0.5, 0.5, 0.3j, -0.7, 0.3j]), turn))
     for zeros, lam in cases:
-        for f_kind in (0, 2):
-            args = (zeros, lam, f_kind, 500, 1e-10, seminorm.BARRIER_RADIUS)
+        for slope in (0.0, 0.5, 1.0):
+            args = (zeros, lam, slope, 500, 1e-10, seminorm.BARRIER_RADIUS)
             value, argmax, starts, _ = fast(*args)
             ref_value, ref_argmax, ref_starts, _ = _fallback.seminorm_search(*args)
             assert starts == ref_starts == _fallback._start_points(zeros).size + 1
             assert abs(value - ref_value) <= 1e-10
 
 
-@pytest.mark.parametrize("f_kind", [3, -1])
-def test_unknown_kind_is_rejected_before_any_work(kernels, f_kind, monkeypatch):
-    search = kernels[0]
-    zeros = random_product(3, seed=5).zeros_array
-
-    def scan(_zeros):
-        raise AssertionError("the search scanned before it checked the kind")
-
-    # the numpy search starts its work here; the C kernel checks the kind
-    # before it reads any array (test_compiled_kernel_rejects_bad_arrays)
-    monkeypatch.setattr(_fallback, "_start_points", scan)
-    with pytest.raises(ValueError, match=f"unknown catalog kind {f_kind}"):
-        search(zeros, 1.0 + 0j, f_kind, 10, 1e-10, 1.0 - 1e-9)
-
-
 def test_compiled_kernel_rejects_bad_arrays(ckernel):
     zeros = np.zeros(2, dtype=np.complex128)
     starts = np.zeros(3, dtype=np.complex128)
     scan = (1024, 32, 8.0, np.array([0.25, 0.5, 1.0]))
-    with pytest.raises(ValueError, match="unknown catalog kind 3"):
-        ckernel.seminorm_search(np.zeros(2), 0j, 3, 10, 1e-10, 0.5, *scan)
     with pytest.raises(TypeError, match="zeros: expected format 'Zd', got 'd'"):
         ckernel.seminorm_search(np.zeros(2), 0j, 0, 10, 1e-10, 0.5, *scan)
     with pytest.raises(ValueError, match="not C-contiguous"):
@@ -368,7 +352,8 @@ def test_concurrent_calls_match_serial_calls(kernels, monkeypatch):
     bit for bit."""
     search, track, critical = kernels
     products = [random_product(4 + 4 * i, seed=75 + i, law=LAWS[i % 2]) for i in range(4)]
-    jobs = [(search, (B.zeros_array, B.rotation, i % 3, 500, 1e-10, seminorm.BARRIER_RADIUS))
+    jobs = [(search, (B.zeros_array, B.rotation, (0.0, 0.5, 1.0)[i % 3], 500, 1e-10,
+                      seminorm.BARRIER_RADIUS))
              for i, B in enumerate(products)]
     products = [random_product(5 + i, seed=80 + i, law=LAWS[i % 2]) for i in range(4)]
     jobs += [(track, args) for args in _tracking_calls(monkeypatch, products)]

@@ -21,6 +21,7 @@ from blochkit.products import (
 )
 from blochkit.seminorm import (
     CATALOG,
+    AnalyticCatalogEntry,
     _golden_section,
     catalog_entry,
     composed_pointwise,
@@ -173,11 +174,23 @@ def test_catalog_derivatives_are_consistent():
 
 
 def test_catalog_lookup():
+    """The catalog is f(w) = w + s w^2/2, convex iff |s| <= 1/2, since
+    w + c w^2 is convex iff |c| <= 1/4."""
+    assert [(e.name, e.slope) for e in CATALOG] == [
+        ("identity", 0.0), ("convex", 0.5), ("quadratic", 1.0)]
     assert catalog_entry("identity").is_convex_univalent
-    assert catalog_entry("halfplane").is_convex_univalent
+    assert catalog_entry("convex").is_convex_univalent
     assert not catalog_entry("quadratic").is_convex_univalent
+    for slope, convex in ((-0.5, True), (0.5000001, False), (-2.0, False)):
+        assert AnalyticCatalogEntry("x", slope).is_convex_univalent is convex
     with pytest.raises(DomainError):
         catalog_entry("unknown")
+
+
+@pytest.mark.parametrize("slope", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_slope_is_rejected(slope):
+    with pytest.raises(DomainError, match="slope must be finite"):
+        AnalyticCatalogEntry("x", slope)
 
 
 def test_identity_composition_matches_plain_seminorm():
@@ -189,7 +202,7 @@ def test_identity_composition_matches_plain_seminorm():
 
 
 def test_composition_thresholds_sample():
-    convex = catalog_entry("halfplane")
+    convex = catalog_entry("convex")
     bumpy = catalog_entry("quadratic")
     for seed in (71, 72, 73):
         B = random_product(3 + seed % 3, seed=seed)
