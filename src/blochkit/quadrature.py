@@ -6,8 +6,13 @@ assume an integrand that is smooth on the closed interval: callers with
 square-root endpoint behavior (the surface integrals) substitute t = a + u^2
 or t = b - u^2 themselves first.
 
-Integrands must accept numpy arrays.  Gauss nodes are strictly interior, so
-integrands are never evaluated at the endpoints themselves.
+Both integrate a batch of rows in one pass.  The endpoints a and b broadcast
+to the row shape (a scalar pair is the one-row case), and the integrand gets
+the nodes of every row at once, an array of the row shape plus (n,), and
+returns the integrand values in the same shape.  ``integrate_adaptive``
+accepts each row at its own first passing doubling, so a row's value and node
+count do not depend on the other rows in its batch.  Gauss nodes are strictly
+interior, so integrands are never evaluated at the endpoints themselves.
 
 ``gauss_nodes`` builds the n-point rule by Newton's method in theta, x = cos
 theta, on the classical cosine series
@@ -131,31 +136,37 @@ def gauss_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def integrate_fixed(f, a: float, b: float, n: int):
-    """Gauss quadrature of f over [a, b] with exactly n nodes."""
+def integrate_fixed(f, a, b, n: int):
+    """Gauss quadrature of f over [a, b] with exactly n nodes, per row."""
     x, w = gauss_nodes(n)
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    return half * np.dot(w, f(mid + half * x))
+    return half * np.dot(f(np.multiply.outer(half, x) + np.asarray(mid)[..., None]), w)
 
 
-def integrate_adaptive(f, a: float, b: float, tol: float = 1e-12,
-                       n0: int = 16) -> tuple[complex, int]:
-    """Node-doubling Gauss: accept I(2N) once |I(2N) - I(N)| is below
-    tol * max(1, |I(2N)|).  Returns (value, accepted node count)."""
+def integrate_adaptive(f, a, b, tol: float = 1e-12, n0: int = 16):
+    """Node-doubling Gauss: accept a row's I(2N) once |I(2N) - I(N)| is below
+    tol * max(1, |I(2N)|), and double until every row is accepted.  Returns
+    (value, accepted node count): a scalar and an int for a single row,
+    arrays of the row shape otherwise."""
     n = max(int(n0), 2)
     if n > MAX_NODES // 2:
         raise DomainError(f"starting node count {n} leaves no doubling under "
                           f"the cap of {MAX_NODES}")
     prev = integrate_fixed(f, a, b, n)
-    delta = float("inf")
+    value = np.zeros_like(prev)
+    nodes = np.zeros(np.shape(prev), dtype=np.int64)   # 0 while a row is open
     while 2 * n <= MAX_NODES:
         n *= 2
         cur = integrate_fixed(f, a, b, n)
         delta = abs(cur - prev)
-        if delta <= tol * max(1.0, abs(cur)):
-            return cur, n
+        accept = (delta <= tol * np.maximum(1.0, abs(cur))) & (nodes == 0)
+        value = np.where(accept, cur, value)
+        nodes = np.where(accept, n, nodes)
+        if nodes.all():
+            return (value[()], n) if nodes.ndim == 0 else (value, nodes)
         prev = cur
     raise ConvergenceError(
-        f"quadrature did not converge by {n} nodes (last delta {delta:.3e})"
+        f"quadrature did not converge by {n} nodes "
+        f"(last delta {np.max(delta, where=nodes == 0, initial=0.0):.3e})"
     )

@@ -17,7 +17,17 @@ All square roots are numpy principal branches: each factor t - x0 has
 nonnegative imaginary part on the closed upper half-plane, so every factor is
 analytic there and the product agrees with the branch that is positive for
 real t > d.  Contours are polylines (up from -1, across at a safe height, down
-to z); the leg leaving -1 is regularized by t = -1 + i u^2.
+to z); the leg leaving -1 is regularized by t = -1 + i u^2.  The legs of one
+contour are the rows of one batched adaptive quadrature.
+
+The side-length integrals are sums of substituted pieces (``_pieces``) that
+are smooth for every 1 < c < d: t = x0 +- u^2 at each inverse-sqrt endpoint
+x0, and u = sqrt(c - 1) sinh v where the factor t - 1 = c - 1 + u^2 would
+leave a near-singularity of width sqrt(c - 1).  ``parameter_integrals`` takes
+one or more (c, d) points and integrates every piece at every point as the
+rows of one node-doubling quadrature, each row accepted at its own node
+count.  The Newton solve evaluates each trial point in one call with the two
+shifted points of its forward-difference Jacobian.
 
 The conformal radius at z with Im z > 0 is
 
@@ -93,96 +103,104 @@ class SurfaceSolution:
 # parameter problem
 # ----------------------------------------------------------------------------
 
-def _check_params(c: float, d: float) -> None:
-    if not (1.0 < c < d) or not (math.isfinite(c) and math.isfinite(d)):
+def _points(c, d) -> tuple[np.ndarray, np.ndarray]:
+    """c and d as matching 1-D arrays of parameter points with 1 < c < d."""
+    c = np.atleast_1d(np.asarray(c, dtype=np.float64))
+    d = np.atleast_1d(np.asarray(d, dtype=np.float64))
+    if (c.ndim != 1 or c.shape != d.shape
+            or not ((1.0 < c) & (c < d) & np.isfinite(d)).all()):
         raise DomainError("parameters must satisfy 1 < c < d")
+    return c, d
 
 
-def _inner_pieces(c: float, d: float):
-    """Both halves of the [-1, 1] integral after t = -1 + u^2 / t = 1 - u^2.
+# The integrals over [-1, 1], [1, c] and [c, d], each split into two pieces
+# that are smooth for every 1 < c < d.  At an endpoint x0 with an inverse
+# square root, t = x0 +- u^2 turns dt / sqrt(|t - x0|) into 2 du.  Next to
+# t = 1 the factor t - 1 = c - 1 + u^2 leaves a near-singularity of width
+# sqrt(c - 1) at u = 0.  On those two pieces u = sqrt(c - 1) sinh v turns
+# du / sqrt(c - 1 + u^2) into dv exactly (Johnston & Elliott, IJNME 62, 2005),
+# and v runs over [0, asinh(U / sqrt(c - 1))], which grows only like
+# log(1 / (c - 1)) / 2.
 
-    The substitutions are carried out algebraically so the offset from the
-    singular endpoint is exactly u^2 (no cancellation near the endpoints)."""
-    return (
-        (lambda u: 2.0 * np.sqrt(d + 1.0 - u * u)
-         / np.sqrt((c + 1.0 - u * u) * (2.0 - u * u)), 0.0, 1.0),
-        (lambda u: 2.0 * np.sqrt(d - 1.0 + u * u)
-         / np.sqrt((c - 1.0 + u * u) * (2.0 - u * u)), 0.0, 1.0),
-    )
+def _pieces(c: np.ndarray, d: np.ndarray, count: int):
+    """The first ``count`` pieces at every point (c, d) as one batch for the
+    quadrature: the integrand of the (piece, point) rows and their upper
+    limits, both of shape (count, points); every lower limit is 0."""
+    root = np.sqrt(c - 1.0)
+    inner = np.sqrt(0.5 * (c - 1.0))
+    outer = np.sqrt(0.5 * (d - c))
+    upper = np.array([np.ones_like(c), np.arcsinh(1.0 / root), inner, inner,
+                      np.arcsinh(outer / root), outer])[:count]
+    c, d, root = c[:, None], d[:, None], root[:, None]
 
+    def integrand(v):
+        s = v * v
+        s[1] = np.square(root * np.sinh(v[1]))
+        out = np.empty_like(v)
+        # [-1, 1]: t = -1 + u^2, then t = 1 - u^2 with u = sqrt(c - 1) sinh v
+        out[0] = np.sqrt((d + 1.0 - s[0]) / ((c + 1.0 - s[0]) * (2.0 - s[0])))
+        out[1] = np.sqrt((d - 1.0 + s[1]) / (2.0 - s[1]))
+        # [1, c]: t = 1 + u^2, then t = c - u^2
+        out[2] = np.sqrt((d - 1.0 - s[2]) / ((c - 1.0 - s[2]) * (2.0 + s[2])))
+        out[3] = np.sqrt((d - c + s[3]) / ((c - 1.0 - s[3]) * (c + 1.0 - s[3])))
+        if count > 4:
+            # [c, d]: t = c + u^2 with u = sqrt(c - 1) sinh v, then t = d - u^2
+            s[4] = np.square(root * np.sinh(v[4]))
+            out[4] = np.sqrt((d - c - s[4]) / (c + 1.0 + s[4]))
+            out[5] = s[5] / np.sqrt((d - c - s[5]) * (d - 1.0 - s[5]) * (d + 1.0 - s[5]))
+        return 2.0 * out
 
-def _middle_pieces(c: float, d: float):
-    """[1, c] integral split at the midpoint, substituted at both ends."""
-    half = math.sqrt(0.5 * (c - 1.0))
-    return (
-        (lambda u: 2.0 * np.sqrt(d - 1.0 - u * u)
-         / np.sqrt((c - 1.0 - u * u) * (2.0 + u * u)), 0.0, half),
-        (lambda u: 2.0 * np.sqrt(d - c + u * u)
-         / np.sqrt((c - 1.0 - u * u) * (c + 1.0 - u * u)), 0.0, half),
-    )
-
-
-def _outer_pieces(c: float, d: float):
-    """[c, d] integral: inverse-sqrt endpoint at c, sqrt endpoint at d."""
-    half = math.sqrt(0.5 * (d - c))
-    return (
-        (lambda u: 2.0 * np.sqrt(d - c - u * u)
-         / np.sqrt((c - 1.0 + u * u) * (c + 1.0 + u * u)), 0.0, half),
-        (lambda u: 2.0 * u * u
-         / np.sqrt((d - c - u * u) * (d - 1.0 - u * u) * (d + 1.0 - u * u)),
-         0.0, half),
-    )
-
-
-def _sum_pieces(pieces, adaptive: bool, n: int) -> float:
-    total = 0.0
-    for g, lo, hi in pieces:
-        if adaptive:
-            val, _ = integrate_adaptive(g, lo, hi, tol=1e-13, n0=n)
-        else:
-            val = integrate_fixed(g, lo, hi, n)
-        total += float(np.real(val))
-    return total
+    return integrand, upper
 
 
-def parameter_integrals(c: float, d: float, nodes: int = 256) -> tuple[float, float]:
-    """(I1, I2) by node-doubling Gauss on the substituted smooth integrands."""
-    _check_params(c, d)
+def _side_lengths(c, d, count: int, integrate) -> tuple:
+    """Sums of piece pairs, (I1, I2) or (I1, I2, [c, d] integral): floats for
+    a scalar (c, d), arrays over the points otherwise.  ``integrate`` maps
+    (integrand, upper limits) to the integrals of all rows."""
+    values = integrate(*_pieces(*_points(c, d), count))
+    sums = values[0::2] + values[1::2]
+    if np.ndim(c) == 0 and np.ndim(d) == 0:
+        return tuple(float(s[0]) for s in sums)
+    return tuple(sums)
+
+
+def parameter_integrals(c, d, nodes: int = 256):
+    """(I1, I2) by node-doubling Gauss on the substituted smooth pieces, all
+    pieces at all points in one batch; floats for a scalar (c, d), arrays
+    for arrays of points."""
     lo, hi = NODE_RANGE
     if not lo <= nodes <= hi:
         raise DomainError(f"node count must lie in [{lo}, {hi}]")
     n0 = max(16, nodes // 4)
-    return (_sum_pieces(_inner_pieces(c, d), True, n0),
-            _sum_pieces(_middle_pieces(c, d), True, n0))
+    return _side_lengths(
+        c, d, 4, lambda f, upper: integrate_adaptive(f, 0.0, upper, tol=1e-13, n0=n0)[0])
 
 
-def parameter_integrals_fixed(c: float, d: float, n: int) -> tuple[float, float]:
+def parameter_integrals_fixed(c, d, n: int):
     """(I1, I2) at exactly n nodes per substituted piece (convergence tables)."""
-    _check_params(c, d)
-    return (_sum_pieces(_inner_pieces(c, d), False, n),
-            _sum_pieces(_middle_pieces(c, d), False, n))
+    return _side_lengths(c, d, 4, lambda f, upper: integrate_fixed(f, 0.0, upper, n))
 
 
-def _residual(c: float, d: float, a: float, nodes: int) -> np.ndarray:
+def _residual(c, d, a: float, nodes: int) -> np.ndarray:
+    """Side-length residuals at one point (shape (2,)) or at an array of
+    points (shape (2, points))."""
     i1, i2 = parameter_integrals(c, d, nodes)
     return np.array([i1 - TARGET_HEIGHT, i2 + 0.5 * math.log(a)])
 
 
-def parameter_jacobian(c: float, d: float, a: float, nodes: int = 256,
-                       base: np.ndarray | None = None) -> np.ndarray:
-    """Forward-difference Jacobian of the two residuals w.r.t. (c, d).
+def parameter_jacobian(c: float, d: float, a: float,
+                       nodes: int = 256) -> tuple[np.ndarray, np.ndarray]:
+    """The two residuals at (c, d) and their forward-difference Jacobian
+    w.r.t. (c, d), from one ``_residual`` call at (c, d) and its two shifted
+    points.
 
-    I1 has a near-singularity of width sqrt(c - 1) next to t = 1, so the
-    step shrinks with c - 1: an absolute 1e-6 overshoots it once c - 1 falls
-    below about 5e-7 and the Newton steps stop reducing the residuals.
-    ``base``, when given, is the residual at (c, d) from a caller that already
-    holds it; the differences then cost two residuals, not three."""
-    step = min(1e-6, 1e-2 * (c - 1.0))
-    if base is None:
-        base = _residual(c, d, a, nodes)
-    jc = (_residual(c + step, d, a, nodes) - base) / step
-    jd = (_residual(c, d + step, a, nodes) - base) / step
-    return np.column_stack([jc, jd])
+    I1 behaves like -log(c - 1) / 2 next to c = 1, so the step shrinks with
+    c - 1: an absolute 1e-6 overshoots its curvature once c - 1 falls below
+    about 5e-7 and the Newton steps stop reducing the residuals.  It shrinks
+    with d - c too, so that the shifted point c + step stays below d."""
+    step = min(1e-6, 1e-2 * (c - 1.0), 1e-2 * (d - c))
+    r = _residual(np.array([c, c + step, c]), np.array([d, d, d + step]), a, nodes)
+    return r[:, 0], (r[:, 1:] - r[:, :1]) / step
 
 
 def solve_parameters(a: float, nodes: int = 256) -> tuple[float, float]:
@@ -207,12 +225,11 @@ def solve_parameters(a: float, nodes: int = 256) -> tuple[float, float]:
 
 def _newton_from(start: tuple[float, float], a: float, nodes: int):
     c, d = start
-    r = _residual(c, d, a, nodes)
+    r, jac = parameter_jacobian(c, d, a, nodes)
     for _ in range(100):
         norm = np.max(np.abs(r))
         if norm < 1e-12:
             break
-        jac = parameter_jacobian(c, d, a, nodes, base=r)
         try:
             delta = np.linalg.solve(jac, -r)
         except np.linalg.LinAlgError:
@@ -225,14 +242,16 @@ def _newton_from(start: tuple[float, float], a: float, nodes: int):
         while alpha > 1e-8:
             cn, dn = c + alpha * delta[0], d + alpha * delta[1]
             if 1.0 + 1e-9 < cn < dn - 1e-9:
+                # a trial point comes with its Jacobian, in the same batch,
+                # for the step after it
                 try:
-                    rn = _residual(cn, dn, a, nodes)
+                    rn, jn = parameter_jacobian(cn, dn, a, nodes)
                 except ConvergenceError:
                     # a trial point pushed toward c = 1 can defeat the
                     # quadrature; that counts as a rejected step
                     rn = None
                 if rn is not None and np.max(np.abs(rn)) < norm * (1.0 - 1e-4 * alpha) + 1e-15:
-                    c, d, r = cn, dn, rn
+                    c, d, r, jac = cn, dn, rn, jn
                     break
             alpha *= 0.5
         else:
@@ -289,34 +308,34 @@ def map_f(z: complex, sol: SurfaceSolution, contour: str = "default") -> complex
     else:
         raise DomainError(f"unknown contour {contour!r}")
 
-    def leg(fun, lo, hi):
-        val, _ = integrate_adaptive(fun, lo, hi, tol=MAP_TOL, n0=32)
-        return val
-
-    total = 0.0 + 0.0j
+    # each leg is t = z0 + s (z1 + z2 s) for s in [0, length]; all legs are
+    # rows of one adaptive quadrature, each accepted at its own node count
     # up from -1 with t = -1 + i u^2 (kills the inverse-sqrt endpoint)
-    total += leg(lambda u: _F(-1.0 + 1j * u * u, c, d) * 2j * u,
-                 0.0, math.sqrt(height))
+    legs = [(-1.0, 0.0, 1j, math.sqrt(height))]
     # across at the safe height
     xs = x + lateral
     if _segment_clearance(-1.0 + 1j * height, xs + 1j * height, branch) < PATH_CLEARANCE:
         raise PathError("horizontal leg violates the branch-point clearance")
     if xs != -1.0:
-        total += leg(lambda s: _F(-1.0 + s * (xs + 1.0) + 1j * height, c, d)
-                     * (xs + 1.0), 0.0, 1.0)
+        legs.append((-1.0 + 1j * height, xs + 1.0, 0.0, 1.0))
     # down to the target height
     if height != y:
         if _segment_clearance(xs + 1j * height, xs + 1j * y, branch) < PATH_CLEARANCE:
             raise PathError("vertical leg violates the branch-point clearance")
-        total += leg(lambda s: _F(xs + 1j * (height + s * (y - height)), c, d)
-                     * 1j * (y - height), 0.0, 1.0)
+        legs.append((xs + 1j * height, 1j * (y - height), 0.0, 1.0))
     # lateral return (offset contour only)
     if lateral != 0.0:
         if _segment_clearance(xs + 1j * y, z, branch) < PATH_CLEARANCE:
             raise PathError("return leg violates the branch-point clearance")
-        total += leg(lambda s: _F(xs + s * (x - xs) + 1j * y, c, d) * (x - xs),
-                     0.0, 1.0)
-    return -2.0 * total
+        legs.append((xs + 1j * y, x - xs, 0.0, 1.0))
+    z0, z1, z2, length = np.array(legs).T
+    z0, z1, z2 = z0[:, None], z1[:, None], z2[:, None]
+
+    def integrand(s):
+        return _F(z0 + s * (z1 + z2 * s), c, d) * (z1 + 2.0 * z2 * s)
+
+    values, _ = integrate_adaptive(integrand, 0.0, length.real, tol=MAP_TOL, n0=32)
+    return -2.0 * sum(values.tolist(), 0.0 + 0.0j)
 
 
 def conformal_radius_at(z: complex, sol: SurfaceSolution) -> float:
@@ -326,7 +345,7 @@ def conformal_radius_at(z: complex, sol: SurfaceSolution) -> float:
         raise DomainError("the radius is defined for Im z > 0")
     fz = map_f(z, sol)
     pref = math.sqrt(abs(z - sol.d)) / math.sqrt(abs(z - sol.c) * abs(z * z - 1.0))
-    return 4.0 * z.imag * abs(np.exp(fz)) * pref
+    return float(4.0 * z.imag * abs(np.exp(fz)) * pref)
 
 
 def _log_radius_derivatives(z: complex, c: float, d: float):
@@ -435,10 +454,8 @@ def edge_integrals(sol: SurfaceSolution, ray: float = 50.0) -> dict:
     (2*I2 = -log a), the drop between the two horizontal edges (the integral
     over [c, d], equal to pi), and the half-strip width measured as
     |Im f(-ray) - Im f(ray)| (equal to 2*pi)."""
-    c, d = sol.c, sol.d
-    i1 = _sum_pieces(_inner_pieces(c, d), True, 32)
-    i2 = _sum_pieces(_middle_pieces(c, d), True, 32)
-    i3 = _sum_pieces(_outer_pieces(c, d), True, 32)
+    i1, i2, i3 = _side_lengths(
+        sol.c, sol.d, 6, lambda f, upper: integrate_adaptive(f, 0.0, upper, tol=1e-13, n0=32)[0])
     width = abs(map_f(complex(-ray, 0.0), sol).imag
                 - map_f(complex(ray, 0.0), sol).imag)
     return {

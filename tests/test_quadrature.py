@@ -159,6 +159,39 @@ def test_adaptive_rejects_a_start_with_no_doubling_left():
         integrate_adaptive(np.exp, 0.0, 1.0, n0=MAX_NODES // 2 + 1)
 
 
+def test_scalar_calls_return_scalars():
+    value, nodes = integrate_adaptive(np.exp, 0.0, 1.0)
+    assert type(value) is np.float64 and type(nodes) is int
+    value, _ = integrate_adaptive(lambda t: np.exp(1j * t), 0.0, 1.0)
+    assert type(value) is np.complex128
+    assert type(integrate_fixed(np.exp, 0.0, 1.0, 8)) is np.float64
+
+
+def test_adaptive_rows_match_one_at_a_time():
+    """Each row of a batch is accepted at its own first passing doubling, as
+    if it were integrated alone; the rows here stop at 32 and at 256 nodes."""
+    freq = np.array([[1.0, 7.0], [40.0, 90.0]])
+    lo = np.array([[0.0, -1.0], [0.5, 0.0]])
+    hi = np.array([[1.0, 2.0], [0.75, 3.0]])
+    values, nodes = integrate_adaptive(lambda t: np.cos(freq[..., None] * t), lo, hi)
+    assert values.shape == nodes.shape == (2, 2)
+    assert len(set(nodes.ravel().tolist())) > 1
+    for k in np.ndindex(2, 2):
+        value, count = integrate_adaptive(lambda t: np.cos(freq[k] * t), lo[k], hi[k])
+        assert nodes[k] == count
+        assert abs(values[k] - value) <= 1e-14
+        fixed = integrate_fixed(lambda t: np.cos(freq[k] * t), lo[k], hi[k], 64)
+        assert abs(integrate_fixed(lambda t: np.cos(freq[..., None] * t), lo, hi, 64)[k]
+                   - fixed) <= 1e-14
+
+
+def test_one_failing_row_fails_the_batch():
+    exponent = np.array([0.0, -0.95])
+    with pytest.raises(ConvergenceError, match="did not converge"):
+        integrate_adaptive(lambda t: np.abs(t - 0.31) ** exponent[:, None],
+                           0.0, np.ones(2), tol=1e-12)
+
+
 def test_bad_bounds_rejected():
     # a rule without nodes is rejected; an empty interval integrates to zero
     with pytest.raises(DomainError):

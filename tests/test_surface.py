@@ -127,10 +127,22 @@ def test_maximize_probe_only_agrees(solution):
 
 
 def test_jacobian_invertible(solution):
-    jac = parameter_jacobian(solution.c, solution.d, solution.a)
+    residuals, jac = parameter_jacobian(solution.c, solution.d, solution.a)
+    assert np.max(np.abs(residuals)) < 1e-11
     assert np.all(np.isfinite(jac))
     assert abs(np.linalg.det(jac)) > 1e-12
     assert np.linalg.cond(jac) < 1e4
+
+
+@pytest.mark.parametrize("c", (1.5, 1.001))
+def test_jacobian_step_stays_below_d(c):
+    # d - c is below the 1e-6 step that c - 1 alone would allow: the shifted
+    # point (c + step, d) must stay inside 1 < c < d
+    d = c + 5e-7
+    residuals, jac = parameter_jacobian(c, d, 0.1)
+    first, second = parameter_integrals(c, d)
+    assert residuals.tolist() == [first - 1.5 * math.pi, second + 0.5 * math.log(0.1)]
+    assert np.all(np.isfinite(jac))
 
 
 def test_alternate_slit_parameter():
@@ -412,17 +424,29 @@ def test_ascent_test_halves_the_derivative_evaluations(solution, monkeypatch):
     assert len(calls) <= 439 // 2
 
 
+def _count_residual_points(monkeypatch) -> list:
+    """Record every (c, d) point at which ``surface._residual`` is evaluated,
+    in order; one call may evaluate several points."""
+    points = []
+    residual = surface._residual
+
+    def counting(c, d, *args):
+        points.extend(zip(np.atleast_1d(c).tolist(), np.atleast_1d(d).tolist()))
+        return residual(c, d, *args)
+
+    monkeypatch.setattr(surface, "_residual", counting)
+    return points
+
+
 @pytest.mark.parametrize("a", (None, 0.005, 0.05, 0.4, 0.47))
 def test_parameter_solve_never_repeats_a_residual(a, monkeypatch):
-    # the Jacobian takes the residual at (c, d) from the Newton loop, which
-    # already holds it, in place of computing it again
+    # each trial point is evaluated once, in one batch with its two shifted
+    # points, and the Jacobian of an accepted point is taken from that batch:
+    # no (c, d) point is evaluated twice in the whole solve
     a = default_threshold() if a is None else a
-    calls = []
-    residual = surface._residual
-    monkeypatch.setattr(surface, "_residual",
-                        lambda *args: calls.append(args[:2]) or residual(*args))
+    points = _count_residual_points(monkeypatch)
     solve_parameters(a)
-    assert all(prev != cur for prev, cur in zip(calls, calls[1:]))
+    assert len(set(points)) == len(points)
 
 
 @pytest.mark.parametrize("a", (0.438, 0.44, 0.462))
@@ -448,14 +472,90 @@ def test_parameter_solve_at_a_0_47():
 def test_parameter_solve_stops_on_its_quadrature_floor(a, monkeypatch):
     # at these a the residuals stall near 1e-11, above the 1e-12 goal; the
     # Newton loop once kept taking steps that did not lower them for all its
-    # 100 iterations, 488 residual evaluations against 59-63 when it stops
-    calls = []
-    residual = surface._residual
-    monkeypatch.setattr(surface, "_residual",
-                        lambda *args: calls.append(args) or residual(*args))
+    # 100 iterations, 488 residual points against 51-54 when it stops
+    points = _count_residual_points(monkeypatch)
     c, d = solve_parameters(a)
     assert 1.0 < c < d
-    assert len(calls) < 150
+    assert len(points) < 150
+
+
+def _readme_scan() -> list[float]:
+    """The README's 226 values of a: 160 log-spaced from 1e-4 to 0.4, then
+    steps of 0.002 up to 0.532."""
+    return ([float(a) for a in np.geomspace(1e-4, 0.4, 160)]
+            + [round(0.4 + 0.002 * k, 3) for k in range(1, 67)])
+
+
+def test_parameter_scan_converges_on_rules_of_at_most_128_nodes(monkeypatch):
+    # with t = 1 - u^2 alone the I1 piece next to t = 1 doubled to 256-1024
+    # nodes from a = 0.22 up and did not converge by 2048 at a = 0.532;
+    # measured residuals 9.7e-11 up to 0.484 and 8.5e-10 beyond
+    accepted = []
+    adaptive = surface.integrate_adaptive
+
+    def recording(*args, **kwargs):
+        value, nodes = adaptive(*args, **kwargs)
+        accepted.append(int(np.max(nodes)))
+        return value, nodes
+
+    monkeypatch.setattr(surface, "integrate_adaptive", recording)
+    values = _readme_scan()
+    assert len(values) == 226 and values[-1] == 0.532
+    for a in values:
+        c, d = solve_parameters(a)
+        first, second = parameter_integrals(c, d)
+        residual = max(abs(first - 1.5 * math.pi), abs(second + 0.5 * math.log(a)))
+        assert residual <= (1e-10 if a <= 0.484 else 1e-9), a
+    assert max(accepted) <= 128
+
+
+def test_convergence_table_agrees_from_128_nodes():
+    # the rows of `blochkit surface --csv`; before the sinh substitution the
+    # 128-node row was off by 6e-7 at this a
+    c, d = solve_parameters(0.4)
+    rows = [parameter_integrals_fixed(c, d, n) for n in (128, 256, 512, 1024)]
+    for row in rows[1:]:
+        assert abs(row[0] - rows[0][0]) <= 1e-10
+        assert abs(row[1] - rows[0][1]) <= 1e-10
+
+
+def test_parameter_integrals_batch_matches_single_points(monkeypatch):
+    accepted = []
+    adaptive = surface.integrate_adaptive
+
+    def recording(*args, **kwargs):
+        value, nodes = adaptive(*args, **kwargs)
+        accepted.append(nodes)
+        return value, nodes
+
+    monkeypatch.setattr(surface, "integrate_adaptive", recording)
+    points = [solve_parameters(a) for a in (0.001, 0.0243, 0.3, 0.5)]
+    points += [(c + 1e-7, d) for c, d in points] + [(1.5, 3.0), (1.0 + 1e-12, 1.2)]
+    cs, ds = (np.array(v) for v in zip(*points))
+    for nodes in (16, 256, 1024):
+        first, second = parameter_integrals(cs, ds, nodes)
+        batch = accepted.pop()
+        assert first.shape == second.shape == (len(points),)
+        for k, (c, d) in enumerate(points):
+            one = parameter_integrals(c, d, nodes)
+            assert type(one[0]) is float and type(one[1]) is float
+            assert np.array_equal(accepted.pop()[:, 0], batch[:, k])
+            assert abs(first[k] - one[0]) <= 1e-14
+            assert abs(second[k] - one[1]) <= 1e-14
+
+
+def test_parameter_points_are_checked():
+    for c, d in (([1.1, 0.9], [1.8, 1.8]), ([1.1, 1.9], [1.8, 1.8]),
+                 ([1.1], [math.inf]), ([1.1, 1.2], [1.8, 1.9, 2.0]),
+                 ([[1.1]], [[1.8]])):
+        with pytest.raises(DomainError, match="1 < c < d"):
+            parameter_integrals(np.array(c), np.array(d))
+
+
+def test_radius_is_a_python_float(solution):
+    assert type(solution.r0) is float
+    assert type(maximize_radius(solution, starts=1)[1]) is float
+    assert type(conformal_radius_at(RADIUS_PROBE, solution)) is float
 
 
 def test_segment_clearance_matches_the_scalar_distance():
