@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
+import functools
 import json
 import math
 import os
@@ -257,7 +258,10 @@ def cmd_surface(args: argparse.Namespace) -> int:
 # plumbing
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every
+    later ``main`` call in the process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="blochkit",
         description="Bloch seminorms, conformal radii and covering structure "

@@ -26,7 +26,11 @@ x0, and u = sqrt(c - 1) sinh v where the factor t - 1 = c - 1 + u^2 would
 leave a near-singularity of width sqrt(c - 1).  ``parameter_integrals`` takes
 one or more (c, d) points and integrates every piece at every point as the
 rows of one node-doubling quadrature, each row accepted at its own node
-count.  The Newton solve evaluates each trial point in one call with the two
+count.  The damped Newton solve runs in u = log(c - 1) and v = log(d - c)
+(Trefethen, SIAM J. Sci. Stat. Comput. 1, 1980, solves the Schwarz-Christoffel
+parameter problem in log gaps between prevertices in the same way): every
+(u, v) is a point of 1 < c < d, and I1 ~ -log(c - 1) / 2 next to c = 1 is
+nearly linear in u.  It evaluates each trial point in one call with the two
 shifted points of its forward-difference Jacobian.
 
 The conformal radius at z with Im z > 0 is
@@ -191,57 +195,71 @@ def _residual(c, d, a: float, nodes: int) -> np.ndarray:
 def parameter_jacobian(c: float, d: float, a: float,
                        nodes: int = 256) -> tuple[np.ndarray, np.ndarray]:
     """The two residuals at (c, d) and their forward-difference Jacobian
-    w.r.t. (c, d), from one ``_residual`` call at (c, d) and its two shifted
-    points.
+    w.r.t. u = log(c - 1) and v = log(d - c), from one ``_residual`` call at
+    (c, d) and its two shifted points.
 
-    I1 behaves like -log(c - 1) / 2 next to c = 1, so the step shrinks with
-    c - 1: an absolute 1e-6 overshoots its curvature once c - 1 falls below
-    about 5e-7 and the Newton steps stop reducing the residuals.  It shrinks
-    with d - c too, so that the shifted point c + step stays below d."""
-    step = min(1e-6, 1e-2 * (c - 1.0), 1e-2 * (d - c))
-    r = _residual(np.array([c, c + step, c]), np.array([d, d, d + step]), a, nodes)
-    return r[:, 0], (r[:, 1:] - r[:, :1]) / step
+    The step is h = 1e-6 in u and in v.  In u it moves c and d together by
+    (c - 1)(e^h - 1), and in v it moves d alone by (d - c)(e^h - 1), so both
+    shifted points lie inside 1 < c < d."""
+    h = 1e-6
+    grow = math.expm1(h)
+    shift = (c - 1.0) * grow
+    cs = np.array([c, c + shift, c])
+    ds = np.array([d, d + shift, d + (d - c) * grow])
+    r = _residual(cs, ds, a, nodes)
+    return r[:, 0], (r[:, 1:] - r[:, :1]) / h
 
 
 def solve_parameters(a: float, nodes: int = 256) -> tuple[float, float]:
     """Damped Newton for the side-length conditions; residuals below 1e-9.
 
-    Starts at (1.1, 1.8); a second deterministic start (1.5, 3.0) guards
-    against basin escape.  Steps are halved until they stay in {1 < c < d} and
-    reduce the residual norm."""
+    The iteration runs in u = log(c - 1) and v = log(d - c), where every
+    point is inside 1 < c < d.  It starts at (c, d) = (1.1, 1.8); a second
+    deterministic start (1.5, 3.0) guards against basin escape.  Steps are
+    halved until they reduce the residual norm; a failure reports the best
+    point either start reached."""
     if not (0.0 < a < 1.0):
         raise DomainError("slit parameter must satisfy 0 < a < 1")
-    last = None
+    ends = []
     for start in ((1.1, 1.8), (1.5, 3.0)):
-        result = _newton_from(start, a, nodes)
-        if result is not None:
-            return result
-        last = start
+        c, d, norm = _newton_from(start, a, nodes)
+        if norm < 1e-9:
+            return c, d
+        ends.append((norm, c, d))
+    norm, c, d = min(ends)
     raise ConvergenceError(
-        f"parameter solve failed from starts (1.1, 1.8) and {last}; "
-        f"last residuals {_residual(*last, a, nodes)}"
+        f"parameter solve failed from starts (1.1, 1.8) and (1.5, 3.0); "
+        f"best point (c, d) = ({c!r}, {d!r}) with residual {norm:.3g}"
     )
 
 
 def _newton_from(start: tuple[float, float], a: float, nodes: int):
+    """The last point (c, d) of the damped Newton iteration from ``start``
+    and its largest residual."""
     c, d = start
     r, jac = parameter_jacobian(c, d, a, nodes)
+    norm = float(np.max(np.abs(r)))
     for _ in range(100):
-        norm = np.max(np.abs(r))
         if norm < 1e-12:
             break
         try:
             delta = np.linalg.solve(jac, -r)
         except np.linalg.LinAlgError:
-            return None
-        if (c + delta[0], d + delta[1]) == (c, d):
-            # the residuals sit on their quadrature floor above the 1e-12
-            # goal; no step that rounds to nothing can lower them
             break
+        u, v = math.log(c - 1.0), math.log(d - c)
         alpha = 1.0
         while alpha > 1e-8:
-            cn, dn = c + alpha * delta[0], d + alpha * delta[1]
-            if 1.0 + 1e-9 < cn < dn - 1e-9:
+            try:
+                cn = 1.0 + math.exp(u + alpha * delta[0])
+                dn = cn + math.exp(v + alpha * delta[1])
+            except OverflowError:
+                cn = dn = math.nan
+            if (cn, dn) == (c, d):
+                # the residuals sit on their quadrature floor above the 1e-12
+                # goal; no step that rounds to nothing can lower them
+                return c, d, norm
+            rn = None
+            if 1.0 < cn < dn < math.inf:
                 # a trial point comes with its Jacobian, in the same batch,
                 # for the step after it
                 try:
@@ -249,20 +267,25 @@ def _newton_from(start: tuple[float, float], a: float, nodes: int):
                 except ConvergenceError:
                     # a trial point pushed toward c = 1 can defeat the
                     # quadrature; that counts as a rejected step
-                    rn = None
-                if rn is not None and np.max(np.abs(rn)) < norm * (1.0 - 1e-4 * alpha) + 1e-15:
-                    c, d, r, jac = cn, dn, rn, jn
-                    break
+                    pass
+            if (rn is not None and np.isfinite(jn).all()
+                    and np.max(np.abs(rn)) < norm * (1.0 - 1e-4 * alpha) + 1e-15):
+                break
+            if norm < 1e-9:
+                # the point already passes, and a full step that fails here
+                # meets the quadrature floor: halved steps would only
+                # revisit its noise
+                return c, d, norm
             alpha *= 0.5
         else:
             break
-        if np.max(np.abs(r)) >= norm:
+        c, d, r, jac = cn, dn, rn, jn
+        previous, norm = norm, float(np.max(np.abs(r)))
+        if norm >= previous:
             # taken only through the 1e-15 slack: the residuals sit on their
             # quadrature floor, where more steps wander without lowering them
             break
-    if np.max(np.abs(r)) < 1e-9:
-        return float(c), float(d)
-    return None
+    return c, d, norm
 
 
 # ----------------------------------------------------------------------------

@@ -102,6 +102,24 @@ def test_out_of_range_arguments_are_usage_errors(capsys, product_file):
     assert parser.parse_args(["surface", "--a", "0.1"]).a == 0.1
 
 
+def test_cached_parser_keeps_no_state_between_calls(capsys):
+    from blochkit.cli import SWEEP_MARGIN, _build_parser, main
+    from blochkit.constants import computed_constants
+
+    assert _build_parser() is _build_parser()
+
+    def sweep(*extra: str) -> dict:
+        main(["sweep", "--count", "2", "--max-degree", "2", *extra])
+        return json.loads(capsys.readouterr().out)
+
+    r0 = computed_constants()["r0"]
+    assert sweep("--tolerance", "violation_margin=0.5")["violation_floor"] == r0 - 0.5
+    assert sweep()["violation_floor"] == r0 - SWEEP_MARGIN
+    # an argparse exit leaves nothing behind for the next call
+    _usage_error(capsys, "sweep", "--count", "0")
+    assert sweep()["violation_floor"] == r0 - SWEEP_MARGIN
+
+
 def test_missing_subcommand_is_usage_error():
     assert run_cli().returncode == 2
     assert run_cli("bogus").returncode == 2

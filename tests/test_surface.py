@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -468,6 +469,23 @@ def test_parameter_solve_at_a_0_47():
     assert abs(second + 0.5 * math.log(0.47)) <= 1e-10
 
 
+def test_failed_parameter_solve_reports_its_best_point(monkeypatch):
+    # beyond the checked range the first start reaches c - 1 = 1.2e-10 with
+    # I1 stalled near 1e-7; the message once gave the residuals at the
+    # second start, [0.033, 2.52], from one more quadrature
+    points = _count_residual_points(monkeypatch)
+    with pytest.raises(ConvergenceError, match="best point") as exc:
+        solve_parameters(0.6)
+    c, d, norm = (float(x) for x in
+                  re.search(r"\(c, d\) = \((\S+), (\S+)\) with residual (\S+)$",
+                            str(exc.value)).groups())
+    # a point the solve reached, and no quadrature beyond its Jacobian batches
+    assert (c, d) in points[::3] and len(points) % 3 == 0
+    first, second = parameter_integrals(c, d)
+    assert norm == float(f"{max(abs(first - 1.5 * math.pi), abs(second + 0.5 * math.log(0.6))):.3g}")
+    assert 1e-9 <= norm < 1e-6
+
+
 @pytest.mark.parametrize("a", (0.412, 0.432, 0.434))
 def test_parameter_solve_stops_on_its_quadrature_floor(a, monkeypatch):
     # at these a the residuals stall near 1e-11, above the 1e-12 goal; the
@@ -477,6 +495,16 @@ def test_parameter_solve_stops_on_its_quadrature_floor(a, monkeypatch):
     c, d = solve_parameters(a)
     assert 1.0 < c < d
     assert len(points) < 150
+
+
+def test_parameter_solve_work_on_the_surface_grid(monkeypatch):
+    # the 24 values of a that the surface benchmark solves; the Newton loop
+    # in (c, d) took 190 Jacobian batches of 3 points here, the one in
+    # log(c - 1) and log(d - c) takes 133
+    points = _count_residual_points(monkeypatch)
+    for a in [float(a) for a in np.geomspace(0.005, 0.4, 23)] + [default_threshold()]:
+        solve_parameters(a)
+    assert len(points) <= 3 * 140
 
 
 def _readme_scan() -> list[float]:
