@@ -2,10 +2,12 @@
 
 The compiled C kernel ``_ckernel`` (built by ``setup.py``) is preferred; the
 vectorized numpy fallback is the reference implementation of the same contract
-(same objective, simplex-descent branch logic, tracking and Aberth rules).  The
-fallback takes B and B' from ``blochkit.products._value_and_derivative``, the
-evaluator the rest of the package uses; the C kernel is its compiled twin, one
-point at a time, with one (B, B') routine for all its entries.  Set
+(same objective, Newton ascent rules, tracking and Aberth rules).  The
+fallback takes B and its derivatives from
+``blochkit.products._value_and_derivative``, the evaluator the rest of the
+package uses; the C kernel is its compiled twin, one point at a time, with
+one routine for all its entries that gives B and B', and B'' and B''' on
+request.  Set
 ``BLOCHKIT_PURE=1`` to force the fallback, e.g. for benchmarking.
 
 Both backends expose three entries:
@@ -18,11 +20,19 @@ Both backends expose three entries:
   -1.0 outside the barrier: the boundary scan and peak rule of
   ``products.boundary_peaks``, the starts (origin, zeros, and (1 - t/|B'|)
   zeta for t in ``_fallback.PEAK_OFFSETS`` toward each peak zeta) kept at
-  their first occurrence, one Nelder-Mead pass per start at scale
-  min(0.1, (1 - |z|)/2), one more from the best point at a tenth of its
-  scale, and the best of all passes, exact ties going to the
-  lexicographically smallest (Re, Im) point.  ``starts`` counts the
-  restart.  The C kernel runs it in one call with the interpreter lock
+  their first occurrence, one safeguarded Newton ascent per start on log f
+  = Re H + log(1 - |z|^2), H = log B' + log(1 + slope B), and the best of
+  their ends, exact ties going to the lexicographically smallest (Re, Im)
+  point.  Each iteration takes the Newton step where the Hessian of log f is
+  negative definite and otherwise the step of the Hessian shifted by its
+  larger eigenvalue plus |gradient|/scale, cuts it to the start's scale
+  min(0.1, (1 - |z|)/2) and halves it until f rises by 1e-4 times its
+  first-order gain (Armijo).  A start stops after the first step whose
+  predicted gain in log f is at most ftol, taken only if f does not fall;
+  when its step rounds to nothing; when halving brings the first-order gain
+  to ftol; or after max_iter iterations, which ``iterations`` sums.  A start
+  where f is 0, such as a zero of B', stays.  The C kernel runs it in one
+  call with the interpreter lock
   released; the scan constants reach it from ``products`` and ``_fallback``
   through ``compiled``, so the two backends cannot drift apart;
 * ``track_routes(zeros, lam, base, pieces, counts, rules)`` -> (ends, status),
@@ -57,30 +67,32 @@ Both backends expose three entries:
   belongs to this critical-point entry only.
 
 ``refine_starts`` is ``_fallback.refine_starts`` on both backends, the numpy
-search's Nelder-Mead pass, kept under this name because the benchmark
-harness (``perfbench/run.py``) traces it: its traced calls read 0 on the C
-backend and the numpy search's two passes per ``seminorm`` on the fallback.
+search's Newton pass over all its starts, kept under this name because the
+benchmark harness (``perfbench/run.py``) traces it: its traced calls read 0
+on the C backend and the numpy search's one pass per ``seminorm`` on the
+fallback.
 
 Agreement bound.  Both backends write the same formulas, but numpy may round
-a complex product or modulus differently in the last bit, and a simplex that
-then meets a near-tie takes another branch.  The value that
-``seminorm_search`` returns with ``max_iter`` 0, the objective at its best
-start or initial vertex, agrees with ``_fallback._objective`` at the compiled
-argmax to 3e-12 for slope 0 and 1 and to 2e-12 for slope 1/2, on the 240
-products of degrees 1-12 under both radial laws (measured: 2.0e-12, 1.5e-12
-and 1.7e-12, at argmaxes within 5.9e-5 of the circle), and on the product
-rule's side, at a zero of a degree-400 product, to 5.6e-13.
+a complex product or modulus differently in the last bit, and an ascent that
+then meets a near-tie in its line search or between two starts can end
+elsewhere.  The value that ``seminorm_search`` returns with ``max_iter`` 0,
+the objective at its best start, agrees with ``_fallback._objective`` at the
+compiled argmax to 3e-12 for slope 0 and 1 and to 2e-12 for slope 1/2, on the
+240 products of degrees 1-12 under both radial laws (measured: 9.9e-13,
+1.5e-12 and 1.3e-12 for slopes 0, 1 and 1/2), and on the product rule's side, at a zero of a
+degree-400 product, to 5.6e-13.
 ``seminorm_search`` gives ``seminorm`` values that agree to 1e-10, from equal
 start counts, on the 240 products of degrees 1-12 under both radial laws
-(measured: at most 1.1e-12, one iteration total differs by 1), and on 2,074
-``sweep`` and higher-degree products with slope 0 and 464 ``sweep`` products
-with slope 1 (measured: at most 2.6e-11).  With slope 1/2 the values agree
-to 1e-10 on the scan's special cases that ``tests/test_kernels.py`` checks,
-and from equal start counts on the 240 products (measured: at most
-2.7e-12).  The two are not bitwise equal: numpy's complex modulus can round
-apart from C's hypot in the last bit, and the scales and boundary weights
-round with it.  Slope 0 skips the first factor and slope 1 multiplies B by
-exactly 1.0, so neither rounds apart from the plain formulas.
+(measured: at most 1.3e-12, 2.0e-12 and 2.0e-12 for slopes 0, 1/2 and 1),
+and on the 2,000 ``sweep`` products of seeds 1-20 with 40 products of degrees
+24-64, with slopes 0 and 1 (measured: at most 1.6e-12 and 3.4e-12).  On all
+of these both backends take the same number of Newton iterations, product by
+product.  With slope 1/2 the values also agree to 1e-10 on the scan's special
+cases that ``tests/test_kernels.py`` checks.  The two are not bitwise equal:
+numpy's complex modulus can round apart from C's hypot in the last bit, and
+the scales, boundary weights and Newton steps round with it.  Slope 0 skips
+the first factor and slope 1 multiplies B by exactly 1.0, so neither rounds
+apart from the plain formulas.
 ``track_routes`` statuses and the permutations they give are equal, and end
 fibers agree to 1e-12, the corrector's residual floor, over the 296 routes
 that monodromy tracks on 29 products of degrees 3-10, 148 legs out to a

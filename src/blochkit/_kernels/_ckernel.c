@@ -1,18 +1,19 @@
 /* Compiled kernel backend, as a plain CPython module with three entries:
  * seminorm_search, the whole multistart search from the boundary scan to
- * the restart; track_routes, fiber tracking one route at a time, each from
- * its own start fiber; and
- * critical_roots, mirrored Ehrlich-Aberth on the numerator of B'/B, one root
- * at a time in scratch linear in the degree.
+ * the best start, each start refined by a safeguarded Newton ascent on
+ * log f; track_routes, fiber tracking one route at a time, each from its own
+ * start fiber; and critical_roots, mirrored Ehrlich-Aberth on the numerator
+ * of B'/B, one root at a time in scratch linear in the degree.
  *
  * blochkit._kernels makes the inputs contiguous and allocates the outputs;
  * this module reads and writes them through the buffer protocol, so it needs
  * no numpy headers.  Every loop runs with the interpreter lock released, and
  * nothing here is global mutable state, so concurrent calls are safe.  B and
- * B' come from one routine, blaschke(), which both the objective and the
- * tracker call.  The objective, the simplex branch logic, the per-route
- * tracking rules and the Aberth rules are those of the numpy reference,
- * blochkit._kernels._fallback, evaluated one point at a time.
+ * its derivatives come from one routine, blaschke(): B and B' for the
+ * tracker, up to B''' for the Newton ascent.  The objective with its
+ * gradient and Hessian, the ascent's step, line search and stop rules, the
+ * per-route tracking rules and the Aberth rules are those of the numpy
+ * reference, blochkit._kernels._fallback, evaluated one point at a time.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -31,6 +32,7 @@ static inline cplx mk(double re, double im) { cplx r = {re, im}; return r; }
 static inline cplx add(cplx a, cplx b) { return mk(a.re + b.re, a.im + b.im); }
 static inline cplx sub(cplx a, cplx b) { return mk(a.re - b.re, a.im - b.im); }
 static inline cplx scale(double s, cplx a) { return mk(s * a.re, s * a.im); }
+static inline cplx conjugate(cplx a) { return mk(a.re, -a.im); }
 static inline cplx mul(cplx a, cplx b)
 {
     return mk(a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re);
@@ -58,140 +60,200 @@ static inline cplx factor_den(cplx a, cplx z)
     return sub(mk(1.0, 0.0), mul(mk(a.re, -a.im), z));
 }
 
-/* P'(z) by the product rule, sum_j f_j'(z) prod_{k != j} f_k(z): stable at
- * a zero of P, where the log-derivative sum collapses.  One pass carries the
- * partial product p = f_0 ... f_j and its derivative, dp <- dp f_j + p f_j',
- * so no factor is divided out and the cost is O(n). */
-static cplx product_rule(Py_ssize_t n, const cplx *zr, cplx z)
+/* P = f_0 ... f_{n-1} at z and its derivatives up to order (1 or 3) into
+ * d[1..order], by the Leibniz rule: one pass carries the partial product p
+ * and its derivatives, dp <- dp f_j + p f_j' and its analogues
+ *   d2p <- d2p f_j + 2 dp f_j' + p f_j'',
+ *   d3p <- d3p f_j + 3 d2p f_j' + 3 dp f_j'' + p f_j''',
+ * so no factor is divided out: stable at a zero of P, repeated or not, where
+ * the log-derivative sums collapse.  O(n). */
+static void product_rule(Py_ssize_t n, const cplx *zr, cplx z, int order, cplx *d)
 {
-    cplx p = mk(1.0, 0.0), dp = mk(0.0, 0.0);
+    cplx p = mk(1.0, 0.0), d1 = mk(0.0, 0.0), d2 = d1, d3 = d1;
     Py_ssize_t j;
 
     for (j = 0; j < n; j++) {
         cplx den = factor_den(zr[j], z);
         double aj2 = zr[j].re * zr[j].re + zr[j].im * zr[j].im;
         cplx f = quot(sub(z, zr[j]), den);
-        dp = add(mul(dp, f), mul(p, quot(mk(1.0 - aj2, 0.0), mul(den, den))));
+        cplx f1 = quot(mk(1.0 - aj2, 0.0), mul(den, den));
+        if (order == 3) {
+            cplx q = quot(conjugate(zr[j]), den); /* f'' = 2 q f', f''' = 3 q f'' */
+            cplx f2 = scale(2.0, mul(q, f1)), f3 = scale(3.0, mul(q, f2));
+            d3 = add(add(add(mul(d3, f), scale(3.0, mul(d2, f1))), scale(3.0, mul(d1, f2))),
+                     mul(p, f3));
+            d2 = add(add(mul(d2, f), scale(2.0, mul(d1, f1))), mul(p, f2));
+        }
+        d1 = add(mul(d1, f), mul(p, f1));
         p = mul(p, f);
     }
-    return dp;
+    d[1] = d1;
+    if (order == 3) {
+        d[2] = d2;
+        d[3] = d3;
+    }
 }
 
-/* The product of the factors at z, P = B/lam, and its derivative P' = B'/lam:
- * P times the log-derivative sum, or the product rule within ZERO_SWITCH of
- * a zero.  The one (B, B') routine of this file. */
-static inline void blaschke(Py_ssize_t n, const cplx *zr, cplx z, cplx *value, cplx *der)
+/* The product of the factors at z, P = B/lam, and its derivatives P' = B'/lam
+ * and, for order 3, P'' and P''', into d[0..order]; order is 1 or 3.  They
+ * are P times the log-derivative sum S1 = sum_j l_j, l_j = f_j'/f_j, and
+ * times the Leibniz rule divided by the partial product, summed in order:
+ *   S2 <- S2 + 2 S1 l_j + f_j''/f_j,
+ *   S3 <- S3 + 3 S2 l_j + 3 S1 f_j''/f_j + f_j'''/f_j,   then S1 <- S1 + l_j,
+ * whose terms hold each l_j at most once, so nothing cancels next to a zero;
+ * within ZERO_SWITCH of a zero, where P is 0 times a pole, the product rule
+ * takes over.  The one routine of this file that evaluates B. */
+static inline void blaschke(Py_ssize_t n, const cplx *zr, cplx z, int order, cplx *d)
 {
     double min_d2 = HUGE_VAL;
-    cplx prod = mk(1.0, 0.0), lsum = mk(0.0, 0.0);
+    cplx prod = mk(1.0, 0.0), s1 = mk(0.0, 0.0), s2 = s1, s3 = s1;
     Py_ssize_t j;
 
     for (j = 0; j < n; j++) {
         cplx num = sub(z, zr[j]), den = factor_den(zr[j], z);
         double aj2 = zr[j].re * zr[j].re + zr[j].im * zr[j].im;
         double d2 = num.re * num.re + num.im * num.im;
+        cplx ell = quot(mk(1.0 - aj2, 0.0), mul(num, den));
         prod = mul(prod, quot(num, den));
-        lsum = add(lsum, quot(mk(1.0 - aj2, 0.0), mul(num, den)));
+        if (order == 3) {
+            cplx q = quot(conjugate(zr[j]), den); /* f''/f = 2 q l, f'''/f = 3 q f''/f */
+            cplx rho = scale(2.0, mul(q, ell));
+            s3 = add(s3, add(add(scale(3.0, mul(q, rho)), scale(3.0, mul(s2, ell))),
+                             scale(3.0, mul(s1, rho))));
+            s2 = add(s2, add(rho, scale(2.0, mul(s1, ell))));
+        }
+        s1 = add(s1, ell);
         if (d2 < min_d2)
             min_d2 = d2;
     }
-    *value = prod;
-    *der = min_d2 > ZERO_SWITCH2 ? mul(prod, lsum) : product_rule(n, zr, z);
+    d[0] = prod;
+    if (min_d2 <= ZERO_SWITCH2) {
+        product_rule(n, zr, z, order, d);
+        return;
+    }
+    d[1] = mul(prod, s1);
+    if (order == 3) {
+        d[2] = mul(prod, s2);
+        d[3] = mul(prod, s3);
+    }
 }
 
-/* |1 + slope B(z)| |B'(z)| (1 - |z|^2), the objective for f(w) = w + slope w^2/2,
- * or -1 at and beyond the barrier */
-static double objective(Py_ssize_t n, const cplx *zr, cplx lam, cplx z, double slope,
-                        double barrier2)
-{
-    double r2 = z.re * z.re + z.im * z.im, fp = 1.0;
-    cplx prod, bp, u;
+/* the fraction of the first-order gain that a step of the line search must
+ * achieve: the numpy reference's _ARMIJO */
+#define ARMIJO 1e-4
 
-    if (r2 >= barrier2)
-        return -1.0;
-    blaschke(n, zr, z, &prod, &bp);
+/* f, and the gradient and Hessian of log f, at one point */
+typedef struct {
+    double f, gx, gy, hxx, hxy, hyy;
+} ascent_point;
+
+/* The numpy reference's _objective at z: f = |1 + slope B(z)|
+ * |B'(z)| (1 - |z|^2), the objective for f(w) = w + slope w^2/2, or -1 at and
+ * beyond the barrier; and the gradient and Hessian of log f = Re H +
+ * log(1 - |z|^2), H = log B' + log(1 + slope B), from H' and H''.  They are
+ * not finite where f is 0. */
+static void ascent_terms(Py_ssize_t n, const cplx *zr, cplx lam, cplx z, double slope,
+                         double barrier2, ascent_point *out)
+{
+    double r2 = z.re * z.re + z.im * z.im, fp = 1.0, d;
+    cplx b[4], u = mk(1.0, 0.0), h1, h2;
+
+    if (r2 >= barrier2) {
+        out->f = -1.0;
+        return;
+    }
+    blaschke(n, zr, z, 3, b);
     if (slope != 0.0) {
-        u = add(mk(1.0, 0.0), scale(slope, mul(lam, prod)));
+        u = add(mk(1.0, 0.0), scale(slope, mul(lam, b[0])));
         fp = hypot(u.re, u.im);
     }
-    return fp * hypot(bp.re, bp.im) * (1.0 - r2);
-}
-
-static inline void swap_if_less(cplx *v, double *f, int a, int b)
-{
-    if (f[a] < f[b]) {
-        double tf = f[a];
-        cplx tz = v[a];
-        f[a] = f[b]; f[b] = tf;
-        v[a] = v[b]; v[b] = tz;
+    out->f = fp * hypot(b[1].re, b[1].im) * (1.0 - r2);
+    h1 = quot(b[2], b[1]);
+    h2 = sub(quot(b[3], b[1]), mul(h1, h1));
+    if (slope != 0.0) {
+        cplx v1 = quot(scale(slope, mul(lam, b[1])), u);
+        h1 = add(h1, v1);
+        h2 = add(h2, sub(quot(scale(slope, mul(lam, b[2])), u), mul(v1, v1)));
     }
+    d = 1.0 - r2;
+    out->gx = h1.re - 2.0 * z.re / d;
+    out->gy = -h1.im - 2.0 * z.im / d;
+    out->hxx = h2.re - 2.0 / d - 4.0 * z.re * z.re / (d * d);
+    out->hxy = -h2.im - 4.0 * z.re * z.im / (d * d);
+    out->hyy = -h2.re - 2.0 / d - 4.0 * z.im * z.im / (d * d);
 }
 
-/* stable sort of the simplex by descending f */
-static void sort3(cplx *v, double *f)
+/* The numpy reference's _ascent_step at p: the step (dx, dy) of one
+ * safeguarded Newton iteration on log f, the Newton step where the Hessian
+ * is negative definite and otherwise the one shifted by its larger eigenvalue
+ * plus |grad|/cap, cut back to length cap and 0 if not finite.  Sets
+ * *rise to the first-order gain grad . d and returns the gain that the
+ * quadratic model predicts for the whole step. */
+static double ascent_step(const ascent_point *p, double cap, double *dx, double *dy,
+                          double *rise)
 {
-    swap_if_less(v, f, 0, 1);
-    swap_if_less(v, f, 1, 2);
-    swap_if_less(v, f, 0, 1);
+    double a = p->hxx, b = p->hxy, c = p->hyy;
+    double top = 0.5 * (a + c) + hypot(0.5 * (a - c), b);
+    double mu = top < 0.0 ? 0.0 : top + hypot(p->gx, p->gy) / cap;
+    double sa = a - mu, sc = c - mu, det = sa * sc - b * b, length;
+
+    *dx = (b * p->gy - sc * p->gx) / det;
+    *dy = (b * p->gx - sa * p->gy) / det;
+    length = hypot(*dx, *dy);
+    if (length > cap) {
+        *dx *= cap / length;
+        *dy *= cap / length;
+    }
+    if (!(isfinite(*dx) && isfinite(*dy)))
+        *dx = *dy = 0.0;
+    *rise = p->gx * *dx + p->gy * *dy;
+    return *rise + 0.5 * (a * *dx * *dx + 2.0 * b * *dx * *dy + c * *dy * *dy);
 }
 
-/* one Nelder-Mead maximization from z0 with initial edge h; returns iterations */
-static long nelder_mead(Py_ssize_t n, const cplx *zr, cplx lam, double slope, cplx z0,
-                        double h, long max_iter, double ftol, double barrier2,
-                        double *best_f, cplx *best_z)
+/* One safeguarded Newton ascent on log f from z0 with steps at most cap
+ * long, the numpy reference's _refine_starts for one start: each iteration
+ * halves its step until f rises by ARMIJO times the first-order gain, and
+ * the ascent stops after a step predicted to gain at most ftol (taken only if
+ * f does not fall), when a step rounds to nothing, when halving brings the
+ * first-order gain to ftol, or after max_iter iterations.  A start where f
+ * is not positive stays.  Returns the iterations and leaves the point
+ * reached and f there in *best_z and *best_f. */
+static long ascend(Py_ssize_t n, const cplx *zr, cplx lam, double slope, cplx z0,
+                   double cap, long max_iter, double ftol, double barrier2,
+                   double *best_f, cplx *best_z)
 {
-    cplx v[3], c, xr, xe, xc;
-    double f[3], fr, fe, fc;
+    ascent_point p, q;
+    cplx z = z0;
     long it = 0;
-    int i, shrink;
+    int stop = 0;
 
-    v[0] = z0;
-    v[1] = mk(z0.re + h, z0.im);
-    if (v[1].re * v[1].re + v[1].im * v[1].im >= barrier2)
-        v[1] = mk(z0.re - h, z0.im);
-    v[2] = mk(z0.re, z0.im + h);
-    if (v[2].re * v[2].re + v[2].im * v[2].im >= barrier2)
-        v[2] = mk(z0.re, z0.im - h);
-    for (i = 0; i < 3; i++)
-        f[i] = objective(n, zr, lam, v[i], slope, barrier2);
-
-    while (it < max_iter) {
-        sort3(v, f);
-        if (f[0] - f[2] <= ftol)
-            break;
+    ascent_terms(n, zr, lam, z, slope, barrier2, &p);
+    while (!stop && p.f > 0.0 && it < max_iter) {
+        double dx, dy, rise, t = 1.0;
+        int last = !(ascent_step(&p, cap, &dx, &dy, &rise) > ftol);
         it++;
-        c = scale(0.5, add(v[0], v[1]));
-        xr = add(c, sub(c, v[2]));
-        fr = objective(n, zr, lam, xr, slope, barrier2);
-        shrink = 0;
-        if (fr > f[0]) {
-            xe = add(c, scale(2.0, sub(xr, c)));
-            fe = objective(n, zr, lam, xe, slope, barrier2);
-            if (fe > fr) { v[2] = xe; f[2] = fe; }
-            else { v[2] = xr; f[2] = fr; }
-        } else if (fr > f[1]) {
-            v[2] = xr; f[2] = fr;
-        } else if (fr > f[2]) {
-            xc = add(c, scale(0.5, sub(xr, c)));
-            fc = objective(n, zr, lam, xc, slope, barrier2);
-            if (fc >= fr) { v[2] = xc; f[2] = fc; }
-            else shrink = 1;
-        } else {
-            xc = add(c, scale(0.5, sub(v[2], c)));
-            fc = objective(n, zr, lam, xc, slope, barrier2);
-            if (fc > f[2]) { v[2] = xc; f[2] = fc; }
-            else shrink = 1;
-        }
-        if (shrink) {
-            v[1] = add(v[0], scale(0.5, sub(v[1], v[0])));
-            v[2] = add(v[0], scale(0.5, sub(v[2], v[0])));
-            f[1] = objective(n, zr, lam, v[1], slope, barrier2);
-            f[2] = objective(n, zr, lam, v[2], slope, barrier2);
+        for (;;) {
+            cplx trial = mk(z.re + t * dx, z.im + t * dy);
+            if (trial.re == z.re && trial.im == z.im) {
+                stop = 1;
+                break;
+            }
+            ascent_terms(n, zr, lam, trial, slope, barrier2, &q);
+            if (q.f - p.f >= (last ? 0.0 : ARMIJO * t * rise) * p.f) {
+                z = trial;
+                p = q;
+                stop = last;
+                break;
+            }
+            t *= 0.5;
+            if (last || !(t * rise > ftol)) {
+                stop = 1;
+                break;
+            }
         }
     }
-    sort3(v, f);
-    *best_f = f[0];
-    *best_z = v[0];
+    *best_f = p.f;
+    *best_z = z;
     return it;
 }
 
@@ -344,9 +406,9 @@ static Py_ssize_t start_points(Py_ssize_t n, const cplx *zr, const scan_rules *r
     return kept;
 }
 
-/* The multistart search of _fallback.seminorm_search: one Nelder-Mead pass
- * per start at scale min(0.1, (1 - |z|)/2), then one from the best point at
- * a tenth of its scale.  Scratch comes from PyMem_RawMalloc, so this runs
+/* The multistart search of _fallback.seminorm_search: one Newton ascent per
+ * start, its steps at most min(0.1, (1 - |z|)/2) long for the start z, and
+ * the best start's end.  Scratch comes from PyMem_RawMalloc, so this runs
  * without the interpreter lock; returns 0 when it cannot be had. */
 static int search(Py_ssize_t n, const cplx *zr, cplx lam, double slope, long max_iter, double ftol,
                   double barrier2, const scan_rules *rules, search_result *out)
@@ -381,21 +443,14 @@ static int search(Py_ssize_t n, const cplx *zr, cplx lam, double slope, long max
     out->iterations = 0;
     for (i = 0; i < k; i++) {
         h = fmin(0.1, 0.5 * (1.0 - hypot(starts[i].re, starts[i].im)));
-        out->iterations += nelder_mead(n, zr, lam, slope, starts[i], h, max_iter, ftol,
-                                       barrier2, &f, &z);
+        out->iterations += ascend(n, zr, lam, slope, starts[i], h, max_iter, ftol, barrier2,
+                                  &f, &z);
         if (beats(f, z, out->value, out->argmax)) {
             out->value = f;
             out->argmax = z;
         }
     }
-    h = fmin(0.1, 0.5 * (1.0 - hypot(out->argmax.re, out->argmax.im))) * 0.1;
-    out->iterations += nelder_mead(n, zr, lam, slope, out->argmax, h, max_iter, ftol, barrier2,
-                                   &f, &z);
-    if (beats(f, z, out->value, out->argmax)) {
-        out->value = f;
-        out->argmax = z;
-    }
-    out->starts = k + 1;
+    out->starts = k;
     ok = 1;
 done:
     PyMem_RawFree(weight);
@@ -460,11 +515,11 @@ static long correct(Py_ssize_t nz, const cplx *zr, cplx lam, Py_ssize_t n, cplx 
     for (it = 0;; it++) {
         int done = 1, live = 1;
         for (i = 0; i < n; i++) {
-            cplx value, der, r, step;
+            cplx b[2], r, step;
             double size;
-            blaschke(nz, zr, x[i], &value, &der);
-            d[i] = mul(lam, der);
-            r = sub(mul(lam, value), w);
+            blaschke(nz, zr, x[i], 1, b);
+            d[i] = mul(lam, b[1]);
+            r = sub(mul(lam, b[0]), w);
             size = hypot(d[i].re, d[i].im);
             if (!(hypot(r.re, r.im)
                   <= fmax(rules->newton_tol, rules->newton_ulps * hypot(x[i].re, x[i].im) * size)))
@@ -568,9 +623,9 @@ static void track_routes_loop(Py_ssize_t nz, const cplx *zr, cplx lam, Py_ssize_
             continue;
         }
         for (i = 0; i < n; i++) {
-            cplx value;
-            blaschke(nz, zr, z[i], &value, &der[i]);
-            der[i] = mul(lam, der[i]);
+            cplx b[2];
+            blaschke(nz, zr, z[i], 1, b);
+            der[i] = mul(lam, b[1]);
         }
         status[l] = track_route(nz, zr, lam, n, z, der, min_separation(n, z), pieces, first,
                                 counts[l], rules, x, d, next);
@@ -579,8 +634,6 @@ static void track_routes_loop(Py_ssize_t nz, const cplx *zr, cplx lam, Py_ssize_
 }
 
 /* ---- critical points --------------------------------------------------- */
-
-static inline cplx conjugate(cplx a) { return mk(a.re, -a.im); }
 
 /* p'/p at x into *newton, for p the numerator of g = B'/B over the d distinct
  * zeros zr with weights m_k (1 - |a_k|^2); returns the relative residual
@@ -744,7 +797,7 @@ PyDoc_STRVAR(seminorm_search_doc,
 "The multistart search of the numpy reference's seminorm_search in one call: the\n"
 "boundary scan on scan_angles uniform angles plus local_angles over arg a +-\n"
 "local_span (1 - |a|) for each zero near the circle, the deduplicated starts,\n"
-"one Nelder-Mead pass per start and the restart from the best point.");
+"one safeguarded Newton ascent per start and the best of their ends.");
 
 static PyObject *seminorm_search(PyObject *Py_UNUSED(self), PyObject *args)
 {

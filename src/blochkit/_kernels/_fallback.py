@@ -1,15 +1,15 @@
 """Pure-numpy kernel backend.
 
-Runs every simplex in the multistart *simultaneously*: the Nelder-Mead control
-flow is expressed through boolean masks so each of the k simplices follows
-exactly the branch logic of the scalar compiled kernel (``_ckernel.c``), while
-every objective evaluation is a single vectorized sweep over all active
-simplices.  The whole seminorm search, from the boundary scan of
-``products.boundary_peaks`` to the restart, is the reference that the
-compiled ``seminorm_search`` follows step by step.  Fiber tracking works the
-same way as the simplices: the fibers of all routes move in one lockstep
-L x n batch, each row under the per-route rules that the compiled kernel
-applies to one route at a time.  The critical points are
+Runs every start of the multistart *simultaneously*: each start follows the
+safeguarded Newton ascent of the scalar compiled kernel (``_ckernel.c``), its
+step rule, line search and stop rule expressed through boolean masks, while
+every evaluation of the objective with its gradient and Hessian is a single
+vectorized sweep over all live starts.  The whole seminorm search, from the
+boundary scan of ``products.boundary_peaks`` to the best start, is the
+reference that the compiled ``seminorm_search`` follows step by step.  Fiber
+tracking works the same way as the starts: the fibers of all routes move in
+one lockstep L x n batch, each row under the per-route rules that the
+compiled kernel applies to one route at a time.  The critical points are
 found by mirrored Ehrlich-Aberth iteration on all live roots at once, in row
 blocks; ``covering.fiber_solve`` runs the same driver on its fibers, without
 mirroring.
@@ -23,121 +23,129 @@ import numpy as np
 
 from ..products import _boundary_peaks, _row_blocks, _value_and_derivative
 
-_ALPHA, _GAMMA, _RHO, _SIGMA = 1.0, 2.0, 0.5, 0.5
 #: the starts (1 - t/|B'(zeta)|) zeta toward each boundary peak zeta
 PEAK_OFFSETS = (0.25, 0.5, 1.0)
+#: the fraction of the first-order gain that a step of the line search must achieve
+_ARMIJO = 1e-4
 
 
 def _objective(zeros: np.ndarray, lam: complex, pts: np.ndarray, slope: float,
-               barrier_radius: float) -> np.ndarray:
-    """|1 + slope B(z)| |B'(z)| (1 - |z|^2), the objective for f(w) = w +
-    slope w^2/2, or -1 at and beyond the barrier."""
+               barrier_radius: float):
+    """(f, grad, hess): f = |1 + slope B(z)| |B'(z)| (1 - |z|^2), the
+    objective for f(w) = w + slope w^2/2, or -1 at and beyond the barrier;
+    and for g = log f = Re H + log(1 - |z|^2), H = log B' + log(1 + slope B),
+    the gradient as the rows (g_x, g_y) and the Hessian as the rows (g_xx,
+    g_xy, g_yy).  For holomorphic H, Re H has gradient conj(H') and Hessian
+    [[Re H'', -Im H''], [-Im H'', -Re H'']], with H' = B''/B' + slope B'/(1 +
+    slope B) and H'' = B'''/B' - (B''/B')^2 + slope B''/(1 + slope B) -
+    (slope B'/(1 + slope B))^2.  They are not finite where f is 0 or -1."""
     pts = np.asarray(pts, dtype=np.complex128)
     out = np.full(pts.shape, -1.0)
+    grad = np.full((2,) + pts.shape, np.nan)
+    hess = np.full((3,) + pts.shape, np.nan)
     r2 = pts.real**2 + pts.imag**2
     ok = r2 < barrier_radius * barrier_radius
-    if not ok.any():
-        return out
-    value, der = _value_and_derivative(zeros, lam, pts[ok])
-    fp = 1.0 if slope == 0.0 else np.abs(1.0 + slope * value)
-    out[ok] = fp * np.abs(der) * (1.0 - r2[ok])
-    return out
+    if ok.any():
+        value, der, second, third = _value_and_derivative(zeros, lam, pts[ok], higher=True)
+        fp = 1.0 if slope == 0.0 else np.abs(1.0 + slope * value)
+        out[ok] = fp * np.abs(der) * (1.0 - r2[ok])
+        h1 = second / der
+        h2 = third / der - h1 * h1
+        if slope != 0.0:
+            v1 = slope * der / (1.0 + slope * value)
+            h1 = h1 + v1
+            h2 = h2 + (slope * second / (1.0 + slope * value) - v1 * v1)
+        x, y, d = pts[ok].real, pts[ok].imag, 1.0 - r2[ok]
+        grad[0, ok] = h1.real - 2.0 * x / d
+        grad[1, ok] = -h1.imag - 2.0 * y / d
+        hess[0, ok] = h2.real - 2.0 / d - 4.0 * x * x / (d * d)
+        hess[1, ok] = -h2.imag - 4.0 * x * y / (d * d)
+        hess[2, ok] = -h2.real - 2.0 / d - 4.0 * y * y / (d * d)
+    return out, grad, hess
+
+
+def _ascent_step(grad: np.ndarray, hess: np.ndarray, scale: np.ndarray):
+    """(step, rise, gain) of one safeguarded Newton iteration on g.
+
+    The step solves (M - mu I) d = -grad for the Hessian M: mu is 0 where M is
+    negative definite, and otherwise its larger eigenvalue plus |grad|/scale,
+    which bounds |d| by scale; a longer step is cut back to length scale, and
+    one that is not finite is 0.  rise = grad . d is the first-order gain in g
+    along d, and gain = rise + d.M.d/2 the gain that the quadratic model
+    predicts for the whole step."""
+    gx, gy = grad
+    a, b, c = hess
+    top = 0.5 * (a + c) + np.hypot(0.5 * (a - c), b)
+    mu = np.where(top < 0.0, 0.0, top + np.hypot(gx, gy) / scale)
+    sa, sc = a - mu, c - mu
+    det = sa * sc - b * b
+    dx = (b * gy - sc * gx) / det
+    dy = (b * gx - sa * gy) / det
+    length = np.hypot(dx, dy)
+    cut = np.where(length > scale, scale / length, 1.0)
+    dx, dy = dx * cut, dy * cut
+    bad = ~(np.isfinite(dx) & np.isfinite(dy))
+    dx[bad], dy[bad] = 0.0, 0.0
+    rise = gx * dx + gy * dy
+    gain = rise + 0.5 * (a * dx * dx + 2.0 * b * dx * dy + c * dy * dy)
+    return dx + 1j * dy, rise, gain
 
 
 def refine_starts(zeros, lam, starts, scales, slope, max_iter, ftol, barrier_radius):
-    """One Nelder-Mead maximization pass per start; all simplices in lockstep."""
-    # points sitting on a zero divide by zero in the log-derivative sum; the
-    # product rule replaces those values, so the warnings carry no news
-    with np.errstate(divide="ignore", invalid="ignore"):
+    """One safeguarded Newton ascent on log f per start, all starts in
+    lockstep; returns the (values, points, iterations) they reach."""
+    # points sitting on a zero divide by zero in the log-derivative sum, which
+    # the product rule replaces, and where B' = 0 the Newton terms divide by
+    # it, but such a start never moves: the warnings carry no news
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return _refine_starts(zeros, lam, starts, scales, slope, max_iter, ftol,
                               barrier_radius)
 
 
 def _refine_starts(zeros, lam, starts, scales, slope, max_iter, ftol, barrier_radius):
+    """Each iteration takes the step of _ascent_step at the start's scale and
+    halves it until f rises by at least _ARMIJO times its first-order gain,
+    rise f.  A start stops after the first step whose predicted gain is at
+    most ftol, which is taken only if f does not fall; when its step rounds
+    to nothing; when halving brings the first-order gain to at most ftol;
+    or after max_iter iterations.  A start where f is not positive, such as
+    a zero of B', stays where it is."""
     zeros = np.ascontiguousarray(zeros, dtype=np.complex128)
-    starts = np.asarray(starts, dtype=np.complex128).ravel()
+    z = np.array(starts, dtype=np.complex128).ravel()
     scales = np.asarray(scales, dtype=np.float64).ravel()
     lam = complex(lam)
-    k = starts.size
-    b2 = float(barrier_radius)
 
-    def f(pts):
-        return _objective(zeros, lam, pts, slope, b2)
+    def terms(pts):
+        return _objective(zeros, lam, pts, slope, float(barrier_radius))
 
-    V = np.empty((k, 3), dtype=np.complex128)
-    V[:, 0] = starts
-    v1 = starts + scales
-    flip = np.abs(v1) >= b2
-    v1[flip] = starts[flip] - scales[flip]
-    v2 = starts + 1j * scales
-    flip = np.abs(v2) >= b2
-    v2[flip] = starts[flip] - 1j * scales[flip]
-    V[:, 1] = v1
-    V[:, 2] = v2
-    F = f(V.ravel()).reshape(k, 3)
-    iters = np.zeros(k, dtype=np.int64)
-    active = np.ones(k, dtype=bool)
-
+    f, grad, hess = terms(z)
+    iters = np.zeros(z.size, dtype=np.int64)
+    live = f > 0.0
     for _ in range(int(max_iter)):
-        order = np.argsort(-F, axis=1, kind="stable")
-        V = np.take_along_axis(V, order, axis=1)
-        F = np.take_along_axis(F, order, axis=1)
-        active &= (F[:, 0] - F[:, 2]) > ftol
-        idx = np.nonzero(active)[0]
+        idx = np.flatnonzero(live)
         if idx.size == 0:
             break
         iters[idx] += 1
-        v = V[idx]
-        fv = F[idx]
-        c = 0.5 * (v[:, 0] + v[:, 1])
-        xr = c + _ALPHA * (c - v[:, 2])
-        fr = f(xr)
-        new_v = xr.copy()
-        new_f = fr.copy()
-        shrink = np.zeros(idx.size, dtype=bool)
-
-        expand = fr > fv[:, 0]
-        if expand.any():
-            xe = c[expand] + _GAMMA * (xr[expand] - c[expand])
-            fe = f(xe)
-            better = fe > fr[expand]
-            new_v[expand] = np.where(better, xe, xr[expand])
-            new_f[expand] = np.where(better, fe, fr[expand])
-
-        contract = fr <= fv[:, 1]
-        outside = contract & (fr > fv[:, 2])
-        if outside.any():
-            xc = c[outside] + _RHO * (xr[outside] - c[outside])
-            fc = f(xc)
-            acc = fc >= fr[outside]
-            new_v[outside] = np.where(acc, xc, new_v[outside])
-            new_f[outside] = np.where(acc, fc, new_f[outside])
-            shrink[outside] = ~acc
-        inside = contract & ~(fr > fv[:, 2])
-        if inside.any():
-            xc = c[inside] + _RHO * (v[inside, 2] - c[inside])
-            fc = f(xc)
-            acc = fc > fv[inside, 2]
-            new_v[inside] = np.where(acc, xc, new_v[inside])
-            new_f[inside] = np.where(acc, fc, new_f[inside])
-            shrink[inside] = ~acc
-
-        keep = ~shrink
-        v[keep, 2] = new_v[keep]
-        fv[keep, 2] = new_f[keep]
-        if shrink.any():
-            s = np.nonzero(shrink)[0]
-            v[s, 1] = v[s, 0] + _SIGMA * (v[s, 1] - v[s, 0])
-            v[s, 2] = v[s, 0] + _SIGMA * (v[s, 2] - v[s, 0])
-            fs = f(np.concatenate([v[s, 1], v[s, 2]]))
-            fv[s, 1] = fs[: s.size]
-            fv[s, 2] = fs[s.size:]
-        V[idx] = v
-        F[idx] = fv
-
-    best = np.argmax(F, axis=1)
-    rows = np.arange(k)
-    return F[rows, best].copy(), V[rows, best].copy(), iters
+        step, rise, gain = _ascent_step(grad[:, idx], hess[:, idx], scales[idx])
+        last = ~(gain > ftol)
+        t = np.ones(idx.size)
+        todo = np.arange(idx.size)
+        while todo.size:
+            rows = idx[todo]
+            trial = z[rows] + t[todo] * step[todo]
+            moved = trial != z[rows]
+            live[rows[~moved]] = False
+            todo, rows, trial = todo[moved], rows[moved], trial[moved]
+            ft, gt, ht = terms(trial)
+            need = np.where(last[todo], 0.0, _ARMIJO * t[todo] * rise[todo])
+            up = ft - f[rows] >= need * f[rows]
+            acc = rows[up]
+            z[acc], f[acc], grad[:, acc], hess[:, acc] = trial[up], ft[up], gt[:, up], ht[:, up]
+            t[todo] *= 0.5
+            stop = last[todo] | ~(t[todo] * rise[todo] > ftol)
+            live[rows[last[todo] | (~up & stop)]] = False
+            todo = todo[~up & ~stop]
+    return f, z, iters
 
 
 # ----------------------------------------------------------------------------
@@ -179,21 +187,13 @@ def _argbest(vals: np.ndarray, pts: np.ndarray) -> int:
 
 def seminorm_search(zeros, lam, slope, max_iter, ftol, barrier_radius):
     """The multistart search: one refine_starts pass over the starts of
-    _start_points, then one from the best point at a tenth of its scale;
-    returns (value, argmax, starts, iterations) of the best of all passes."""
+    _start_points, each at the scale of _scales; returns (value, argmax,
+    starts, iterations) of the best start."""
     starts = _start_points(zeros)
     vals, pts, iters = refine_starts(zeros, lam, starts, _scales(starts), slope, max_iter,
                                      ftol, barrier_radius)
     best = _argbest(vals, pts)
-    total_iters = int(np.sum(iters))
-    restart = np.array([pts[best]], dtype=np.complex128)
-    rvals, rpts, riters = refine_starts(zeros, lam, restart, _scales(restart) * 0.1, slope,
-                                        max_iter, ftol, barrier_radius)
-    total_iters += int(riters[0])
-    all_vals = np.concatenate([vals, rvals])
-    all_pts = np.concatenate([pts, rpts])
-    winner = _argbest(all_vals, all_pts)
-    return (float(all_vals[winner]), complex(all_pts[winner]), starts.size + 1, total_iters)
+    return float(vals[best]), complex(pts[best]), starts.size, int(np.sum(iters))
 
 
 # ----------------------------------------------------------------------------

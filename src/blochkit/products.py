@@ -18,7 +18,8 @@ switches between the two within ZERO_SWITCH of the nearest zero.
 Every numpy evaluation of B' in the package (``derivative``, the covering
 layer's root finding and fiber tracking, and the numpy kernel backend) goes
 through the one block-wise evaluator ``_value_and_derivative``, which returns
-B and B' together.  ``evaluate`` stays a plain loop over the factors: it is
+B and B' together, and B'' and B''' too for the seminorm search's Newton
+steps.  ``evaluate`` stays a plain loop over the factors: it is
 the reference that tests hold the evaluator to.
 """
 
@@ -186,32 +187,57 @@ def _row_blocks(rows: int, width: int) -> list[slice]:
     return [slice(i, j) for i, j in zip(starts, starts[1:] + [rows])]
 
 
-def _derivative_product_rule(zeros: np.ndarray, lam: complex, z: np.ndarray) -> np.ndarray:
-    """B'(z) = lam * sum_j f_j'(z) prod_{k!=j} f_k(z) at each point of the 1-d
-    array z; stable at zeros of B.  The products over k != j are a prefix
-    times a suffix cumulative product, so no factor is divided out."""
-    x = np.asarray(z, dtype=np.complex128)[:, None]
-    den = 1.0 - np.conjugate(zeros) * x
-    f = (x - zeros) / den
-    ones = np.ones((x.shape[0], 1), dtype=np.complex128)
-    before = np.cumprod(np.concatenate([ones, f[:, :-1]], axis=1), axis=1)
-    after = np.cumprod(np.concatenate([ones, f[:, :0:-1]], axis=1), axis=1)[:, ::-1]
-    return lam * ((1.0 - np.abs(zeros) ** 2) / (den * den) * before * after).sum(axis=1)
+def _derivative_product_rule(zeros: np.ndarray, lam: complex, z: np.ndarray,
+                             order: int = 1) -> list[np.ndarray]:
+    """[B'(z), ..., B^(order)(z)] at each point of the 1-d array z, for order
+    1 or 3; stable at zeros of B, repeated ones included.  One pass over the
+    factors f_j carries the partial product p = f_0 ... f_j and its
+    derivatives by the Leibniz rule, dp <- dp f_j + p f_j' and its analogues
+    up to ``order``, so no factor is divided out."""
+    x = np.asarray(z, dtype=np.complex128)
+    p = [np.ones_like(x)] + [np.zeros_like(x) for _ in range(order)]
+    for a in zeros:
+        den = 1.0 - np.conjugate(a) * x
+        f = [(x - a) / den, (1.0 - abs(a) ** 2) / (den * den)]
+        if order == 3:
+            q = np.conjugate(a) / den
+            f.append(2.0 * (q * f[1]))
+            f.append(3.0 * (q * f[2]))
+        for m in range(order, -1, -1):  # highest first, from the old lower terms
+            p[m] = sum(math.comb(m, i) * (p[m - i] * f[i]) for i in range(m + 1))
+    return [lam * d for d in p[1:]]
 
 
-def _value_and_derivative(zeros: np.ndarray, lam: complex,
-                          z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _exclusive_cumsum(a: np.ndarray) -> np.ndarray:
+    """Row j holds the sum of rows 0 .. j-1 of a: no row is added and then
+    taken away again, which would round a large row into the others."""
+    out = np.zeros_like(a)
+    np.cumsum(a[:-1], axis=0, out=out[1:])
+    return out
+
+
+def _value_and_derivative(zeros: np.ndarray, lam: complex, z: np.ndarray,
+                          higher: bool = False) -> tuple[np.ndarray, ...]:
     """(B(z), B'(z)) at every entry of z, for the product with these zeros and
-    rotation lam; no domain checks, so points just outside the disk are fine.
+    rotation lam, and with ``higher`` (B, B', B'', B'''); no domain checks, so
+    points just outside the disk are fine.
 
-    One broadcast pass over the Moebius factors (z - z_j) / (1 - conj(z_j) z),
+    One broadcast pass over the Moebius factors f_j = (z - z_j) / (1 - conj(z_j) z),
     stacked along a leading axis of zeros, gives B and the log-derivative sum
-    together; entries within ZERO_SWITCH of a zero, where that sum collapses,
-    take the product rule instead.  The entries go through in blocks of
-    _row_blocks, and the split does not change the bits; a lone point may
-    round apart from the same point inside a wider array, where numpy picks
-    other loops.  Callers silence the floating-point warnings of points
-    sitting on a zero, once around a whole batch of calls.
+    S1 = sum_j l_j, l_j = f_j'/f_j, together.  B'' = B S2 and B''' = B S3 follow
+    from the Leibniz rule divided by the partial product, summed in order:
+
+        S2 <- S2 + 2 S1 l_j + f_j''/f_j,
+        S3 <- S3 + 3 S2 l_j + 3 S1 f_j''/f_j + f_j'''/f_j,   then S1 <- S1 + l_j.
+
+    Each term holds each l_j at most once, so next to a zero, where l_j is a
+    pole and B vanishes, nothing cancels as in B (S1^2 + S1').  Entries within
+    ZERO_SWITCH of a zero, where B is 0 times a pole, take the product rule
+    instead.  The entries go through in blocks of _row_blocks, and the split
+    does not change the bits; a lone point may round apart from the same
+    point inside a wider array, where numpy picks other loops.  Callers
+    silence the floating-point warnings of points sitting on a zero, once
+    around a whole batch of calls.
     """
     z = np.asarray(z, dtype=np.complex128)
     flat = z.reshape(-1)
@@ -220,16 +246,29 @@ def _value_and_derivative(zeros: np.ndarray, lam: complex,
     weight = 1.0 - np.abs(col) ** 2
     value = np.empty(flat.shape, dtype=np.complex128)
     der = np.empty(flat.shape, dtype=np.complex128)
+    out = [value, der, np.empty_like(value), np.empty_like(value)] if higher else [value, der]
     for rows in _row_blocks(flat.size, zeros.size):
         x = flat[rows]
         num = x - col
         den = 1.0 - conj * x
         value[rows] = lam * np.multiply.reduce(num / den)
-        der[rows] = value[rows] * np.add.reduce(weight / (num * den))
+        ell = weight / (num * den)
+        der[rows] = value[rows] * np.add.reduce(ell)
+        if higher:
+            q = conj / den  # f_j''/f_j = 2 q l_j and f_j'''/f_j = 3 q f_j''/f_j
+            rho = 2.0 * (q * ell)
+            s1 = _exclusive_cumsum(ell)
+            t2 = rho + 2.0 * (s1 * ell)
+            s2 = _exclusive_cumsum(t2)
+            out[2][rows] = value[rows] * np.add.reduce(t2)
+            out[3][rows] = value[rows] * np.add.reduce(3.0 * (q * rho) + 3.0 * (s2 * ell)
+                                                       + 3.0 * (s1 * rho))
         near = np.minimum.reduce(num.real**2 + num.imag**2) <= ZERO_SWITCH**2
         if near.any():
-            der[rows][near] = _derivative_product_rule(zeros, lam, x[near])
-    return value.reshape(z.shape), der.reshape(z.shape)
+            exact = _derivative_product_rule(zeros, lam, x[near], len(out) - 1)
+            for d, e in zip(out[1:], exact):
+                d[rows][near] = e
+    return tuple([a.reshape(z.shape) for a in out])
 
 
 def derivative(B: BlaschkeProduct, z):

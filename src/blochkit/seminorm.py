@@ -8,13 +8,17 @@ origin, the zeros, and three points (1 - t/|B'(zeta)|) zeta, t in
 (``products.boundary_peaks``): Theorem 4 places its certified point
 z0 = (1 - d delta/|B'(zeta)|) zeta on that radius.  The critical points of B
 are not starts: the quantity is zero there, its global minimum.  Each start
-is refined by a derivative-free simplex descent, then one restart pass runs
-from the best point at a tenth of the scale.  The whole search, from the
-boundary scan to the restart, is one kernel call, ``seminorm_search``: in
-the compiled kernel it runs without the interpreter lock, and the numpy
-fallback (``blochkit._kernels._fallback``) holds its reference steps.  The
-value is then recomputed at the argmax with ``pointwise_bloch``, so the
-result is always a certified lower bound of the supremum.
+is refined by a safeguarded Newton ascent on the logarithm of the quantity,
+whose gradient and Hessian follow from B', B'' and B''': a Newton step where
+the Hessian is negative definite and a shifted one elsewhere, at most the
+start's scale min(0.1, (1 - |z|)/2) long, with Armijo backtracking.  A start
+where B' vanishes (the origin of z^n, a repeated zero) keeps its value 0.
+The whole search, from the boundary scan to the best start, is one kernel
+call, ``seminorm_search``: in the compiled kernel it runs without the
+interpreter lock, and the numpy fallback (``blochkit._kernels._fallback``)
+holds its reference steps.  The value is then recomputed at the argmax with
+``pointwise_bloch``, so the result is always a certified lower bound of the
+supremum.
 
 Also here: the closed form for the z^n family, and a small catalog of outer
 maps for estimating the seminorm of compositions f o B via the chain rule
@@ -36,8 +40,10 @@ from .errors import DomainError
 from .products import BlaschkeProduct, derivative, evaluate
 
 BARRIER_RADIUS = 1.0 - 1e-9
-MAX_ITERATIONS = 500        # simplex iterations per start
-OBJECTIVE_TOLERANCE = 1e-10  # a simplex stops once its values span at most this
+MAX_ITERATIONS = 500        # Newton iterations per start
+#: a start stops after the first Newton step whose predicted gain in the
+#: logarithm of the quantity, a relative gain in the quantity, is at most this
+OBJECTIVE_TOLERANCE = 1e-10
 
 
 @dataclass(frozen=True)

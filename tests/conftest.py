@@ -20,28 +20,41 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
     p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 
-@pytest.fixture(scope="session")
-def ckernel(tmp_path_factory):
-    """The ``_ckernel`` module built from this tree's source with setup.py's flags."""
+def _build_extension(name: str, source: Path, out: Path, include_dirs=()):
+    """Compile the one-file extension ``name`` from ``source`` into ``out``
+    with setup.py's flags and import it."""
     compiler = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
     if shutil.which(compiler.split()[0]) is None:
         pytest.skip("no C compiler")
     from setuptools import Distribution, Extension
 
-    source = Path(_kernels.__file__).with_name("_ckernel.c")
-    out = tmp_path_factory.mktemp("ckernel")
-    ext = Extension("_ckernel", [str(source)],
+    ext = Extension(name, [str(source)], include_dirs=[str(d) for d in include_dirs],
                     extra_compile_args=["-O3", "-ffp-contract=off"])
     build = Distribution({"ext_modules": [ext]}).get_command_obj("build_ext")
     build.build_lib = str(out)
     build.build_temp = str(out / "tmp")
     build.ensure_finalized()
     build.run()
-    spec = importlib.util.spec_from_file_location(
-        "_ckernel", build.get_ext_fullpath("_ckernel"))
+    spec = importlib.util.spec_from_file_location(name, build.get_ext_fullpath(name))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="session")
+def ckernel(tmp_path_factory):
+    """The ``_ckernel`` module built from this tree's source with setup.py's flags."""
+    source = Path(_kernels.__file__).with_name("_ckernel.c")
+    return _build_extension("_ckernel", source, tmp_path_factory.mktemp("ckernel"))
+
+
+@pytest.fixture(scope="session")
+def ckernel_probe(tmp_path_factory):
+    """``ckernel_probe.c`` built the same way: the compiled kernel's source
+    with its B evaluator, blaschke(), exposed as ``derivatives``."""
+    return _build_extension("_ckernel_probe", Path(__file__).with_name("ckernel_probe.c"),
+                            tmp_path_factory.mktemp("ckernel_probe"),
+                            [Path(_kernels.__file__).parent])
 
 
 def power_product(n: int) -> BlaschkeProduct:

@@ -136,9 +136,11 @@ def test_jacobian_invertible(solution):
 
 
 @pytest.mark.parametrize("c", (1.5, 1.001))
-def test_jacobian_step_stays_below_d(c):
-    # d - c is below the 1e-6 step that c - 1 alone would allow: the shifted
-    # point (c + step, d) must stay inside 1 < c < d
+def test_log_shifts_keep_jacobian_points_inside_the_domain(c):
+    # the Jacobian's shifts in u = log(c - 1) and v = log(d - c) scale with
+    # c - 1 and d - c, so both shifted points stay inside 1 < c < d for any
+    # d - c, here one far smaller than c - 1: the residuals are the plain ones
+    # and the Jacobian is finite
     d = c + 5e-7
     residuals, jac = parameter_jacobian(c, d, 0.1)
     first, second = parameter_integrals(c, d)
