@@ -7,13 +7,16 @@
  *
  * blochkit._kernels makes the inputs contiguous and allocates the outputs;
  * this module reads and writes them through the buffer protocol, so it needs
- * no numpy headers.  Every loop runs with the interpreter lock released, and
- * nothing here is global mutable state, so concurrent calls are safe.  B and
- * its derivatives come from one routine, blaschke(): B and B' for the
- * tracker, up to B''' for the Newton ascent.  The objective with its
- * gradient and Hessian, the ascent's step, line search and stop rules, the
- * per-route tracking rules and the Aberth rules are those of the numpy
- * reference, blochkit._kernels._fallback, evaluated one point at a time.
+ * no numpy headers.  Every loop runs with the interpreter lock released.
+ * The only global state is the boundary scan's table of uniform angles,
+ * built once per scan count with the lock held and never changed after, so
+ * concurrent calls are safe.  B and its derivatives come from one routine,
+ * blaschke(): B and B' for the tracker, up to B''' for the Newton ascent.
+ * The objective with its gradient and Hessian, the ascent's step, line
+ * search and stop rules, the per-route tracking rules (each point's move
+ * bounded by its own nearest-neighbour distance, and a second-order
+ * predictor) and the Aberth rules are those of the numpy reference,
+ * blochkit._kernels._fallback, evaluated one point at a time.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -266,7 +269,42 @@ typedef struct {
     double span;    /* ... spanning arg a +- span (1 - |a|) */
     Py_ssize_t noff;
     const double *offsets; /* the starts (1 - t/|B'(zeta)|) zeta, t in offsets */
+    const cplx *uniform;   /* (cos, sin) of the uniform angles, from uniform_units */
 } scan_rules;
+
+/* (cos, sin) of the scan's uniform angles 2 pi i / count, one table per
+ * count.  The module's only global state: a table is built once, with the
+ * interpreter lock held, and never freed, because searches read it with the
+ * lock released. */
+typedef struct unit_table {
+    struct unit_table *next;
+    int count;
+    cplx unit[];
+} unit_table;
+
+static unit_table *unit_tables;
+
+/* The table of count uniform angles, built on first use; NULL when no memory
+ * can be had.  Call it with the interpreter lock held. */
+static const cplx *uniform_units(int count)
+{
+    double step = 2.0 * M_PI / count;
+    unit_table *table;
+    int i;
+
+    for (table = unit_tables; table != NULL; table = table->next)
+        if (table->count == count)
+            return table->unit;
+    table = PyMem_RawMalloc(sizeof(unit_table) + count * sizeof(cplx));
+    if (table == NULL)
+        return NULL;
+    for (i = 0; i < count; i++)
+        table->unit[i] = mk(cos(step * i), sin(step * i));
+    table->count = count;
+    table->next = unit_tables;
+    unit_tables = table;
+    return table->unit;
+}
 
 typedef struct {
     double value;
@@ -311,12 +349,14 @@ static inline int narrow_peak(cplx a, double step)
 }
 
 /* The sampled angles of products.boundary_peaks into theta, ascending and
- * distinct, and |B'| there into modulus; returns their count.  The local
- * angles of the narrow zeros (np.linspace offsets, reduced as np.mod does)
- * are sorted in local and merged with the uniform ones.  weight receives
- * 1 - |a|^2 per zero. */
+ * distinct, their (cos, sin) into unit and |B'| there into modulus; returns
+ * their count.  The local angles of the narrow zeros (np.linspace offsets,
+ * reduced as np.mod does) are sorted in local and merged with the uniform
+ * ones, whose (cos, sin) come from the rules' table.  weight receives 1 -
+ * |a|^2 per zero. */
 static Py_ssize_t boundary_scan(Py_ssize_t n, const cplx *zr, const scan_rules *rules,
-                                double *weight, double *theta, double *modulus, double *local)
+                                double *weight, double *theta, cplx *unit, double *modulus,
+                                double *local)
 {
     double two_pi = 2.0 * M_PI, step = two_pi / rules->scan;
     double dstep = (rules->span - -rules->span) / (rules->local - 1);
@@ -339,14 +379,21 @@ static Py_ssize_t boundary_scan(Py_ssize_t n, const cplx *zr, const scan_rules *
     }
     qsort(local, m, sizeof(double), cmp_double);
     for (i = 0, k = 0; i < rules->scan || k < m;) {
-        double t = k == m || (i < rules->scan && step * i <= local[k]) ? step * i++ : local[k++];
-        if (count == 0 || t > theta[count - 1])
-            theta[count++] = t;
+        int uniform = k == m || (i < rules->scan && step * i <= local[k]);
+        double t = uniform ? step * i : local[k];
+        if (count == 0 || t > theta[count - 1]) {
+            theta[count] = t;
+            unit[count++] = uniform ? rules->uniform[i] : mk(cos(t), sin(t));
+        }
+        if (uniform)
+            i++;
+        else
+            k++;
     }
     for (i = 0; i < count; i++) {
-        double c = cos(theta[i]), s = sin(theta[i]), total = 0.0;
+        double total = 0.0;
         for (j = 0; j < n; j++) {
-            double dx = c - zr[j].re, dy = s - zr[j].im;
+            double dx = unit[i].re - zr[j].re, dy = unit[i].im - zr[j].im;
             total += weight[j] / (dx * dx + dy * dy);
         }
         modulus[i] = total;
@@ -356,12 +403,12 @@ static Py_ssize_t boundary_scan(Py_ssize_t n, const cplx *zr, const scan_rules *
 
 /* The starts of _fallback._start_points into starts, deduplicated at their
  * first occurrence: the origin, the zeros, then (1 - t/|B'|) zeta for each
- * peak zeta of the scan and each offset t with a positive radius.  A peak
- * is a sample at least its left neighbour and above its right one; a
+ * peak zeta = unit[p] of the scan and each offset t with a positive radius.
+ * A peak is a sample at least its left neighbour and above its right one; a
  * modulus flat to relative 1e-12 gives one peak, at angle zero.  keys and
  * first are scratch of as many entries as starts.  Returns the count. */
 static Py_ssize_t start_points(Py_ssize_t n, const cplx *zr, const scan_rules *rules,
-                               Py_ssize_t count, const double *theta, const double *modulus,
+                               Py_ssize_t count, const cplx *unit, const double *modulus,
                                cplx *starts, start_key *keys, unsigned char *first)
 {
     double lo = HUGE_VAL, hi = -HUGE_VAL;
@@ -379,15 +426,12 @@ static Py_ssize_t start_points(Py_ssize_t n, const cplx *zr, const scan_rules *r
     for (p = 0; p < count; p++) {
         double before = modulus[p == 0 ? count - 1 : p - 1];
         double after = modulus[p == count - 1 ? 0 : p + 1];
-        double c, s;
         if (!(flat ? p == 0 : modulus[p] >= before && modulus[p] > after))
             continue;
-        c = cos(theta[p]);
-        s = sin(theta[p]);
         for (i = 0; i < rules->noff; i++) {
             double r = 1.0 - rules->offsets[i] / modulus[p];
             if (r > 0.0)
-                starts[k++] = mk(r * c, r * s);
+                starts[k++] = mk(r * unit[p].re, r * unit[p].im);
         }
     }
     for (i = 0; i < k; i++) {
@@ -413,29 +457,33 @@ static Py_ssize_t start_points(Py_ssize_t n, const cplx *zr, const scan_rules *r
 static int search(Py_ssize_t n, const cplx *zr, cplx lam, double slope, long max_iter, double ftol,
                   double barrier2, const scan_rules *rules, search_result *out)
 {
-    double *weight = NULL, *theta, *modulus, h, f;
-    cplx *starts = NULL, z;
+    double *weight = NULL, *theta, *modulus, *local, h, f;
+    cplx *starts = NULL, *unit, z;
     start_key *keys;
-    Py_ssize_t narrow = 0, count, k, i;
+    Py_ssize_t narrow = 0, cap, count, k, i;
     int ok = 0;
 
     for (i = 0; i < n; i++)
         narrow += narrow_peak(zr[i], 2.0 * M_PI / rules->scan);
-    weight = PyMem_RawMalloc((n + 2 * (rules->scan + narrow * rules->local)
-                              + narrow * rules->local) * sizeof(double));
+    /* at most cap samples; one block for the weights, the samples' angles and
+     * moduli, the local angles and the samples' (cos, sin) */
+    cap = rules->scan + narrow * rules->local;
+    weight = PyMem_RawMalloc((n + 2 * cap + narrow * rules->local) * sizeof(double)
+                             + cap * sizeof(cplx));
     if (weight == NULL)
         goto done;
     theta = weight + n;
-    modulus = theta + rules->scan + narrow * rules->local;
-    count = boundary_scan(n, zr, rules, weight, theta, modulus,
-                          modulus + rules->scan + narrow * rules->local);
+    modulus = theta + cap;
+    local = modulus + cap;
+    unit = (cplx *)(local + narrow * rules->local);
+    count = boundary_scan(n, zr, rules, weight, theta, unit, modulus, local);
     /* room for the origin, the zeros and noff starts on every sample */
     k = 1 + n + rules->noff * count;
     starts = PyMem_RawMalloc(k * (sizeof(cplx) + sizeof(start_key) + 1));
     if (starts == NULL)
         goto done;
     keys = (start_key *)(starts + k);
-    k = start_points(n, zr, rules, count, theta, modulus, starts, keys,
+    k = start_points(n, zr, rules, count, unit, modulus, starts, keys,
                      (unsigned char *)(keys + k));
 
     out->value = -HUGE_VAL;
@@ -487,18 +535,27 @@ static cplx piece_at(const route_pieces *p, Py_ssize_t g, double t)
 
 static inline int is_finite(cplx a) { return isfinite(a.re) && isfinite(a.im); }
 
-static double min_separation(Py_ssize_t n, const cplx *z)
+/* The distance from each of the n points z to its nearest other point into
+ * near; returns the smallest of them. */
+static double nearest(Py_ssize_t n, const cplx *z, double *near)
 {
-    double sep = HUGE_VAL;
+    double least = HUGE_VAL;
     Py_ssize_t i, j;
     for (i = 0; i < n; i++)
+        near[i] = HUGE_VAL;
+    for (i = 0; i < n; i++) {
         for (j = i + 1; j < n; j++) {
             cplx d = sub(z[i], z[j]);
             double dist = hypot(d.re, d.im);
-            if (dist < sep)
-                sep = dist;
+            if (dist < near[i])
+                near[i] = dist;
+            if (dist < near[j])
+                near[j] = dist;
         }
-    return sep;
+        if (near[i] < least)
+            least = near[i];
+    }
+    return least;
 }
 
 /* Newton on B(x) = w for the n points of a fiber, in place; d receives B' at
@@ -538,16 +595,29 @@ static long correct(Py_ssize_t nz, const cplx *zr, cplx lam, Py_ssize_t n, cplx 
     }
 }
 
-/* Continue the fiber z (n points, B' = der, minimal separation sep) along the
- * pieces [first, first + count); z ends as the last accepted fiber.  The step
- * in t halves when the corrector fails or a point moves more than max_move
- * times the fiber's minimal separation, doubles (up to h_max) after at most
- * newton_easy updates, and starts at h_start on every piece.  Returns a
- * status: TRACKED, UNDERFLOW below h_min, or COLLISION when two points of an
- * accepted fiber are closer than collision_tol. */
+/* The per-point state of a fiber under tracking: B' at each point, each
+ * point's distance to its nearest other point, and each point's estimate of
+ * B''/B', 0 before the route's first accepted step. */
+typedef struct {
+    cplx *der, *curv;
+    double *near;
+} fiber_state;
+
+/* Continue the fiber z (n points, state s) along the pieces [first, first +
+ * count); z ends as the last accepted fiber.  The predictor is the inverse
+ * function's second-order Taylor step z + q - (B''/B') q^2 / 2, q = dw / B',
+ * with B'' the divided difference of B' over the last two accepted fibers
+ * (Euler on the route's first step).  The step in t halves when the
+ * corrector fails or a point moves more than max_move times its own distance
+ * to its nearest other point, doubles (up to h_max) after at most
+ * newton_easy updates, and starts at h_start on every piece.  x, d, next
+ * and fresh are scratch of n entries.  Returns a status: TRACKED, UNDERFLOW
+ * below h_min, or COLLISION when two points of an accepted fiber are closer
+ * than collision_tol. */
 static int track_route(Py_ssize_t nz, const cplx *zr, cplx lam, Py_ssize_t n, cplx *z,
-                       cplx *der, double sep, const route_pieces *pieces, Py_ssize_t first,
-                       Py_ssize_t count, const track_rules *rules, cplx *x, cplx *d, cplx *next)
+                       const fiber_state *s, const route_pieces *pieces, Py_ssize_t first,
+                       Py_ssize_t count, const track_rules *rules, cplx *x, cplx *d, cplx *next,
+                       double *fresh)
 {
     Py_ssize_t g, i;
 
@@ -555,7 +625,7 @@ static int track_route(Py_ssize_t nz, const cplx *zr, cplx lam, Py_ssize_t n, cp
         double t = 0.0, h = rules->h_start;
         cplx w_prev = piece_at(pieces, g, 0.0);
         for (;;) {
-            double t_new, move = 0.0, new_sep;
+            double t_new;
             cplx w_new, dw;
             long iters;
 
@@ -565,31 +635,35 @@ static int track_route(Py_ssize_t nz, const cplx *zr, cplx lam, Py_ssize_t n, cp
             w_new = piece_at(pieces, g, t_new);
             dw = sub(w_new, w_prev);
             for (i = 0; i < n; i++) {
-                cplx pred = add(z[i], quot(dw, der[i]));
+                cplx q = quot(dw, s->der[i]);
+                cplx pred = sub(add(z[i], q), mul(mul(mul(mk(0.5, 0.0), s->curv[i]), q), q));
                 x[i] = is_finite(pred) ? pred : z[i];
             }
             iters = correct(nz, zr, lam, n, x, d, next, w_new, rules);
-            /* a point may only move a fraction of the minimal separation per
-             * step, or Newton can land on a neighbouring sheet near a
-             * critical fiber without any collision */
+            /* a point may only move a fraction of its distance to its nearest
+             * neighbour per step, or Newton can land on a neighbouring sheet
+             * near a critical fiber without any collision; each pair keeps
+             * at least 1 - 2 max_move of its distance */
             for (i = 0; iters >= 0 && i < n; i++) {
                 cplx dz = sub(x[i], z[i]);
-                double m = hypot(dz.re, dz.im);
-                if (m > move)
-                    move = m;
+                if (hypot(dz.re, dz.im) > rules->max_move * s->near[i])
+                    iters = -1;
             }
-            if (iters < 0 || move > rules->max_move * sep) {
+            if (iters < 0) {
                 h *= 0.5;
                 if (h < rules->h_min)
                     return UNDERFLOW;
                 continue;
             }
-            new_sep = min_separation(n, x);
-            if (new_sep < rules->collision_tol)
+            if (nearest(n, x, fresh) < rules->collision_tol)
                 return COLLISION;
+            for (i = 0; i < n; i++) {
+                cplx ratio = quot(sub(d[i], s->der[i]), mul(sub(x[i], z[i]), d[i]));
+                s->curv[i] = is_finite(ratio) ? ratio : mk(0.0, 0.0);
+            }
             memcpy(z, x, n * sizeof(cplx));
-            memcpy(der, d, n * sizeof(cplx));
-            sep = new_sep;
+            memcpy(s->der, d, n * sizeof(cplx));
+            memcpy(s->near, fresh, n * sizeof(double));
             w_prev = w_new;
             t = t_new;
             if (iters <= rules->newton_easy)
@@ -603,15 +677,18 @@ static int track_route(Py_ssize_t nz, const cplx *zr, cplx lam, Py_ssize_t n, cp
 
 /* Track route l from row l of base (n points per row), route by route, into
  * ends (one row of n per route) and status; each route starts from its own
- * row's B' and minimal separation, and the first route that fails stops the
- * rest, which are NOT_TRACKED.  scratch holds 4 n points. */
+ * row's B' and nearest distances and with Euler's predictor, and the first
+ * route that fails stops the rest, which are NOT_TRACKED.  scratch holds 5 n
+ * points and 2 n doubles. */
 static void track_routes_loop(Py_ssize_t nz, const cplx *zr, cplx lam, Py_ssize_t n,
                               const cplx *base, const route_pieces *pieces,
                               const int64_t *counts, Py_ssize_t routes,
                               const track_rules *rules, cplx *ends, int64_t *status,
                               cplx *scratch)
 {
-    cplx *der = scratch, *x = scratch + n, *d = scratch + 2 * n, *next = scratch + 3 * n;
+    cplx *x = scratch + 2 * n, *d = scratch + 3 * n, *next = scratch + 4 * n;
+    double *fresh = (double *)(scratch + 5 * n);
+    fiber_state s = {scratch, scratch + n, fresh + n};
     Py_ssize_t l, i, first = 0;
     int failed = 0;
 
@@ -625,10 +702,12 @@ static void track_routes_loop(Py_ssize_t nz, const cplx *zr, cplx lam, Py_ssize_
         for (i = 0; i < n; i++) {
             cplx b[2];
             blaschke(nz, zr, z[i], 1, b);
-            der[i] = mul(lam, b[1]);
+            s.der[i] = mul(lam, b[1]);
+            s.curv[i] = mk(0.0, 0.0);
         }
-        status[l] = track_route(nz, zr, lam, n, z, der, min_separation(n, z), pieces, first,
-                                counts[l], rules, x, d, next);
+        nearest(n, z, s.near);
+        status[l] = track_route(nz, zr, lam, n, z, &s, pieces, first, counts[l], rules, x, d,
+                                next, fresh);
         failed = status[l] != TRACKED;
     }
 }
@@ -821,6 +900,11 @@ static PyObject *seminorm_search(PyObject *Py_UNUSED(self), PyObject *args)
         return NULL;
     rules.offsets = b[1].buf;
     rules.noff = b[1].len / 8;
+    rules.uniform = uniform_units(rules.scan);
+    if (rules.uniform == NULL) {
+        release_arrays(b, 2);
+        return PyErr_NoMemory();
+    }
     Py_BEGIN_ALLOW_THREADS
     ok = search(b[0].len / 16, b[0].buf, mk(lam.real, lam.imag), slope, max_iter, ftol,
                 radius * radius, &rules, &out);
@@ -879,7 +963,7 @@ static PyObject *track_routes(PyObject *Py_UNUSED(self), PyObject *args)
         } else if (check_count(&b[1], "base", routes * n) == 0
                    && check_count(&b[8], "ends", routes * n) == 0) {
             route_pieces pieces = {b[2].buf, b[3].buf, b[4].buf, b[5].buf, b[6].buf};
-            scratch = PyMem_Malloc(4 * n * sizeof(cplx));
+            scratch = PyMem_Malloc(5 * n * sizeof(cplx) + 2 * n * sizeof(double));
             if (scratch == NULL) {
                 PyErr_NoMemory();
             } else {

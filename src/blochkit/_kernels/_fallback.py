@@ -203,12 +203,13 @@ def seminorm_search(zeros, lam, slope, max_iter, ftol, barrier_radius):
 TRACKED, UNDERFLOW, COLLISION, NOT_TRACKED = 0, 1, 2, 3
 
 
-def _min_separation(z: np.ndarray) -> np.ndarray:
-    """Smallest distance between two points in each row of z."""
+def _nearest(z: np.ndarray) -> np.ndarray:
+    """The distance from each point of each row of z to the nearest other
+    point of its row."""
     d = np.abs(z[:, :, None] - z[:, None, :])
     k = np.arange(z.shape[1])
     d[:, k, k] = np.inf
-    return d.min(axis=(1, 2))
+    return d.min(axis=2)
 
 
 def _newton(zeros, lam, z: np.ndarray, w: np.ndarray, newton_max: int, tol: float,
@@ -247,10 +248,13 @@ def track_routes(zeros, lam, base, pieces, counts, rules):
     every route at once, in lockstep.
 
     Row l of the L x n state is the fiber over route l, with its own piece,
-    t, step h and last accepted w; an active mask drops the rows that are
-    done.  The per-row rules are those of ``_ckernel.c``'s ``track_route``.
-    The first failed route stops the later ones, which are NOT_TRACKED
-    whatever they reached.
+    t, step h and last accepted w, and per point its B', its distance to
+    its nearest other point (its move limit is max_move times that) and its
+    B''/B' from the last two accepted fibers (0 before the first, so the
+    first step is Euler's); an active mask drops the rows that are done.
+    The per-row rules are those of ``_ckernel.c``'s ``track_route``.  The
+    first failed route stops the later ones, which are NOT_TRACKED whatever
+    they reached.
     """
     (h_start, h_max, h_min, newton_max, newton_easy, newton_tol, newton_ulps, max_move,
      collision_tol) = rules
@@ -272,7 +276,8 @@ def track_routes(zeros, lam, base, pieces, counts, rules):
     with np.errstate(all="ignore"):
         z = np.array(base, dtype=np.complex128).reshape(L, zeros.size)
         der = _value_and_derivative(zeros, lam, z)[1]
-        sep = _min_separation(z)
+        near = _nearest(z)
+        curv = np.zeros_like(z)  # B''/B' of each point; 0 on a route's first step
         t = np.zeros(L)
         h = np.full(L, h_start)
         w_prev = w_at(piece, t)
@@ -283,11 +288,12 @@ def track_routes(zeros, lam, base, pieces, counts, rules):
             t_new = t[rows] + h[rows]
             w_new = w_at(piece[rows], t_new)
             z0 = z[rows]
-            pred = z0 + (w_new - w_prev[rows])[:, None] / der[rows]
+            q = (w_new - w_prev[rows])[:, None] / der[rows]
+            pred = z0 + q - 0.5 * curv[rows] * q * q
             pred = np.where(np.isfinite(pred), pred, z0)
             z1, d1, iters, ok = _newton(zeros, lam, pred, w_new, newton_max, newton_tol,
                                         newton_ulps)
-            ok &= ~(np.abs(z1 - z0).max(axis=1) > max_move * sep[rows])
+            ok &= ~(np.abs(z1 - z0) > max_move * near[rows]).any(axis=1)
 
             rejected = rows[~ok]
             h[rejected] *= 0.5
@@ -296,16 +302,18 @@ def track_routes(zeros, lam, base, pieces, counts, rules):
                 stop = min(stop, row)
 
             good = np.flatnonzero(ok)
-            new_sep = _min_separation(z1[good])
-            collided = new_sep < collision_tol
+            new_near = _nearest(z1[good])
+            collided = new_near.min(axis=1) < collision_tol
             for row in rows[good[collided]]:
                 status[row] = COLLISION
                 stop = min(stop, row)
             keep = good[~collided]
             acc = rows[keep]
+            ratio = (d1[keep] - der[acc]) / ((z1[keep] - z[acc]) * d1[keep])
+            curv[acc] = np.where(np.isfinite(ratio), ratio, 0.0)
             z[acc] = z1[keep]
             der[acc] = d1[keep]
-            sep[acc] = new_sep[~collided]
+            near[acc] = new_near[~collided]
             w_prev[acc] = w_new[keep]
             t[acc] = t_new[keep]
             easy = acc[iters[keep] <= newton_easy]

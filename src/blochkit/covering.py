@@ -20,11 +20,14 @@ reaches rounding level, and must pass a relative residual gate of 1e-10.
 one root at a time with the interpreter lock released, and the numpy
 fallback, its reference, all live roots at once.  A fiber other than the
 zeros is solved by the fallback's driver, through ``aberth_roots``.
-Fiber tracking uses an Euler predictor with a Newton corrector and adaptive
-step control.  ``_kernels.track_routes`` does the work, each route from its
-own start fiber: the compiled kernel tracks one route at a time, and the
-numpy fallback, its reference, advances the fibers of all routes together in
-one lockstep batch.
+Fiber tracking uses a second-order predictor, the inverse function's Taylor
+step with B'' taken from the last two accepted fibers, a Newton corrector and
+adaptive step control in which each point may move only a fraction of its
+own distance to its nearest neighbour.  ``_kernels.track_routes`` does the
+work, each route from its own start fiber: the compiled kernel tracks one
+route at a time, and the numpy fallback, its reference, advances the fibers
+of all routes together in one lockstep batch.  Each loop permutation must
+have an index that the critical points inside the loop allow.
 """
 
 from __future__ import annotations
@@ -196,7 +199,7 @@ _NEWTON_MAX = 4         # a corrector needing more iterations rejects the step
 _NEWTON_EASY = 2        # a corrector needing at most this many doubles the step
 _NEWTON_TOL = 1e-12     # residual floor of the corrector
 _NEWTON_ULPS = 8.0 * np.finfo(np.float64).eps
-_MAX_MOVE = 0.4         # per step, as a fraction of the fiber's minimal separation
+_MAX_MOVE = 0.4         # per step, as a fraction of a point's distance to its nearest neighbour
 
 
 def _track_routes(B: BlaschkeProduct, starts: np.ndarray, routes: list[list[tuple]]):
@@ -204,15 +207,20 @@ def _track_routes(B: BlaschkeProduct, starts: np.ndarray, routes: list[list[tupl
     every route.
 
     A route is a list of pieces w(t), t in [0, 1], made by _segment and
-    _circle.  Per route: Euler predictor dz = dw / B'(z), Newton corrector;
-    the step halves when the corrector fails or needs more than 4
-    iterations, or a sheet moves more than 0.4 of the fiber's minimal
-    separation, and doubles (up to 0.125) after at most 2 iterations; every
-    piece starts at h = 1/16.  The B' of the accepted corrector iterate
-    serves the next predictor.  The move limit keeps Newton from silently
-    converging to a neighbouring sheet near a critical fiber, which would
-    scramble the permutation without tripping the collision check.  The
-    work is ``_kernels.track_routes``.
+    _circle.  Per route: the predictor is the inverse function's
+    second-order Taylor step z + q - (B''/B') q^2 / 2, q = dw / B'(z), with
+    B'' the divided difference of B' over the last two accepted fibers of
+    the route (Euler, z + q, on its first step); a Newton corrector follows.
+    The step halves when the corrector fails or needs more than 4
+    iterations, or a point moves more than 0.4 of its own distance to its
+    nearest other fiber point, and doubles (up to 0.125) after at most 2
+    iterations; every piece starts at h = 1/16.  The B' of the accepted
+    corrector iterate serves the next predictor.  The move limit keeps
+    Newton from silently converging to a neighbouring sheet near a critical
+    fiber, which would scramble the permutation without tripping the
+    collision check: the closest pair gets the limit that the fiber's
+    minimal separation would set, and any pair keeps at least 0.2 of its
+    distance per step.  The work is ``_kernels.track_routes``.
 
     Returns the end fibers and, per route, the error that stopped it or
     None.  A failure drops the later routes as well: a caller going through
@@ -305,6 +313,11 @@ def monodromy(B: BlaschkeProduct, values=None):
     circle.  The way back carries F_q[j] to base point j, so permutation[i]
     is the j whose F_q[j] is nearest to where point i of F_q ends, within
     0.45 of F_q's minimal separation.
+
+    The loop about a cluster of m critical points (with multiplicity) gives
+    a product of m transpositions, so its permutation's index, n minus its
+    number of cycles, is at most m and of m's parity; a loop that breaks
+    this raises ContinuationError naming the loop.
     """
     if values is None:
         values = _values_of(B, critical_points(B))
@@ -312,6 +325,7 @@ def monodromy(B: BlaschkeProduct, values=None):
     centers = np.array([g.mean() for g in clusters])
     order = np.lexsort((centers.imag, centers.real))
     centers = centers[order]
+    sizes = [clusters[k].size for k in order]
 
     w_star = _default_base_point(centers)
 
@@ -336,9 +350,17 @@ def monodromy(B: BlaschkeProduct, values=None):
         circles.append([_circle(v, rho, math.atan2(direction.imag, direction.real))])
     feet = _tracked(B, np.broadcast_to(base, (len(legs), base.size)), legs)
     ends = _tracked(B, feet, circles)
-    tols = 0.45 * _fallback._min_separation(feet)
-    return [(complex(v), _match_permutation(foot, end, tol))
-            for v, foot, end, tol in zip(centers, feet, ends, tols)]
+    tols = 0.45 * _fallback._nearest(feet).min(axis=1)
+    loops = []
+    for k, (v, m, foot, end, tol) in enumerate(zip(centers, sizes, feet, ends, tols)):
+        perm = _match_permutation(foot, end, tol)
+        index = _index(perm)
+        if index > m or (m - index) % 2:
+            raise ContinuationError(
+                f"loop {k} about {complex(v):.6g} gave {cycle_string(perm)}, of index "
+                f"{index}, around {m} critical point(s)")
+        loops.append((complex(v), perm))
+    return loops
 
 
 def _tracked(B: BlaschkeProduct, starts: np.ndarray, routes: list[list[tuple]]):
@@ -443,23 +465,32 @@ class CoveringReport:
         }
 
 
+def _cycles(perm: tuple[int, ...]):
+    """The cycles of perm, fixed points included, each from its least
+    element, in the order of those elements."""
+    seen = [False] * len(perm)
+    for i in range(len(perm)):
+        if not seen[i]:
+            cycle = []
+            j = i
+            while not seen[j]:
+                seen[j] = True
+                cycle.append(j)
+                j = perm[j]
+            yield cycle
+
+
 def cycle_string(perm: tuple[int, ...]) -> str:
     """One-line cycle notation on 1-based sheet labels; identity is '()'."""
-    seen = [False] * len(perm)
-    parts = []
-    for i in range(len(perm)):
-        if seen[i] or perm[i] == i:
-            seen[i] = True
-            continue
-        cyc = [i]
-        seen[i] = True
-        j = perm[i]
-        while j != i:
-            cyc.append(j)
-            seen[j] = True
-            j = perm[j]
-        parts.append("(" + " ".join(str(k + 1) for k in cyc) + ")")
+    parts = ["(" + " ".join(str(k + 1) for k in cycle) + ")"
+             for cycle in _cycles(perm) if len(cycle) > 1]
     return "".join(parts) if parts else "()"
+
+
+def _index(perm: tuple[int, ...]) -> int:
+    """n minus the number of cycles of perm, fixed points included: the
+    fewest transpositions whose product is perm."""
+    return len(perm) - sum(1 for _ in _cycles(perm))
 
 
 def classify(B: BlaschkeProduct, a: float) -> CoveringReport:

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import json
 import math
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -371,51 +373,62 @@ def test_critical_value_near_the_origin_moves_the_default_base_point():
     assert rep.distinguished_sheet is not None
 
 
-def _track_piece_reference(evaluate, z, piece):
-    """One fiber along one route piece, step by step: the per-route rules of
-    the lockstep tracker written as a plain loop, sharing its evaluator."""
-    start, delta, rho, theta0, circle = piece
-
-    def w_of_t(t):
-        if circle:
-            return start + rho * complex(math.cos(theta0 + 2.0 * math.pi * t),
-                                         math.sin(theta0 + 2.0 * math.pi * t))
-        return start + t * delta
+def _track_route_reference(evaluate, z, route):
+    """One fiber along one route, step by step: the per-route rules of the
+    lockstep tracker written as a plain loop, sharing its evaluator.  Each
+    point moves at most 0.4 of its distance to its nearest neighbour per
+    step, and the predictor takes B''/B' from the divided difference of B'
+    over the last two accepted fibers, Euler before the route's first."""
 
     def fiber_eval(x):
         value, der = evaluate(x[None, :])
         return value[0], der[0]
 
-    t, h, w_prev = 0.0, 1.0 / 16.0, w_of_t(0.0)
-    dp = fiber_eval(z)[1]
-    while t < 1.0 - 1e-15:
-        h = min(h, 1.0 - t)
-        w_new = w_of_t(t + h)
-        pred = z + (w_new - w_prev) / dp
-        x = np.where(np.isfinite(pred), pred, z)
-        for iters in range(9):
-            value, dx = fiber_eval(x)
-            tol = np.fmax(1e-12, 8.0 * np.finfo(float).eps * np.abs(x) * np.abs(dx))
-            if np.all(np.abs(value - w_new) <= tol):
-                break
-            if np.any(np.abs(dx) < 1e-300) or not np.all(np.isfinite(dx)):
-                iters = 9
-                break
-            x = x - (value - w_new) / dx
-            if np.any(np.abs(x) > 1.2) or not np.all(np.isfinite(x)):
-                iters = 9
-                break
-        else:
-            iters = 9
-        sep = np.abs(z[:, None] - z[None, :])
+    def nearest(x):
+        sep = np.abs(x[:, None] - x[None, :])
         np.fill_diagonal(sep, np.inf)
-        if iters > 4 or np.max(np.abs(x - z)) > 0.4 * sep.min():
-            h *= 0.5
-            assert h >= 1e-8
-            continue
-        z, dp, w_prev, t = x, dx, w_new, t + h
-        if iters <= 2:
-            h = min(2.0 * h, 0.125)
+        return sep.min(axis=1)
+
+    dp = fiber_eval(z)[1]
+    curv = np.zeros_like(z)
+    for start, delta, rho, theta0, circle in route:
+
+        def w_of_t(t):
+            if circle:
+                return start + rho * complex(math.cos(theta0 + 2.0 * math.pi * t),
+                                             math.sin(theta0 + 2.0 * math.pi * t))
+            return start + t * delta
+
+        t, h, w_prev = 0.0, 1.0 / 16.0, w_of_t(0.0)
+        while t < 1.0 - 1e-15:
+            h = min(h, 1.0 - t)
+            w_new = w_of_t(t + h)
+            q = (w_new - w_prev) / dp
+            pred = z + q - 0.5 * curv * q * q
+            x = np.where(np.isfinite(pred), pred, z)
+            for iters in range(9):
+                value, dx = fiber_eval(x)
+                tol = np.fmax(1e-12, 8.0 * np.finfo(float).eps * np.abs(x) * np.abs(dx))
+                if np.all(np.abs(value - w_new) <= tol):
+                    break
+                if np.any(np.abs(dx) < 1e-300) or not np.all(np.isfinite(dx)):
+                    iters = 9
+                    break
+                x = x - (value - w_new) / dx
+                if np.any(np.abs(x) > 1.2) or not np.all(np.isfinite(x)):
+                    iters = 9
+                    break
+            else:
+                iters = 9
+            if iters > 4 or np.any(np.abs(x - z) > 0.4 * nearest(z)):
+                h *= 0.5
+                assert h >= 1e-8
+                continue
+            ratio = (dx - dp) / ((x - z) * dx)
+            curv = np.where(np.isfinite(ratio), ratio, 0.0)
+            z, dp, w_prev, t = x, dx, w_new, t + h
+            if iters <= 2:
+                h = min(2.0 * h, 0.125)
     return z
 
 
@@ -440,18 +453,82 @@ def test_lockstep_tracking_matches_route_by_route_reference(monkeypatch):
         evaluate = partial(_value_and_derivative, B.zeros_array, B.rotation)
         with np.errstate(all="ignore"):
             for route, start, end in zip(routes, base, ends):
-                z = start.copy()
-                for piece in route:
-                    z = _track_piece_reference(evaluate, z, piece)
-                np.testing.assert_array_equal(z, end)
+                np.testing.assert_array_equal(
+                    _track_route_reference(evaluate, start.copy(), route), end)
 
 
-def test_tracking_failures_keep_their_errors(monkeypatch, request):
+def test_lockstep_tracking_newton_row_steps(monkeypatch):
+    """The numpy tracker tries at most 1,350 steps, counted as fiber rows
+    handed to its corrector, over the monodromy of the 12 products of the
+    route-by-route test (measured: 1,308).  With the move limit at 0.4 of
+    the fiber's minimal separation for every point and an Euler predictor
+    it tried 2,057."""
+    monkeypatch.setattr(_kernels, "track_routes", _fallback.track_routes)
+    newton = _fallback._newton
+    rows = []
+
+    def counted(zeros, lam, z, *args):
+        rows.append(z.shape[0])
+        return newton(zeros, lam, z, *args)
+
+    monkeypatch.setattr(_fallback, "_newton", counted)
+    for k in range(12):
+        law = "uniform_disk" if k % 2 == 0 else "boundary_concentrated"
+        monodromy(random_product(3 + k % 6, seed=60_000 + k, law=law))
+    assert sum(rows) <= 1350
+
+
+def test_recorded_monodromy_cycles(monkeypatch, request):
+    """The cycle strings of 40 products, recorded with the move limit at 0.4
+    of the fiber's minimal separation and an Euler predictor: the 16
+    ``covering`` benchmark inputs of seed 1 (degrees 3-10, both laws) and
+    random_product(d, 1000 d + s, law) for d = 11-16, s < 2 and both laws."""
+    data = json.loads((Path(__file__).parent / "data" / "monodromy_cycles.json").read_text())
+    for track in _trackers(request):
+        monkeypatch.setattr(_kernels, "track_routes", track)
+        for k, entry in enumerate(data):
+            rep = analyze(BlaschkeProduct.from_json(entry["product"]))
+            assert [cycle_string(p) for _v, p in rep.monodromy] == entry["cycles"], k
+
+
+def test_loop_permutation_index_is_checked(monkeypatch):
+    """A loop about one simple critical value must give a transposition: a
+    tracker that ends the first loop's circle on a 3-cycle of its foot
+    fiber, or on the foot fiber itself, makes monodromy raise and name the
+    loop.  z^n's one cluster of n - 1 critical points gives an n-cycle."""
+    B = random_product(5, seed=181)
+    track = _fallback.track_routes
+    for shuffle in ([1, 2, 0, 3, 4], [0, 1, 2, 3, 4]):
+        calls = []
+
+        def stray(zeros, lam, base, pieces, counts, rules):
+            ends, status = track(zeros, lam, base, pieces, counts, rules)
+            calls.append(None)
+            if len(calls) == 2:  # the circles, each from its foot fiber
+                ends[0] = base[0][shuffle]
+            return ends, status
+
+        with monkeypatch.context() as m:
+            m.setattr(_kernels, "track_routes", stray)
+            with pytest.raises(ContinuationError, match="loop 0 about .* around 1 critical"):
+                monodromy(B)
+    assert all(covering._index(p) == 1 for _v, p in monodromy(B))
+    ((_v, perm),) = monodromy(power_product(6))
+    assert covering._index(perm) == 5
+
+
+def _trackers(request) -> list:
+    """The numpy tracker, and the compiled one wherever it compiles."""
     backends = [_fallback.track_routes]
-    try:  # and the C kernel, wherever it compiles
+    try:
         backends.append(_kernels.compiled(request.getfixturevalue("ckernel"))[1])
     except pytest.skip.Exception:
         pass
+    return backends
+
+
+def test_tracking_failures_keep_their_errors(monkeypatch, request):
+    backends = _trackers(request)
     B = random_product(5, seed=181)
     # a route whose first piece starts at w = 0.9, away from the base fiber
     # over 0: no step is ever accepted, and the step size underflows
@@ -525,14 +602,14 @@ def test_monodromy_tracks_each_loop_once(monkeypatch):
 
 def _round_trip_permutation(B, base, leg, circle):
     """The loop permutation of the base fiber along leg, circle and the leg
-    reversed, tracked piece by piece by _track_piece_reference and matched
-    at the base point, point by point."""
+    reversed, each tracked as a route of its own by _track_route_reference
+    and matched at the base point, point by point."""
     back = [covering._segment(w0 + dw, w0) for w0, dw, *_ in reversed(leg)]
     evaluate = partial(_value_and_derivative, B.zeros_array, B.rotation)
     z = base.copy()
     with np.errstate(all="ignore"):
-        for piece in [*leg, circle, *back]:
-            z = _track_piece_reference(evaluate, z, piece)
+        for route in (leg, [circle], back):
+            z = _track_route_reference(evaluate, z, route)
     sep = min(abs(p - q) for i, p in enumerate(base) for q in base[i + 1:])
     perm = []
     for point in z:
@@ -558,14 +635,9 @@ def _loop_products() -> list[BlaschkeProduct]:
 def test_one_way_loops_match_round_trip_loops(monkeypatch, request):
     """Each permutation that monodromy matches at its loop's foot is the one
     the round trip back to the base point gives, on either backend."""
-    backends = [_fallback.track_routes]
-    try:  # and the C kernel, wherever it compiles
-        backends.append(_kernels.compiled(request.getfixturevalue("ckernel"))[1])
-    except pytest.skip.Exception:
-        pass
     for k, B in enumerate(_loop_products()):
         expected = None
-        for track in backends:
+        for track in _trackers(request):
             loops, ((base, legs, counts, _, _), (_, circles, *_)) = _recorded_tracking(
                 monkeypatch, B, track)
             if expected is None:
