@@ -18,8 +18,7 @@ Both backends expose three entries:
   that is |f'(B(z))| |B'(z)| (1 - |z|^2) for the catalog map f(w) = w +
   slope w^2/2, with the first factor exactly 1.0 when slope == 0.0; it is
   -1.0 outside the barrier: the boundary scan and peak rule of
-  ``products.boundary_peaks`` (the C kernel keeps the cosines and sines of
-  the uniform scan angles in a table built once per scan count), the starts
+  ``products.boundary_peaks``, the starts
   (origin, zeros, and (1 - t/|B'|) zeta for t in ``_fallback.PEAK_OFFSETS``
   toward each peak zeta) kept at their first occurrence, one safeguarded
   Newton ascent per start on log f = Re H + log(1 - |z|^2), H = log B' +
@@ -34,9 +33,10 @@ Both backends expose three entries:
   when its step rounds to nothing; when halving brings the first-order gain
   to ftol; or after max_iter iterations, which ``iterations`` sums.  A start
   where f is 0, such as a zero of B', stays.  The C kernel runs it in one
-  call with the interpreter lock
-  released; the scan constants reach it from ``products`` and ``_fallback``
-  through ``compiled``, so the two backends cannot drift apart;
+  call with the interpreter lock released and keeps no global state, so
+  concurrent searches share nothing; the scan constants reach it from
+  ``products`` and ``_fallback`` through ``compiled``, so the two backends
+  cannot drift apart;
 * ``track_routes(zeros, lam, base, pieces, counts, rules)`` -> (ends, status),
   row l of the L x n start fibers ``base`` continued along route l, for each
   of L routes; n is the number of zeros.  ``pieces`` is

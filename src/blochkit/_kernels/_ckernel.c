@@ -7,11 +7,10 @@
  *
  * blochkit._kernels makes the inputs contiguous and allocates the outputs;
  * this module reads and writes them through the buffer protocol, so it needs
- * no numpy headers.  Every loop runs with the interpreter lock released.
- * The only global state is the boundary scan's table of uniform angles,
- * built once per scan count with the lock held and never changed after, so
- * concurrent calls are safe.  B and its derivatives come from one routine,
- * blaschke(): B and B' for the tracker, up to B''' for the Newton ascent.
+ * no numpy headers.  Every loop runs with the interpreter lock released, and
+ * the module keeps no global state, so concurrent calls are safe.  B and its
+ * derivatives come from one routine, blaschke(): B and B' for the tracker,
+ * up to B''' for the Newton ascent.
  * The objective with its gradient and Hessian, the ascent's step, line
  * search and stop rules, the per-route tracking rules (each point's move
  * bounded by its own nearest-neighbour distance, and a second-order
@@ -24,7 +23,7 @@
 #include <stdint.h>
 #include <string.h>
 
-#define ZERO_SWITCH2 1e-16 /* squared distance below which the product rule takes over */
+#define ZERO_SWITCH2 (1e-8 * 1e-8) /* squared distance below which the product rule takes over */
 #ifndef M_PI
 #define M_PI 3.14159265358979323846
 #endif
@@ -269,42 +268,7 @@ typedef struct {
     double span;    /* ... spanning arg a +- span (1 - |a|) */
     Py_ssize_t noff;
     const double *offsets; /* the starts (1 - t/|B'(zeta)|) zeta, t in offsets */
-    const cplx *uniform;   /* (cos, sin) of the uniform angles, from uniform_units */
 } scan_rules;
-
-/* (cos, sin) of the scan's uniform angles 2 pi i / count, one table per
- * count.  The module's only global state: a table is built once, with the
- * interpreter lock held, and never freed, because searches read it with the
- * lock released. */
-typedef struct unit_table {
-    struct unit_table *next;
-    int count;
-    cplx unit[];
-} unit_table;
-
-static unit_table *unit_tables;
-
-/* The table of count uniform angles, built on first use; NULL when no memory
- * can be had.  Call it with the interpreter lock held. */
-static const cplx *uniform_units(int count)
-{
-    double step = 2.0 * M_PI / count;
-    unit_table *table;
-    int i;
-
-    for (table = unit_tables; table != NULL; table = table->next)
-        if (table->count == count)
-            return table->unit;
-    table = PyMem_RawMalloc(sizeof(unit_table) + count * sizeof(cplx));
-    if (table == NULL)
-        return NULL;
-    for (i = 0; i < count; i++)
-        table->unit[i] = mk(cos(step * i), sin(step * i));
-    table->count = count;
-    table->next = unit_tables;
-    unit_tables = table;
-    return table->unit;
-}
 
 typedef struct {
     double value;
@@ -352,8 +316,7 @@ static inline int narrow_peak(cplx a, double step)
  * distinct, their (cos, sin) into unit and |B'| there into modulus; returns
  * their count.  The local angles of the narrow zeros (np.linspace offsets,
  * reduced as np.mod does) are sorted in local and merged with the uniform
- * ones, whose (cos, sin) come from the rules' table.  weight receives 1 -
- * |a|^2 per zero. */
+ * ones.  weight receives 1 - |a|^2 per zero. */
 static Py_ssize_t boundary_scan(Py_ssize_t n, const cplx *zr, const scan_rules *rules,
                                 double *weight, double *theta, cplx *unit, double *modulus,
                                 double *local)
@@ -383,7 +346,7 @@ static Py_ssize_t boundary_scan(Py_ssize_t n, const cplx *zr, const scan_rules *
         double t = uniform ? step * i : local[k];
         if (count == 0 || t > theta[count - 1]) {
             theta[count] = t;
-            unit[count++] = uniform ? rules->uniform[i] : mk(cos(t), sin(t));
+            unit[count++] = mk(cos(t), sin(t));
         }
         if (uniform)
             i++;
@@ -900,11 +863,6 @@ static PyObject *seminorm_search(PyObject *Py_UNUSED(self), PyObject *args)
         return NULL;
     rules.offsets = b[1].buf;
     rules.noff = b[1].len / 8;
-    rules.uniform = uniform_units(rules.scan);
-    if (rules.uniform == NULL) {
-        release_arrays(b, 2);
-        return PyErr_NoMemory();
-    }
     Py_BEGIN_ALLOW_THREADS
     ok = search(b[0].len / 16, b[0].buf, mk(lam.real, lam.imag), slope, max_iter, ftol,
                 radius * radius, &rules, &out);

@@ -34,7 +34,7 @@ from .pointbound import DEFAULT_D, compute_delta, construct, select_zeta, verify
 from .products import MAX_DEGREE, BlaschkeProduct, random_product
 from .seminorm import seminorm
 from .slitdisk import default_threshold, max_conformal_radius
-from .surface import NODE_RANGE, parameter_integrals_fixed, solve_surface
+from .surface import parameter_integrals_fixed, solve_surface
 
 SWEEP_MARGIN = 1e-3
 CONVERGENCE_NODE_COUNTS = (32, 64, 128, 256, 512, 1024)
@@ -91,14 +91,6 @@ def _threshold(text: str) -> float:
     value = float(text)
     if not 0.0 < value < 1.0:
         raise argparse.ArgumentTypeError("must be a finite value in (0, 1)")
-    return value
-
-
-def _node_count(text: str) -> int:
-    value = int(text)
-    lo, hi = NODE_RANGE
-    if not lo <= value <= hi:
-        raise argparse.ArgumentTypeError(f"must lie in [{lo}, {hi}]")
     return value
 
 
@@ -243,7 +235,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_surface(args: argparse.Namespace) -> int:
-    solution = solve_surface(a=args.a, nodes=args.nodes, starts=args.starts)
+    solution = solve_surface(a=args.a, starts=args.starts)
     _print_json(solution.to_json())
     if args.csv:
         writer = csv.writer(sys.stdout, lineterminator="\n")
@@ -309,7 +301,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("surface", help="solve the two-sheeted surface parameters")
     p.add_argument("--a", type=_threshold, default=None)
-    p.add_argument("--nodes", type=_node_count, default=256)
     p.add_argument("--starts", type=_positive, default=29)
     p.add_argument("--csv", action="store_true",
                    help="also print a node-count convergence table")

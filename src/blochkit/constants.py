@@ -55,7 +55,7 @@ def computed_constants() -> dict:
     a = default_threshold()
     slit = max_conformal_radius(a)
     c, d = solve_parameters(a)
-    sol = SurfaceSolution(a, c, d, 1.0, RADIUS_CHECKPOINT, 256)
+    sol = SurfaceSolution(a, c, d, 1.0, RADIUS_CHECKPOINT)
     r0 = float(conformal_radius_at(RADIUS_CHECKPOINT, sol))
     return {
         "s0": slit.s0,

@@ -374,7 +374,7 @@ def _tracked(B: BlaschkeProduct, starts: np.ndarray, routes: list[list[tuple]]):
 
 
 def _values_of(B, pts):
-    vals = np.asarray([evaluate(B, z) for z in pts], dtype=np.complex128)
+    vals = evaluate(B, np.asarray(pts, dtype=np.complex128))
     if np.any(np.abs(vals) >= 1.0 + 1e-12):
         raise StructureError("a critical value left the closed disk")
     return vals
@@ -513,12 +513,11 @@ def classify(B: BlaschkeProduct, a: float) -> CoveringReport:
     if np.any(np.abs(mods - a) <= GENERICITY_TOL):
         label = DEGENERATE
     else:
-        nz = vals[mods > 1e-12]
-        args = np.angle(nz)
-        for i in range(nz.size):
-            for j in range(i + 1, nz.size):
-                if abs(math.remainder(args[i] - args[j], 2.0 * math.pi)) <= GENERICITY_TOL:
-                    label = DEGENERATE
+        # the closest pair of angles is a pair of neighbours in sorted order,
+        # the last and the first across -pi included
+        args = np.sort(np.angle(vals[mods > 1e-12]))
+        if np.any(np.diff(args, append=args[:1] + 2.0 * math.pi) <= GENERICITY_TOL):
+            label = DEGENERATE
     return CoveringReport(pts, tuple(map(complex, vals)), float(mods.max()), label)
 
 

@@ -20,10 +20,12 @@ a(s) = s (2s - (s^2-1)) / (2s + (s^2-1)); the quarter-scale profile
 
     L(s) = s (1-a(s)^2)/(s-a(s))^2 * (s-1)/(s+1)
 
-is strictly decreasing on (1, 1+sqrt(2)] from 1/4 down to (2-sqrt(2))/... the
-a=0 endpoint value ~0.1715729, which bounds the attainable targets of
-``solve_a_for_target``.  Note g_max is increasing in a (the slit shrinks as a
-grows, so the domain swells toward the full disk and g_max -> 1 as a -> 1).
+is strictly decreasing on (1, 1+sqrt(2)] from 1/4 down to 3 - 2 sqrt(2)
+~ 0.1715729 at the a = 0 endpoint, which bounds the attainable targets of
+``solve_a_for_target``; tests/test_slitdisk.py checks the decrease on a
+50-point grid, so the solver does not repeat it.  Note g_max is increasing in
+a (the slit shrinks as a grows, so the domain swells toward the full disk and
+g_max -> 1 as a -> 1).
 """
 
 from __future__ import annotations
@@ -144,23 +146,15 @@ def intro_lhs(s: float) -> float:
     return s * (1.0 - a * a) / (s - a) ** 2 * (s - 1.0) / (s + 1.0)
 
 
-def _check_monotone_profile() -> None:
-    grid = np.linspace(_S_LO, _S_HI, 50)
-    vals = np.array([intro_lhs(s) for s in grid])
-    if not np.all(np.diff(vals) < 0.0):
-        raise StructureError("quarter-scale profile is not decreasing in s")
-
-
 def solve_a_for_target(target: float) -> float:
     """The a whose slit disk has maximal conformal radius 4*target.
 
-    Solves L(s) = target by bisection on s in [1+1e-6, 1+sqrt(2)] (L strictly
-    decreasing, checked on a 50-point grid first), then inverts a = a(s).
+    Solves L(s) = target by bisection on s in [1+1e-6, 1+sqrt(2)], where L
+    is strictly decreasing, then inverts a = a(s).
     Attainable targets are (L(1+sqrt(2)), L(1+1e-6)) ~ (0.1715729, 0.25).
     """
     if not (0.0 < target < 1.0):
         raise DomainError("target must lie in (0, 1)")
-    _check_monotone_profile()
     f_lo = intro_lhs(_S_LO)   # ~0.25, the larger value
     f_hi = intro_lhs(_S_HI)   # ~0.1715729
     if not (f_hi <= target <= f_lo):

@@ -58,7 +58,7 @@ from .errors import (
     PathError,
     SingularityError,
 )
-from .quadrature import MAX_NODES, integrate_adaptive, integrate_fixed
+from .quadrature import integrate_adaptive, integrate_fixed
 
 TARGET_HEIGHT = 1.5 * math.pi     # I1 condition (rectangle height 3*pi over 2)
 PATH_CLEARANCE = 1e-3
@@ -71,11 +71,6 @@ MAP_TOL = 1e-12
 #: checkpoint
 RADIUS_PROBE = -0.0205 + 0.3659j
 
-#: the node counts ``parameter_integrals`` accepts: it starts each adaptive
-#: quadrature at max(16, nodes // 4), which must leave room for one doubling
-#: under ``quadrature.MAX_NODES``
-NODE_RANGE = (16, 4 * (MAX_NODES // 2) + 3)
-
 
 @dataclass(frozen=True)
 class SurfaceSolution:
@@ -84,7 +79,6 @@ class SurfaceSolution:
     d: float
     r0: float
     argmax_z: complex
-    quadrature_nodes: int
 
     def __post_init__(self) -> None:
         if not (1.0 < self.c < self.d):
@@ -99,7 +93,6 @@ class SurfaceSolution:
             "d": self.d,
             "r0": self.r0,
             "argmax_z": [self.argmax_z.real, self.argmax_z.imag],
-            "quadrature_nodes": self.quadrature_nodes,
         }
 
 
@@ -168,16 +161,12 @@ def _side_lengths(c, d, count: int, integrate) -> tuple:
     return tuple(sums)
 
 
-def parameter_integrals(c, d, nodes: int = 256):
-    """(I1, I2) by node-doubling Gauss on the substituted smooth pieces, all
-    pieces at all points in one batch; floats for a scalar (c, d), arrays
-    for arrays of points."""
-    lo, hi = NODE_RANGE
-    if not lo <= nodes <= hi:
-        raise DomainError(f"node count must lie in [{lo}, {hi}]")
-    n0 = max(16, nodes // 4)
+def parameter_integrals(c, d):
+    """(I1, I2) by node-doubling Gauss from 64 nodes on the substituted
+    smooth pieces, all pieces at all points in one batch; floats for a
+    scalar (c, d), arrays for arrays of points."""
     return _side_lengths(
-        c, d, 4, lambda f, upper: integrate_adaptive(f, 0.0, upper, tol=1e-13, n0=n0)[0])
+        c, d, 4, lambda f, upper: integrate_adaptive(f, 0.0, upper, tol=1e-13, n0=64)[0])
 
 
 def parameter_integrals_fixed(c, d, n: int):
@@ -185,15 +174,14 @@ def parameter_integrals_fixed(c, d, n: int):
     return _side_lengths(c, d, 4, lambda f, upper: integrate_fixed(f, 0.0, upper, n))
 
 
-def _residual(c, d, a: float, nodes: int) -> np.ndarray:
+def _residual(c, d, a: float) -> np.ndarray:
     """Side-length residuals at one point (shape (2,)) or at an array of
     points (shape (2, points))."""
-    i1, i2 = parameter_integrals(c, d, nodes)
+    i1, i2 = parameter_integrals(c, d)
     return np.array([i1 - TARGET_HEIGHT, i2 + 0.5 * math.log(a)])
 
 
-def parameter_jacobian(c: float, d: float, a: float,
-                       nodes: int = 256) -> tuple[np.ndarray, np.ndarray]:
+def parameter_jacobian(c: float, d: float, a: float) -> tuple[np.ndarray, np.ndarray]:
     """The two residuals at (c, d) and their forward-difference Jacobian
     w.r.t. u = log(c - 1) and v = log(d - c), from one ``_residual`` call at
     (c, d) and its two shifted points.
@@ -206,38 +194,33 @@ def parameter_jacobian(c: float, d: float, a: float,
     shift = (c - 1.0) * grow
     cs = np.array([c, c + shift, c])
     ds = np.array([d, d + shift, d + (d - c) * grow])
-    r = _residual(cs, ds, a, nodes)
+    r = _residual(cs, ds, a)
     return r[:, 0], (r[:, 1:] - r[:, :1]) / h
 
 
-def solve_parameters(a: float, nodes: int = 256) -> tuple[float, float]:
+def solve_parameters(a: float) -> tuple[float, float]:
     """Damped Newton for the side-length conditions; residuals below 1e-9.
 
     The iteration runs in u = log(c - 1) and v = log(d - c), where every
-    point is inside 1 < c < d.  It starts at (c, d) = (1.1, 1.8); a second
-    deterministic start (1.5, 3.0) guards against basin escape.  Steps are
-    halved until they reduce the residual norm; a failure reports the best
-    point either start reached."""
+    point is inside 1 < c < d, from the one start (c, d) = (1.1, 1.8).
+    Steps are halved until they reduce the residual norm; a failure reports
+    the best point the iteration reached."""
     if not (0.0 < a < 1.0):
         raise DomainError("slit parameter must satisfy 0 < a < 1")
-    ends = []
-    for start in ((1.1, 1.8), (1.5, 3.0)):
-        c, d, norm = _newton_from(start, a, nodes)
-        if norm < 1e-9:
-            return c, d
-        ends.append((norm, c, d))
-    norm, c, d = min(ends)
+    c, d, norm = _newton_from((1.1, 1.8), a)
+    if norm < 1e-9:
+        return c, d
     raise ConvergenceError(
-        f"parameter solve failed from starts (1.1, 1.8) and (1.5, 3.0); "
+        f"parameter solve failed from the start (1.1, 1.8); "
         f"best point (c, d) = ({c!r}, {d!r}) with residual {norm:.3g}"
     )
 
 
-def _newton_from(start: tuple[float, float], a: float, nodes: int):
+def _newton_from(start: tuple[float, float], a: float):
     """The last point (c, d) of the damped Newton iteration from ``start``
     and its largest residual."""
     c, d = start
-    r, jac = parameter_jacobian(c, d, a, nodes)
+    r, jac = parameter_jacobian(c, d, a)
     norm = float(np.max(np.abs(r)))
     for _ in range(100):
         if norm < 1e-12:
@@ -263,7 +246,7 @@ def _newton_from(start: tuple[float, float], a: float, nodes: int):
                 # a trial point comes with its Jacobian, in the same batch,
                 # for the step after it
                 try:
-                    rn, jn = parameter_jacobian(cn, dn, a, nodes)
+                    rn, jn = parameter_jacobian(cn, dn, a)
                 except ConvergenceError:
                     # a trial point pushed toward c = 1 can defeat the
                     # quadrature; that counts as a rejected step
@@ -489,14 +472,13 @@ def edge_integrals(sol: SurfaceSolution, ray: float = 50.0) -> dict:
     }
 
 
-def solve_surface(a: float | None = None, nodes: int = 256,
-                  starts: int = 29) -> SurfaceSolution:
+def solve_surface(a: float | None = None, starts: int = 29) -> SurfaceSolution:
     """Full pipeline: parameters, then radius maximization."""
     if a is None:
         from .slitdisk import default_threshold
 
         a = default_threshold()
-    c, d = solve_parameters(a, nodes)
-    provisional = SurfaceSolution(a, c, d, 1.0, RADIUS_PROBE, nodes)
+    c, d = solve_parameters(a)
+    provisional = SurfaceSolution(a, c, d, 1.0, RADIUS_PROBE)
     argmax, r0 = maximize_radius(provisional, starts=starts)
     return replace(provisional, r0=r0, argmax_z=argmax)

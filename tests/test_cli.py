@@ -93,11 +93,7 @@ def test_out_of_range_arguments_are_usage_errors(capsys, product_file):
     for a in ("1.5", "1", "0", "-0.1", "nan", "inf"):
         _usage_error(capsys, "analyze", "--input", product_file, "--a", a)
         _usage_error(capsys, "surface", "--a", a)
-    for nodes in ("8", "15", "4100", "20000"):
-        _usage_error(capsys, "surface", "--nodes", nodes)
     parser = _build_parser()
-    assert [parser.parse_args(["surface", "--nodes", n]).nodes
-            for n in ("16", "4099")] == [16, 4099]
     assert parser.parse_args(["sweep", "--max-degree", str(MAX_DEGREE)]).max_degree == MAX_DEGREE
     assert parser.parse_args(["surface", "--a", "0.1"]).a == 0.1
 

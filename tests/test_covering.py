@@ -257,6 +257,26 @@ def test_classify_cases():
         classify(B, 1.5)
 
 
+def test_genericity_compares_neighbouring_angles_across_pi(monkeypatch):
+    """Two critical values within GENERICITY_TOL of angle, on either side of
+    -pi or next to each other, make the configuration DEGENERATE; the same
+    pairs 2 * GENERICITY_TOL apart do not."""
+    tol = covering.GENERICITY_TOL
+    B = random_product(4, seed=131)
+
+    def label(angles):
+        values = np.array([0.2 * complex(math.cos(t), math.sin(t)) for t in angles])
+        monkeypatch.setattr(covering, "critical_points", lambda _: tuple(values))
+        monkeypatch.setattr(covering, "_values_of", lambda _, pts: np.array(pts))
+        return classify(B, 0.5).case_label
+
+    for gap, expected in ((0.5 * tol, DEGENERATE), (2.0 * tol, SURFACE_CASE)):
+        assert label([0.3, math.pi - 0.5 * gap, -math.pi + 0.5 * gap]) == expected
+        assert label([-math.pi + 0.5 * gap, 2.0, math.pi - 0.5 * gap]) == expected
+        assert label([0.3, 0.3 + gap, 2.0]) == expected
+    assert label([1.0]) == SURFACE_CASE
+
+
 def test_symmetric_product_is_degenerate_and_perturbable():
     # zeros at +-x and +-iy give coincident critical values on one ray
     B = BlaschkeProduct((0.5, -0.5, 0.4j, -0.4j))

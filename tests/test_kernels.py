@@ -11,10 +11,13 @@ import functools
 import inspect
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -162,6 +165,15 @@ def test_blaschke_derivatives_match_product_rule_and_differences(ckernel_probe):
                     lower = [evaluate(z + m * h, 3)[k - 1] for m in (2, 1, -1, -2)]
                     central = (-lower[0] + 8.0 * lower[1] - 8.0 * lower[2] + lower[3]) / (12 * h)
                     assert abs(d[k] - central) <= 1e-9 * abs(d[k]), (distance, k)
+
+
+def test_product_rule_switch_is_the_same_in_both_kernels():
+    """The C kernel's ZERO_SWITCH2, read from its source, is the squared
+    distance at which the numpy evaluator switches to the product rule."""
+    source = (Path(_kernels.__file__).parent / "_ckernel.c").read_text()
+    expression = re.search(r"^#define ZERO_SWITCH2 (.+?) /\*", source, re.M).group(1)
+    value = math.prod(float(f) for f in expression.strip("()").split("*"))
+    assert value == products.ZERO_SWITCH ** 2
 
 
 def test_power_products_reach_the_closed_form(kernels):

@@ -158,18 +158,9 @@ def test_alternate_slit_parameter():
 
 def test_solution_validation():
     with pytest.raises(DomainError):
-        SurfaceSolution(0.3, 2.0, 1.5, 1.0, 0.5j, 256)
+        SurfaceSolution(0.3, 2.0, 1.5, 1.0, 0.5j)
     with pytest.raises(DomainError):
-        SurfaceSolution(1.3, 1.1, 1.5, 1.0, 0.5j, 256)
-
-
-def test_node_counts_without_a_doubling_are_rejected(solution):
-    """Below 16 nodes, or above the largest count whose adaptive start
-    nodes // 4 still leaves a doubling under quadrature.MAX_NODES."""
-    for nodes in (8, 15, 4100, 20000):
-        with pytest.raises(DomainError, match="node count"):
-            parameter_integrals(solution.c, solution.d, nodes)
-    assert surface.NODE_RANGE == (16, 4099)
+        SurfaceSolution(1.3, 1.1, 1.5, 1.0, 0.5j)
 
 
 def test_solve_survives_a_failed_trial_quadrature():
@@ -304,7 +295,7 @@ def _scalar_best(scalar_search):
     in x, and with ftol 1e-11 one start alone stops up to 1.3e-5 away."""
     a, c, d, results = scalar_search
     _value, (x, y) = min(results, key=lambda r: (-r[0], r[1][0], r[1][1]))
-    sol = SurfaceSolution(a, c, d, 1.0, RADIUS_PROBE, 256)
+    sol = SurfaceSolution(a, c, d, 1.0, RADIUS_PROBE)
     return sol, complex(x, y), conformal_radius_at(complex(x, y), sol)
 
 
@@ -412,7 +403,7 @@ def test_ascent_test_drops_no_maximum(a):
     # maximum, so the result is the unfiltered search's to the last bit
     a = default_threshold() if a is None else a
     c, d = solve_parameters(a)
-    sol = SurfaceSolution(a, c, d, 1.0, RADIUS_PROBE, 256)
+    sol = SurfaceSolution(a, c, d, 1.0, RADIUS_PROBE)
     assert maximize_radius(sol) == _unfiltered_maximize_radius(sol)
 
 
@@ -472,9 +463,9 @@ def test_parameter_solve_at_a_0_47():
 
 
 def test_failed_parameter_solve_reports_its_best_point(monkeypatch):
-    # beyond the checked range the first start reaches c - 1 = 1.2e-10 with
-    # I1 stalled near 1e-7; the message once gave the residuals at the
-    # second start, [0.033, 2.52], from one more quadrature
+    # beyond the checked range the solve reaches c - 1 = 1.2e-10 with I1
+    # stalled near 1e-7; the message once gave the residuals at a second
+    # start, [0.033, 2.52], from one more quadrature
     points = _count_residual_points(monkeypatch)
     with pytest.raises(ConvergenceError, match="best point") as exc:
         solve_parameters(0.6)
@@ -562,16 +553,15 @@ def test_parameter_integrals_batch_matches_single_points(monkeypatch):
     points = [solve_parameters(a) for a in (0.001, 0.0243, 0.3, 0.5)]
     points += [(c + 1e-7, d) for c, d in points] + [(1.5, 3.0), (1.0 + 1e-12, 1.2)]
     cs, ds = (np.array(v) for v in zip(*points))
-    for nodes in (16, 256, 1024):
-        first, second = parameter_integrals(cs, ds, nodes)
-        batch = accepted.pop()
-        assert first.shape == second.shape == (len(points),)
-        for k, (c, d) in enumerate(points):
-            one = parameter_integrals(c, d, nodes)
-            assert type(one[0]) is float and type(one[1]) is float
-            assert np.array_equal(accepted.pop()[:, 0], batch[:, k])
-            assert abs(first[k] - one[0]) <= 1e-14
-            assert abs(second[k] - one[1]) <= 1e-14
+    first, second = parameter_integrals(cs, ds)
+    batch = accepted.pop()
+    assert first.shape == second.shape == (len(points),)
+    for k, (c, d) in enumerate(points):
+        one = parameter_integrals(c, d)
+        assert type(one[0]) is float and type(one[1]) is float
+        assert np.array_equal(accepted.pop()[:, 0], batch[:, k])
+        assert abs(first[k] - one[0]) <= 1e-14
+        assert abs(second[k] - one[1]) <= 1e-14
 
 
 def test_parameter_points_are_checked():
