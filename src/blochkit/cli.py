@@ -80,6 +80,13 @@ def _positive(text: str) -> int:
     return value
 
 
+def _sample_count(text: str) -> int:
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError("must be an integer of at least 2")
+    return value
+
+
 def _degree_cap(text: str) -> int:
     value = _positive(text)
     if value > MAX_DEGREE:
@@ -138,7 +145,7 @@ def cmd_constants(args: argparse.Namespace) -> int:
 
 def cmd_seminorm(args: argparse.Namespace) -> int:
     product = _load_product(args.input)
-    estimate = seminorm(product)  # deterministic: --seed does not change it
+    estimate = seminorm(product)
     _print_json({"estimate": estimate.to_json(), "product": product.to_json()})
     return 0 if 0.0 <= estimate.value <= 1.0 + 1e-9 else 1
 
@@ -235,7 +242,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_surface(args: argparse.Namespace) -> int:
-    solution = solve_surface(a=args.a, starts=args.starts)
+    solution = solve_surface(a=args.a)
     _print_json(solution.to_json())
     if args.csv:
         writer = csv.writer(sys.stdout, lineterminator="\n")
@@ -270,9 +277,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        description="The estimate is deterministic: its starts are fixed "
                                    "by the product.")
     p.add_argument("--input", required=True, metavar="FILE")
-    p.add_argument("--seed", type=_unsigned, default=0,
-                   help="accepted so that existing scripts run; it does not change the "
-                        "estimate")
     p.set_defaults(func=cmd_seminorm)
 
     p = sub.add_parser("sweep", help="randomized seminorm sweep with violation check")
@@ -285,9 +289,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("theorem4", help="constructive pointwise lower bound")
     p.add_argument("--input", required=True, metavar="FILE")
-    p.add_argument("--d", type=float, default=DEFAULT_D)
+    p.add_argument("--d", type=_threshold, default=DEFAULT_D)
     p.add_argument("--delta-override", type=float, default=None)
-    p.add_argument("--samples", type=_positive, default=20)
+    p.add_argument("--samples", type=_sample_count, default=20)
     p.set_defaults(func=cmd_theorem4)
 
     p = sub.add_parser("analyze", help="critical points, monodromy and sheet tree")
@@ -301,7 +305,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("surface", help="solve the two-sheeted surface parameters")
     p.add_argument("--a", type=_threshold, default=None)
-    p.add_argument("--starts", type=_positive, default=29)
     p.add_argument("--csv", action="store_true",
                    help="also print a node-count convergence table")
     p.set_defaults(func=cmd_surface)

@@ -114,11 +114,16 @@ class BlaschkeProduct:
     def from_json(data: dict) -> "BlaschkeProduct":
         if not isinstance(data, dict) or "zeros" not in data:
             raise DomainError("product JSON must be an object with a 'zeros' list")
-        rot = data.get("rotation", [1.0, 0.0])
+
+        def pair(p) -> complex:
+            if not isinstance(p, (list, tuple)) or len(p) != 2:
+                raise ValueError(f"expected a pair [re, im], got {p!r}")
+            return complex(float(p[0]), float(p[1]))
+
         try:
-            rotation = complex(float(rot[0]), float(rot[1]))
-            zeros = tuple(complex(float(p[0]), float(p[1])) for p in data["zeros"])
-        except (TypeError, ValueError, IndexError) as exc:
+            rotation = pair(data.get("rotation", [1.0, 0.0]))
+            zeros = tuple(pair(p) for p in data["zeros"])
+        except (TypeError, ValueError) as exc:
             raise DomainError(f"malformed product JSON: {exc}") from None
         return BlaschkeProduct(zeros, rotation)
 

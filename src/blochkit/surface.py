@@ -71,6 +71,11 @@ MAP_TOL = 1e-12
 #: checkpoint
 RADIUS_PROBE = -0.0205 + 0.3659j
 
+#: starts of the radius search: the probe, then a 7 x 4 grid over the
+#: fundamental domain
+RADIUS_STARTS = (RADIUS_PROBE,) + tuple(
+    complex(x, y) for x in np.linspace(-1.2, 1.2, 7) for y in (0.15, 0.36, 0.7, 1.2))
+
 
 @dataclass(frozen=True)
 class SurfaceSolution:
@@ -207,19 +212,7 @@ def solve_parameters(a: float) -> tuple[float, float]:
     the best point the iteration reached."""
     if not (0.0 < a < 1.0):
         raise DomainError("slit parameter must satisfy 0 < a < 1")
-    c, d, norm = _newton_from((1.1, 1.8), a)
-    if norm < 1e-9:
-        return c, d
-    raise ConvergenceError(
-        f"parameter solve failed from the start (1.1, 1.8); "
-        f"best point (c, d) = ({c!r}, {d!r}) with residual {norm:.3g}"
-    )
-
-
-def _newton_from(start: tuple[float, float], a: float):
-    """The last point (c, d) of the damped Newton iteration from ``start``
-    and its largest residual."""
-    c, d = start
+    start = c, d = 1.1, 1.8
     r, jac = parameter_jacobian(c, d, a)
     norm = float(np.max(np.abs(r)))
     for _ in range(100):
@@ -230,6 +223,7 @@ def _newton_from(start: tuple[float, float], a: float):
         except np.linalg.LinAlgError:
             break
         u, v = math.log(c - 1.0), math.log(d - c)
+        step = None
         alpha = 1.0
         while alpha > 1e-8:
             try:
@@ -240,7 +234,7 @@ def _newton_from(start: tuple[float, float], a: float):
             if (cn, dn) == (c, d):
                 # the residuals sit on their quadrature floor above the 1e-12
                 # goal; no step that rounds to nothing can lower them
-                return c, d, norm
+                break
             rn = None
             if 1.0 < cn < dn < math.inf:
                 # a trial point comes with its Jacobian, in the same batch,
@@ -253,22 +247,28 @@ def _newton_from(start: tuple[float, float], a: float):
                     pass
             if (rn is not None and np.isfinite(jn).all()
                     and np.max(np.abs(rn)) < norm * (1.0 - 1e-4 * alpha) + 1e-15):
+                step = cn, dn, rn, jn
                 break
             if norm < 1e-9:
                 # the point already passes, and a full step that fails here
                 # meets the quadrature floor: halved steps would only
                 # revisit its noise
-                return c, d, norm
+                break
             alpha *= 0.5
-        else:
+        if step is None:
             break
-        c, d, r, jac = cn, dn, rn, jn
+        c, d, r, jac = step
         previous, norm = norm, float(np.max(np.abs(r)))
         if norm >= previous:
             # taken only through the 1e-15 slack: the residuals sit on their
             # quadrature floor, where more steps wander without lowering them
             break
-    return c, d, norm
+    if norm < 1e-9:
+        return c, d
+    raise ConvergenceError(
+        f"parameter solve failed from the start {start}; "
+        f"best point (c, d) = ({c!r}, {d!r}) with residual {norm:.3g}"
+    )
 
 
 # ----------------------------------------------------------------------------
@@ -407,32 +407,7 @@ def _stationary_maximum(z: complex, c: float, d: float) -> complex | None:
     return None
 
 
-def _van_der_corput(count: int) -> np.ndarray:
-    """First ``count`` terms of the base-2 radical-inverse sequence (no zero)."""
-    out = np.empty(count)
-    for i in range(count):
-        x, f, n = 0.0, 0.5, i + 1
-        while n:
-            if n & 1:
-                x += f
-            f *= 0.5
-            n >>= 1
-        out[i] = x
-    return out
-
-
-def _default_starts(count: int) -> list[complex]:
-    starts = [RADIUS_PROBE]
-    for xx in np.linspace(-1.2, 1.2, 7):
-        for yy in (0.15, 0.36, 0.7, 1.2):
-            starts.append(complex(xx, yy))
-    # the base-2 radical inverse fills extra starts deterministically
-    for x in _van_der_corput(max(count - len(starts), 0)):
-        starts.append(complex(2.4 * (x - 0.5), 0.1 + 1.3 * x))
-    return starts[:max(count, 1)]
-
-
-def maximize_radius(sol: SurfaceSolution, starts: int = 29) -> tuple[complex, float]:
+def maximize_radius(sol: SurfaceSolution) -> tuple[complex, float]:
     """Deterministic multistart maximization of the radius over the half-plane.
 
     Each start runs a damped Newton iteration on the closed-form stationarity
@@ -442,13 +417,13 @@ def maximize_radius(sol: SurfaceSolution, starts: int = 29) -> tuple[complex, fl
     toward the lexicographically smallest (Re, Im) argmax.  Raises
     ConvergenceError when no start reaches a local maximum."""
     found: list[complex] = []
-    for start in _default_starts(starts):
+    for start in RADIUS_STARTS:
         z = _stationary_maximum(start, sol.c, sol.d)
         if z is not None and all(abs(z - w) > 1e-8 for w in found):
             found.append(z)
     if not found:
         raise ConvergenceError(f"no radius search start reached a local maximum "
-                               f"(c={sol.c!r}, d={sol.d!r}, starts={starts})")
+                               f"(c={sol.c!r}, d={sol.d!r})")
     value, x, y = min((-conformal_radius_at(z, sol), z.real, z.imag) for z in found)
     return complex(x, y), -value
 
@@ -472,7 +447,7 @@ def edge_integrals(sol: SurfaceSolution, ray: float = 50.0) -> dict:
     }
 
 
-def solve_surface(a: float | None = None, starts: int = 29) -> SurfaceSolution:
+def solve_surface(a: float | None = None) -> SurfaceSolution:
     """Full pipeline: parameters, then radius maximization."""
     if a is None:
         from .slitdisk import default_threshold
@@ -480,5 +455,5 @@ def solve_surface(a: float | None = None, starts: int = 29) -> SurfaceSolution:
         a = default_threshold()
     c, d = solve_parameters(a)
     provisional = SurfaceSolution(a, c, d, 1.0, RADIUS_PROBE)
-    argmax, r0 = maximize_radius(provisional, starts=starts)
+    argmax, r0 = maximize_radius(provisional)
     return replace(provisional, r0=r0, argmax_z=argmax)

@@ -140,7 +140,7 @@ def test_acceptance_06_exact_rational_bounds(capsys):
 
 
 def test_acceptance_07_quadrature_and_path_independence(capsys):
-    sol = solve_surface(starts=2)
+    sol = solve_surface()
     f256 = parameter_integrals_fixed(sol.c, sol.d, 256)
     f512 = parameter_integrals_fixed(sol.c, sol.d, 512)
     doubling = max(abs(f256[0] - f512[0]), abs(f256[1] - f512[1]))

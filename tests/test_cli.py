@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import io
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -93,9 +95,14 @@ def test_out_of_range_arguments_are_usage_errors(capsys, product_file):
     for a in ("1.5", "1", "0", "-0.1", "nan", "inf"):
         _usage_error(capsys, "analyze", "--input", product_file, "--a", a)
         _usage_error(capsys, "surface", "--a", a)
+        _usage_error(capsys, "theorem4", "--input", product_file, "--d", a)
+    for samples in ("1", "0", "-3"):
+        _usage_error(capsys, "theorem4", "--input", product_file, "--samples", samples)
     parser = _build_parser()
     assert parser.parse_args(["sweep", "--max-degree", str(MAX_DEGREE)]).max_degree == MAX_DEGREE
     assert parser.parse_args(["surface", "--a", "0.1"]).a == 0.1
+    args = parser.parse_args(["theorem4", "--input", product_file, "--samples", "2"])
+    assert args.samples == 2
 
 
 def test_cached_parser_keeps_no_state_between_calls(capsys):
@@ -137,6 +144,13 @@ def test_seminorm_bad_inputs(tmp_path):
     outside = tmp_path / "outside.json"
     outside.write_text(json.dumps({"zeros": [[1.5, 0.0]]}), encoding="utf-8")
     assert run_cli("seminorm", "--input", str(outside)).returncode == 2
+    for payload in ({"zeros": [[0.1, 0.2, 9.0]]},
+                    {"zeros": [[0.1, 0.2]], "rotation": [1.0, 0.0, 0.0]}):
+        extra = tmp_path / "extra.json"
+        extra.write_text(json.dumps(payload), encoding="utf-8")
+        out = run_cli("seminorm", "--input", str(extra))
+        assert out.returncode == 2 and out.stdout == ""
+        assert "expected a pair [re, im]" in out.stderr
 
 
 def test_sweep_json_and_determinism():
@@ -198,12 +212,16 @@ def test_theorem4_d_variants(product_file):
     assert inadmissible.returncode == 1
 
 
-def test_seminorm_seed_does_not_change_the_output(product_file):
-    """The estimate is deterministic; --seed is accepted and ignored."""
-    first = run_cli("seminorm", "--input", product_file, "--seed", "0")
-    second = run_cli("seminorm", "--input", product_file, "--seed", "7")
+def test_seminorm_output_is_deterministic(product_file):
+    first = run_cli("seminorm", "--input", product_file)
+    second = run_cli("seminorm", "--input", product_file)
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
+
+
+def test_options_that_changed_no_result_are_gone(capsys, product_file):
+    _usage_error(capsys, "seminorm", "--input", product_file, "--seed", "0")
+    _usage_error(capsys, "surface", "--starts", "2")
 
 
 def test_analyze_subcommand(product_file):
@@ -259,7 +277,7 @@ def test_analyze_perturb_path(tmp_path):
 
 
 def test_surface_subcommand_with_csv():
-    out = run_cli("surface", "--starts", "2", "--csv")
+    out = run_cli("surface", "--csv")
     assert out.returncode == 0
     json_part, csv_part = out.stdout.split("}\n", 1)
     data = json.loads(json_part + "}")
@@ -268,3 +286,33 @@ def test_surface_subcommand_with_csv():
     rows = list(csv.reader(io.StringIO(csv_part)))
     assert rows[0] == ["nodes", "height_integral", "width_integral"]
     assert [int(r[0]) for r in rows[1:]] == [32, 64, 128, 256, 512, 1024]
+
+
+def _readme_sections() -> dict[str, tuple[str, str]]:
+    """Per subcommand, the README's first ```sh block of its section and the
+    whole section text."""
+    text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    sections = {}
+    for match in re.finditer(r"^### `blochkit (\w+)`\n(.*?)(?=^##)", text, re.M | re.S):
+        body = match.group(2)
+        usage = re.search(r"^```sh\n(.*?)^```", body, re.M | re.S)
+        sections[match.group(1)] = (usage.group(1) if usage else "", body)
+    return sections
+
+
+def test_readme_usage_matches_the_parser():
+    from blochkit.cli import _build_parser
+
+    parser = _build_parser()
+    subparsers = next(action for action in parser._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    sections = _readme_sections()
+    assert set(sections) == set(subparsers.choices)
+    for name, sub in subparsers.choices.items():
+        options = {option for action in sub._actions for option in action.option_strings
+                   if option.startswith("--") and option != "--help"}
+        usage, body = sections[name]
+        # the usage block offers only real options, and the section names
+        # every option and no removed one
+        assert set(re.findall(r"--[\w-]+", usage)) <= options, name
+        assert set(re.findall(r"--[\w-]+", body)) == options, name

@@ -36,6 +36,17 @@ def test_degree_and_round_trip():
     assert B.degree == 2
 
 
+def test_malformed_pairs_are_rejected():
+    """A zero or rotation must be a pair [re, im]; a third number is not
+    dropped."""
+    for data in ({"zeros": [[0.1, 0.2, 9.0]]},
+                 {"zeros": [[0.1, 0.2]], "rotation": [1.0, 0.0, 0.5]},
+                 {"zeros": [[0.1]]}, {"zeros": [0.1]}, {"zeros": ["ab"]},
+                 {"zeros": [[0.1, 0.2]], "rotation": "10"}):
+        with pytest.raises(DomainError, match="malformed product JSON"):
+            BlaschkeProduct.from_json(data)
+
+
 def test_zero_validation():
     with pytest.raises(DomainError):
         BlaschkeProduct((1.0 + 0j,))

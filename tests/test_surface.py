@@ -15,11 +15,12 @@ from blochkit.quadrature import integrate_fixed
 from blochkit.slitdisk import default_threshold
 from blochkit.surface import (
     RADIUS_PROBE,
+    RADIUS_STARTS,
     SurfaceSolution,
-    _default_starts,
     _F,
     _log_radius_derivatives,
     _segment_clearance,
+    _stationary_maximum,
     conformal_radius_at,
     edge_integrals,
     map_f,
@@ -36,7 +37,7 @@ CHECKPOINT_RADIUS = 0.6953559267642164
 
 @pytest.fixture(scope="module")
 def solution() -> SurfaceSolution:
-    return solve_surface(starts=8)
+    return solve_surface()
 
 
 def test_parameter_residuals(solution):
@@ -122,7 +123,8 @@ def test_solution_maximum_consistency(solution):
 
 
 def test_maximize_probe_only_agrees(solution):
-    argmax, value = maximize_radius(solution, starts=1)
+    argmax = _stationary_maximum(RADIUS_PROBE, solution.c, solution.d)
+    value = conformal_radius_at(argmax, solution)
     assert abs(value - solution.r0) < 1e-6
     assert abs(argmax - solution.argmax_z) < 1e-3
 
@@ -175,23 +177,24 @@ def test_solve_survives_a_failed_trial_quadrature():
 
 
 def test_default_starts_are_pinned():
-    starts = _default_starts(40)
     grid = [complex(x, y) for x in np.linspace(-1.2, 1.2, 7) for y in (0.15, 0.36, 0.7, 1.2)]
-    assert starts[:29] == [RADIUS_PROBE] + grid
-    assert starts[29:] == [
-        0.75j, -0.6 + 0.42500000000000004j, 0.6 + 1.0750000000000002j,
-        -0.8999999999999999 + 0.2625j, 0.3 + 0.9125j, -0.3 + 0.5875j,
-        0.8999999999999999 + 1.2375j, -1.05 + 0.18125000000000002j,
-        0.15 + 0.83125j, -0.44999999999999996 + 0.50625j,
-        0.75 + 1.1562500000000002j,
-    ]
-    assert _default_starts(8) == starts[:8]
-    assert _default_starts(0) == starts[:1]
+    assert list(RADIUS_STARTS) == [RADIUS_PROBE] + grid
 
 
 # ----------------------------------------------------------------------------
 # the radius search against an independent Nelder-Mead search
 # ----------------------------------------------------------------------------
+
+#: the 29 starts of the search and 11 more points spread over the same box:
+#: the reference search runs from all 40
+REFERENCE_STARTS = RADIUS_STARTS + (
+    0.75j, -0.6 + 0.42500000000000004j, 0.6 + 1.0750000000000002j,
+    -0.8999999999999999 + 0.2625j, 0.3 + 0.9125j, -0.3 + 0.5875j,
+    0.8999999999999999 + 1.2375j, -1.05 + 0.18125000000000002j,
+    0.15 + 0.83125j, -0.44999999999999996 + 0.50625j,
+    0.75 + 1.1562500000000002j,
+)
+
 
 def _seg_min_dist_reference(p0, p1, points):
     d = p1 - p0
@@ -284,7 +287,7 @@ def scalar_search(request):
     c, d = solve_parameters(a)
     results = [_nm_max_reference(lambda x, y: _radius_reference(x, y, c, d, 64),
                                  s.real, s.imag, 0.1, 1e-11, 300)
-               for s in _default_starts(40)]
+               for s in REFERENCE_STARTS]
     return a, c, d, results
 
 
@@ -299,11 +302,14 @@ def _scalar_best(scalar_search):
     return sol, complex(x, y), conformal_radius_at(complex(x, y), sol)
 
 
-# the name is kept from the lockstep Nelder-Mead that the Newton search replaced
+# the name is kept from the lockstep Nelder-Mead that the Newton search replaced;
+# the search runs from the first ``count`` reference starts, so this checks
+# that the number of starts changes no result
 @pytest.mark.parametrize("count", (1, 2, 8, 29, 40))
-def test_lockstep_search_matches_the_scalar_search(scalar_search, count):
+def test_lockstep_search_matches_the_scalar_search(scalar_search, count, monkeypatch):
     sol, point, reference = _scalar_best(scalar_search)
-    argmax, r0 = maximize_radius(sol, starts=count)
+    monkeypatch.setattr(surface, "RADIUS_STARTS", REFERENCE_STARTS[:count])
+    argmax, r0 = maximize_radius(sol)
     assert r0 >= reference - 1e-14
     assert abs(argmax - point) <= 1e-5
 
@@ -350,7 +356,7 @@ def test_search_returns_a_nondegenerate_maximum(solution):
 
 def test_failed_radius_search_raises(solution, monkeypatch):
     # this start walks out toward the box edge and never reaches a maximum
-    monkeypatch.setattr(surface, "_default_starts", lambda count: [1.2 + 1.2j])
+    monkeypatch.setattr(surface, "RADIUS_STARTS", (1.2 + 1.2j,))
     with pytest.raises(ConvergenceError):
         maximize_radius(solution)
 
@@ -383,9 +389,9 @@ def _unfiltered_stationary_maximum(z, c, d):
     return None
 
 
-def _unfiltered_maximize_radius(sol, starts=29):
+def _unfiltered_maximize_radius(sol):
     found = []
-    for start in _default_starts(starts):
+    for start in RADIUS_STARTS:
         z = _unfiltered_stationary_maximum(start, sol.c, sol.d)
         if z is not None and all(abs(z - w) > 1e-8 for w in found):
             found.append(z)
@@ -574,7 +580,7 @@ def test_parameter_points_are_checked():
 
 def test_radius_is_a_python_float(solution):
     assert type(solution.r0) is float
-    assert type(maximize_radius(solution, starts=1)[1]) is float
+    assert type(maximize_radius(solution)[1]) is float
     assert type(conformal_radius_at(RADIUS_PROBE, solution)) is float
 
 
