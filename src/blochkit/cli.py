@@ -101,6 +101,13 @@ def _threshold(text: str) -> float:
     return value
 
 
+def _delta(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value <= 1.0:
+        raise argparse.ArgumentTypeError("must be a finite value in (0, 1]")
+    return value
+
+
 def _load_product(path: str) -> BlaschkeProduct:
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -169,13 +176,21 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     margin = float(overrides.get("violation_margin", SWEEP_MARGIN))
     floor = computed_constants()["r0"] - margin
 
-    def run_trial(index: int) -> tuple[int, str, BlaschkeProduct, float]:
-        degree, law, product = _sweep_product(args.seed, index, args.max_degree)
-        return degree, law, product, seminorm(product).value
+    # worker k takes trials k, k + workers, ... in one call; each trial
+    # depends only on (seed, index), so the output is the same for any split
+    workers = min(8, os.cpu_count() or 1, args.count)
 
-    workers = min(8, os.cpu_count() or 1)
+    def run_share(first: int) -> list[tuple[int, str, BlaschkeProduct, float]]:
+        share = []
+        for index in range(first, args.count, workers):
+            degree, law, product = _sweep_product(args.seed, index, args.max_degree)
+            share.append((degree, law, product, seminorm(product).value))
+        return share
+
+    trials = [None] * args.count
     with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        trials = list(pool.map(run_trial, range(args.count)))
+        for first, share in enumerate(pool.map(run_share, range(workers))):
+            trials[first::workers] = share
 
     values = [t[3] for t in trials]
     winner = min(range(args.count), key=lambda i: (values[i], i))
@@ -290,7 +305,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("theorem4", help="constructive pointwise lower bound")
     p.add_argument("--input", required=True, metavar="FILE")
     p.add_argument("--d", type=_threshold, default=DEFAULT_D)
-    p.add_argument("--delta-override", type=float, default=None)
+    p.add_argument("--delta-override", type=_delta, default=None)
     p.add_argument("--samples", type=_sample_count, default=20)
     p.set_defaults(func=cmd_theorem4)
 

@@ -173,6 +173,37 @@ def test_sweep_never_reports_a_value_above_one():
     assert json.loads(out.stdout)["max"] <= 1.0
 
 
+def test_sweep_output_does_not_depend_on_the_worker_count(capsys, monkeypatch):
+    """The trials are split among min(8, cpu_count, count) workers, each
+    taking every workers-th trial; the JSON and CSV output is the same for
+    any split, including fewer trials than CPUs."""
+    import concurrent.futures
+
+    from blochkit import cli
+
+    pool_sizes = []
+
+    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pool_sizes.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(cli.concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+
+    def sweep(cpus: int, count: int, fmt: str) -> str:
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        assert cli.main(["sweep", "--count", str(count), "--max-degree", "16",
+                         "--seed", "5", "--output-format", fmt]) == 0
+        return capsys.readouterr().out
+
+    for count in (1, 2, 11):
+        for fmt in ("json", "csv"):
+            outputs = {sweep(cpus, count, fmt) for cpus in (1, 2, 3, 8)}
+            assert len(outputs) == 1, (count, fmt)
+    assert pool_sizes == [min(cpus, count) for count in (1, 2, 11)
+                          for fmt in ("json", "csv") for cpus in (1, 2, 3, 8)]
+
+
 def test_sweep_csv_rows():
     out = run_cli("sweep", "--count", "7", "--output-format", "csv")
     assert out.returncode == 0
@@ -203,11 +234,16 @@ def test_theorem4_subcommand(product_file):
                                     "base_modulus_margin"}
 
 
-def test_theorem4_d_variants(product_file):
+def test_theorem4_d_variants(capsys, product_file):
+    from blochkit.cli import _build_parser
+
     eighth = run_cli("theorem4", "--input", product_file, "--d", "0.125")
     assert eighth.returncode == 0
-    bad = run_cli("theorem4", "--input", product_file, "--delta-override", "2.0")
-    assert bad.returncode == 1
+    for delta in ("nan", "inf", "-1", "0", "2.0"):
+        _usage_error(capsys, "theorem4", "--input", product_file, "--delta-override", delta)
+    args = _build_parser().parse_args(["theorem4", "--input", product_file,
+                                       "--delta-override", "1"])
+    assert args.delta_override == 1.0
     inadmissible = run_cli("theorem4", "--input", product_file, "--d", "0.75")
     assert inadmissible.returncode == 1
 
