@@ -12,13 +12,12 @@ request.  Set
 
 Both backends expose three entries:
 
-* ``seminorm_search(zeros, lam, slope, max_iter, ftol, barrier_radius)`` ->
-  (value, argmax, starts, iterations), the whole multistart search of
-  ``seminorm`` on the objective |1 + slope B(z)| * |B'(z)| * (1 - |z|^2),
-  that is |f'(B(z))| |B'(z)| (1 - |z|^2) for the catalog map f(w) = w +
-  slope w^2/2, with the first factor exactly 1.0 when slope == 0.0; it is
-  -1.0 outside the barrier: the boundary scan and peak rule of
-  ``products.boundary_peaks``, the starts
+* ``seminorm_search(zeros, lam, slope, max_iter, ftol)`` -> (value,
+  argmax, starts, iterations), the whole multistart search of ``seminorm``
+  on the objective |1 + slope B(z)| * |B'(z)| * (1 - |z|^2), that is
+  |f'(B(z))| |B'(z)| (1 - |z|^2) for the catalog map f(w) = w + slope
+  w^2/2: the boundary scan and peak rule of ``products.boundary_peaks``,
+  the starts
   (origin, zeros, and (1 - t/|B'|) zeta for t in ``_fallback.PEAK_OFFSETS``
   toward each peak zeta) kept at their first occurrence, one safeguarded
   Newton ascent per start on log f = Re H + log(1 - |z|^2), H = log B' +
@@ -32,9 +31,12 @@ Both backends expose three entries:
   predicted gain in log f is at most ftol, taken only if f does not fall;
   when its step rounds to nothing; when halving brings the first-order gain
   to ftol; or after max_iter iterations, which ``iterations`` sums.  A start
-  where f is 0, such as a zero of B', stays.  The C kernel runs it in one
-  call with the interpreter lock released and keeps no global state, so
-  concurrent searches share nothing; the scan constants reach it from
+  where f is 0, such as a zero of B', stays.  The unit circle alone keeps
+  the ascent in the disk: f is 0 on it and negative or NaN beyond it, so
+  the Armijo test f_trial - f >= need f, with f > 0 and need >= 0, rejects
+  every step there.  The C kernel runs it in one call with the interpreter
+  lock released and keeps no global state, so concurrent searches share
+  nothing; the scan constants reach it from
   ``products`` and ``_fallback`` through ``compiled``, so the two backends
   cannot drift apart;
 * ``track_routes(zeros, lam, base, pieces, counts, rules)`` -> (ends, status),
@@ -106,9 +108,14 @@ uniform-law products of degrees 40, 52 and 56 differ by one to three.  With
 slope 1/2 the values also agree to 1e-10 on the scan's special cases that
 ``tests/test_kernels.py`` checks.  The two are not bitwise equal:
 numpy's complex modulus can round apart from C's hypot in the last bit, and
-the scales, boundary weights and Newton steps round with it.  Slope 0 skips
-the first factor and slope 1 multiplies B by exactly 1.0, so neither rounds
-apart from the plain formulas.
+the scales, boundary weights and Newton steps round with it.  For slope 0
+the first factor evaluates to exactly 1.0 and the slope's terms in the
+gradient and Hessian to exactly 0, and slope 1 multiplies B by exactly 1.0,
+so neither rounds apart from the plain formulas.  Next to the circle both
+searches stay inside the disk: on 200 degree-1 products with the zero 1e-6
+to 1e-4 from the circle, whose seminorm is 1, every argmax lies inside and
+every value within 1e-9 of 1 (measured on each backend: argmax at least
+1.0e-6 from the circle, values at most 1 + 1.1e-10).
 ``track_routes`` statuses and the permutations they give are equal, and end
 fibers agree to 1e-12, the corrector's residual floor, over the 296 routes
 that monodromy tracks on 29 products of degrees 3-10, 148 legs out to a
@@ -146,11 +153,11 @@ def compiled(module):
 
     offsets = np.asarray(_fallback.PEAK_OFFSETS, dtype=np.float64)
 
-    def seminorm_search(zeros, lam, slope, max_iter, ftol, barrier_radius):
+    def seminorm_search(zeros, lam, slope, max_iter, ftol):
         # the scan and start constants are the reference's, so no copy can drift
         return module.seminorm_search(_flat(zeros), complex(lam), float(slope), int(max_iter),
-                                      float(ftol), float(barrier_radius), _SCAN_ANGLES,
-                                      _LOCAL_ANGLES, _LOCAL_SPAN, offsets)
+                                      float(ftol), _SCAN_ANGLES, _LOCAL_ANGLES, _LOCAL_SPAN,
+                                      offsets)
 
     def track_routes(zeros, lam, base, pieces, counts, rules):
         zeros = _flat(zeros)

@@ -150,34 +150,26 @@ typedef struct {
 } ascent_point;
 
 /* The numpy reference's _objective at z: f = |1 + slope B(z)|
- * |B'(z)| (1 - |z|^2), the objective for f(w) = w + slope w^2/2, or -1 at and
- * beyond the barrier; and the gradient and Hessian of log f = Re H +
- * log(1 - |z|^2), H = log B' + log(1 + slope B), from H' and H''.  They are
- * not finite where f is 0. */
+ * |B'(z)| (1 - |z|^2), the objective for f(w) = w + slope w^2/2; and the
+ * gradient and Hessian of log f = Re H + log(1 - |z|^2), H = log B' +
+ * log(1 + slope B), from H' and H''.  For slope 0 the first factor is exactly
+ * 1 and the slope's terms in H' and H'' are exactly 0.  f is 0 on the circle
+ * and negative or NaN beyond it, where ascend's line search rejects every
+ * step.  The gradient and Hessian are not finite where f is 0. */
 static void ascent_terms(Py_ssize_t n, const cplx *zr, cplx lam, cplx z, double slope,
-                         double barrier2, ascent_point *out)
+                         ascent_point *out)
 {
-    double r2 = z.re * z.re + z.im * z.im, fp = 1.0, d;
-    cplx b[4], u = mk(1.0, 0.0), h1, h2;
+    double d = 1.0 - (z.re * z.re + z.im * z.im);
+    cplx b[4], u, v1, h1, h2;
 
-    if (r2 >= barrier2) {
-        out->f = -1.0;
-        return;
-    }
     blaschke(n, zr, z, 3, b);
-    if (slope != 0.0) {
-        u = add(mk(1.0, 0.0), scale(slope, mul(lam, b[0])));
-        fp = hypot(u.re, u.im);
-    }
-    out->f = fp * hypot(b[1].re, b[1].im) * (1.0 - r2);
+    u = add(mk(1.0, 0.0), scale(slope, mul(lam, b[0])));
+    out->f = hypot(u.re, u.im) * hypot(b[1].re, b[1].im) * d;
     h1 = quot(b[2], b[1]);
     h2 = sub(quot(b[3], b[1]), mul(h1, h1));
-    if (slope != 0.0) {
-        cplx v1 = quot(scale(slope, mul(lam, b[1])), u);
-        h1 = add(h1, v1);
-        h2 = add(h2, sub(quot(scale(slope, mul(lam, b[2])), u), mul(v1, v1)));
-    }
-    d = 1.0 - r2;
+    v1 = quot(scale(slope, mul(lam, b[1])), u);
+    h1 = add(h1, v1);
+    h2 = add(h2, sub(quot(scale(slope, mul(lam, b[2])), u), mul(v1, v1)));
     out->gx = h1.re - 2.0 * z.re / d;
     out->gy = -h1.im - 2.0 * z.im / d;
     out->hxx = h2.re - 2.0 / d - 4.0 * z.re * z.re / (d * d);
@@ -221,15 +213,14 @@ static double ascent_step(const ascent_point *p, double cap, double *dx, double 
  * is not positive stays.  Returns the iterations and leaves the point
  * reached and f there in *best_z and *best_f. */
 static long ascend(Py_ssize_t n, const cplx *zr, cplx lam, double slope, cplx z0,
-                   double cap, long max_iter, double ftol, double barrier2,
-                   double *best_f, cplx *best_z)
+                   double cap, long max_iter, double ftol, double *best_f, cplx *best_z)
 {
     ascent_point p, q;
     cplx z = z0;
     long it = 0;
     int stop = 0;
 
-    ascent_terms(n, zr, lam, z, slope, barrier2, &p);
+    ascent_terms(n, zr, lam, z, slope, &p);
     while (!stop && p.f > 0.0 && it < max_iter) {
         double dx, dy, rise, t = 1.0;
         int last = !(ascent_step(&p, cap, &dx, &dy, &rise) > ftol);
@@ -240,7 +231,7 @@ static long ascend(Py_ssize_t n, const cplx *zr, cplx lam, double slope, cplx z0
                 stop = 1;
                 break;
             }
-            ascent_terms(n, zr, lam, trial, slope, barrier2, &q);
+            ascent_terms(n, zr, lam, trial, slope, &q);
             if (q.f - p.f >= (last ? 0.0 : ARMIJO * t * rise) * p.f) {
                 z = trial;
                 p = q;
@@ -418,7 +409,7 @@ static Py_ssize_t start_points(Py_ssize_t n, const cplx *zr, const scan_rules *r
  * the best start's end.  Scratch comes from PyMem_RawMalloc, so this runs
  * without the interpreter lock; returns 0 when it cannot be had. */
 static int search(Py_ssize_t n, const cplx *zr, cplx lam, double slope, long max_iter, double ftol,
-                  double barrier2, const scan_rules *rules, search_result *out)
+                  const scan_rules *rules, search_result *out)
 {
     double *weight = NULL, *theta, *modulus, *local, h, f;
     cplx *starts = NULL, *unit, z;
@@ -454,8 +445,7 @@ static int search(Py_ssize_t n, const cplx *zr, cplx lam, double slope, long max
     out->iterations = 0;
     for (i = 0; i < k; i++) {
         h = fmin(0.1, 0.5 * (1.0 - hypot(starts[i].re, starts[i].im)));
-        out->iterations += ascend(n, zr, lam, slope, starts[i], h, max_iter, ftol, barrier2,
-                                  &f, &z);
+        out->iterations += ascend(n, zr, lam, slope, starts[i], h, max_iter, ftol, &f, &z);
         if (beats(f, z, out->value, out->argmax)) {
             out->value = f;
             out->argmax = z;
@@ -834,8 +824,8 @@ static const array_spec search_spec[2] = {
 };
 
 PyDoc_STRVAR(seminorm_search_doc,
-"seminorm_search(zeros, lam, slope, max_iter, ftol, barrier_radius, scan_angles,\n"
-"                local_angles, local_span, offsets) -> (value, argmax, starts, iterations)\n\n"
+"seminorm_search(zeros, lam, slope, max_iter, ftol, scan_angles, local_angles,\n"
+"                local_span, offsets) -> (value, argmax, starts, iterations)\n\n"
 "The multistart search of the numpy reference's seminorm_search in one call: the\n"
 "boundary scan on scan_angles uniform angles plus local_angles over arg a +-\n"
 "local_span (1 - |a|) for each zero near the circle, the deduplicated starts,\n"
@@ -850,9 +840,9 @@ static PyObject *seminorm_search(PyObject *Py_UNUSED(self), PyObject *args)
     search_result out;
     int ok;
     long max_iter;
-    double slope, ftol, radius;
+    double slope, ftol;
 
-    if (!PyArg_ParseTuple(args, "ODdlddiidO", &obj[0], &lam, &slope, &max_iter, &ftol, &radius,
+    if (!PyArg_ParseTuple(args, "ODdldiidO", &obj[0], &lam, &slope, &max_iter, &ftol,
                           &rules.scan, &rules.local, &rules.span, &obj[1]))
         return NULL;
     if (rules.scan < 1 || rules.local < 2) {
@@ -864,8 +854,8 @@ static PyObject *seminorm_search(PyObject *Py_UNUSED(self), PyObject *args)
     rules.offsets = b[1].buf;
     rules.noff = b[1].len / 8;
     Py_BEGIN_ALLOW_THREADS
-    ok = search(b[0].len / 16, b[0].buf, mk(lam.real, lam.imag), slope, max_iter, ftol,
-                radius * radius, &rules, &out);
+    ok = search(b[0].len / 16, b[0].buf, mk(lam.real, lam.imag), slope, max_iter, ftol, &rules,
+                &out);
     Py_END_ALLOW_THREADS
     release_arrays(b, 2);
     if (!ok)

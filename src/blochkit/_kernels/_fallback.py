@@ -29,39 +29,34 @@ PEAK_OFFSETS = (0.25, 0.5, 1.0)
 _ARMIJO = 1e-4
 
 
-def _objective(zeros: np.ndarray, lam: complex, pts: np.ndarray, slope: float,
-               barrier_radius: float):
+def _objective(zeros: np.ndarray, lam: complex, pts: np.ndarray, slope: float):
     """(f, grad, hess): f = |1 + slope B(z)| |B'(z)| (1 - |z|^2), the
-    objective for f(w) = w + slope w^2/2, or -1 at and beyond the barrier;
-    and for g = log f = Re H + log(1 - |z|^2), H = log B' + log(1 + slope B),
-    the gradient as the rows (g_x, g_y) and the Hessian as the rows (g_xx,
-    g_xy, g_yy).  For holomorphic H, Re H has gradient conj(H') and Hessian
-    [[Re H'', -Im H''], [-Im H'', -Re H'']], with H' = B''/B' + slope B'/(1 +
-    slope B) and H'' = B'''/B' - (B''/B')^2 + slope B''/(1 + slope B) -
-    (slope B'/(1 + slope B))^2.  They are not finite where f is 0 or -1."""
+    objective for f(w) = w + slope w^2/2; and for g = log f = Re H + log(1 -
+    |z|^2), H = log B' + log(1 + slope B), the gradient as the rows (g_x, g_y)
+    and the Hessian as the rows (g_xx, g_xy, g_yy).  For holomorphic H, Re H
+    has gradient conj(H') and Hessian [[Re H'', -Im H''], [-Im H'', -Re H'']],
+    with H' = B''/B' + slope B'/(1 + slope B) and H'' = B'''/B' - (B''/B')^2 +
+    slope B''/(1 + slope B) - (slope B'/(1 + slope B))^2.  For slope 0 the
+    first factor of f is exactly 1 and the slope's terms are exactly 0.  f is
+    0 on the circle and negative or NaN beyond it, where the line search of
+    _refine_starts rejects every step.  The gradient and Hessian are not
+    finite where f is 0, such as at a zero of B' or on the circle."""
     pts = np.asarray(pts, dtype=np.complex128)
-    out = np.full(pts.shape, -1.0)
-    grad = np.full((2,) + pts.shape, np.nan)
-    hess = np.full((3,) + pts.shape, np.nan)
-    r2 = pts.real**2 + pts.imag**2
-    ok = r2 < barrier_radius * barrier_radius
-    if ok.any():
-        value, der, second, third = _value_and_derivative(zeros, lam, pts[ok], higher=True)
-        fp = 1.0 if slope == 0.0 else np.abs(1.0 + slope * value)
-        out[ok] = fp * np.abs(der) * (1.0 - r2[ok])
-        h1 = second / der
-        h2 = third / der - h1 * h1
-        if slope != 0.0:
-            v1 = slope * der / (1.0 + slope * value)
-            h1 = h1 + v1
-            h2 = h2 + (slope * second / (1.0 + slope * value) - v1 * v1)
-        x, y, d = pts[ok].real, pts[ok].imag, 1.0 - r2[ok]
-        grad[0, ok] = h1.real - 2.0 * x / d
-        grad[1, ok] = -h1.imag - 2.0 * y / d
-        hess[0, ok] = h2.real - 2.0 / d - 4.0 * x * x / (d * d)
-        hess[1, ok] = -h2.imag - 4.0 * x * y / (d * d)
-        hess[2, ok] = -h2.real - 2.0 / d - 4.0 * y * y / (d * d)
-    return out, grad, hess
+    value, der, second, third = _value_and_derivative(zeros, lam, pts, higher=True)
+    x, y = pts.real, pts.imag
+    d = 1.0 - (x**2 + y**2)
+    u = 1.0 + slope * value
+    f = np.abs(u) * np.abs(der) * d
+    h1 = second / der
+    h2 = third / der - h1 * h1
+    v1 = slope * der / u
+    h1 = h1 + v1
+    h2 = h2 + (slope * second / u - v1 * v1)
+    grad = np.stack([h1.real - 2.0 * x / d, -h1.imag - 2.0 * y / d])
+    hess = np.stack([h2.real - 2.0 / d - 4.0 * x * x / (d * d),
+                     -h2.imag - 4.0 * x * y / (d * d),
+                     -h2.real - 2.0 / d - 4.0 * y * y / (d * d)])
+    return f, grad, hess
 
 
 def _ascent_step(grad: np.ndarray, hess: np.ndarray, scale: np.ndarray):
@@ -91,18 +86,18 @@ def _ascent_step(grad: np.ndarray, hess: np.ndarray, scale: np.ndarray):
     return dx + 1j * dy, rise, gain
 
 
-def refine_starts(zeros, lam, starts, scales, slope, max_iter, ftol, barrier_radius):
+def refine_starts(zeros, lam, starts, scales, slope, max_iter, ftol):
     """One safeguarded Newton ascent on log f per start, all starts in
     lockstep; returns the (values, points, iterations) they reach."""
     # points sitting on a zero divide by zero in the log-derivative sum, which
     # the product rule replaces, and where B' = 0 the Newton terms divide by
-    # it, but such a start never moves: the warnings carry no news
+    # it, but such a start never moves, and a trial on the circle divides by
+    # 1 - |z|^2 = 0, but its step is rejected: the warnings carry no news
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return _refine_starts(zeros, lam, starts, scales, slope, max_iter, ftol,
-                              barrier_radius)
+        return _refine_starts(zeros, lam, starts, scales, slope, max_iter, ftol)
 
 
-def _refine_starts(zeros, lam, starts, scales, slope, max_iter, ftol, barrier_radius):
+def _refine_starts(zeros, lam, starts, scales, slope, max_iter, ftol):
     """Each iteration takes the step of _ascent_step at the start's scale and
     halves it until f rises by at least _ARMIJO times its first-order gain,
     rise f.  A start stops after the first step whose predicted gain is at
@@ -116,7 +111,7 @@ def _refine_starts(zeros, lam, starts, scales, slope, max_iter, ftol, barrier_ra
     lam = complex(lam)
 
     def terms(pts):
-        return _objective(zeros, lam, pts, slope, float(barrier_radius))
+        return _objective(zeros, lam, pts, slope)
 
     f, grad, hess = terms(z)
     iters = np.zeros(z.size, dtype=np.int64)
@@ -185,13 +180,13 @@ def _argbest(vals: np.ndarray, pts: np.ndarray) -> int:
     return keys[0][2]
 
 
-def seminorm_search(zeros, lam, slope, max_iter, ftol, barrier_radius):
+def seminorm_search(zeros, lam, slope, max_iter, ftol):
     """The multistart search: one refine_starts pass over the starts of
     _start_points, each at the scale of _scales; returns (value, argmax,
     starts, iterations) of the best start."""
     starts = _start_points(zeros)
     vals, pts, iters = refine_starts(zeros, lam, starts, _scales(starts), slope, max_iter,
-                                     ftol, barrier_radius)
+                                     ftol)
     best = _argbest(vals, pts)
     return float(vals[best]), complex(pts[best]), starts.size, int(np.sum(iters))
 

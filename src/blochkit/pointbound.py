@@ -30,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DegenerateError, DomainError, StructureError
+from .errors import DegenerateError, DomainError
 from .products import BlaschkeProduct, boundary_derivative_modulus, boundary_peaks, evaluate
 from .seminorm import _golden_section, pointwise_bloch
 
@@ -105,7 +105,9 @@ def guaranteed_bound(d_param: float, delta: float) -> float:
 
 
 def guaranteed_bound_exact(d_param: Fraction, delta: Fraction) -> Fraction:
-    """Same product in exact rational arithmetic."""
+    """Same product in exact rational arithmetic: an independent reference
+    that the tests check ``guaranteed_bound`` and the paper's rationals
+    against; nothing in the package calls it."""
     q = (1 - d_param) ** 2
     return d_param * delta * (1 - d_param * delta / q) * (1 - 2 * d_param / q)
 
@@ -164,29 +166,3 @@ def verify_construction(B: BlaschkeProduct, result: ConstructiveResult,
         "cofactor_margin": cof,
         "base_modulus_margin": float(base),
     }
-
-
-def optimize_d(B: BlaschkeProduct, zeta: complex, delta: float,
-               grid: int = 2000) -> tuple[float, float]:
-    """Best admissible d for the certified product (grid + golden polish).
-
-    The certificate is meaningful only while both parenthesized factors stay
-    positive — in particular 1 - 2d/(1-d)^2 > 0 forces d < 2 - sqrt(3); the
-    dense grid over (0.01, 0.5) intersected with that region brackets the
-    single interior maximum.
-    """
-    slope = boundary_derivative_modulus(B, complex(zeta))
-    ds = np.linspace(0.01, 0.5, grid)
-    q = (1.0 - ds) ** 2
-    admissible = ((ds * delta < slope)
-                  & (1.0 - ds * delta / q > 0.0)
-                  & (1.0 - 2.0 * ds / q > 0.0))
-    ds = ds[admissible]
-    if ds.size == 0:
-        raise StructureError("no admissible d keeps z0 inside the disk")
-    vals = np.array([guaranteed_bound(float(x), delta) for x in ds])
-    k = int(np.argmax(vals))
-    lo = float(ds[max(k - 1, 0)])
-    hi = float(ds[min(k + 1, ds.size - 1)])
-    d_star = _golden_section(lambda x: guaranteed_bound(x, delta), lo, hi, 1e-12)
-    return d_star, guaranteed_bound(d_star, delta)

@@ -41,7 +41,6 @@ from . import _kernels as impl
 from .errors import DomainError
 from .products import BlaschkeProduct, derivative, evaluate
 
-BARRIER_RADIUS = 1.0 - 1e-9
 MAX_ITERATIONS = 500        # Newton iterations per start
 #: a start stops after the first Newton step whose predicted gain in the
 #: logarithm of the quantity, a relative gain in the quantity, is at most this
@@ -123,7 +122,10 @@ def pointwise_bloch(B: BlaschkeProduct, z: complex) -> float:
 
 def composed_pointwise(entry: AnalyticCatalogEntry, B: BlaschkeProduct,
                        z: complex) -> float:
-    """|f'(B(z))| |B'(z)| (1-|z|^2) for f from the catalog."""
+    """|f'(B(z))| |B'(z)| (1-|z|^2) for f from the catalog.
+
+    An independent reference that the tests check ``composed_seminorm``
+    against; nothing in the package calls it."""
     z = complex(z)
     if abs(z) >= 1.0:
         raise DomainError("pointwise quantity is defined for |z| < 1")
@@ -160,8 +162,7 @@ def seminorm(B: BlaschkeProduct) -> SeminormEstimate:
     both round apart further next to the circle (see ``blochkit._kernels``).
     """
     value, argmax, used, iters = impl.seminorm_search(
-        B.zeros_array, complex(B.rotation), 0.0, MAX_ITERATIONS, OBJECTIVE_TOLERANCE,
-        BARRIER_RADIUS)
+        B.zeros_array, complex(B.rotation), 0.0, MAX_ITERATIONS, OBJECTIVE_TOLERANCE)
     return SeminormEstimate(min(value, 1.0), argmax, used, iters)
 
 
@@ -172,7 +173,7 @@ def composed_seminorm(entry: AnalyticCatalogEntry, B: BlaschkeProduct) -> Semino
     |f'| can exceed 1."""
     value, argmax, used, iters = impl.seminorm_search(
         B.zeros_array, complex(B.rotation), entry.slope, MAX_ITERATIONS,
-        OBJECTIVE_TOLERANCE, BARRIER_RADIUS)
+        OBJECTIVE_TOLERANCE)
     return SeminormEstimate(value, argmax, used, iters)
 
 
@@ -180,7 +181,8 @@ def znorm_closed_form(n: int) -> float:
     """sup over [0,1) of n x^(n-1) (1-x^2) = (2n/(n+1)) ((n-1)/(n+1))^((n-1)/2).
 
     Strictly decreasing in n, tending to 2/e; n = 1 gives 1.  Evaluated with
-    log1p so that huge n stays accurate.
+    log1p so that huge n stays accurate.  An independent reference that the
+    tests check the search on z^n against; nothing in the package calls it.
     """
     if n < 1:
         raise DomainError("degree must be a positive integer")

@@ -119,7 +119,10 @@ def a_of_s(s: float) -> float:
 
 
 def g_profile(x, a: float):
-    """Conformal-radius profile g(x) for x > 0 (scalar or array)."""
+    """Conformal-radius profile g(x) for x > 0 (scalar or array).
+
+    An independent reference, in closed form, that the tests check
+    ``max_conformal_radius`` against; nothing in the package calls it."""
     a = _check_a(a)
     xs = np.asarray(x, dtype=float)
     if np.any(xs <= 0.0) or not np.all(np.isfinite(xs)):

@@ -434,7 +434,9 @@ def edge_integrals(sol: SurfaceSolution, ray: float = 50.0) -> dict:
     Returns the rectangle height (2*I1 = 3*pi), the rectangle width
     (2*I2 = -log a), the drop between the two horizontal edges (the integral
     over [c, d], equal to pi), and the half-strip width measured as
-    |Im f(-ray) - Im f(ray)| (equal to 2*pi)."""
+    |Im f(-ray) - Im f(ray)| (equal to 2*pi).  An independent reference,
+    by adaptive quadrature, that the tests check the solved parameters
+    against; nothing in the package calls it."""
     i1, i2, i3 = _side_lengths(
         sol.c, sol.d, 6, lambda f, upper: integrate_adaptive(f, 0.0, upper, tol=1e-13, n0=32)[0])
     width = abs(map_f(complex(-ray, 0.0), sol).imag

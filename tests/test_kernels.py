@@ -45,7 +45,9 @@ def test_backend_reports_name():
 def test_kernel_contract_has_three_entries(ckernel):
     """The C kernel exposes seminorm_search, track_routes and critical_roots,
     and nothing else.  The fallback has those three and refine_starts, the
-    numpy search's Newton pass."""
+    numpy search's Newton pass.  Both seminorm_search entries take the same
+    parameters, and refine_starts keeps its leading positional order, whose
+    sixth argument the benchmark harness reads as max_iter."""
     contract = {"seminorm_search", "track_routes", "critical_roots"}
     compiled = {name for name in dir(ckernel)
                 if not name.startswith("_") and callable(getattr(ckernel, name))}
@@ -55,6 +57,11 @@ def test_kernel_contract_has_three_entries(ckernel):
     assert compiled == contract
     assert fallback == contract | {"refine_starts"}
     assert not hasattr(_kernels, "pointwise_batch")
+    search = ["zeros", "lam", "slope", "max_iter", "ftol"]
+    for entry in (_fallback.seminorm_search, _kernels.compiled(ckernel)[0]):
+        assert list(inspect.signature(entry).parameters) == search
+    assert list(inspect.signature(_fallback.refine_starts).parameters) == [
+        "zeros", "lam", "starts", "scales", "slope", "max_iter", "ftol"]
 
 
 def _run_on_each_backend(ckernel, code: str) -> dict:
@@ -94,11 +101,9 @@ def test_traced_refine_starts_is_the_numpy_pass(ckernel, monkeypatch):
 
     monkeypatch.setattr(_fallback, "refine_starts", counted)
     B = random_product(7, seed=31, law="boundary_concentrated")
-    _, _, starts, _ = _fallback.seminorm_search(B.zeros_array, B.rotation, 0, 500, 1e-10,
-                                                seminorm.BARRIER_RADIUS)
+    _, _, starts, _ = _fallback.seminorm_search(B.zeros_array, B.rotation, 0, 500, 1e-10)
     assert passes == [starts]  # one pass over all the starts
-    _, _, starts, _ = _kernels.compiled(ckernel)[0](B.zeros_array, B.rotation, 0, 500, 1e-10,
-                                                     seminorm.BARRIER_RADIUS)
+    _, _, starts, _ = _kernels.compiled(ckernel)[0](B.zeros_array, B.rotation, 0, 500, 1e-10)
     assert passes == [starts]
 
 
@@ -106,8 +111,7 @@ def _objective_at(zeros, lam, z, slope) -> float:
     """numpy's objective at the one point z; on a zero the product rule
     replaces the log-derivative sum, whose division by zero carries no news."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _fallback._objective(zeros, complex(lam), np.array([z]), slope,
-                                    seminorm.BARRIER_RADIUS)[0][0]
+        return _fallback._objective(zeros, complex(lam), np.array([z]), slope)[0][0]
 
 
 def test_objective_backends_agree_at_the_compiled_argmax(ckernel):
@@ -123,8 +127,8 @@ def test_objective_backends_agree_at_the_compiled_argmax(ckernel):
             for seed in range(10):
                 B = random_product(degree, seed=100 * degree + seed, law=law)
                 for slope in bound:
-                    value, argmax, _, iterations = fast(
-                        B.zeros_array, B.rotation, slope, 0, 1e-10, seminorm.BARRIER_RADIUS)
+                    value, argmax, _, iterations = fast(B.zeros_array, B.rotation, slope, 0,
+                                                        1e-10)
                     ref = _objective_at(B.zeros_array, B.rotation, argmax, slope)
                     assert iterations == 0
                     assert abs(value - ref) <= bound[slope], (law, degree, seed, slope)
@@ -137,7 +141,7 @@ def test_product_rule_backends_agree_at_high_degree(ckernel):
     fast = _kernels.compiled(ckernel)[0]
     ring = (1 - 1e-4) * np.exp(1j * (0.1 + 2 * math.pi * np.arange(399) / 399))
     zeros = np.concatenate([[0j], ring])
-    value, argmax, _, _ = fast(zeros, 1.0 + 0j, 0, 0, 1e-10, seminorm.BARRIER_RADIUS)
+    value, argmax, _, _ = fast(zeros, 1.0 + 0j, 0, 0, 1e-10)
     assert np.any(zeros == argmax)
     assert value > 0.0
     assert abs(value - _objective_at(zeros, 1.0, argmax, 0)) <= 1e-12
@@ -195,7 +199,7 @@ def test_power_products_reach_the_closed_form(kernels):
         for lam in (1.0, complex(math.cos(0.3), math.sin(0.3)), -1j):
             B = BlaschkeProduct((0j,) * n, lam)
             value, argmax, _, _ = search(B.zeros_array, B.rotation, 0.0, seminorm.MAX_ITERATIONS,
-                                         seminorm.OBJECTIVE_TOLERANCE, seminorm.BARRIER_RADIUS)
+                                         seminorm.OBJECTIVE_TOLERANCE)
             expected = seminorm.znorm_closed_form(n)
             assert abs(value - expected) <= 1e-14, (n, lam)
             assert abs(seminorm.pointwise_bloch(B, argmax) - expected) <= 1e-14, (n, lam)
@@ -204,20 +208,64 @@ def test_power_products_reach_the_closed_form(kernels):
 def test_search_with_starts_where_b_prime_vanishes(kernels):
     """B' = 0 at the origin of z^3 and at a repeated zero, both starts: such a
     start keeps the value 0 and takes no step, and the search still returns
-    a finite positive value inside the barrier, for slopes 0 and 1."""
+    a finite positive value inside the disk, for slopes 0 and 1."""
     search = kernels[0]
-    radius = seminorm.BARRIER_RADIUS
     for zeros in (np.zeros(3, dtype=np.complex128), np.array([0.5, 0.5, -0.3j]),
                   np.array([0.9j, 0.9j, 0.9j, 0.2])):
         for slope in (0.0, 1.0):
-            value, argmax, _, _ = search(zeros, 1.0, slope, 500, 1e-10, radius)
+            value, argmax, _, _ = search(zeros, 1.0, slope, 500, 1e-10)
             assert math.isfinite(value) and value > 0.0
-            assert abs(argmax) < radius
+            assert abs(argmax) < 1.0
     values, points, iterations = _fallback.refine_starts(
         np.array([0.5, 0.5, -0.3j]), 1.0, np.array([0.5, 0.0]), np.array([0.1, 0.1]), 0.0, 500,
-        1e-10, radius)
+        1e-10)
     assert values[0] == 0.0 and points[0] == 0.5 and iterations[0] == 0
     assert values[1] > 0.0 and iterations[1] > 0
+
+
+def test_objective_is_zero_on_the_circle_and_not_positive_beyond(ckernel_probe):
+    """The circle is the search's only barrier, on both backends: for each
+    catalog slope the objective is 0 where |z|^2 rounds to 1, and 0,
+    negative or NaN at |z| = 1 + 1e-12 and 1.5, so the Armijo test rejects
+    every step there."""
+    turns = np.exp(2j * math.pi * np.arange(64) / 64)
+    circle = [z for z in np.concatenate([[1, 1j, -1, -1j], turns])
+              if z.real ** 2 + z.imag ** 2 == 1.0]
+    products = [random_product(5, seed=3, law=law) for law in LAWS]
+    products.append(BlaschkeProduct(((1 - 1e-5) * turns[3],), turns[7]))
+
+    def numpy_objective(B, slope, points):
+        with np.errstate(all="ignore"):
+            return _fallback._objective(B.zeros_array, B.rotation, np.array(points), slope)[0]
+
+    def compiled_objective(B, slope, points):
+        return np.array([ckernel_probe.objective(B.zeros_array, B.rotation, complex(z), slope)
+                         for z in points])
+
+    for B in products:
+        for entry in seminorm.CATALOG:
+            for objective in (numpy_objective, compiled_objective):
+                name = (entry.name, objective.__name__)
+                assert np.all(objective(B, entry.slope, circle) == 0.0), name
+                for radius in (1 + 1e-12, 1.5):
+                    assert not np.any(objective(B, entry.slope, radius * turns) > 0.0), name
+
+
+def test_degree_one_searches_next_to_the_circle_stay_inside(kernels):
+    """200 degree-1 products, each zero 1e-6 to 1e-4 from the circle: a disk
+    automorphism's seminorm is exactly 1, attained at its zero.  With no
+    barrier but the circle, each search returns an argmax inside the disk and
+    a value within 1e-9 of 1 (measured: argmax at least 1.0e-6 from the
+    circle; values at most 1 + 1.1e-10)."""
+    search = kernels[0]
+    rng = np.random.default_rng(2027)
+    for _ in range(200):
+        a = (1 - 10 ** rng.uniform(-6, -4)) * np.exp(2j * math.pi * rng.random())
+        lam = np.exp(2j * math.pi * rng.random())
+        value, argmax, _, _ = search(np.array([a]), lam, 0.0, seminorm.MAX_ITERATIONS,
+                                     seminorm.OBJECTIVE_TOLERANCE)
+        assert abs(argmax) < 1.0, a
+        assert abs(value - 1.0) <= 1e-9, a
 
 
 def test_seminorm_backends_agree_on_degrees_1_to_12(ckernel, monkeypatch):
@@ -271,7 +319,7 @@ def test_seminorm_search_backends_agree_on_flat_narrow_and_repeated_zeros(ckerne
     cases.append((np.array([0.5, 0.5, 0.3j, -0.7, 0.3j]), turn))
     for zeros, lam in cases:
         for slope in (0.0, 0.5, 1.0):
-            args = (zeros, lam, slope, 500, 1e-10, seminorm.BARRIER_RADIUS)
+            args = (zeros, lam, slope, 500, 1e-10)
             value, argmax, starts, _ = fast(*args)
             ref_value, ref_argmax, ref_starts, _ = _fallback.seminorm_search(*args)
             assert starts == ref_starts == _fallback._start_points(zeros).size
@@ -283,14 +331,13 @@ def test_compiled_kernel_rejects_bad_arrays(ckernel):
     starts = np.zeros(3, dtype=np.complex128)
     scan = (1024, 32, 8.0, np.array([0.25, 0.5, 1.0]))
     with pytest.raises(TypeError, match="zeros: expected format 'Zd', got 'd'"):
-        ckernel.seminorm_search(np.zeros(2), 0j, 0, 10, 1e-10, 0.5, *scan)
+        ckernel.seminorm_search(np.zeros(2), 0j, 0, 10, 1e-10, *scan)
     with pytest.raises(ValueError, match="not C-contiguous"):
-        ckernel.seminorm_search(np.zeros(4, dtype=np.complex128)[::2], 0j, 0, 10, 1e-10, 0.5,
-                                *scan)
+        ckernel.seminorm_search(np.zeros(4, dtype=np.complex128)[::2], 0j, 0, 10, 1e-10, *scan)
     with pytest.raises(TypeError, match="offsets: expected format 'd', got 'l'"):
-        ckernel.seminorm_search(zeros, 0j, 0, 10, 1e-10, 0.5, *scan[:3], np.ones(3, dtype=int))
+        ckernel.seminorm_search(zeros, 0j, 0, 10, 1e-10, *scan[:3], np.ones(3, dtype=int))
     with pytest.raises(ValueError, match="local_angles >= 2"):
-        ckernel.seminorm_search(zeros, 0j, 0, 10, 1e-10, 0.5, 1024, 1, *scan[2:])
+        ckernel.seminorm_search(zeros, 0j, 0, 10, 1e-10, 1024, 1, *scan[2:])
     # two routes of one piece each, each from its own start fiber of two points
     base = np.zeros(4, dtype=np.complex128)
     pieces = (np.zeros(2, dtype=np.complex128), np.zeros(2, dtype=np.complex128),
@@ -463,8 +510,7 @@ def test_concurrent_calls_match_serial_calls(kernels, monkeypatch):
     bit for bit."""
     search, track, critical = kernels
     products = [random_product(4 + 4 * i, seed=75 + i, law=LAWS[i % 2]) for i in range(4)]
-    jobs = [(search, (B.zeros_array, B.rotation, (0.0, 0.5, 1.0)[i % 3], 500, 1e-10,
-                      seminorm.BARRIER_RADIUS))
+    jobs = [(search, (B.zeros_array, B.rotation, (0.0, 0.5, 1.0)[i % 3], 500, 1e-10))
              for i, B in enumerate(products)]
     products = [random_product(5 + i, seed=80 + i, law=LAWS[i % 2]) for i in range(4)]
     jobs += [(track, args) for args in _tracking_calls(monkeypatch, products)]

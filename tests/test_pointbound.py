@@ -15,7 +15,6 @@ from blochkit.pointbound import (
     construct,
     guaranteed_bound,
     guaranteed_bound_exact,
-    optimize_d,
     select_zeta,
     verify_construction,
 )
@@ -99,15 +98,6 @@ def test_verify_margins_keys():
     result = construct(B, select_zeta(B), compute_delta(B, select_zeta(B)))
     margins = verify_construction(B, result, samples=20)
     assert set(margins) == {"separation_margin", "cofactor_margin", "base_modulus_margin"}
-
-
-def test_optimal_d_window():
-    B = power_product(1)
-    d_star, bound_star = optimize_d(B, 1.0 + 0j, 1.0)
-    assert abs(d_star - 0.1332) < 1e-3
-    assert abs(bound_star - 0.070731) < 1e-5
-    assert bound_star >= guaranteed_bound(DEFAULT_D, 1.0)
-    assert d_star < 2.0 - math.sqrt(3.0)
 
 
 def test_bound_monotone_in_delta():
