@@ -12,9 +12,16 @@ request.  Set
 
 Both backends expose three entries:
 
-* ``seminorm_search(zeros, lam, slope, max_iter, ftol)`` -> (value,
-  argmax, starts, iterations), the whole multistart search of ``seminorm``
-  on the objective |1 + slope B(z)| * |B'(z)| * (1 - |z|^2), that is
+* ``seminorm_search(zeros, ends, lams, slope, max_iter, ftol)`` -> (values,
+  argmaxes, starts, iterations), the whole multistart search of ``seminorm``
+  for each product of a batch: product p has the zeros
+  zeros[ends[p-1]:ends[p]] (from 0 for p = 0) and the rotation lams[p], and
+  entry p of the four arrays (float64, complex128, int64, int64) holds its
+  value, argmax, start count and Newton iterations.  ``ends`` must increase
+  from above 0 to len(zeros), so that no product is empty, and ``lams`` must
+  have one rotation per end; either backend raises ValueError, before any
+  search, on anything else.  Each product's search runs on the objective
+  |1 + slope B(z)| * |B'(z)| * (1 - |z|^2), that is
   |f'(B(z))| |B'(z)| (1 - |z|^2) for the catalog map f(w) = w + slope
   w^2/2: the boundary scan and peak rule of ``products.boundary_peaks``,
   the starts
@@ -34,11 +41,14 @@ Both backends expose three entries:
   where f is 0, such as a zero of B', stays.  The unit circle alone keeps
   the ascent in the disk: f is 0 on it and negative or NaN beyond it, so
   the Armijo test f_trial - f >= need f, with f > 0 and need >= 0, rejects
-  every step there.  The C kernel runs it in one call with the interpreter
-  lock released and keeps no global state, so concurrent searches share
-  nothing; the scan constants reach it from
-  ``products`` and ``_fallback`` through ``compiled``, so the two backends
-  cannot drift apart;
+  every step there.  The C kernel runs the whole batch in one call with the
+  interpreter lock released.  It builds the (cos, sin) table of the scan's
+  uniform angles once per call, in the call's own scratch, so a product's
+  scan reads the same bits as if it were computed in place, and it keeps no
+  global state, so concurrent searches share nothing.  The numpy fallback
+  searches the products one after the other.  The scan constants reach the
+  C kernel from ``products`` and ``_fallback`` through ``compiled``, so the
+  two backends cannot drift apart;
 * ``track_routes(zeros, lam, base, pieces, counts, rules)`` -> (ends, status),
   row l of the L x n start fibers ``base`` continued along route l, for each
   of L routes; n is the number of zeros.  ``pieces`` is
@@ -77,7 +87,7 @@ Both backends expose three entries:
 ``refine_starts`` is ``_fallback.refine_starts`` on both backends, the numpy
 search's Newton pass over all its starts, kept under this name because the
 benchmark harness (``perfbench/run.py``) traces it: its traced calls read 0
-on the C backend and the numpy search's one pass per ``seminorm`` on the
+on the C backend and the numpy search's one pass per product on the
 fallback.
 
 Agreement bound.  Both backends write the same formulas, but numpy may round
@@ -153,11 +163,17 @@ def compiled(module):
 
     offsets = np.asarray(_fallback.PEAK_OFFSETS, dtype=np.float64)
 
-    def seminorm_search(zeros, lam, slope, max_iter, ftol):
+    def seminorm_search(zeros, ends, lams, slope, max_iter, ftol):
+        ends = _flat(ends, np.int64)
+        values = np.empty(ends.size)
+        argmaxes = np.empty(ends.size, dtype=np.complex128)
+        starts = np.empty(ends.size, dtype=np.int64)
+        iterations = np.empty(ends.size, dtype=np.int64)
         # the scan and start constants are the reference's, so no copy can drift
-        return module.seminorm_search(_flat(zeros), complex(lam), float(slope), int(max_iter),
-                                      float(ftol), _SCAN_ANGLES, _LOCAL_ANGLES, _LOCAL_SPAN,
-                                      offsets)
+        module.seminorm_search(_flat(zeros), ends, _flat(lams), float(slope), int(max_iter),
+                               float(ftol), _SCAN_ANGLES, _LOCAL_ANGLES, _LOCAL_SPAN, offsets,
+                               values, argmaxes, starts, iterations)
+        return values, argmaxes, starts, iterations
 
     def track_routes(zeros, lam, base, pieces, counts, rules):
         zeros = _flat(zeros)

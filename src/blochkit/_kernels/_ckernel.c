@@ -1,9 +1,10 @@
 /* Compiled kernel backend, as a plain CPython module with three entries:
  * seminorm_search, the whole multistart search from the boundary scan to
- * the best start, each start refined by a safeguarded Newton ascent on
- * log f; track_routes, fiber tracking one route at a time, each from its own
- * start fiber; and critical_roots, mirrored Ehrlich-Aberth on the numerator
- * of B'/B, one root at a time in scratch linear in the degree.
+ * the best start for each product of a batch, each start refined by a
+ * safeguarded Newton ascent on log f; track_routes, fiber tracking one route
+ * at a time, each from its own start fiber; and critical_roots, mirrored
+ * Ehrlich-Aberth on the numerator of B'/B, one root at a time in scratch
+ * linear in the degree.
  *
  * blochkit._kernels makes the inputs contiguous and allocates the outputs;
  * this module reads and writes them through the buffer protocol, so it needs
@@ -259,6 +260,7 @@ typedef struct {
     double span;    /* ... spanning arg a +- span (1 - |a|) */
     Py_ssize_t noff;
     const double *offsets; /* the starts (1 - t/|B'(zeta)|) zeta, t in offsets */
+    const cplx *uniform;   /* (cos, sin) of the uniform angles step * i */
 } scan_rules;
 
 typedef struct {
@@ -307,7 +309,8 @@ static inline int narrow_peak(cplx a, double step)
  * distinct, their (cos, sin) into unit and |B'| there into modulus; returns
  * their count.  The local angles of the narrow zeros (np.linspace offsets,
  * reduced as np.mod does) are sorted in local and merged with the uniform
- * ones.  weight receives 1 - |a|^2 per zero. */
+ * ones, whose (cos, sin) come from the rules' table; a local angle equal to
+ * a uniform one is dropped.  weight receives 1 - |a|^2 per zero. */
 static Py_ssize_t boundary_scan(Py_ssize_t n, const cplx *zr, const scan_rules *rules,
                                 double *weight, double *theta, cplx *unit, double *modulus,
                                 double *local)
@@ -337,7 +340,7 @@ static Py_ssize_t boundary_scan(Py_ssize_t n, const cplx *zr, const scan_rules *
         double t = uniform ? step * i : local[k];
         if (count == 0 || t > theta[count - 1]) {
             theta[count] = t;
-            unit[count++] = mk(cos(t), sin(t));
+            unit[count++] = uniform ? rules->uniform[i] : mk(cos(t), sin(t));
         }
         if (uniform)
             i++;
@@ -819,50 +822,99 @@ static int get_arrays(PyObject **obj, Py_buffer *b, const array_spec *spec, int 
     return 0;
 }
 
-static const array_spec search_spec[2] = {
-    {"Zd", "zeros", 16, 0, -1}, {"d", "offsets", 8, 0, -1},
+/* The search of each product of a batch: product p has the zeros
+ * zr[ends[p - 1] .. ends[p]) (from 0 for p = 0) and the rotation lams[p], and
+ * its value, argmax, start count and iterations go to row p of the outputs.
+ * The (cos, sin) table of the uniform scan angles is built once per call in
+ * its own scratch, so calls share nothing.  Returns 0 when scratch cannot be
+ * had. */
+static int search_batch(const cplx *zr, const int64_t *ends, const cplx *lams, Py_ssize_t count,
+                        double slope, long max_iter, double ftol, scan_rules *rules,
+                        double *values, cplx *argmaxes, int64_t *starts, int64_t *iterations)
+{
+    double step = 2.0 * M_PI / rules->scan;
+    cplx *uniform = PyMem_RawMalloc(rules->scan * sizeof(cplx));
+    Py_ssize_t p, i, lo = 0;
+    int ok = uniform != NULL;
+
+    for (i = 0; ok && i < rules->scan; i++)
+        uniform[i] = mk(cos(step * i), sin(step * i));
+    rules->uniform = uniform;
+    for (p = 0; ok && p < count; lo = ends[p++]) {
+        search_result out;
+        if (!(ok = search(ends[p] - lo, zr + lo, lams[p], slope, max_iter, ftol, rules, &out)))
+            break;
+        values[p] = out.value;
+        argmaxes[p] = out.argmax;
+        starts[p] = out.starts;
+        iterations[p] = out.iterations;
+    }
+    PyMem_RawFree(uniform);
+    return ok;
+}
+
+static const array_spec search_spec[8] = {
+    {"Zd", "zeros", 16, 0, -1},     {"q", "ends", 8, 0, -1},   {"Zd", "lams", 16, 0, 1},
+    {"d", "offsets", 8, 0, -1},     {"d", "values", 8, 1, 1},  {"Zd", "argmaxes", 16, 1, 1},
+    {"q", "starts", 8, 1, 1},       {"q", "iterations", 8, 1, 1},
 };
 
 PyDoc_STRVAR(seminorm_search_doc,
-"seminorm_search(zeros, lam, slope, max_iter, ftol, scan_angles, local_angles,\n"
-"                local_span, offsets) -> (value, argmax, starts, iterations)\n\n"
-"The multistart search of the numpy reference's seminorm_search in one call: the\n"
-"boundary scan on scan_angles uniform angles plus local_angles over arg a +-\n"
-"local_span (1 - |a|) for each zero near the circle, the deduplicated starts,\n"
-"one safeguarded Newton ascent per start and the best of their ends.");
+"seminorm_search(zeros, ends, lams, slope, max_iter, ftol, scan_angles,\n"
+"                local_angles, local_span, offsets, values, argmaxes, starts,\n"
+"                iterations)\n\n"
+"The multistart search of the numpy reference's seminorm_search for each product\n"
+"of a batch in one call: product p has the zeros zeros[ends[p-1]:ends[p]] (from 0\n"
+"for p = 0) and the rotation lams[p].  For each, the boundary scan on scan_angles\n"
+"uniform angles plus local_angles over arg a +- local_span (1 - |a|) for each zero\n"
+"near the circle, the deduplicated starts, one safeguarded Newton ascent per start\n"
+"and the best of their ends.  Writes row p of values (float64), argmaxes\n"
+"(complex128), starts and iterations (int64).");
 
 static PyObject *seminorm_search(PyObject *Py_UNUSED(self), PyObject *args)
 {
-    PyObject *obj[2];
-    Py_buffer b[2];
-    Py_complex lam, argmax;
+    PyObject *obj[8];
+    Py_buffer b[8];
     scan_rules rules;
-    search_result out;
-    int ok;
+    int ok = 1;
     long max_iter;
     double slope, ftol;
 
-    if (!PyArg_ParseTuple(args, "ODdldiidO", &obj[0], &lam, &slope, &max_iter, &ftol,
-                          &rules.scan, &rules.local, &rules.span, &obj[1]))
+    if (!PyArg_ParseTuple(args, "OOOdldiidOOOOO", &obj[0], &obj[1], &obj[2], &slope, &max_iter,
+                          &ftol, &rules.scan, &rules.local, &rules.span, &obj[3], &obj[4],
+                          &obj[5], &obj[6], &obj[7]))
         return NULL;
     if (rules.scan < 1 || rules.local < 2) {
         PyErr_SetString(PyExc_ValueError, "expected scan_angles >= 1 and local_angles >= 2");
         return NULL;
     }
-    if (get_arrays(obj, b, search_spec, 2) < 0)
+    if (get_arrays(obj, b, search_spec, 8) < 0)
         return NULL;
-    rules.offsets = b[1].buf;
-    rules.noff = b[1].len / 8;
-    Py_BEGIN_ALLOW_THREADS
-    ok = search(b[0].len / 16, b[0].buf, mk(lam.real, lam.imag), slope, max_iter, ftol, &rules,
-                &out);
-    Py_END_ALLOW_THREADS
-    release_arrays(b, 2);
+    {
+        const int64_t *ends = b[1].buf;
+        Py_ssize_t n = b[0].len / 16, count = b[1].len / 8, p;
+        int64_t last = 0;
+        for (p = 0; p < count && ends[p] > last; p++)
+            last = ends[p];
+        if (p < count || last != n) {
+            PyErr_Format(PyExc_ValueError,
+                         "ends: expected increasing ends, the first above 0 and the last %zd",
+                         n);
+        } else {
+            rules.offsets = b[3].buf;
+            rules.noff = b[3].len / 8;
+            Py_BEGIN_ALLOW_THREADS
+            ok = search_batch(b[0].buf, ends, b[2].buf, count, slope, max_iter, ftol, &rules,
+                              b[4].buf, b[5].buf, b[6].buf, b[7].buf);
+            Py_END_ALLOW_THREADS
+        }
+    }
+    release_arrays(b, 8);
     if (!ok)
         return PyErr_NoMemory();
-    argmax.real = out.argmax.re;
-    argmax.imag = out.argmax.im;
-    return Py_BuildValue("dDnl", out.value, &argmax, out.starts, out.iterations);
+    if (PyErr_Occurred())
+        return NULL;
+    Py_RETURN_NONE;
 }
 
 static const array_spec track_spec[10] = {

@@ -180,15 +180,47 @@ def _argbest(vals: np.ndarray, pts: np.ndarray) -> int:
     return keys[0][2]
 
 
-def seminorm_search(zeros, lam, slope, max_iter, ftol):
-    """The multistart search: one refine_starts pass over the starts of
-    _start_points, each at the scale of _scales; returns (value, argmax,
-    starts, iterations) of the best start."""
+def _search(zeros, lam, slope, max_iter, ftol):
+    """The multistart search of one product: one refine_starts pass over the
+    starts of _start_points, each at the scale of _scales; returns (value,
+    argmax, starts, iterations) of the best start."""
     starts = _start_points(zeros)
     vals, pts, iters = refine_starts(zeros, lam, starts, _scales(starts), slope, max_iter,
                                      ftol)
     best = _argbest(vals, pts)
-    return float(vals[best]), complex(pts[best]), starts.size, int(np.sum(iters))
+    return vals[best], pts[best], starts.size, np.sum(iters)
+
+
+def _product_bounds(zeros: np.ndarray, ends: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """The first zero of each product and, last, the end of the batch, after
+    the compiled entry's checks: as many rotations as ends, the ends
+    increasing from above 0 to the number of zeros."""
+    if lams.size != ends.size:
+        raise ValueError(f"lams: expected {ends.size} items, got {lams.size}")
+    bounds = np.concatenate([[0], ends])
+    if not (np.all(bounds[1:] > bounds[:-1]) and bounds[-1] == zeros.size):
+        raise ValueError(f"ends: expected increasing ends, the first above 0 and the last "
+                         f"{zeros.size}")
+    return bounds
+
+
+def seminorm_search(zeros, ends, lams, slope, max_iter, ftol):
+    """The multistart search of each product of a batch: product p has the
+    zeros zeros[ends[p-1]:ends[p]] (from 0 for p = 0) and the rotation
+    lams[p].  Returns (values, argmaxes, starts, iterations), one entry per
+    product."""
+    zeros = np.asarray(zeros, dtype=np.complex128).ravel()
+    ends = np.asarray(ends, dtype=np.int64).ravel()
+    lams = np.asarray(lams, dtype=np.complex128).ravel()
+    bounds = _product_bounds(zeros, ends, lams)
+    values = np.empty(ends.size)
+    argmaxes = np.empty(ends.size, dtype=np.complex128)
+    starts = np.empty(ends.size, dtype=np.int64)
+    iterations = np.empty(ends.size, dtype=np.int64)
+    for p, lam in enumerate(lams):
+        values[p], argmaxes[p], starts[p], iterations[p] = _search(
+            zeros[bounds[p]:bounds[p + 1]], lam, slope, max_iter, ftol)
+    return values, argmaxes, starts, iterations
 
 
 # ----------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from .covering import analyze as analyze_covering
 from .errors import BlochkitError, DomainError, RangeError
 from .pointbound import DEFAULT_D, compute_delta, construct, select_zeta, verify_construction
 from .products import MAX_DEGREE, BlaschkeProduct, random_product
-from .seminorm import seminorm
+from .seminorm import seminorm, seminorms
 from .slitdisk import default_threshold, max_conformal_radius
 from .surface import parameter_integrals_fixed, solve_surface
 
@@ -168,6 +168,13 @@ def _sweep_product(seed: int, index: int, max_degree: int) -> tuple[int, str, Bl
     return degree, law, random_product(degree, int(state[1]), law)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, where the system says; else all."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     overrides = dict(args.tolerance or [])
     unknown = sorted(set(overrides) - {"violation_margin"})
@@ -176,16 +183,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     margin = float(overrides.get("violation_margin", SWEEP_MARGIN))
     floor = computed_constants()["r0"] - margin
 
-    # worker k takes trials k, k + workers, ... in one call; each trial
-    # depends only on (seed, index), so the output is the same for any split
-    workers = min(8, os.cpu_count() or 1, args.count)
+    # worker k takes trials k, k + workers, ... and estimates them in one
+    # kernel call; each trial depends only on (seed, index), so the output is
+    # the same for any split
+    workers = min(8, _usable_cpus(), args.count)
 
     def run_share(first: int) -> list[tuple[int, str, BlaschkeProduct, float]]:
-        share = []
-        for index in range(first, args.count, workers):
-            degree, law, product = _sweep_product(args.seed, index, args.max_degree)
-            share.append((degree, law, product, seminorm(product).value))
-        return share
+        share = [_sweep_product(args.seed, index, args.max_degree)
+                 for index in range(first, args.count, workers)]
+        estimates = seminorms([product for _, _, product in share])
+        return [(degree, law, product, estimate.value)
+                for (degree, law, product), estimate in zip(share, estimates)]
 
     trials = [None] * args.count
     with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:

@@ -83,16 +83,20 @@ class BlaschkeProduct:
         if len(zeros) > MAX_DEGREE:
             raise RangeError(f"degree {len(zeros)} exceeds the cap {MAX_DEGREE}")
         arr = np.asarray(zeros, dtype=np.complex128)
+        limit = 1.0 - max(float(margin), 0.0)
+        # one reduction passes every valid product: the largest modulus is NaN
+        # or inf when a zero is not finite, and a rotation that is not finite
+        # fails the unimodular test.  A product that fails gets the first of
+        # the messages below that applies, in their order
+        top = np.abs(arr).max()
+        if top <= limit and top < 1.0 and abs(abs(self.rotation) - 1.0) <= 1e-12:
+            return
         _require_finite(arr, "zeros")
         _require_finite(np.asarray([self.rotation]), "rotation")
         if abs(abs(self.rotation) - 1.0) > 1e-12:
             raise DomainError("rotation must be unimodular within 1e-12")
-        mod = np.abs(arr)
-        limit = 1.0 - max(float(margin), 0.0)
-        if np.any(mod > limit) or np.any(mod >= 1.0):
-            raise DomainError(
-                f"zeros must satisfy |z| <= {limit!r} (and |z| < 1 strictly)"
-            )
+        if top > limit or top >= 1.0:
+            raise DomainError(f"zeros must satisfy |z| <= {limit!r} (and |z| < 1 strictly)")
 
     @property
     def degree(self) -> int:

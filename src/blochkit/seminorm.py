@@ -14,13 +14,16 @@ the Hessian is negative definite and a shifted one elsewhere, at most the
 start's scale min(0.1, (1 - |z|)/2) long, with Armijo backtracking.  A start
 where B' vanishes (the origin of z^n, a repeated zero) keeps its value 0.
 The whole search, from the boundary scan to the best start, is one kernel
-call, ``seminorm_search``: in the compiled kernel it runs without the
-interpreter lock, and the numpy fallback (``blochkit._kernels._fallback``)
-holds its reference steps.  The reported value is the kernel's own value at
-the argmax, capped at 1 as ``pointwise_bloch`` is.  It is not recomputed: it
-agrees with ``pointwise_bloch`` at the argmax to 3e-12 on the ``sweep``
-products, and to rounding in 1 - |z|^2 nearer the circle (the agreement
-bound in ``blochkit._kernels``).
+call, ``seminorm_search``, for a whole batch of products: ``seminorms``
+estimates a batch in one call, which in the compiled kernel runs without the
+interpreter lock, and ``seminorm`` and ``composed_seminorm`` are batches of
+one.  A product's estimate does not depend on the batch it is in.  The numpy
+fallback (``blochkit._kernels._fallback``) holds the reference steps.  The
+reported value is the kernel's own value at the argmax, capped at 1 as
+``pointwise_bloch`` is.  It is not recomputed: it agrees with
+``pointwise_bloch`` at the argmax to 3e-12 on the ``sweep`` products, and to
+rounding in 1 - |z|^2 nearer the circle (the agreement bound in
+``blochkit._kernels``).
 
 Also here: the closed form for the z^n family, and a small catalog of outer
 maps for estimating the seminorm of compositions f o B via the chain rule
@@ -34,6 +37,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
+from typing import Sequence
 
 import numpy as np
 
@@ -152,6 +157,25 @@ def _golden_section(f, lo, hi, tol: float):
     return 0.5 * (lo + hi)
 
 
+def _search(products: Sequence[BlaschkeProduct], slope: float):
+    """(value, argmax, starts, iterations) of the search on each product for
+    the outer map of this slope, all from one kernel call."""
+    zeros = np.array([z for B in products for z in B.zeros], dtype=np.complex128)
+    ends = np.array(list(accumulate(B.degree for B in products)), dtype=np.int64)
+    lams = np.array([B.rotation for B in products], dtype=np.complex128)
+    found = impl.seminorm_search(zeros, ends, lams, slope, MAX_ITERATIONS, OBJECTIVE_TOLERANCE)
+    return zip(*(a.tolist() for a in found))
+
+
+def seminorms(products: Sequence[BlaschkeProduct]) -> list[SeminormEstimate]:
+    """``seminorm`` of each product, from one kernel call for the whole batch.
+
+    Each estimate is the one that ``seminorm`` gives its product alone, bit
+    for bit: the kernel searches the products one after the other."""
+    return [SeminormEstimate(min(value, 1.0), argmax, used, iters)
+            for value, argmax, used, iters in _search(products, 0.0)]
+
+
 def seminorm(B: BlaschkeProduct) -> SeminormEstimate:
     """Multistart lower-bound estimate of sup |B'(z)|(1-|z|^2).
 
@@ -161,9 +185,7 @@ def seminorm(B: BlaschkeProduct) -> SeminormEstimate:
     ``sweep`` products (measured: at most 2.3e-12 on the 2,000 of seeds 1-20);
     both round apart further next to the circle (see ``blochkit._kernels``).
     """
-    value, argmax, used, iters = impl.seminorm_search(
-        B.zeros_array, complex(B.rotation), 0.0, MAX_ITERATIONS, OBJECTIVE_TOLERANCE)
-    return SeminormEstimate(min(value, 1.0), argmax, used, iters)
+    return seminorms([B])[0]
 
 
 def composed_seminorm(entry: AnalyticCatalogEntry, B: BlaschkeProduct) -> SeminormEstimate:
@@ -171,10 +193,8 @@ def composed_seminorm(entry: AnalyticCatalogEntry, B: BlaschkeProduct) -> Semino
 
     The value is the kernel's objective at the argmax, uncapped, since
     |f'| can exceed 1."""
-    value, argmax, used, iters = impl.seminorm_search(
-        B.zeros_array, complex(B.rotation), entry.slope, MAX_ITERATIONS,
-        OBJECTIVE_TOLERANCE)
-    return SeminormEstimate(value, argmax, used, iters)
+    (found,) = _search([B], entry.slope)
+    return SeminormEstimate(*found)
 
 
 def znorm_closed_form(n: int) -> float:

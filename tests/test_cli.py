@@ -174,9 +174,10 @@ def test_sweep_never_reports_a_value_above_one():
 
 
 def test_sweep_output_does_not_depend_on_the_worker_count(capsys, monkeypatch):
-    """The trials are split among min(8, cpu_count, count) workers, each
+    """The trials are split among min(8, usable CPUs, count) workers, each
     taking every workers-th trial; the JSON and CSV output is the same for
-    any split, including fewer trials than CPUs."""
+    any split, including fewer trials than CPUs.  The usable CPUs are those
+    the process may run on, not all the machine has."""
     import concurrent.futures
 
     from blochkit import cli
@@ -189,9 +190,11 @@ def test_sweep_output_does_not_depend_on_the_worker_count(capsys, monkeypatch):
             super().__init__(max_workers=max_workers)
 
     monkeypatch.setattr(cli.concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
 
     def sweep(cpus: int, count: int, fmt: str) -> str:
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
         assert cli.main(["sweep", "--count", str(count), "--max-degree", "16",
                          "--seed", "5", "--output-format", fmt]) == 0
         return capsys.readouterr().out

@@ -38,6 +38,14 @@ def kernels(request):
     return _fallback.seminorm_search, _fallback.track_routes, _fallback.critical_roots
 
 
+def _search_one(search, zeros, lam, slope, max_iter, ftol):
+    """(value, argmax, starts, iterations) of ``search`` on the one product
+    with these zeros and rotation, a batch of one, as Python scalars."""
+    zeros = np.asarray(zeros, dtype=np.complex128)
+    found = search(zeros, [zeros.size], [lam], slope, max_iter, ftol)
+    return tuple(a[0].item() for a in found)
+
+
 def test_backend_reports_name():
     assert _kernels.BACKEND in ("c", "python")
 
@@ -46,7 +54,7 @@ def test_kernel_contract_has_three_entries(ckernel):
     """The C kernel exposes seminorm_search, track_routes and critical_roots,
     and nothing else.  The fallback has those three and refine_starts, the
     numpy search's Newton pass.  Both seminorm_search entries take the same
-    parameters, and refine_starts keeps its leading positional order, whose
+    parameters, a batch of products, and refine_starts keeps its leading positional order, whose
     sixth argument the benchmark harness reads as max_iter."""
     contract = {"seminorm_search", "track_routes", "critical_roots"}
     compiled = {name for name in dir(ckernel)
@@ -57,7 +65,7 @@ def test_kernel_contract_has_three_entries(ckernel):
     assert compiled == contract
     assert fallback == contract | {"refine_starts"}
     assert not hasattr(_kernels, "pointwise_batch")
-    search = ["zeros", "lam", "slope", "max_iter", "ftol"]
+    search = ["zeros", "ends", "lams", "slope", "max_iter", "ftol"]
     for entry in (_fallback.seminorm_search, _kernels.compiled(ckernel)[0]):
         assert list(inspect.signature(entry).parameters) == search
     assert list(inspect.signature(_fallback.refine_starts).parameters) == [
@@ -84,7 +92,7 @@ def test_traced_refine_starts_is_the_numpy_pass(ckernel, monkeypatch):
     """The benchmark harness traces ``blochkit._kernels.refine_starts`` by
     name and counts the calls of every module attribute bound to that
     object.  On both backends the name is the fallback's pass, which the
-    numpy search calls once per search, over all its starts, through its
+    numpy search calls once per product, over all its starts, through its
     module global, and which the compiled search never calls."""
     code = ("import blochkit._kernels as k\n"
             "print(k.BACKEND, k.refine_starts is k._fallback.refine_starts)\n")
@@ -101,10 +109,13 @@ def test_traced_refine_starts_is_the_numpy_pass(ckernel, monkeypatch):
 
     monkeypatch.setattr(_fallback, "refine_starts", counted)
     B = random_product(7, seed=31, law="boundary_concentrated")
-    _, _, starts, _ = _fallback.seminorm_search(B.zeros_array, B.rotation, 0, 500, 1e-10)
-    assert passes == [starts]  # one pass over all the starts
-    _, _, starts, _ = _kernels.compiled(ckernel)[0](B.zeros_array, B.rotation, 0, 500, 1e-10)
-    assert passes == [starts]
+    C = random_product(3, seed=32)
+    zeros = np.concatenate([B.zeros_array, C.zeros_array])
+    batch = (zeros, [7, 10], [B.rotation, C.rotation], 0, 500, 1e-10)
+    _, _, starts, _ = _fallback.seminorm_search(*batch)
+    assert passes == starts.tolist()  # one pass over all the starts of each product
+    _, _, starts, _ = _kernels.compiled(ckernel)[0](*batch)
+    assert passes == starts.tolist()
 
 
 def _objective_at(zeros, lam, z, slope) -> float:
@@ -127,8 +138,8 @@ def test_objective_backends_agree_at_the_compiled_argmax(ckernel):
             for seed in range(10):
                 B = random_product(degree, seed=100 * degree + seed, law=law)
                 for slope in bound:
-                    value, argmax, _, iterations = fast(B.zeros_array, B.rotation, slope, 0,
-                                                        1e-10)
+                    value, argmax, _, iterations = _search_one(fast, B.zeros_array,
+                                                               B.rotation, slope, 0, 1e-10)
                     ref = _objective_at(B.zeros_array, B.rotation, argmax, slope)
                     assert iterations == 0
                     assert abs(value - ref) <= bound[slope], (law, degree, seed, slope)
@@ -141,7 +152,7 @@ def test_product_rule_backends_agree_at_high_degree(ckernel):
     fast = _kernels.compiled(ckernel)[0]
     ring = (1 - 1e-4) * np.exp(1j * (0.1 + 2 * math.pi * np.arange(399) / 399))
     zeros = np.concatenate([[0j], ring])
-    value, argmax, _, _ = fast(zeros, 1.0 + 0j, 0, 0, 1e-10)
+    value, argmax, _, _ = _search_one(fast, zeros, 1.0 + 0j, 0, 0, 1e-10)
     assert np.any(zeros == argmax)
     assert value > 0.0
     assert abs(value - _objective_at(zeros, 1.0, argmax, 0)) <= 1e-12
@@ -198,8 +209,9 @@ def test_power_products_reach_the_closed_form(kernels):
     for n in range(2, 13):
         for lam in (1.0, complex(math.cos(0.3), math.sin(0.3)), -1j):
             B = BlaschkeProduct((0j,) * n, lam)
-            value, argmax, _, _ = search(B.zeros_array, B.rotation, 0.0, seminorm.MAX_ITERATIONS,
-                                         seminorm.OBJECTIVE_TOLERANCE)
+            value, argmax, _, _ = _search_one(search, B.zeros_array, B.rotation, 0.0,
+                                              seminorm.MAX_ITERATIONS,
+                                              seminorm.OBJECTIVE_TOLERANCE)
             expected = seminorm.znorm_closed_form(n)
             assert abs(value - expected) <= 1e-14, (n, lam)
             assert abs(seminorm.pointwise_bloch(B, argmax) - expected) <= 1e-14, (n, lam)
@@ -213,7 +225,7 @@ def test_search_with_starts_where_b_prime_vanishes(kernels):
     for zeros in (np.zeros(3, dtype=np.complex128), np.array([0.5, 0.5, -0.3j]),
                   np.array([0.9j, 0.9j, 0.9j, 0.2])):
         for slope in (0.0, 1.0):
-            value, argmax, _, _ = search(zeros, 1.0, slope, 500, 1e-10)
+            value, argmax, _, _ = _search_one(search, zeros, 1.0, slope, 500, 1e-10)
             assert math.isfinite(value) and value > 0.0
             assert abs(argmax) < 1.0
     values, points, iterations = _fallback.refine_starts(
@@ -262,8 +274,8 @@ def test_degree_one_searches_next_to_the_circle_stay_inside(kernels):
     for _ in range(200):
         a = (1 - 10 ** rng.uniform(-6, -4)) * np.exp(2j * math.pi * rng.random())
         lam = np.exp(2j * math.pi * rng.random())
-        value, argmax, _, _ = search(np.array([a]), lam, 0.0, seminorm.MAX_ITERATIONS,
-                                     seminorm.OBJECTIVE_TOLERANCE)
+        value, argmax, _, _ = _search_one(search, [a], lam, 0.0, seminorm.MAX_ITERATIONS,
+                                          seminorm.OBJECTIVE_TOLERANCE)
         assert abs(argmax) < 1.0, a
         assert abs(value - 1.0) <= 1e-9, a
 
@@ -320,24 +332,124 @@ def test_seminorm_search_backends_agree_on_flat_narrow_and_repeated_zeros(ckerne
     for zeros, lam in cases:
         for slope in (0.0, 0.5, 1.0):
             args = (zeros, lam, slope, 500, 1e-10)
-            value, argmax, starts, _ = fast(*args)
-            ref_value, ref_argmax, ref_starts, _ = _fallback.seminorm_search(*args)
+            value, argmax, starts, _ = _search_one(fast, *args)
+            ref_value, ref_argmax, ref_starts, _ = _search_one(_fallback.seminorm_search, *args)
             assert starts == ref_starts == _fallback._start_points(zeros).size
             assert abs(value - ref_value) <= 1e-10
+
+
+def _search_outputs(count: int) -> tuple[np.ndarray, ...]:
+    """The four output arrays of the compiled seminorm_search for ``count``
+    products, each filled with a value that no search writes."""
+    return (np.full(count, -7.0), np.full(count, -7.0 + 0j), np.full(count, -7),
+            np.full(count, -7))
+
+
+def test_bad_batches_fail_before_any_search(ckernel, monkeypatch):
+    """Malformed ends or rotations raise ValueError on both backends, and no
+    search runs: the fallback makes no Newton pass, and the compiled entry
+    writes none of its outputs.  An empty batch gives four empty arrays."""
+    zeros = np.array([0.5, -0.3j, 0.2 + 0.1j])
+    two = np.array([1.0, 1j])
+    ends_message = "ends: expected increasing ends, the first above 0 and the last 3"
+    cases = [
+        ([2, 1, 3], np.ones(3, dtype=np.complex128), ends_message),   # decreasing
+        ([1, 1, 3], np.ones(3, dtype=np.complex128), ends_message),   # an empty product
+        ([0, 3], two, ends_message),                                  # an empty first product
+        ([-1, 3], two, ends_message),
+        ([1, 2], two, ends_message),                                  # a zero left over
+        ([1, 4], two, ends_message),                                  # past the zeros
+        ([], [], ends_message),
+        ([1, 3], np.ones(3, dtype=np.complex128), "lams: expected 2 items, got 3"),
+        ([1, 3], [1.0], "lams: expected 2 items, got 1"),
+    ]
+    passes = []
+    monkeypatch.setattr(_fallback, "refine_starts", lambda *args: passes.append(args))
+    scan = (1024, 32, 8.0, np.array([0.25, 0.5, 1.0]))
+    for ends, lams, message in cases:
+        for search in (_fallback.seminorm_search, _kernels.compiled(ckernel)[0]):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                search(zeros, ends, lams, 0.0, 500, 1e-10)
+        outs = _search_outputs(len(ends))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ckernel.seminorm_search(zeros, np.array(ends, dtype=np.int64),
+                                    np.array(lams, dtype=np.complex128), 0.0, 500, 1e-10,
+                                    *scan, *outs)
+        for got, unwritten in zip(outs, _search_outputs(len(ends))):
+            np.testing.assert_array_equal(got, unwritten)
+    assert passes == []
+    for search in (_fallback.seminorm_search, _kernels.compiled(ckernel)[0]):
+        found = search(np.zeros(0, dtype=np.complex128), [], [], 0.0, 500, 1e-10)
+        assert [a.size for a in found] == [0, 0, 0, 0]
+
+
+#: a zero 3e-4 from the circle, one of whose local scan angles is exactly the
+#: uniform angle 100 (2 pi / 1024)
+_MERGING_ZERO = 0.8159556600196584 + 0.5775954041384711j
+
+
+def _batch_products() -> list[BlaschkeProduct]:
+    """The sweep products of seed 1 at --max-degree 16 (degrees 1-16, both
+    radial laws), z^5 turned by 0.3, whose flat modulus gives one peak, a
+    product whose local scan angles meet a uniform one, and one with
+    repeated zeros."""
+    batch = [_sweep_product(1, index, 16)[2] for index in range(100)]
+    turn = complex(math.cos(0.3), math.sin(0.3))
+    batch.append(BlaschkeProduct((0j,) * 5, turn))
+    batch.append(BlaschkeProduct((_MERGING_ZERO, -0.2j, 0.4), turn))
+    batch.append(BlaschkeProduct((0.5, 0.5, 0.3j, -0.7, 0.3j), turn))
+    return batch
+
+
+def test_a_batch_gives_the_single_results_bit_for_bit(kernels, monkeypatch):
+    """``seminorms`` of one mixed batch equals ``seminorm`` product by
+    product, bit for bit, on each backend; so do two batches run from two
+    threads at once."""
+    step = 2.0 * math.pi / products._SCAN_ANGLES
+    depth = 1.0 - np.abs(_MERGING_ZERO)
+    offsets = np.linspace(-products._LOCAL_SPAN, products._LOCAL_SPAN, products._LOCAL_ANGLES)
+    local = np.mod(np.angle(_MERGING_ZERO) + depth * offsets, 2.0 * math.pi)
+    assert depth < 4.0 * step and local[0] == step * 100  # the angles meet
+    batch = _batch_products()
+    assert {B.degree for B in batch[:100]} == set(range(1, 17))
+    monkeypatch.setattr(_kernels, "seminorm_search", kernels[0])
+    single = [repr(seminorm.seminorm(B)) for B in batch]
+    assert [repr(e) for e in seminorm.seminorms(batch)] == single
+    halves = (batch[::2], batch[1::2])
+    start = threading.Barrier(2)
+
+    def run(share):
+        start.wait(timeout=60)
+        return [repr(e) for e in seminorm.seminorms(share)]
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        concurrent = list(pool.map(run, halves))
+    assert concurrent == [single[::2], single[1::2]]
 
 
 def test_compiled_kernel_rejects_bad_arrays(ckernel):
     zeros = np.zeros(2, dtype=np.complex128)
     starts = np.zeros(3, dtype=np.complex128)
+    # one product of two zeros
+    batch = (np.array([2]), np.ones(1, dtype=np.complex128), 0, 10, 1e-10)
     scan = (1024, 32, 8.0, np.array([0.25, 0.5, 1.0]))
+    outs = _search_outputs(1)
     with pytest.raises(TypeError, match="zeros: expected format 'Zd', got 'd'"):
-        ckernel.seminorm_search(np.zeros(2), 0j, 0, 10, 1e-10, *scan)
+        ckernel.seminorm_search(np.zeros(2), *batch, *scan, *outs)
     with pytest.raises(ValueError, match="not C-contiguous"):
-        ckernel.seminorm_search(np.zeros(4, dtype=np.complex128)[::2], 0j, 0, 10, 1e-10, *scan)
+        ckernel.seminorm_search(np.zeros(4, dtype=np.complex128)[::2], *batch, *scan, *outs)
     with pytest.raises(TypeError, match="offsets: expected format 'd', got 'l'"):
-        ckernel.seminorm_search(zeros, 0j, 0, 10, 1e-10, *scan[:3], np.ones(3, dtype=int))
+        ckernel.seminorm_search(zeros, *batch, *scan[:3], np.ones(3, dtype=int), *outs)
     with pytest.raises(ValueError, match="local_angles >= 2"):
-        ckernel.seminorm_search(zeros, 0j, 0, 10, 1e-10, 1024, 1, *scan[2:])
+        ckernel.seminorm_search(zeros, *batch, 1024, 1, *scan[2:], *outs)
+    with pytest.raises(TypeError, match="ends: expected format 'q', got 'd'"):
+        ckernel.seminorm_search(zeros, np.array([2.0]), *batch[1:], *scan, *outs)
+    with pytest.raises(ValueError, match="iterations: expected 1 items, got 2"):
+        ckernel.seminorm_search(zeros, *batch, *scan, *outs[:3], np.empty(2, dtype=np.int64))
+    frozen = np.empty(1)
+    frozen.setflags(write=False)
+    with pytest.raises(ValueError, match="read-only"):
+        ckernel.seminorm_search(zeros, *batch, *scan, frozen, *outs[1:])
     # two routes of one piece each, each from its own start fiber of two points
     base = np.zeros(4, dtype=np.complex128)
     pieces = (np.zeros(2, dtype=np.complex128), np.zeros(2, dtype=np.complex128),
@@ -510,8 +622,9 @@ def test_concurrent_calls_match_serial_calls(kernels, monkeypatch):
     bit for bit."""
     search, track, critical = kernels
     products = [random_product(4 + 4 * i, seed=75 + i, law=LAWS[i % 2]) for i in range(4)]
-    jobs = [(search, (B.zeros_array, B.rotation, (0.0, 0.5, 1.0)[i % 3], 500, 1e-10))
-             for i, B in enumerate(products)]
+    jobs = [(search, (B.zeros_array, [B.degree], [B.rotation], (0.0, 0.5, 1.0)[i % 3], 500,
+                      1e-10))
+            for i, B in enumerate(products)]
     products = [random_product(5 + i, seed=80 + i, law=LAWS[i % 2]) for i in range(4)]
     jobs += [(track, args) for args in _tracking_calls(monkeypatch, products)]
     products = [random_product(8 + 8 * i, seed=90 + i, law=LAWS[i % 2]) for i in range(4)]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -54,6 +55,43 @@ def test_zero_validation():
         BlaschkeProduct((0.3 + 0j,), rotation=0.0)
     with pytest.raises(RangeError):
         random_product(5000, seed=0)
+
+
+def test_product_checks_and_their_messages():
+    """Each bad zero or rotation gets its own message, checked in the order
+    zeros not finite, rotation not finite, rotation not unimodular, modulus
+    bound: a bad zero together with a bad rotation names the zeros."""
+    nan, inf = math.nan, math.inf
+    zeros_msg = "zeros must have finite real and imaginary parts"
+    rotation_msg = "rotation must have finite real and imaginary parts"
+    unimodular_msg = "rotation must be unimodular within 1e-12"
+
+    def bound_msg(limit):
+        return re.escape(f"zeros must satisfy |z| <= {limit!r} (and |z| < 1 strictly)")
+
+    cases = [
+        (dict(zeros=(0.1, complex(nan, 0.0))), zeros_msg),
+        (dict(zeros=(complex(inf, 0.2),)), zeros_msg),
+        (dict(zeros=(complex(0.2, -inf), 0.3j)), zeros_msg),
+        (dict(zeros=(complex(inf, nan),)), zeros_msg),
+        (dict(zeros=(0.2, 1.0 - 0.5 * BOUNDARY_MARGIN)), bound_msg(1.0 - BOUNDARY_MARGIN)),
+        (dict(zeros=(1j,), margin=0.0), bound_msg(1.0)),
+        (dict(zeros=(0.5,), rotation=complex(nan, 0.0)), rotation_msg),
+        (dict(zeros=(0.5,), rotation=complex(0.0, inf)), rotation_msg),
+        (dict(zeros=(0.5,), rotation=1.0 + 2e-12), unimodular_msg),
+        (dict(zeros=(0.5,), rotation=-1j * (1.0 - 2e-12)), unimodular_msg),
+        (dict(zeros=(complex(nan, 0.0),), rotation=complex(inf, 0.0)), zeros_msg),
+        (dict(zeros=(inf,), rotation=2.0), zeros_msg),
+        (dict(zeros=(1.5,), rotation=complex(nan, nan)), rotation_msg),
+        (dict(zeros=(1.5,), rotation=1.0 + 2e-12), unimodular_msg),
+    ]
+    for kwargs, message in cases:
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            BlaschkeProduct(**kwargs)
+    # the rotation may be off the circle by less than 1e-12, and margin 0
+    # admits any zero strictly inside
+    assert BlaschkeProduct((0.5,), 1.0 + 5e-13).rotation == 1.0 + 5e-13
+    assert BlaschkeProduct((1.0 - 1e-15,), margin=0.0).degree == 1
 
 
 def test_vanishes_at_zeros_and_bounded(random_products):
