@@ -14,7 +14,7 @@ accepts each row at its own first passing doubling, so a row's value and node
 count do not depend on the other rows in its batch.  Gauss nodes are strictly
 interior, so integrands are never evaluated at the endpoints themselves.
 
-``gauss_nodes`` builds the n-point rule by Newton's method in theta, x = cos
+``gauss_nodes`` builds the n-point rule by Halley's method in theta, x = cos
 theta, on the classical cosine series
 
     P_n(cos theta) = sum_k g_k g_(n-k) cos((n - 2k) theta),
@@ -25,22 +25,27 @@ with term k paired with term n - k (Swarztrauber, SIAM J. Sci. Comput. 24,
 asymptotic guesses and mirrors them, so the rule is symmetric bit for bit and
 an odd rule has its middle node at exactly 0.0.  The weights are
 w = 2 / (dP_n/dtheta)^2, which equals 2 / ((1 - x^2) P_n'(x)^2) without the
-cancellation in 1 - x^2 next to the endpoints.  Each Newton pass costs
-O(n^2): a cosine and a sine per (node, frequency) pair, built in row blocks
-of at most ``products._EVAL_BLOCK`` entries, and three products with
-coefficient vectors.  A node leaves the iteration after its first pass with
-a step below sqrt(eps) / (2n); all but the few nodes next to the ends leave
-after one pass, so a rule costs about one pass over the half: 15 ms at
-n = 2048, 5.0 ms at 1024, 0.22 ms at 128 and 0.10 ms at 32 on one x86-64
-core, where numpy's eigenvalue-based ``leggauss`` took 587 ms, 84 ms,
-1.35 ms and 0.28 ms.
+cancellation in 1 - x^2 next to the endpoints.  Each pass costs O(n^2): a
+cosine and a sine per (node, frequency) pair, built in row blocks of at most
+``products._EVAL_BLOCK`` entries, and three products with coefficient
+vectors.  The series gives P and dP/dtheta; Legendre's equation in theta,
+P'' = -cot(theta) P' - n(n + 1) P, gives the second derivative for the
+Halley step and the third for carrying the slope to the new node.  A node
+leaves the iteration after a pass whose step is at most (eps / n^2)^(1/3),
+past which the cubic convergence leaves less than eps.  Every rule from
+n = 2 to 2048 takes one pass over its ceil(n/2) nodes and one more over the
+one or two nodes next to the end (two from n = 4 to 31).  A rule costs 0.09
+ms at n = 32, 0.11 ms at 64, 0.17 ms at 128, 7.0 ms at 1024 and 22 ms at 2048
+on one x86-64 core, where numpy's eigenvalue-based ``leggauss`` took 0.43 ms,
+0.88 ms, 2.0 ms, 121 ms and 811 ms.
 
 Against a 64-bit-mantissa reference (tests/test_quadrature.py) the nodes
-agree within 1.4e-16 and the weights within 4e-17 absolute at every n tested
-up to 2048.  The relative weight error is at most 2.6e-14 (n = 2048) at the
-middle nodes, where the series sums terms of alternating sign, and 2.8e-15
-at the four end nodes of each side, where ``leggauss``'s end weights were
-off by 1.2e-9 (n = 1024) and 6.3e-8 (n = 2048).
+agree within 1.4e-16 and the weights within 2.2e-16 absolute (one ulp of the
+n = 2 weights, which are 1.0) at every n tested up to 2048.  The relative
+weight error is at most 2.6e-14 (n = 2048) at the middle nodes, where the
+series sums terms of alternating sign, and 4.0e-15 (n = 256) at the four end
+nodes of each side, where ``leggauss``'s end weights were off by 1.2e-9
+(n = 1024) and 6.3e-8 (n = 2048).
 """
 
 from __future__ import annotations
@@ -58,10 +63,10 @@ from .products import _row_blocks
 #: integrand evaluations of the last
 MAX_NODES = 2048
 
-#: Newton passes allowed before ``gauss_nodes`` gives up; the Tricomi
-#: guesses need at most three up to n = 2048, so the cap only turns a
-#: fault into an error
-_NEWTON_PASSES = 8
+#: Halley passes allowed before ``gauss_nodes`` gives up; the Tricomi
+#: guesses need two up to n = 2048, so the cap only turns a fault into an
+#: error
+_PASSES = 8
 
 
 def _legendre_series(theta: np.ndarray, freq: np.ndarray,
@@ -106,17 +111,24 @@ def gauss_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     shrink = (n - 1) / (8.0 * n**3) + (39.0 - 28.0 / np.sin(phi) ** 2) / (384.0 * n**4)
     theta = phi + shrink / np.tan(phi)        # arccos((1 - shrink) cos phi)
     slope = np.empty(half)
-    tol = 0.5 * np.sqrt(np.finfo(np.float64).eps) / n
+    nn = n * (n + 1.0)
+    tol = (np.finfo(np.float64).eps / n**2) ** (1.0 / 3.0)
     active = np.arange(half)
-    for _ in range(_NEWTON_PASSES):
+    for _ in range(_PASSES):
         t = theta[active]
         p, dp = _legendre_series(t, freq, coef)
+        # Halley step; the Legendre equation in theta gives the second and
+        # third derivatives from P and P' alone
+        cot = 1.0 / np.tan(t)
+        d2p = -cot * dp - nn * p
+        d3p = (1.0 + cot * cot - nn) * dp - cot * d2p
         step = p / dp
+        step /= 1.0 - 0.5 * step * d2p / dp
         theta[active] = t - step
-        # carry dP/dtheta to the new node: P'' = -cot(theta) P' at a root of
-        # P_n(cos theta); the remainder is O((n * step)^2), below eps / 4 for
-        # a node that leaves here
-        slope[active] = dp * (1.0 + step / np.tan(t))
+        # carry dP/dtheta to the new node to second order; the relative
+        # remainder is O((n step)^3), and n |step| < 2e-5 at every node that
+        # leaves here up to n = 2048
+        slope[active] = dp - step * d2p + 0.5 * step * step * d3p
         active = active[np.abs(step) > tol]
         if active.size == 0:
             break

@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 import scipy.integrate
 
+from blochkit import quadrature
 from blochkit.errors import ConvergenceError, DomainError
 from blochkit.quadrature import MAX_NODES, gauss_nodes, integrate_adaptive, integrate_fixed
 
-RULE_SIZES = (1, 2, 3, 5, 16, 64, 128, 1024, 2048)
+RULE_SIZES = (1, 2, 3, 5, 16, 32, 64, 128, 256, 1024, 2048)
 
 long_double = pytest.mark.skipif(
     np.finfo(np.longdouble).eps > 1e-18,
@@ -73,10 +74,10 @@ def _reference_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
 def test_rule_matches_the_long_double_reference(n):
     """Nodes within 4.4e-16; weights within 1e-15 absolute and
     1e-15 * sqrt(n) relative, 5e-15 relative at the four end nodes of each
-    side.  Measured on x86-64: nodes 1.4e-16, weights 4.0e-17 absolute, and
-    relative 2.6e-14 at n = 2048 (the middle nodes, where the cosine series
-    sums terms of alternating sign), 1.7e-14 at 1024, 2.4e-15 at 64, at the
-    end nodes 2.8e-15."""
+    side.  Measured on x86-64: nodes 1.4e-16, weights 2.2e-16 absolute (at
+    n = 2, one ulp of 1.0), and relative 2.6e-14 at n = 2048 (the middle
+    nodes, where the cosine series sums terms of alternating sign), 1.7e-14
+    at 1024, 6.6e-15 at 256, 2.4e-15 at 64, at the end nodes 4.0e-15."""
     x, w = gauss_nodes(n)
     xr, wr = _reference_rule(n)
     assert np.max(np.abs(x - xr)) <= 4.4e-16
@@ -106,6 +107,23 @@ def test_rule_is_symmetric_positive_and_read_only(n):
     assert np.all(np.diff(x) > 0) and -1.0 < x[0]
     assert np.all(w > 0)
     assert not x.flags.writeable and not w.flags.writeable
+
+
+def test_each_rule_takes_one_pass_and_a_short_second(monkeypatch):
+    """One Halley pass over the ceil(n/2) nodes, then at most one more over at
+    most 2 end nodes; measured 2 end nodes from n = 4 to 31 and 1 above.  The
+    Newton iteration before it took a second pass over 30 of the 32 nodes
+    at n = 64."""
+    passes = []
+    series = quadrature._legendre_series
+    monkeypatch.setattr(quadrature, "_legendre_series",
+                        lambda theta, *args: passes.append(theta.size) or series(theta, *args))
+    for n in sorted(set(range(1, 130)) | set(RULE_SIZES)):
+        gauss_nodes.cache_clear()
+        passes.clear()
+        gauss_nodes(n)
+        assert passes[0] == (n + 1) // 2, n
+        assert len(passes) <= 2 and max(passes[1:], default=0) <= 2, (n, passes)
 
 
 def test_building_the_largest_rule_stays_bounded():
