@@ -66,8 +66,12 @@ Both backends expose three entries:
   move per step (times max_move), and takes an Euler step first; later
   steps predict z + q - (B''/B') q^2 / 2, q = dw / B', with B'' the
   divided difference of B' over the route's last two accepted fibers.  The
-  C kernel tracks one route at a time in O(n) scratch; the fallback moves
-  all routes in lockstep.
+  Newton corrector freezes each point at its first iterate within the
+  residual tolerance: the point keeps that iterate and its B' and is not
+  updated again.  A step is accepted once every point is frozen, and the
+  count that sets the next step size is the slowest point's.  The C kernel
+  tracks one route at a time in O(n) scratch and does not evaluate a frozen
+  point again; the fallback moves all routes in lockstep.
 * ``critical_roots(zeros, mult, start, freeze_tol, max_iter, step_tol)`` ->
   (roots, residuals), Ehrlich-Aberth from the m points ``start`` on the
   numerator of g = B'/B over the distinct ``zeros`` with int64

@@ -491,8 +491,18 @@ static cplx piece_at(const route_pieces *p, Py_ssize_t g, double t)
 
 static inline int is_finite(cplx a) { return isfinite(a.re) && isfinite(a.im); }
 
+static inline double norm2(cplx a) { return a.re * a.re + a.im * a.im; }
+
+/* |a| >= 1e-300, without squaring 1e-300, which underflows to 0; hypot only
+ * where both parts are below it */
+static inline int not_tiny(cplx a)
+{
+    return fabs(a.re) >= 1e-300 || fabs(a.im) >= 1e-300 || hypot(a.re, a.im) >= 1e-300;
+}
+
 /* The distance from each of the n points z to its nearest other point into
- * near; returns the smallest of them. */
+ * near; returns the smallest of them.  The pairs compare squared distances,
+ * and each point takes one square root at the end. */
 static double nearest(Py_ssize_t n, const cplx *z, double *near)
 {
     double least = HUGE_VAL;
@@ -501,13 +511,13 @@ static double nearest(Py_ssize_t n, const cplx *z, double *near)
         near[i] = HUGE_VAL;
     for (i = 0; i < n; i++) {
         for (j = i + 1; j < n; j++) {
-            cplx d = sub(z[i], z[j]);
-            double dist = hypot(d.re, d.im);
-            if (dist < near[i])
-                near[i] = dist;
-            if (dist < near[j])
-                near[j] = dist;
+            double dist2 = norm2(sub(z[i], z[j]));
+            if (dist2 < near[i])
+                near[i] = dist2;
+            if (dist2 < near[j])
+                near[j] = dist2;
         }
+        near[i] = sqrt(near[i]);
         if (near[i] < least)
             least = near[i];
     }
@@ -515,31 +525,40 @@ static double nearest(Py_ssize_t n, const cplx *z, double *near)
 }
 
 /* Newton on B(x) = w for the n points of a fiber, in place; d receives B' at
- * the final iterate.  It stops at the first iterate where every point has
- * |B - w| <= max(newton_tol, newton_ulps |x| |B'|) and returns the number
- * of updates made, or -1 after more than newton_max updates or a breakdown
- * (B' not finite or below 1e-300, an update not finite or beyond |x| = 1.2). */
+ * each final iterate.  A point freezes at its first iterate with |B - w| <=
+ * max(newton_tol, newton_ulps |x| |B'|): it keeps that iterate and its B',
+ * and is neither evaluated nor updated again.  Returns the number of updates
+ * the slowest point needed once every point is frozen, or -1 after more than
+ * newton_max updates or a breakdown of a point still moving (B' not finite
+ * or below 1e-300, an update not finite or beyond |x| = 1.2).  The tests
+ * compare squared magnitudes.  frozen is scratch of n flags. */
 static long correct(Py_ssize_t nz, const cplx *zr, cplx lam, Py_ssize_t n, cplx *x, cplx *d,
-                    cplx *next, cplx w, const track_rules *rules)
+                    cplx *next, unsigned char *frozen, cplx w, const track_rules *rules)
 {
+    double tol2 = rules->newton_tol * rules->newton_tol;
+    double ulps2 = rules->newton_ulps * rules->newton_ulps;
     long it;
     Py_ssize_t i;
 
+    memset(frozen, 0, n);
     for (it = 0;; it++) {
         int done = 1, live = 1;
         for (i = 0; i < n; i++) {
             cplx b[2], r, step;
-            double size;
+            double size2;
+            if (frozen[i])
+                continue;
             blaschke(nz, zr, x[i], 1, b);
             d[i] = mul(lam, b[1]);
             r = sub(mul(lam, b[0]), w);
-            size = hypot(d[i].re, d[i].im);
-            if (!(hypot(r.re, r.im)
-                  <= fmax(rules->newton_tol, rules->newton_ulps * hypot(x[i].re, x[i].im) * size)))
-                done = 0;
+            size2 = norm2(d[i]);
+            if (norm2(r) <= fmax(tol2, ulps2 * norm2(x[i]) * size2)) {
+                frozen[i] = 1;
+                continue;
+            }
+            done = 0;
             step = sub(x[i], quot(r, d[i]));
-            if (!(is_finite(d[i]) && size >= 1e-300 && is_finite(step)
-                  && hypot(step.re, step.im) <= 1.2))
+            if (!(is_finite(d[i]) && not_tiny(d[i]) && is_finite(step) && norm2(step) <= 1.2 * 1.2))
                 live = 0;
             next[i] = step;
         }
@@ -547,7 +566,9 @@ static long correct(Py_ssize_t nz, const cplx *zr, cplx lam, Py_ssize_t n, cplx 
             return it;
         if (it == rules->newton_max || !live)
             return -1;
-        memcpy(x, next, n * sizeof(cplx));
+        for (i = 0; i < n; i++)
+            if (!frozen[i])
+                x[i] = next[i];
     }
 }
 
@@ -566,14 +587,14 @@ typedef struct {
  * (Euler on the route's first step).  The step in t halves when the
  * corrector fails or a point moves more than max_move times its own distance
  * to its nearest other point, doubles (up to h_max) after at most
- * newton_easy updates, and starts at h_start on every piece.  x, d, next
- * and fresh are scratch of n entries.  Returns a status: TRACKED, UNDERFLOW
+ * newton_easy updates, and starts at h_start on every piece.  x, d, next,
+ * fresh and frozen are scratch of n entries.  Returns a status: TRACKED, UNDERFLOW
  * below h_min, or COLLISION when two points of an accepted fiber are closer
  * than collision_tol. */
 static int track_route(Py_ssize_t nz, const cplx *zr, cplx lam, Py_ssize_t n, cplx *z,
                        const fiber_state *s, const route_pieces *pieces, Py_ssize_t first,
                        Py_ssize_t count, const track_rules *rules, cplx *x, cplx *d, cplx *next,
-                       double *fresh)
+                       double *fresh, unsigned char *frozen)
 {
     Py_ssize_t g, i;
 
@@ -595,14 +616,14 @@ static int track_route(Py_ssize_t nz, const cplx *zr, cplx lam, Py_ssize_t n, cp
                 cplx pred = sub(add(z[i], q), mul(mul(mul(mk(0.5, 0.0), s->curv[i]), q), q));
                 x[i] = is_finite(pred) ? pred : z[i];
             }
-            iters = correct(nz, zr, lam, n, x, d, next, w_new, rules);
+            iters = correct(nz, zr, lam, n, x, d, next, frozen, w_new, rules);
             /* a point may only move a fraction of its distance to its nearest
              * neighbour per step, or Newton can land on a neighbouring sheet
              * near a critical fiber without any collision; each pair keeps
              * at least 1 - 2 max_move of its distance */
             for (i = 0; iters >= 0 && i < n; i++) {
-                cplx dz = sub(x[i], z[i]);
-                if (hypot(dz.re, dz.im) > rules->max_move * s->near[i])
+                double limit = rules->max_move * s->near[i];
+                if (norm2(sub(x[i], z[i])) > limit * limit)
                     iters = -1;
             }
             if (iters < 0) {
@@ -635,7 +656,7 @@ static int track_route(Py_ssize_t nz, const cplx *zr, cplx lam, Py_ssize_t n, cp
  * ends (one row of n per route) and status; each route starts from its own
  * row's B' and nearest distances and with Euler's predictor, and the first
  * route that fails stops the rest, which are NOT_TRACKED.  scratch holds 5 n
- * points and 2 n doubles. */
+ * points, 2 n doubles and n flags. */
 static void track_routes_loop(Py_ssize_t nz, const cplx *zr, cplx lam, Py_ssize_t n,
                               const cplx *base, const route_pieces *pieces,
                               const int64_t *counts, Py_ssize_t routes,
@@ -644,6 +665,7 @@ static void track_routes_loop(Py_ssize_t nz, const cplx *zr, cplx lam, Py_ssize_
 {
     cplx *x = scratch + 2 * n, *d = scratch + 3 * n, *next = scratch + 4 * n;
     double *fresh = (double *)(scratch + 5 * n);
+    unsigned char *frozen = (unsigned char *)(fresh + 2 * n);
     fiber_state s = {scratch, scratch + n, fresh + n};
     Py_ssize_t l, i, first = 0;
     int failed = 0;
@@ -663,7 +685,7 @@ static void track_routes_loop(Py_ssize_t nz, const cplx *zr, cplx lam, Py_ssize_
         }
         nearest(n, z, s.near);
         status[l] = track_route(nz, zr, lam, n, z, &s, pieces, first, counts[l], rules, x, d,
-                                next, fresh);
+                                next, fresh, frozen);
         failed = status[l] != TRACKED;
     }
 }
@@ -963,7 +985,7 @@ static PyObject *track_routes(PyObject *Py_UNUSED(self), PyObject *args)
         } else if (check_count(&b[1], "base", routes * n) == 0
                    && check_count(&b[8], "ends", routes * n) == 0) {
             route_pieces pieces = {b[2].buf, b[3].buf, b[4].buf, b[5].buf, b[6].buf};
-            scratch = PyMem_Malloc(5 * n * sizeof(cplx) + 2 * n * sizeof(double));
+            scratch = PyMem_Malloc(5 * n * sizeof(cplx) + 2 * n * sizeof(double) + n);
             if (scratch == NULL) {
                 PyErr_NoMemory();
             } else {

@@ -243,29 +243,34 @@ def _newton(zeros, lam, z: np.ndarray, w: np.ndarray, newton_max: int, tol: floa
             ulps: float):
     """Newton on B(z) = w[i] for each row i of z, a fiber; returns (z, B'(z), iters, ok).
 
-    A row stops at its first iterate where every point has |B(z) - w| <=
-    max(tol, ulps |z| |B'(z)|), i.e. within one ulp of z pushed through B':
-    near a zero close to the circle |B'| is large and an absolute tolerance
-    lies below rounding.  A row that needs more than newton_max updates, or
-    whose derivative or iterate breaks down, is not ok.  Stopped rows are
-    evaluated again at the same point, which keeps their B'.
+    A point freezes at its first iterate with |B(z) - w| <= max(tol, ulps
+    |z| |B'(z)|), i.e. within one ulp of z pushed through B': near a zero
+    close to the circle |B'| is large and an absolute tolerance lies below
+    rounding.  A frozen point keeps that iterate and is no longer updated;
+    it is evaluated again at the same point, which keeps its B'.  A row
+    stops once every point is frozen, and its iters is the number of updates
+    its slowest point needed.  A row that needs more than newton_max
+    updates, or where the derivative or iterate of a point still moving
+    breaks down, is not ok.
     """
     iters = np.zeros(z.shape[0], dtype=np.int64)
     live = np.ones(z.shape[0], dtype=bool)
     ok = np.zeros(z.shape[0], dtype=bool)
+    frozen = np.zeros(z.shape, dtype=bool)
     for it in range(newton_max + 1):
         value, der = _value_and_derivative(zeros, lam, z)
         r = value - w[:, None]
         size = np.abs(der)
-        done = (np.abs(r) <= np.fmax(tol, ulps * np.abs(z) * size)).all(axis=1)
+        frozen |= np.abs(r) <= np.fmax(tol, ulps * np.abs(z) * size)
+        done = frozen.all(axis=1)
         ok |= live & done
         live &= ~done
         if it == newton_max or not live.any():
             break
         step = z - r / der
-        live &= (np.isfinite(der) & (size >= 1e-300)
-                 & np.isfinite(step) & (np.abs(step) <= 1.2)).all(axis=1)
-        z = np.where(live[:, None], step, z)
+        live &= (frozen | (np.isfinite(der) & (size >= 1e-300)
+                           & np.isfinite(step) & (np.abs(step) <= 1.2))).all(axis=1)
+        z = np.where(live[:, None] & ~frozen, step, z)
         iters += live
     return z, der, iters, ok
 

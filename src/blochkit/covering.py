@@ -193,6 +193,9 @@ def fiber_solve(B: BlaschkeProduct, w: complex) -> np.ndarray:
 # ----------------------------------------------------------------------------
 
 _H_START = 1.0 / 16.0   # step in t at the start of every piece of a route
+# A circle piece needs the cap: one step over the whole circle has dw = 0, so
+# the foot fiber passes the corrector and the move limit unchanged and the
+# loop gives no permutation.
 _H_MAX = 0.125
 _H_MIN = 1e-8           # a step below this aborts the continuation
 _NEWTON_MAX = 4         # a corrector needing more iterations rejects the step
@@ -211,16 +214,19 @@ def _track_routes(B: BlaschkeProduct, starts: np.ndarray, routes: list[list[tupl
     second-order Taylor step z + q - (B''/B') q^2 / 2, q = dw / B'(z), with
     B'' the divided difference of B' over the last two accepted fibers of
     the route (Euler, z + q, on its first step); a Newton corrector follows.
-    The step halves when the corrector fails or needs more than 4
-    iterations, or a point moves more than 0.4 of its own distance to its
-    nearest other fiber point, and doubles (up to 0.125) after at most 2
-    iterations; every piece starts at h = 1/16.  The B' of the accepted
-    corrector iterate serves the next predictor.  The move limit keeps
-    Newton from silently converging to a neighbouring sheet near a critical
-    fiber, which would scramble the permutation without tripping the
-    collision check: the closest pair gets the limit that the fiber's
-    minimal separation would set, and any pair keeps at least 0.2 of its
-    distance per step.  The work is ``_kernels.track_routes``.
+    The corrector freezes each point at its first iterate within the
+    residual tolerance, keeping that iterate and its B', and counts the
+    updates of the slowest point.  The step halves when the corrector fails
+    or needs more than 4 iterations, or a point moves more than 0.4 of its
+    own distance to its nearest other fiber point, and doubles (up to
+    0.125) after at most 2 iterations; every piece starts at h = 1/16.
+    The B' of the accepted corrector iterate serves the next predictor.
+    The move limit keeps Newton from silently converging to a neighbouring
+    sheet near a critical fiber, which would scramble the permutation
+    without tripping the collision check: the closest pair gets the limit
+    that the fiber's minimal separation would set, and any pair keeps at
+    least 0.2 of its distance per step.  The work is
+    ``_kernels.track_routes``.
 
     Returns the end fibers and, per route, the error that stopped it or
     None.  A failure drops the later routes as well: a caller going through

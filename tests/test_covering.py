@@ -397,8 +397,10 @@ def _track_route_reference(evaluate, z, route):
     """One fiber along one route, step by step: the per-route rules of the
     lockstep tracker written as a plain loop, sharing its evaluator.  Each
     point moves at most 0.4 of its distance to its nearest neighbour per
-    step, and the predictor takes B''/B' from the divided difference of B'
-    over the last two accepted fibers, Euler before the route's first."""
+    step, the corrector freezes each point at its first iterate within the
+    residual tolerance, and the predictor takes B''/B' from the divided
+    difference of B' over the last two accepted fibers, Euler before the
+    route's first."""
 
     def fiber_eval(x):
         value, der = evaluate(x[None, :])
@@ -426,15 +428,18 @@ def _track_route_reference(evaluate, z, route):
             q = (w_new - w_prev) / dp
             pred = z + q - 0.5 * curv * q * q
             x = np.where(np.isfinite(pred), pred, z)
+            frozen = np.zeros(z.shape, dtype=bool)
             for iters in range(9):
                 value, dx = fiber_eval(x)
                 tol = np.fmax(1e-12, 8.0 * np.finfo(float).eps * np.abs(x) * np.abs(dx))
-                if np.all(np.abs(value - w_new) <= tol):
+                frozen |= np.abs(value - w_new) <= tol
+                if np.all(frozen):
                     break
-                if np.any(np.abs(dx) < 1e-300) or not np.all(np.isfinite(dx)):
+                moving = ~frozen
+                if np.any(np.abs(dx[moving]) < 1e-300) or not np.all(np.isfinite(dx[moving])):
                     iters = 9
                     break
-                x = x - (value - w_new) / dx
+                x = np.where(frozen, x, x - (value - w_new) / dx)
                 if np.any(np.abs(x) > 1.2) or not np.all(np.isfinite(x)):
                     iters = 9
                     break
@@ -496,6 +501,49 @@ def test_lockstep_tracking_newton_row_steps(monkeypatch):
         law = "uniform_disk" if k % 2 == 0 else "boundary_concentrated"
         monodromy(random_product(3 + k % 6, seed=60_000 + k, law=law))
     assert sum(rows) <= 1350
+
+
+def test_corrector_freezes_each_point_at_its_first_passing_iterate():
+    """A fiber row whose point 0 is within the residual tolerance of the
+    fiber at its first iterate, with a nonzero residual, and whose other
+    points need 2 or more Newton updates: point 0 keeps its bits and its B',
+    and the row's update count is its slowest point's, each point counted
+    in a row of its own."""
+    B = random_product(5, seed=181)
+    zeros, lam, w = B.zeros_array, B.rotation, 0.3 + 0.1j
+    fiber = fiber_solve(B, w)
+    der = _value_and_derivative(zeros, lam, fiber)[1]
+    z = fiber + 1e-3 * (1 + 1j)
+    z[0] = fiber[0] + 3e-13 / der[0]
+    # evaluated as the row is: numpy may round a lone point apart
+    value0, der0 = (a[0, 0] for a in _value_and_derivative(zeros, lam, z[None, :]))
+    assert 0.0 < abs(value0 - w) <= 1e-12
+    args = (np.array([w]), covering._NEWTON_MAX, covering._NEWTON_TOL, covering._NEWTON_ULPS)
+    with np.errstate(all="ignore"):
+        x, d, iters, ok = _fallback._newton(zeros, lam, z[None, :], *args)
+        alone = [_fallback._newton(zeros, lam, z[None, i:i + 1], *args)
+                 for i in range(z.size)]
+    assert ok[0]
+    assert x[0, 0] == z[0] and d[0, 0] == der0
+    counts = [int(a[2][0]) for a in alone]
+    assert counts[0] == 0 and min(counts[1:]) >= 2
+    assert iters[0] == max(counts)
+
+
+def test_a_circle_piece_needs_the_step_cap(monkeypatch, request):
+    """With h_start = h_max = 1 each circle is one step from w back to w:
+    dw = 0, the foot fiber passes the corrector and the move limit
+    unchanged, and the index check catches the loop that gave no
+    permutation, on either tracker."""
+    B = random_product(3, seed=300)
+    monkeypatch.setattr(covering, "_H_START", 1.0)
+    monkeypatch.setattr(covering, "_H_MAX", 1.0)
+    for track in _trackers(request):
+        with monkeypatch.context() as m:
+            m.setattr(_kernels, "track_routes", track)
+            with pytest.raises(ContinuationError,
+                               match=r"loop 0 about .* gave \(\), of index 0, around 1 critical"):
+                monodromy(B)
 
 
 def test_recorded_monodromy_cycles(monkeypatch, request):
