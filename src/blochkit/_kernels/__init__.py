@@ -51,10 +51,10 @@ Both backends expose three entries:
   two backends cannot drift apart;
 * ``track_routes(zeros, lam, base, pieces, counts, rules)`` -> (ends, status),
   row l of the L x n start fibers ``base`` continued along route l, for each
-  of L routes; n is the number of zeros.  ``pieces`` is
-  (start, delta, radius, angle, circle), five arrays over the pieces of all
-  routes in order; piece g is start + t delta, or start + radius exp(i (angle
-  + 2 pi t)) where circle is set, for t in [0, 1].  Route l is the next
+  of L routes; n is the number of zeros.  ``pieces`` is (start, arm, kappa,
+  delta), four complex arrays over the pieces of all routes in order; piece
+  g is w(t) = start + arm exp(kappa t) + t delta, t in [0, 1]: a segment has
+  arm and kappa 0, a circle kappa 2 pi i and delta 0.  Route l is the next
   counts[l] pieces.  ``rules`` is (h_start, h_max, h_min, newton_max,
   newton_easy, newton_tol, newton_ulps, max_move, collision_tol); the caller,
   ``covering._track_routes``, documents them.  ``ends`` is L x n complex and
@@ -133,8 +133,8 @@ every value within 1e-9 of 1 (measured on each backend: argmax at least
 ``track_routes`` statuses and the permutations they give are equal, and end
 fibers agree to 1e-12, the corrector's residual floor, over the 296 routes
 that monodromy tracks on 29 products of degrees 3-10, 148 legs out to a
-loop's foot and 148 circles (measured: at most 1.2e-14, 17 routes bit for
-bit).
+loop's foot and 148 circles (measured: at most 1.6e-14 on the legs and
+1.1e-14 on the circles, 16 routes bit for bit).
 ``critical_points`` agrees to 1e-12, and raises ``RootCountError`` on the
 same inputs, over 496 products: the 220 of degree 2-12 in that parity set,
 the 274 ``sweep`` products of degree 2-16 of seeds 1-3, and degree 256
@@ -182,13 +182,10 @@ def compiled(module):
     def track_routes(zeros, lam, base, pieces, counts, rules):
         zeros = _flat(zeros)
         counts = _flat(counts, np.int64)
-        start, delta, radius, angle, circle = pieces
         ends = np.empty((counts.size, zeros.size), dtype=np.complex128)
         status = np.empty(counts.size, dtype=np.int64)
-        module.track_routes(zeros, complex(lam), _flat(base), _flat(start), _flat(delta),
-                            _flat(radius, np.float64), _flat(angle, np.float64),
-                            _flat(circle, np.bool_), counts, tuple(rules), ends.reshape(-1),
-                            status)
+        module.track_routes(zeros, complex(lam), _flat(base), *map(_flat, pieces), counts,
+                            tuple(rules), ends.reshape(-1), status)
         return ends, status
 
     def critical_roots(zeros, mult, start, freeze_tol, max_iter, step_tol):

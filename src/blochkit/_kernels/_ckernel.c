@@ -472,21 +472,16 @@ typedef struct {
     double newton_tol, newton_ulps, max_move, collision_tol;
 } track_rules;
 
-/* the route pieces w(t), t in [0, 1]: a segment start + t delta, or a circle
- * start + radius exp(i (angle + 2 pi t)) */
-typedef struct {
-    const cplx *start, *delta;
-    const double *radius, *angle;
-    const unsigned char *circle;
-} route_pieces;
+/* the route pieces w(t) = start + arm exp(kappa t) + t delta, t in [0, 1]: a
+ * segment w0 -> w1 is (w0, 0, 0, w1 - w0), a circle about v from q is
+ * (v, q - v, 2 pi i, 0) */
+typedef struct { const cplx *start, *arm, *kappa, *delta; } route_pieces;
 
 static cplx piece_at(const route_pieces *p, Py_ssize_t g, double t)
 {
-    if (p->circle[g]) {
-        double theta = p->angle[g] + 2.0 * M_PI * t;
-        return add(p->start[g], scale(p->radius[g], mk(cos(theta), sin(theta))));
-    }
-    return add(p->start[g], scale(t, p->delta[g]));
+    cplx kt = scale(t, p->kappa[g]);
+    return add(add(p->start[g], mul(p->arm[g], scale(exp(kt.re), mk(cos(kt.im), sin(kt.im))))),
+               scale(t, p->delta[g]));
 }
 
 static inline int is_finite(cplx a) { return isfinite(a.re) && isfinite(a.im); }
@@ -939,16 +934,15 @@ static PyObject *seminorm_search(PyObject *Py_UNUSED(self), PyObject *args)
     Py_RETURN_NONE;
 }
 
-static const array_spec track_spec[10] = {
-    {"Zd", "zeros", 16, 0, -1}, {"Zd", "base", 16, 0, -1},   {"Zd", "start", 16, 0, -1},
-    {"Zd", "delta", 16, 0, 2},  {"d", "radius", 8, 0, 2},     {"d", "angle", 8, 0, 2},
-    {"?", "circle", 1, 0, 2},   {"q", "counts", 8, 0, -1},    {"Zd", "ends", 16, 1, -1},
-    {"q", "status", 8, 1, 7},
+static const array_spec track_spec[9] = {
+    {"Zd", "zeros", 16, 0, -1}, {"Zd", "base", 16, 0, -1}, {"Zd", "start", 16, 0, -1},
+    {"Zd", "arm", 16, 0, 2},    {"Zd", "kappa", 16, 0, 2}, {"Zd", "delta", 16, 0, 2},
+    {"q", "counts", 8, 0, -1},  {"Zd", "ends", 16, 1, -1}, {"q", "status", 8, 1, 6},
 };
 
 PyDoc_STRVAR(track_routes_doc,
-"track_routes(zeros, lam, base, start, delta, radius, angle, circle, counts,\n"
-"             rules, ends, status)\n\n"
+"track_routes(zeros, lam, base, start, arm, kappa, delta, counts, rules, ends,\n"
+"             status)\n\n"
 "Continue the start fiber base[l * n:(l + 1) * n] along route l, for every route,\n"
 "one after the other; n is the number of zeros.  Route l is the next counts[l]\n"
 "pieces; rules is (h_start, h_max, h_min, newton_max, newton_easy, newton_tol,\n"
@@ -957,23 +951,23 @@ PyDoc_STRVAR(track_routes_doc,
 
 static PyObject *track_routes(PyObject *Py_UNUSED(self), PyObject *args)
 {
-    PyObject *obj[10];
-    Py_buffer b[10];
+    PyObject *obj[9];
+    Py_buffer b[9];
     Py_complex lam;
     track_rules rules;
     cplx *scratch;
     Py_ssize_t i, total = 0;
 
-    if (!PyArg_ParseTuple(args, "ODOOOOOOO(dddlldddd)OO", &obj[0], &lam, &obj[1], &obj[2],
-                          &obj[3], &obj[4], &obj[5], &obj[6], &obj[7], &rules.h_start,
-                          &rules.h_max, &rules.h_min, &rules.newton_max, &rules.newton_easy,
+    if (!PyArg_ParseTuple(args, "ODOOOOOO(dddlldddd)OO", &obj[0], &lam, &obj[1], &obj[2],
+                          &obj[3], &obj[4], &obj[5], &obj[6], &rules.h_start, &rules.h_max,
+                          &rules.h_min, &rules.newton_max, &rules.newton_easy,
                           &rules.newton_tol, &rules.newton_ulps, &rules.max_move,
-                          &rules.collision_tol, &obj[8], &obj[9])
-        || get_arrays(obj, b, track_spec, 10) < 0)
+                          &rules.collision_tol, &obj[7], &obj[8])
+        || get_arrays(obj, b, track_spec, 9) < 0)
         return NULL;
     {
-        const int64_t *counts = b[7].buf;
-        Py_ssize_t n = b[0].len / 16, routes = b[7].len / 8;
+        const int64_t *counts = b[6].buf;
+        Py_ssize_t n = b[0].len / 16, routes = b[6].len / 8;
         int negative = 0;
         for (i = 0; i < routes; i++) {
             negative |= counts[i] < 0;
@@ -983,21 +977,21 @@ static PyObject *track_routes(PyObject *Py_UNUSED(self), PyObject *args)
             PyErr_Format(PyExc_ValueError, "counts: expected nonnegative counts summing to %zd",
                          b[2].len / 16);
         } else if (check_count(&b[1], "base", routes * n) == 0
-                   && check_count(&b[8], "ends", routes * n) == 0) {
-            route_pieces pieces = {b[2].buf, b[3].buf, b[4].buf, b[5].buf, b[6].buf};
+                   && check_count(&b[7], "ends", routes * n) == 0) {
+            route_pieces pieces = {b[2].buf, b[3].buf, b[4].buf, b[5].buf};
             scratch = PyMem_Malloc(5 * n * sizeof(cplx) + 2 * n * sizeof(double) + n);
             if (scratch == NULL) {
                 PyErr_NoMemory();
             } else {
                 Py_BEGIN_ALLOW_THREADS
                 track_routes_loop(b[0].len / 16, b[0].buf, mk(lam.real, lam.imag), n, b[1].buf,
-                                  &pieces, counts, routes, &rules, b[8].buf, b[9].buf, scratch);
+                                  &pieces, counts, routes, &rules, b[7].buf, b[8].buf, scratch);
                 Py_END_ALLOW_THREADS
                 PyMem_Free(scratch);
             }
         }
     }
-    release_arrays(b, 10);
+    release_arrays(b, 9);
     if (PyErr_Occurred())
         return NULL;
     Py_RETURN_NONE;

@@ -17,8 +17,6 @@ mirroring.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from ..products import _boundary_peaks, _row_blocks, _value_and_derivative
@@ -292,15 +290,13 @@ def track_routes(zeros, lam, base, pieces, counts, rules):
      collision_tol) = rules
     zeros = np.ascontiguousarray(zeros, dtype=np.complex128)
     lam = complex(lam)
-    start, delta, radius, angle, circle = (np.asarray(a) for a in pieces)
+    start, arm, kappa, delta = (np.asarray(a, dtype=np.complex128) for a in pieces)
     counts = np.asarray(counts, dtype=np.int64)
     end = np.cumsum(counts)
     piece = end - counts
 
     def w_at(g, t):
-        theta = angle[g] + 2.0 * math.pi * t
-        return np.where(circle[g], start[g] + radius[g] * (np.cos(theta) + 1j * np.sin(theta)),
-                        start[g] + t * delta[g])
+        return start[g] + arm[g] * np.exp(kappa[g] * t) + t * delta[g]
 
     L = counts.size
     status = np.full(L, TRACKED, dtype=np.int64)

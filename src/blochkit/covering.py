@@ -193,9 +193,9 @@ def fiber_solve(B: BlaschkeProduct, w: complex) -> np.ndarray:
 # ----------------------------------------------------------------------------
 
 _H_START = 1.0 / 16.0   # step in t at the start of every piece of a route
-# A circle piece needs the cap: one step over the whole circle has dw = 0, so
-# the foot fiber passes the corrector and the move limit unchanged and the
-# loop gives no permutation.
+# A circle piece needs the cap: one step over the whole circle has
+# dw = arm (e^{2 pi i} - 1), at rounding level, so the foot fiber passes the
+# corrector and the move limit unchanged and the loop gives no permutation.
 _H_MAX = 0.125
 _H_MIN = 1e-8           # a step below this aborts the continuation
 _NEWTON_MAX = 4         # a corrector needing more iterations rejects the step
@@ -209,11 +209,12 @@ def _track_routes(B: BlaschkeProduct, starts: np.ndarray, routes: list[list[tupl
     """Continue row l of the L x n start fibers ``starts`` along route l, for
     every route.
 
-    A route is a list of pieces w(t), t in [0, 1], made by _segment and
-    _circle.  Per route: the predictor is the inverse function's
-    second-order Taylor step z + q - (B''/B') q^2 / 2, q = dw / B'(z), with
-    B'' the divided difference of B' over the last two accepted fibers of
-    the route (Euler, z + q, on its first step); a Newton corrector follows.
+    A route is a list of pieces w(t) = start + arm exp(kappa t) + t delta,
+    t in [0, 1], made by _segment and _circle.  Per route: the predictor is
+    the inverse function's second-order Taylor step z + q - (B''/B') q^2 / 2,
+    q = dw / B'(z), with B'' the divided difference of B' over the last two
+    accepted fibers of the route (Euler, z + q, on its first step); a Newton
+    corrector follows.
     The corrector freezes each point at its first iterate within the
     residual tolerance, keeping that iterate and its B', and counts the
     updates of the slowest point.  The step halves when the corrector fails
@@ -353,7 +354,7 @@ def monodromy(B: BlaschkeProduct, values=None):
                      for j in range(centers.size) if j != i]
         waypoints = _segment_waypoints(w_star, v + rho * direction, obstacles)
         legs.append([_segment(w0, w1) for w0, w1 in _pairs(waypoints)])
-        circles.append([_circle(v, rho, math.atan2(direction.imag, direction.real))])
+        circles.append([_circle(v, rho * direction)])
     feet = _tracked(B, np.broadcast_to(base, (len(legs), base.size)), legs)
     ends = _tracked(B, feet, circles)
     tols = 0.45 * _fallback._nearest(feet).min(axis=1)
@@ -420,13 +421,13 @@ def _pairs(seq):
 
 
 def _segment(w0: complex, w1: complex) -> tuple:
-    """The route piece w0 + t (w1 - w0): (start, delta, radius, angle, is circle)."""
-    return (w0, w1 - w0, 0.0, 0.0, False)
+    """The route piece w0 + t (w1 - w0), as (start, arm, kappa, delta)."""
+    return (w0, 0j, 0j, w1 - w0)
 
 
-def _circle(center: complex, rho: float, theta0: float) -> tuple:
-    """The route piece center + rho exp(i (theta0 + 2 pi t)), laid out as _segment's."""
-    return (center, 0j, rho, theta0, True)
+def _circle(center: complex, arm: complex) -> tuple:
+    """The route piece center + arm exp(2 pi i t), once around from center + arm."""
+    return (center, arm, 2j * math.pi, 0j)
 
 
 def _match_permutation(fiber: np.ndarray, final: np.ndarray, tol: float) -> tuple[int, ...]:

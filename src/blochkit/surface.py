@@ -211,11 +211,14 @@ def _parameter_start(a: float) -> tuple[float, float]:
     (1, 1/L, log L) in L = -log a, made on the 160 values of a log-spaced
     from 1e-4 to 0.4 of the README scan.  They miss the solution by at most
     0.09 in u and 0.12 in v there, and by 0.24 and 0.35 up to a = 0.532;
-    outside that they extrapolate."""
+    outside that they extrapolate, until c - 1 rounds to 0 (a >= 0.745)."""
     big = -math.log(a)
     small, log_big = 1.0 / big, math.log(big)
     c = 1.0 + math.exp(-2.6125 - 9.4206 * small + 2.1549 * log_big)
-    return c, c + math.exp(-3.5889 + 0.6852 * small + 2.2896 * log_big)
+    try:
+        return c, c + math.exp(-3.5889 + 0.6852 * small + 2.2896 * log_big)
+    except OverflowError:
+        return c, math.inf
 
 
 def solve_parameters(a: float) -> tuple[float, float]:
@@ -224,10 +227,12 @@ def solve_parameters(a: float) -> tuple[float, float]:
     The iteration runs in u = log(c - 1) and v = log(d - c), where every
     point is inside 1 < c < d, from a start predicted from a.  Steps are
     halved until they reduce the residual norm; a failure reports the best
-    point the iteration reached."""
+    point the iteration reached, or the start when it is outside 1 < c < d."""
     if not (0.0 < a < 1.0):
         raise DomainError("slit parameter must satisfy 0 < a < 1")
     start = c, d = _parameter_start(a)
+    if not 1.0 < c < d < math.inf:
+        raise ConvergenceError(f"parameter solve cannot start from {start}, outside 1 < c < d")
     r, jac = parameter_jacobian(c, d, a)
     norm = float(np.max(np.abs(r)))
     for _ in range(100):

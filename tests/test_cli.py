@@ -62,6 +62,12 @@ def test_constants_tight_tolerance_fails():
     assert data["all_pass"] is False
 
 
+def test_surface_beyond_the_solvable_range_fails_to_converge():
+    out = run_cli("surface", "--a", "0.8")
+    assert out.returncode == 1 and out.stdout == ""
+    assert out.stderr.startswith("error: ConvergenceError: parameter solve cannot start from")
+
+
 def test_unknown_tolerance_is_usage_error():
     out = run_cli("constants", "--tolerance", "bogus=1")
     assert out.returncode == 2

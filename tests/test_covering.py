@@ -413,13 +413,12 @@ def _track_route_reference(evaluate, z, route):
 
     dp = fiber_eval(z)[1]
     curv = np.zeros_like(z)
-    for start, delta, rho, theta0, circle in route:
+    for start, arm, kappa, delta in route:
 
         def w_of_t(t):
-            if circle:
-                return start + rho * complex(math.cos(theta0 + 2.0 * math.pi * t),
-                                             math.sin(theta0 + 2.0 * math.pi * t))
-            return start + t * delta
+            # through numpy's array product, as the lockstep tracker takes it:
+            # Python's complex product rounds apart from it
+            return (start + arm * np.exp(kappa * np.array([t])) + t * delta)[0]
 
         t, h, w_prev = 0.0, 1.0 / 16.0, w_of_t(0.0)
         while t < 1.0 - 1e-15:
@@ -531,10 +530,10 @@ def test_corrector_freezes_each_point_at_its_first_passing_iterate():
 
 
 def test_a_circle_piece_needs_the_step_cap(monkeypatch, request):
-    """With h_start = h_max = 1 each circle is one step from w back to w:
-    dw = 0, the foot fiber passes the corrector and the move limit
-    unchanged, and the index check catches the loop that gave no
-    permutation, on either tracker."""
+    """With h_start = h_max = 1 each circle is one step from w back to w
+    within rounding: dw = arm (e^{2 pi i} - 1), the foot fiber passes the
+    corrector and the move limit unchanged, and the index check catches the
+    loop that gave no permutation, on either tracker."""
     B = random_product(3, seed=300)
     monkeypatch.setattr(covering, "_H_START", 1.0)
     monkeypatch.setattr(covering, "_H_MAX", 1.0)
@@ -655,16 +654,16 @@ def test_monodromy_tracks_each_loop_once(monkeypatch):
         w_star = legs[0][0]
         assert np.all(legs[0][first] == w_star)
         assert np.all(base == base[0])
-        assert not np.any(legs[4])
+        assert not np.any(legs[1]) and not np.any(legs[2])
         # ... and ends at its loop's foot, not at the base point
         last = first + leg_counts - 1
-        tips = legs[0][last] + legs[1][last]
+        tips = legs[0][last] + legs[3][last]
         assert np.all(tips != w_star)
-        center, _, rho, theta0, circle = circles
-        np.testing.assert_allclose(tips, center + rho * np.exp(1j * theta0), rtol=0,
-                                   atol=1e-15)
-        # each circle is a route of its own, from its foot fiber
-        assert list(circle_counts) == [1] * len(loops) and np.all(circle)
+        center, arm, kappa, delta = circles
+        np.testing.assert_allclose(tips, center + arm, rtol=0, atol=1e-15)
+        # each circle is a route of its own, once around, from its foot fiber
+        assert list(circle_counts) == [1] * len(loops)
+        assert np.all(kappa == 2j * np.pi) and not np.any(delta)
         np.testing.assert_array_equal(starts, feet)
 
 
@@ -672,7 +671,7 @@ def _round_trip_permutation(B, base, leg, circle):
     """The loop permutation of the base fiber along leg, circle and the leg
     reversed, each tracked as a route of its own by _track_route_reference
     and matched at the base point, point by point."""
-    back = [covering._segment(w0 + dw, w0) for w0, dw, *_ in reversed(leg)]
+    back = [covering._segment(w0 + dw, w0) for w0, _, _, dw in reversed(leg)]
     evaluate = partial(_value_and_derivative, B.zeros_array, B.rotation)
     z = base.copy()
     with np.errstate(all="ignore"):

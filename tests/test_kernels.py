@@ -452,8 +452,7 @@ def test_compiled_kernel_rejects_bad_arrays(ckernel):
         ckernel.seminorm_search(zeros, *batch, *scan, frozen, *outs[1:])
     # two routes of one piece each, each from its own start fiber of two points
     base = np.zeros(4, dtype=np.complex128)
-    pieces = (np.zeros(2, dtype=np.complex128), np.zeros(2, dtype=np.complex128),
-              np.zeros(2), np.zeros(2), np.zeros(2, dtype=bool))
+    pieces = (np.zeros(2, dtype=np.complex128),) * 4
     rules = (1 / 16, 0.125, 1e-8, 4, 2, 1e-12, 1e-15, 0.4, 1e-10)
     ends, status = np.empty(4, dtype=np.complex128), np.empty(2, dtype=np.int64)
     for counts in ([1, 2], [3, -1]):
@@ -467,8 +466,11 @@ def test_compiled_kernel_rejects_bad_arrays(ckernel):
     with pytest.raises(ValueError, match="ends: expected 4 items, got 3"):
         ckernel.track_routes(zeros, 0j, base, *pieces, np.array([1, 1]), rules, ends[:3],
                              status)
-    with pytest.raises(TypeError, match="circle: expected format '\\?'"):
-        ckernel.track_routes(zeros, 0j, base, *pieces[:4], np.zeros(2), np.array([1, 1]),
+    with pytest.raises(TypeError, match="kappa: expected format 'Zd', got 'd'"):
+        ckernel.track_routes(zeros, 0j, base, *pieces[:2], np.zeros(2), pieces[3],
+                             np.array([1, 1]), rules, ends, status)
+    with pytest.raises(ValueError, match="delta: expected 2 items, got 1"):
+        ckernel.track_routes(zeros, 0j, base, *pieces[:3], pieces[3][:1], np.array([1, 1]),
                              rules, ends, status)
     # three roots over two distinct zeros
     mult = np.ones(2, dtype=np.int64)
@@ -595,6 +597,32 @@ def test_track_routes_backends_agree(ckernel, monkeypatch):
         assert perms[0] == perms[1]
 
 
+def test_track_routes_follows_a_geometric_piece(ckernel, monkeypatch):
+    """A piece with real kappa < 0, w(t) = c + (w0 - c) e^{kappa t}, whose
+    distance to c shrinks geometrically in t, 0.12 or more from every
+    critical value: both trackers carry the fiber over w0 to within 1e-12 of
+    the fiber over w(1), and agree within the 1e-12 bound of
+    blochkit._kernels."""
+    B = random_product(6, seed=181)
+    c, w0, kappa = 0.1 + 0.05j, 0.5 - 0.2j, math.log(1e-3)
+    w1 = c + (w0 - c) * math.exp(kappa)
+    values = covering._values_of(B, covering.critical_points(B))
+    along = np.clip(((values - w0) / (w1 - w0)).real, 0.0, 1.0)
+    assert np.min(np.abs(values - (w0 + along * (w1 - w0)))) >= 0.12
+    target = covering.fiber_solve(B, w1)
+    ends = []
+    for track in (_kernels.compiled(ckernel)[1], _fallback.track_routes):
+        monkeypatch.setattr(_kernels, "track_routes", track)
+        (end,), errors = covering._track_routes(
+            B, covering.fiber_solve(B, w0)[None, :], [[(c, w0 - c, complex(kappa), 0j)]])
+        assert errors == [None]
+        gap = np.abs(end[:, None] - target[None, :])
+        assert np.unique(gap.argmin(axis=1)).size == B.degree
+        assert np.max(gap.min(axis=1)) <= 1e-12
+        ends.append(end)
+    assert np.max(np.abs(ends[0] - ends[1])) <= 1e-12
+
+
 def test_track_routes_statuses(kernels, monkeypatch):
     """The first failed route stops the later ones, on either backend."""
     track = kernels[1]
@@ -602,11 +630,12 @@ def test_track_routes_statuses(kernels, monkeypatch):
         monkeypatch, [random_product(5, seed=181)])[0]
     # one piece starting at w = 0.9, away from the base fiber over 0: no step
     # is accepted and the step size underflows
-    stray = (0.9 + 0j, 0.05 + 0j, 0.0, 0.0, False)
+    stray = covering._segment(0.9 + 0j, 0.95 + 0j)
     later = len(counts)
 
     def statuses(at, collision_tol=rules[-1]):
-        stretched = tuple(np.insert(a, sum(counts[:at]), x) for a, x in zip(pieces, stray))
+        stretched = tuple(np.insert(a, sum(counts[:at]), x)
+                          for a, x in zip(pieces, stray, strict=True))
         return list(track(zeros, lam, np.insert(base, at, base[0], axis=0), stretched,
                           np.insert(counts, at, 1), (*rules[:-1], collision_tol))[1])
 

@@ -506,6 +506,16 @@ def test_failed_parameter_solve_reports_its_best_point(monkeypatch):
     assert 1e-9 <= norm < 1e-6
 
 
+@pytest.mark.parametrize("a", (0.8, 0.95, 0.9995))
+def test_parameter_start_outside_the_domain_fails_to_converge(a):
+    # the start's c - 1 rounds to 0 from a = 0.745, and its d overflows next
+    # to a = 1: the solve once raised DomainError on (c, d), which the caller
+    # never gave, or OverflowError
+    with pytest.raises(ConvergenceError,
+                       match=r"cannot start from \(1\.0, .*\), outside 1 < c < d"):
+        solve_parameters(a)
+
+
 @pytest.mark.parametrize("a", (0.412, 0.432, 0.434))
 def test_parameter_solve_stops_on_its_quadrature_floor(a, monkeypatch):
     # at these a the residuals stall near 1e-11, above the 1e-12 goal; the
