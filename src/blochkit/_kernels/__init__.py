@@ -5,9 +5,12 @@ vectorized numpy fallback is the reference implementation of the same contract
 (same objective, Newton ascent rules, tracking and Aberth rules).  The
 fallback takes B and its derivatives from
 ``blochkit.products._value_and_derivative``, the evaluator the rest of the
-package uses; the C kernel is its compiled twin, one point at a time, with
-one routine for all its entries that gives B and B', and B'' and B''' on
-request.  Set
+package uses.  The C kernel writes the same sums with one per-factor
+formula, 1/(z - a) and 1/(1 - conj(a) z) as conj/|.|^2 (two real divisions
+per factor, no branch): its tracker takes B and B' one point at a time, and
+its seminorm search takes B, B', B'' and B''' four points at a time, the
+four lanes of one factor loop that the compiler vectorizes and that gives
+each point the single-point result bit for bit.  Set
 ``BLOCHKIT_PURE=1`` to force the fallback, e.g. for benchmarking.
 
 Both backends expose three entries:
@@ -41,7 +44,13 @@ Both backends expose three entries:
   where f is 0, such as a zero of B', stays.  The unit circle alone keeps
   the ascent in the disk: f is 0 on it and negative or NaN beyond it, so
   the Armijo test f_trial - f >= need f, with f > 0 and need >= 0, rejects
-  every step there.  The C kernel runs the whole batch in one call with the
+  every step there.  Both backends climb all starts of a product in
+  lockstep: each round steps every live start once, and every start visits
+  exactly the points its ascent alone would visit.  The C kernel keeps one
+  120-byte state per start (point, f and the terms of log f, step, gain,
+  step fraction, scale, iterations, stage) in per-call scratch and
+  evaluates the points the starts wait on four at a time.  It runs the
+  whole batch in one call with the
   interpreter lock released.  It builds the (cos, sin) table of the scan's
   uniform angles once per call, in the call's own scratch, so a product's
   scan reads the same bits as if it were computed in place, and it keeps no
@@ -94,9 +103,10 @@ benchmark harness (``perfbench/run.py``) traces it: its traced calls read 0
 on the C backend and the numpy search's one pass per product on the
 fallback.
 
-Agreement bound.  Both backends write the same formulas, but numpy may round
-a complex product or modulus differently in the last bit, and an ascent that
-then meets a near-tie in its line search or between two starts can end
+Agreement bound.  Both backends write the same sums, but the C kernel
+multiplies by reciprocals where numpy divides, numpy may round a complex
+product or modulus differently in the last bit, and an ascent that then
+meets a near-tie in its line search or between two starts can end
 elsewhere.  The value that ``seminorm_search`` returns with ``max_iter`` 0,
 the objective at its best start, agrees with ``_fallback._objective`` at the
 compiled argmax to 3e-12 for slope 0 and 1 and to 2e-12 for slope 1/2, on the
@@ -108,7 +118,8 @@ degree-400 product, to 5.6e-13.
 3e-12 of ``seminorm.pointwise_bloch`` at the argmax on the 2,000 ``sweep``
 products of seeds 1-20 (measured: at most 2.3e-12 in C and 1.1e-12 in numpy).
 Both round 1 - |z|^2 with a relative error of about 1e-16 / (1 - |z|), so
-the gap grows toward the circle: 6.6e-12 in C on the degree-60 product below.
+the gap grows toward the circle: up to 2.9e-12 in C on the 40 products
+below, whose argmaxes lie as close as 2.5e-5 to it.
 ``seminorm_search`` gives ``seminorm`` values that agree to 1e-10, from equal
 start counts, on the 240 products of degrees 1-12 under both radial laws
 (measured: at most 1.7e-12, 1.9e-12 and 1.6e-12 for slopes 0, 1/2 and 1), on
@@ -118,7 +129,7 @@ law)`` for even d from 24 to 62 under both laws (measured: at most 6.6e-12
 and 7.9e-12, both on the uniform-law product of degree 60, whose argmax lies
 2.5e-5 from the circle).  On the first two sets both backends take the same
 number of Newton iterations, product by product; on the third, the
-uniform-law products of degrees 40, 52 and 56 differ by one to three.  With
+uniform-law products of degrees 52 and 56 differ by three and one.  With
 slope 1/2 the values also agree to 1e-10 on the scan's special cases that
 ``tests/test_kernels.py`` checks.  The two are not bitwise equal:
 numpy's complex modulus can round apart from C's hypot in the last bit, and
@@ -133,8 +144,12 @@ every value within 1e-9 of 1 (measured on each backend: argmax at least
 ``track_routes`` statuses and the permutations they give are equal, and end
 fibers agree to 1e-12, the corrector's residual floor, over the 296 routes
 that monodromy tracks on 29 products of degrees 3-10, 148 legs out to a
-loop's foot and 148 circles (measured: at most 1.6e-14 on the legs and
-1.1e-14 on the circles, 16 routes bit for bit).
+loop's foot and 148 circles (measured: at most 1.3e-14 on the legs and
+9.9e-15 on all circles but one, 11 routes bit for bit).  On that one circle a point
+with |B'| = 0.78 ends 9.6e-13 apart: its residual is 7.5e-13 in numpy, just
+under the floor, and 2.2e-16 in C, so the two correctors froze it after
+different numbers of updates.  Such a split can move a point by up to the
+floor over |B'|.
 ``critical_points`` agrees to 1e-12, and raises ``RootCountError`` on the
 same inputs, over 496 products: the 220 of degree 2-12 in that parity set,
 the 274 ``sweep`` products of degree 2-16 of seeds 1-3, and degree 256

@@ -1,22 +1,24 @@
 /* Compiled kernel backend, as a plain CPython module with three entries:
  * seminorm_search, the whole multistart search from the boundary scan to
- * the best start for each product of a batch, each start refined by a
- * safeguarded Newton ascent on log f; track_routes, fiber tracking one route
- * at a time, each from its own start fiber; and critical_roots, mirrored
- * Ehrlich-Aberth on the numerator of B'/B, one root at a time in scratch
- * linear in the degree.
+ * the best start for each product of a batch, all starts of a product
+ * climbing in lockstep by safeguarded Newton ascents on log f;
+ * track_routes, fiber tracking one route at a time, each from its own start
+ * fiber; and critical_roots, mirrored Ehrlich-Aberth on the numerator of
+ * B'/B, one root at a time in scratch linear in the degree.
  *
  * blochkit._kernels makes the inputs contiguous and allocates the outputs;
  * this module reads and writes them through the buffer protocol, so it needs
  * no numpy headers.  Every loop runs with the interpreter lock released, and
  * the module keeps no global state, so concurrent calls are safe.  B and its
- * derivatives come from one routine, blaschke(): B and B' for the tracker,
- * up to B''' for the Newton ascent.
+ * derivatives come from one per-factor formula, factor_step(), which takes
+ * 1/num and 1/den as reciprocals: blaschke() steps one point through it, B
+ * and B' for the tracker, and blaschke_lanes() four at once, up to B''' for
+ * the ascent.
  * The objective with its gradient and Hessian, the ascent's step, line
  * search and stop rules, the per-route tracking rules (each point's move
  * bounded by its own nearest-neighbour distance, and a second-order
  * predictor) and the Aberth rules are those of the numpy reference,
- * blochkit._kernels._fallback, evaluated one point at a time.
+ * blochkit._kernels._fallback.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -63,6 +65,12 @@ static inline cplx factor_den(cplx a, cplx z)
     return sub(mk(1.0, 0.0), mul(mk(a.re, -a.im), z));
 }
 
+static inline double norm2(cplx a) { return a.re * a.re + a.im * a.im; }
+
+/* 1/a as conj(a)/|a|^2: one real division and no branch, so a loop of them
+ * vectorizes */
+static inline cplx recip(cplx a) { return scale(1.0 / norm2(a), conjugate(a)); }
+
 /* P = f_0 ... f_{n-1} at z and its derivatives up to order (1 or 3) into
  * d[1..order], by the Leibniz rule: one pass carries the partial product p
  * and its derivatives, dp <- dp f_j + p f_j' and its analogues
@@ -76,12 +84,11 @@ static void product_rule(Py_ssize_t n, const cplx *zr, cplx z, int order, cplx *
     Py_ssize_t j;
 
     for (j = 0; j < n; j++) {
-        cplx den = factor_den(zr[j], z);
-        double aj2 = zr[j].re * zr[j].re + zr[j].im * zr[j].im;
-        cplx f = quot(sub(z, zr[j]), den);
-        cplx f1 = quot(mk(1.0 - aj2, 0.0), mul(den, den));
+        cplx rden = recip(factor_den(zr[j], z));
+        cplx f = mul(sub(z, zr[j]), rden);
+        cplx f1 = scale(1.0 - norm2(zr[j]), mul(rden, rden));
         if (order == 3) {
-            cplx q = quot(conjugate(zr[j]), den); /* f'' = 2 q f', f''' = 3 q f'' */
+            cplx q = mul(conjugate(zr[j]), rden); /* f'' = 2 q f', f''' = 3 q f'' */
             cplx f2 = scale(2.0, mul(q, f1)), f3 = scale(3.0, mul(q, f2));
             d3 = add(add(add(mul(d3, f), scale(3.0, mul(d2, f1))), scale(3.0, mul(d1, f2))),
                      mul(p, f3));
@@ -97,48 +104,113 @@ static void product_rule(Py_ssize_t n, const cplx *zr, cplx z, int order, cplx *
     }
 }
 
-/* The product of the factors at z, P = B/lam, and its derivatives P' = B'/lam
- * and, for order 3, P'' and P''', into d[0..order]; order is 1 or 3.  They
- * are P times the log-derivative sum S1 = sum_j l_j, l_j = f_j'/f_j, and
- * times the Leibniz rule divided by the partial product, summed in order:
- *   S2 <- S2 + 2 S1 l_j + f_j''/f_j,
- *   S3 <- S3 + 3 S2 l_j + 3 S1 f_j''/f_j + f_j'''/f_j,   then S1 <- S1 + l_j,
- * whose terms hold each l_j at most once, so nothing cancels next to a zero;
- * within ZERO_SWITCH of a zero, where P is 0 times a pole, the product rule
- * takes over.  The one routine of this file that evaluates B. */
-static inline void blaschke(Py_ssize_t n, const cplx *zr, cplx z, int order, cplx *d)
-{
-    double min_d2 = HUGE_VAL;
-    cplx prod = mk(1.0, 0.0), s1 = mk(0.0, 0.0), s2 = s1, s3 = s1;
-    Py_ssize_t j;
+/* the sums that the factor loop carries for one point, each `stride` doubles
+ * after the one before: P, S1, S2 and S3 (real, then imaginary part) and the
+ * least squared distance to a zero */
+enum { P_RE, S1_RE = 2, S2_RE = 4, S3_RE = 6, MIN_D2 = 8, SUMS };
 
-    for (j = 0; j < n; j++) {
-        cplx num = sub(z, zr[j]), den = factor_den(zr[j], z);
-        double aj2 = zr[j].re * zr[j].re + zr[j].im * zr[j].im;
-        double d2 = num.re * num.re + num.im * num.im;
-        cplx ell = quot(mk(1.0 - aj2, 0.0), mul(num, den));
-        prod = mul(prod, quot(num, den));
-        if (order == 3) {
-            cplx q = quot(conjugate(zr[j]), den); /* f''/f = 2 q l, f'''/f = 3 q f''/f */
-            cplx rho = scale(2.0, mul(q, ell));
-            s3 = add(s3, add(add(scale(3.0, mul(q, rho)), scale(3.0, mul(s2, ell))),
-                             scale(3.0, mul(s1, rho))));
-            s2 = add(s2, add(rho, scale(2.0, mul(s1, ell))));
-        }
-        s1 = add(s1, ell);
-        if (d2 < min_d2)
-            min_d2 = d2;
+static inline cplx sum_at(const double *s, int k, Py_ssize_t stride)
+{
+    return mk(s[k * stride], s[(k + 1) * stride]);
+}
+
+static inline void set_sum(double *s, int k, Py_ssize_t stride, cplx v)
+{
+    s[k * stride] = v.re;
+    s[(k + 1) * stride] = v.im;
+}
+
+static inline void start_sums(double *s, Py_ssize_t stride)
+{
+    int k;
+    for (k = 0; k < SUMS; k++)
+        s[k * stride] = 0.0;
+    s[P_RE * stride] = 1.0;
+    s[MIN_D2 * stride] = HUGE_VAL;
+}
+
+/* One factor f_j = num/den of P at z into the sums s: P <- P f_j and, with
+ * l_j = f_j'/f_j = (1 - |a|^2)/(num den) and the Leibniz rule divided by the
+ * partial product,
+ *   S2 <- S2 + 2 S1 l_j + f_j''/f_j,
+ *   S3 <- S3 + 3 S2 l_j + 3 S1 f_j''/f_j + f_j'''/f_j,   then S1 <- S1 + l_j
+ * (S2 and S3 for order 3 only), whose terms hold each l_j at most once, so
+ * nothing cancels next to a zero.  1/num and 1/den are reciprocals, two real
+ * divisions and no branch, so the lane loop of blaschke_lanes() vectorizes;
+ * the one per-factor formula of both evaluators. */
+static inline void factor_step(cplx a, cplx z, int order, double *s, Py_ssize_t stride)
+{
+    cplx num = sub(z, a), rnum = recip(num), rden = recip(factor_den(a, z));
+    cplx ell = scale(1.0 - norm2(a), mul(rnum, rden)), s1 = sum_at(s, S1_RE, stride);
+    double d2 = norm2(num), least = s[MIN_D2 * stride];
+
+    set_sum(s, P_RE, stride, mul(sum_at(s, P_RE, stride), mul(num, rden)));
+    if (order == 3) {
+        cplx s2 = sum_at(s, S2_RE, stride), s3 = sum_at(s, S3_RE, stride);
+        cplx q = mul(conjugate(a), rden); /* f''/f = 2 q l, f'''/f = 3 q f''/f */
+        cplx rho = scale(2.0, mul(q, ell));
+        s3 = add(s3, add(add(scale(3.0, mul(q, rho)), scale(3.0, mul(s2, ell))),
+                         scale(3.0, mul(s1, rho))));
+        set_sum(s, S3_RE, stride, s3);
+        set_sum(s, S2_RE, stride, add(s2, add(rho, scale(2.0, mul(s1, ell)))));
     }
-    d[0] = prod;
-    if (min_d2 <= ZERO_SWITCH2) {
+    set_sum(s, S1_RE, stride, add(s1, ell));
+    s[MIN_D2 * stride] = d2 < least ? d2 : least;
+}
+
+/* P, P' and, for order 3, P'' and P''' from the sums s into d[0..order]: P
+ * times S1, S2 and S3; within ZERO_SWITCH of a zero, where P is 0 times a
+ * pole, the product rule takes over. */
+static inline void finish_sums(Py_ssize_t n, const cplx *zr, cplx z, int order, const double *s,
+                               Py_ssize_t stride, cplx *d)
+{
+    d[0] = sum_at(s, P_RE, stride);
+    if (s[MIN_D2 * stride] <= ZERO_SWITCH2) {
         product_rule(n, zr, z, order, d);
         return;
     }
-    d[1] = mul(prod, s1);
+    d[1] = mul(d[0], sum_at(s, S1_RE, stride));
     if (order == 3) {
-        d[2] = mul(prod, s2);
-        d[3] = mul(prod, s3);
+        d[2] = mul(d[0], sum_at(s, S2_RE, stride));
+        d[3] = mul(d[0], sum_at(s, S3_RE, stride));
     }
+}
+
+/* The product of the factors at z, P = B/lam, and its derivatives P' = B'/lam
+ * and, for order 3, P'' and P''', into d[0..order]; order is 1 or 3.  The
+ * evaluator of the tracker, one point at a time. */
+static inline void blaschke(Py_ssize_t n, const cplx *zr, cplx z, int order, cplx *d)
+{
+    double s[SUMS];
+    Py_ssize_t j;
+
+    start_sums(s, 1);
+    for (j = 0; j < n; j++)
+        factor_step(zr[j], z, order, s, 1);
+    finish_sums(n, zr, z, order, s, 1, d);
+}
+
+#define LANES 4 /* the points that blaschke_lanes() evaluates together */
+
+/* blaschke() at order 3 for the m <= LANES points z into d[0..m), bit for
+ * bit: the factor loop steps the sums of all LANES points at once, in fixed
+ * local arrays, one lane per point and the lanes past m repeating z[0]. */
+static void blaschke_lanes(Py_ssize_t n, const cplx *zr, int m, const cplx *z, cplx (*d)[4])
+{
+    double s[SUMS * LANES], xr[LANES], xi[LANES];
+    Py_ssize_t j;
+    int l;
+
+    for (l = 0; l < LANES; l++) {
+        xr[l] = z[l < m ? l : 0].re;
+        xi[l] = z[l < m ? l : 0].im;
+        start_sums(s + l, LANES);
+    }
+    for (j = 0; j < n; j++)
+        for (l = 0; l < LANES; l++)
+            factor_step(zr[j], mk(xr[l], xi[l]), 3, s + l, LANES);
+    for (l = 0; l < m; l++)
+        finish_sums(n, zr, z[l], 3, s + l, LANES, d[l]);
 }
 
 /* the fraction of the first-order gain that a step of the line search must
@@ -150,32 +222,35 @@ typedef struct {
     double f, gx, gy, hxx, hxy, hyy;
 } ascent_point;
 
-/* The numpy reference's _objective at z: f = |1 + slope B(z)|
- * |B'(z)| (1 - |z|^2), the objective for f(w) = w + slope w^2/2; and the
- * gradient and Hessian of log f = Re H + log(1 - |z|^2), H = log B' +
+/* The numpy reference's _objective at the m <= LANES points z: f = |1 +
+ * slope B(z)| |B'(z)| (1 - |z|^2), the objective for f(w) = w + slope w^2/2;
+ * and the gradient and Hessian of log f = Re H + log(1 - |z|^2), H = log B' +
  * log(1 + slope B), from H' and H''.  For slope 0 the first factor is exactly
  * 1 and the slope's terms in H' and H'' are exactly 0.  f is 0 on the circle
- * and negative or NaN beyond it, where ascend's line search rejects every
+ * and negative or NaN beyond it, where the ascent's line search rejects every
  * step.  The gradient and Hessian are not finite where f is 0. */
-static void ascent_terms(Py_ssize_t n, const cplx *zr, cplx lam, cplx z, double slope,
-                         ascent_point *out)
+static void ascent_terms(Py_ssize_t n, const cplx *zr, cplx lam, double slope, int m,
+                         const cplx *z, ascent_point *out)
 {
-    double d = 1.0 - (z.re * z.re + z.im * z.im);
-    cplx b[4], u, v1, h1, h2;
+    cplx b[LANES][4];
+    int l;
 
-    blaschke(n, zr, z, 3, b);
-    u = add(mk(1.0, 0.0), scale(slope, mul(lam, b[0])));
-    out->f = hypot(u.re, u.im) * hypot(b[1].re, b[1].im) * d;
-    h1 = quot(b[2], b[1]);
-    h2 = sub(quot(b[3], b[1]), mul(h1, h1));
-    v1 = quot(scale(slope, mul(lam, b[1])), u);
-    h1 = add(h1, v1);
-    h2 = add(h2, sub(quot(scale(slope, mul(lam, b[2])), u), mul(v1, v1)));
-    out->gx = h1.re - 2.0 * z.re / d;
-    out->gy = -h1.im - 2.0 * z.im / d;
-    out->hxx = h2.re - 2.0 / d - 4.0 * z.re * z.re / (d * d);
-    out->hxy = -h2.im - 4.0 * z.re * z.im / (d * d);
-    out->hyy = -h2.re - 2.0 / d - 4.0 * z.im * z.im / (d * d);
+    blaschke_lanes(n, zr, m, z, b);
+    for (l = 0; l < m; l++) {
+        double d = 1.0 - norm2(z[l]);
+        cplx u = add(mk(1.0, 0.0), scale(slope, mul(lam, b[l][0])));
+        cplx h1 = quot(b[l][2], b[l][1]), h2 = sub(quot(b[l][3], b[l][1]), mul(h1, h1));
+        cplx v1 = quot(scale(slope, mul(lam, b[l][1])), u);
+        ascent_point *p = &out[l];
+        p->f = hypot(u.re, u.im) * hypot(b[l][1].re, b[l][1].im) * d;
+        h1 = add(h1, v1);
+        h2 = add(h2, sub(quot(scale(slope, mul(lam, b[l][2])), u), mul(v1, v1)));
+        p->gx = h1.re - 2.0 * z[l].re / d;
+        p->gy = -h1.im - 2.0 * z[l].im / d;
+        p->hxx = h2.re - 2.0 / d - 4.0 * z[l].re * z[l].re / (d * d);
+        p->hxy = -h2.im - 4.0 * z[l].re * z[l].im / (d * d);
+        p->hyy = -h2.re - 2.0 / d - 4.0 * z[l].im * z[l].im / (d * d);
+    }
 }
 
 /* The numpy reference's _ascent_step at p: the step (dx, dy) of one
@@ -205,50 +280,111 @@ static double ascent_step(const ascent_point *p, double cap, double *dx, double 
     return *rise + 0.5 * (a * *dx * *dx + 2.0 * b * *dx * *dy + c * *dy * *dy);
 }
 
-/* One safeguarded Newton ascent on log f from z0 with steps at most cap
- * long, the numpy reference's _refine_starts for one start: each iteration
- * halves its step until f rises by ARMIJO times the first-order gain, and
- * the ascent stops after a step predicted to gain at most ftol (taken only if
- * f does not fall), when a step rounds to nothing, when halving brings the
- * first-order gain to ftol, or after max_iter iterations.  A start where f
- * is not positive stays.  Returns the iterations and leaves the point
- * reached and f there in *best_z and *best_f. */
-static long ascend(Py_ssize_t n, const cplx *zr, cplx lam, double slope, cplx z0,
-                   double cap, long max_iter, double ftol, double *best_f, cplx *best_z)
-{
-    ascent_point p, q;
-    cplx z = z0;
-    long it = 0;
-    int stop = 0;
+/* where a start of the lockstep ascent stands: its point is still to be
+ * evaluated, it takes a new step, it tries z + t (dx, dy), its point waits
+ * in a batch of lanes, or it has stopped */
+enum { START, STEP, TRIAL, QUEUED, DONE };
 
-    ascent_terms(n, zr, lam, z, slope, &p);
-    while (!stop && p.f > 0.0 && it < max_iter) {
-        double dx, dy, rise, t = 1.0;
-        int last = !(ascent_step(&p, cap, &dx, &dy, &rise) > ftol);
-        it++;
-        for (;;) {
-            cplx trial = mk(z.re + t * dx, z.im + t * dy);
-            if (trial.re == z.re && trial.im == z.im) {
-                stop = 1;
-                break;
-            }
-            ascent_terms(n, zr, lam, trial, slope, &q);
-            if (q.f - p.f >= (last ? 0.0 : ARMIJO * t * rise) * p.f) {
-                z = trial;
-                p = q;
-                stop = last;
-                break;
-            }
-            t *= 0.5;
-            if (last || !(t * rise > ftol)) {
-                stop = 1;
-                break;
-            }
+/* one start of the lockstep ascent: z, and f and the terms of log f there;
+ * its step, first-order gain and line-search fraction; its step cap and
+ * iterations */
+typedef struct {
+    ascent_point p;
+    cplx z;
+    double dx, dy, rise, t, cap;
+    long it;
+    int state, last;
+} climber;
+
+/* The points pts of the m <= LANES queued climbers c[idx[..]], evaluated
+ * together, and each climber's rule: a start, which has no iteration yet,
+ * takes its f; a trial is taken if f rises by ARMIJO times its first-order
+ * gain (by nothing on a last step), and otherwise the step halves. */
+static void settle(Py_ssize_t n, const cplx *zr, cplx lam, double slope, double ftol,
+                   climber *c, const Py_ssize_t *idx, const cplx *pts, int m)
+{
+    ascent_point q[LANES];
+    int l;
+
+    ascent_terms(n, zr, lam, slope, m, pts, q);
+    for (l = 0; l < m; l++) {
+        climber *a = &c[idx[l]];
+        if (a->it == 0) {
+            a->p = q[l];
+            a->state = q[l].f > 0.0 ? STEP : DONE;
+        } else if (q[l].f - a->p.f >= (a->last ? 0.0 : ARMIJO * a->t * a->rise) * a->p.f) {
+            a->z = pts[l];
+            a->p = q[l];
+            a->state = a->last ? DONE : STEP;
+        } else {
+            a->t *= 0.5;
+            a->state = a->last || !(a->t * a->rise > ftol) ? DONE : TRIAL;
         }
     }
-    *best_f = p.f;
-    *best_z = z;
-    return it;
+}
+
+/* The numpy reference's _refine_starts over the k climbers c, each set to
+ * START at its start z with its step cap and no iteration: one safeguarded
+ * Newton ascent on log f per start, all in lockstep.  Each iteration halves
+ * its step until f rises by ARMIJO times the first-order gain, and a start
+ * stops after a step predicted to gain at most ftol (taken only if f does
+ * not fall), when a step rounds to nothing, when halving brings the
+ * first-order gain to ftol, or after max_iter iterations.  A start where f
+ * is not positive stays.  Each pass over the starts queues every point that
+ * a start needs next and evaluates the queue LANES points at a time; a
+ * batch that is not full waits for the next pass, and goes as it is once a
+ * pass queues nothing.  So every start visits the points it visits alone.
+ * Returns the iterations of all starts. */
+static long climb(Py_ssize_t n, const cplx *zr, cplx lam, double slope, long max_iter,
+                  double ftol, climber *c, Py_ssize_t k)
+{
+    Py_ssize_t idx[LANES], i;
+    cplx pts[LANES];
+    long iterations = 0;
+    int m = 0, queued;
+
+    for (;;) {
+        queued = 0;
+        for (i = 0; i < k; i++) {
+            climber *a = &c[i];
+            if (a->state == STEP) {
+                if (a->it >= max_iter) {
+                    a->state = DONE;
+                    continue;
+                }
+                a->it++;
+                a->last = !(ascent_step(&a->p, a->cap, &a->dx, &a->dy, &a->rise) > ftol);
+                a->t = 1.0;
+                a->state = TRIAL;
+            }
+            if (a->state == QUEUED || a->state == DONE)
+                continue;
+            pts[m] = a->z;
+            if (a->state == TRIAL) {
+                pts[m] = mk(a->z.re + a->t * a->dx, a->z.im + a->t * a->dy);
+                if (pts[m].re == a->z.re && pts[m].im == a->z.im) {
+                    a->state = DONE;
+                    continue;
+                }
+            }
+            a->state = QUEUED;
+            idx[m++] = i;
+            queued = 1;
+            if (m == LANES) {
+                settle(n, zr, lam, slope, ftol, c, idx, pts, m);
+                m = 0;
+            }
+        }
+        if (!queued && m == 0)
+            break;
+        if (!queued) {
+            settle(n, zr, lam, slope, ftol, c, idx, pts, m);
+            m = 0;
+        }
+    }
+    for (i = 0; i < k; i++)
+        iterations += c[i].it;
+    return iterations;
 }
 
 /* ---- the whole seminorm search ----------------------------------------- */
@@ -407,15 +543,16 @@ static Py_ssize_t start_points(Py_ssize_t n, const cplx *zr, const scan_rules *r
     return kept;
 }
 
-/* The multistart search of _fallback.seminorm_search: one Newton ascent per
- * start, its steps at most min(0.1, (1 - |z|)/2) long for the start z, and
- * the best start's end.  Scratch comes from PyMem_RawMalloc, so this runs
- * without the interpreter lock; returns 0 when it cannot be had. */
+/* The multistart search of _fallback.seminorm_search: the lockstep ascent
+ * of all starts, each with steps at most min(0.1, (1 - |z|)/2) long for the
+ * start z, and the best start's end.  Scratch comes from PyMem_RawMalloc, so
+ * this runs without the interpreter lock; returns 0 when it cannot be had. */
 static int search(Py_ssize_t n, const cplx *zr, cplx lam, double slope, long max_iter, double ftol,
                   const scan_rules *rules, search_result *out)
 {
-    double *weight = NULL, *theta, *modulus, *local, h, f;
-    cplx *starts = NULL, *unit, z;
+    double *weight = NULL, *theta, *modulus, *local;
+    cplx *starts = NULL, *unit;
+    climber *c = NULL;
     start_key *keys;
     Py_ssize_t narrow = 0, cap, count, k, i;
     int ok = 0;
@@ -442,16 +579,22 @@ static int search(Py_ssize_t n, const cplx *zr, cplx lam, double slope, long max
     keys = (start_key *)(starts + k);
     k = start_points(n, zr, rules, count, unit, modulus, starts, keys,
                      (unsigned char *)(keys + k));
-
+    c = PyMem_RawMalloc(k * sizeof(climber));
+    if (c == NULL)
+        goto done;
+    for (i = 0; i < k; i++) {
+        c[i].z = starts[i];
+        c[i].cap = fmin(0.1, 0.5 * (1.0 - hypot(starts[i].re, starts[i].im)));
+        c[i].it = 0;
+        c[i].state = START;
+    }
+    out->iterations = climb(n, zr, lam, slope, max_iter, ftol, c, k);
     out->value = -HUGE_VAL;
     out->argmax = starts[0];
-    out->iterations = 0;
     for (i = 0; i < k; i++) {
-        h = fmin(0.1, 0.5 * (1.0 - hypot(starts[i].re, starts[i].im)));
-        out->iterations += ascend(n, zr, lam, slope, starts[i], h, max_iter, ftol, &f, &z);
-        if (beats(f, z, out->value, out->argmax)) {
-            out->value = f;
-            out->argmax = z;
+        if (beats(c[i].p.f, c[i].z, out->value, out->argmax)) {
+            out->value = c[i].p.f;
+            out->argmax = c[i].z;
         }
     }
     out->starts = k;
@@ -459,6 +602,7 @@ static int search(Py_ssize_t n, const cplx *zr, cplx lam, double slope, long max
 done:
     PyMem_RawFree(weight);
     PyMem_RawFree(starts);
+    PyMem_RawFree(c);
     return ok;
 }
 
@@ -485,8 +629,6 @@ static cplx piece_at(const route_pieces *p, Py_ssize_t g, double t)
 }
 
 static inline int is_finite(cplx a) { return isfinite(a.re) && isfinite(a.im); }
-
-static inline double norm2(cplx a) { return a.re * a.re + a.im * a.im; }
 
 /* |a| >= 1e-300, without squaring 1e-300, which underflows to 0; hypot only
  * where both parts are below it */

@@ -169,8 +169,9 @@ def test_blaschke_derivatives_match_product_rule_and_differences(ckernel_probe):
     """B'' and B''' of both evaluators, numpy's _value_and_derivative and the
     compiled blaschke(), at points 1e-3 to 1e-12 from a simple and from a
     repeated zero and on each.  They agree with the Leibniz product rule to
-    1e-14 relative (measured: 6.8e-16 over the log-derivative sums above
-    ZERO_SWITCH and the product rule below it), and with four-point central
+    1e-14 relative (measured: 1.5e-15 in C and 5.8e-16 in numpy, over the
+    log-derivative sums above ZERO_SWITCH and the product rule below it),
+    and with four-point central
     differences of the next lower derivative, h = 1e-3, to 1e-9 (measured:
     1.1e-10, the differences' own truncation error).  Asking for B'' and B'''
     leaves (B, B') bit for bit as the trackers get them."""
@@ -190,6 +191,65 @@ def test_blaschke_derivatives_match_product_rule_and_differences(ckernel_probe):
                     lower = [evaluate(z + m * h, 3)[k - 1] for m in (2, 1, -1, -2)]
                     central = (-lower[0] + 8.0 * lower[1] - 8.0 * lower[2] + lower[3]) / (12 * h)
                     assert abs(d[k] - central) <= 1e-9 * abs(d[k]), (distance, k)
+
+
+def _bits(values):
+    """The float64 bit patterns of complex values, so -0.0 differs from 0.0."""
+    return np.asarray(values, dtype=np.complex128).reshape(-1).view(np.int64).tolist()
+
+
+def test_lane_evaluator_matches_the_scalar_evaluator(ckernel_probe):
+    """blaschke_lanes(), which steps four points through the factor loop at
+    once, gives blaschke()'s (P, P', P'', P''') bit for bit at every point of
+    batches of 1 to 11 points, so the last call of a batch leaves one to
+    three lanes padded: points spread over the disk, points 1e-3 to 1e-12
+    from a simple and from a double zero, inside ZERO_SWITCH where the
+    product rule takes over, and points exactly on both zeros."""
+    turn = complex(math.cos(1.1), math.sin(1.1))
+    rng = np.random.default_rng(7)
+    for zeros in (np.array([0.3 + 0.2j, -0.5j, 0.6, -0.4 + 0.4j]),
+                  np.array([0.5, 0.5, 0.3j, -0.7, 0.3j], dtype=np.complex128)):
+        spread = 0.95 * np.sqrt(rng.random(5)) * np.exp(2j * np.pi * rng.random(5))
+        near = [a + d * turn for a in (zeros[0], zeros[2]) for d in (1e-3, 5e-9, 1e-12, 0.0)]
+        points = np.concatenate([near[:3], spread[:2], near[3:], spread[2:], [0j]])
+        assert points.size == 14
+        scalar = [ckernel_probe.derivatives(zeros, complex(z), 3) for z in points]
+        for size in range(1, 12):
+            for first in (0, 14 - size):
+                batch = points[first:first + size]
+                assert _bits(ckernel_probe.lanes(zeros, batch)) == \
+                    _bits(scalar[first:first + size]), (size, first)
+
+
+def test_lockstep_ascent_matches_single_start_ascents(ckernel_probe):
+    """climb() runs all starts of a product in lockstep, and each start ends
+    at the point, f and iteration count of its ascent alone, bit for bit:
+    for z^5 and for a product with a double zero, slopes 0 and 1, and
+    max_iter 3 and 500.  The starts hold the origin of z^5, where f = 0 and
+    the start stays with no iteration; the argmax of z^5 on the positive
+    axis, whose first step rounds to nothing; the zeros; and points whose
+    ascents max_iter 3 cuts short."""
+    peak = math.sqrt(4.0 / 6.0)  # argmax of n x^(n-1) (1 - x^2) for n = 5
+    for zeros in (np.zeros(5, dtype=np.complex128),
+                  np.array([0.5, 0.5, -0.3j, 0.8 * np.exp(2j)])):
+        starts = np.concatenate([[0j, peak], zeros,
+                                 [0.3 + 0.1j, -0.5j, 0.7 * np.exp(1j), 0.2j, -0.4 - 0.4j]])
+        caps = np.minimum(0.1, 0.5 * (1.0 - np.abs(starts)))
+        for slope in (0.0, 1.0):
+            for max_iter in (3, 500):
+                values, points, iters = ckernel_probe.climb(zeros, 1.0, slope, starts, caps,
+                                                            max_iter, 1e-10)
+                for i, start in enumerate(starts):
+                    alone = ckernel_probe.climb(zeros, 1.0, slope, starts[i:i + 1],
+                                                caps[i:i + 1], max_iter, 1e-10)
+                    assert _bits(points[i]) == _bits(alone[1][0])
+                    assert (values[i], iters[i]) == (alone[0][0], alone[2][0]), (i, start)
+                if max_iter == 3:
+                    assert max(iters) == 3  # an ascent the cap cuts short
+                if zeros[0] == 0:
+                    assert (values[0], points[0], iters[0]) == (0.0, 0j, 0)
+                if zeros[0] == 0 and slope == 0.0:
+                    assert (points[1], iters[1]) == (peak, 1)
 
 
 def test_product_rule_switch_is_the_same_in_both_kernels():
@@ -299,7 +359,7 @@ def test_seminorm_backends_agree_on_degrees_1_to_12(ckernel, monkeypatch):
 def test_sweep_backends_agree(ckernel):
     """``sweep --count 100 --max-degree 16 --seed 1`` on each backend: the
     same violations and minimizer trial, and min, mean and max within 1e-10
-    (measured: at most 4.2e-14 on seeds 1-3)."""
+    (measured: at most 4.3e-14 on seeds 1-3)."""
     code = ("import blochkit._kernels as k\n"
             "from blochkit.cli import main\n"
             "print(k.BACKEND)\n"
